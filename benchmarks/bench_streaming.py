@@ -12,11 +12,10 @@ root (same git-sha schema as ``BENCH_depth_kernels.json``), and the CI
 gate asserts that the incremental update beats the naive refit for
 every gated case.
 
-The sharded tier rides along: the same chunked stream is pushed through
-a 2-shard :class:`~repro.streaming.ShardedStreamingDetector` with score
-equivalence asserted before timing (always), and ``shard_speedup > 1``
-gated only on machines with >= 2 cores.  A shared-memory leak check
-runs the sharded process backend and asserts every segment is released.
+Sharding rides along: the same chunked stream is pushed through
+``StreamingDetector(..., shards=2)`` with score equivalence asserted
+before timing (always), and ``shard_speedup > 1`` gated only on
+machines with >= 2 cores.
 
 Set ``REPRO_BENCH_QUICK=1`` for the CI smoke configuration; the default
 run uses a larger workload.  ``repro bench-stream`` exposes the same
@@ -24,8 +23,6 @@ measurement from the CLI.
 """
 
 import os
-
-import numpy as np
 
 from repro.perf import append_bench_record, format_streaming_rows, run_streaming_bench
 
@@ -81,25 +78,3 @@ def test_streaming_incremental_beats_refit():
                     f"stream ({r['naive_s']:.4f}s) on a multi-core machine"
                 )
 
-
-def test_sharded_process_backend_releases_shared_memory():
-    """The sharded process backend must leave no live shared segments."""
-    from repro.engine.shared import live_segments
-    from repro.fda.fdata import MFDataGrid
-    from repro.streaming import ShardedStreamingDetector
-
-    rng = np.random.default_rng(BENCH_SEED)
-    m, window, chunk = 40, 32, 8
-    grid = np.linspace(0.0, 1.0, m)
-    detector = ShardedStreamingDetector(
-        "funta", shards=2, capacity=window, min_reference=2, backend="process"
-    )
-    try:
-        detector.prime(MFDataGrid(rng.standard_normal((window, m, 1)), grid))
-        for _ in range(3):
-            batch = MFDataGrid(rng.standard_normal((chunk, m, 1)), grid)
-            detector.process(batch)
-    finally:
-        detector.close()
-    leaked = live_segments()
-    assert not leaked, f"sharded process backend leaked shared segments: {leaked}"

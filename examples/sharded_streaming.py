@@ -1,23 +1,22 @@
-"""Sharded streaming: N shard states, single-stream answers.
+"""Sharded streaming: N shard windows, single-stream answers.
 
 Partitioning a stream across workers normally changes the answers —
-each partition sees a different reference sample.  The sharded tier
-avoids that by making every piece of reference state *mergeable*: the
-shard windows recombine into the exact single-stream ring, per-shard
-depth partials sum to the full-reference statistic, the federated
-threshold reads the quantile of the union score window, and the
-federated drift monitor pools per-shard KS buffers into the global
-ECDF before deciding.  This example proves it end to end:
+each partition sees a different reference sample.
+``StreamingDetector(..., shards=N)`` avoids that: arrivals are dealt
+round-robin into N shard windows whose union *is* the single-stream
+window, per-shard depth partials sum to the full-reference statistic
+(or the shard caches merge into it), and the threshold and drift
+monitor are the ordinary single-stream trackers fed every score chunk
+in the coordinator.  This example proves it end to end:
 
-1. drive one drifting stream through a single-stream
-   :class:`repro.streaming.StreamingDetector`,
-2. drive the *same* stream through
-   :class:`repro.streaming.ShardedStreamingDetector` at several shard
-   counts (federated threshold + drift, coordinated re-reference
-   barrier),
+1. drive one drifting stream through ``shards=1``,
+2. drive the *same* stream through ``shards=2, 3, 7``,
 3. compare: scores within ``rtol=1e-12``, identical flag sequences,
-   identical drift-event chunks — through the re-reference, where
-   every shard must re-anchor on the same window.
+   identical drift-event chunks — through the re-reference, where every
+   shard window is reset together.
+
+The drift monitor checks every 16 scores while chunks hold 64 curves,
+so checks land inside chunks; the decisions still match.
 
 Run:  python examples/sharded_streaming.py
 """
@@ -27,23 +26,18 @@ import numpy as np
 from repro.data import make_drifting_stream
 from repro.streaming import (
     DepthRankDrift,
-    FederatedDrift,
-    FederatedThreshold,
-    ShardedStreamingDetector,
     SlidingWindow,
     StreamingDetector,
     make_threshold,
 )
 
-# 84 = 2^2 * 3 * 7 — window, drift buffers and chunk size divide evenly
-# for every shard count below, keeping the federated decision sequence
-# chunk-aligned with the single-stream monitor.
+# 84 = 2^2 * 3 * 7: the window divides evenly for every shard count below.
 WINDOW = 84
-CHUNK = 21
+CHUNK = 64
 N_CHUNKS = 20
 CONTAMINATION = 0.1
 ALPHA = 0.05
-SHARD_COUNTS = (2, 3, 7)
+SHARD_COUNTS = (1, 2, 3, 7)
 
 
 def stream():
@@ -53,54 +47,40 @@ def stream():
     )
 
 
-def drive(detector):
+def drive(n_shards):
+    detector = StreamingDetector(
+        "funta",
+        SlidingWindow(WINDOW),
+        shards=n_shards,
+        min_reference=2,
+        threshold=make_threshold(CONTAMINATION, "window", capacity=WINDOW),
+        drift=DepthRankDrift(baseline_size=128, recent_size=64, alpha=ALPHA,
+                             patience=1, min_gap=16),
+        on_drift="rereference",
+    )
     scores, flags, events = [], [], []
-    for chunk_idx, (chunk, _) in enumerate(stream()):
-        result = detector.process(chunk)
-        if result.scores is not None:
-            scores.append(result.scores)
-        if result.flags is not None:
-            flags.append(result.flags)
-        if result.drift is not None:
-            events.append(chunk_idx)
-    return np.concatenate(scores), np.concatenate(flags), events
+    with detector:
+        for chunk_idx, (chunk, _) in enumerate(stream()):
+            result = detector.process(chunk)
+            if result.scores is not None:
+                scores.append(result.scores)
+            if result.flags is not None:
+                flags.append(result.flags)
+            if result.drift is not None:
+                events.append(chunk_idx)
+    return np.concatenate(scores), np.concatenate(flags), events, detector.n_rereferences
 
 
 def main() -> None:
-    single = StreamingDetector(
-        "funta",
-        SlidingWindow(WINDOW),
-        min_reference=2,
-        threshold=make_threshold(CONTAMINATION, "window", capacity=WINDOW),
-        drift=DepthRankDrift(baseline_size=WINDOW, recent_size=WINDOW,
-                             alpha=ALPHA, patience=1, min_gap=CHUNK),
-        on_drift="rereference",
-    )
-    ref_scores, ref_flags, ref_events = drive(single)
+    ref_scores, ref_flags, ref_events, rereferences = drive(1)
     print(f"single stream: {ref_scores.size} curves scored, "
           f"{int(ref_flags.sum())} flagged, drift + re-reference at chunks "
-          f"{ref_events} ({single.n_rereferences} barrier(s))")
+          f"{ref_events} ({rereferences} re-reference(s))")
     if not ref_events:
         raise SystemExit("expected the KS monitor to fire on this stream")
 
-    for n_shards in SHARD_COUNTS:
-        detector = ShardedStreamingDetector(
-            "funta",
-            shards=n_shards,
-            capacity=WINDOW,
-            min_reference=2,
-            threshold=FederatedThreshold(CONTAMINATION, n_shards,
-                                         mode="window", capacity=WINDOW),
-            drift=FederatedDrift(n_shards, baseline_size=WINDOW,
-                                 recent_size=WINDOW, alpha=ALPHA,
-                                 patience=1, min_gap=CHUNK),
-            on_drift="rereference",
-            backend="thread",
-        )
-        try:
-            scores, flags, events = drive(detector)
-        finally:
-            detector.close()
+    for n_shards in SHARD_COUNTS[1:]:
+        scores, flags, events, _ = drive(n_shards)
         np.testing.assert_allclose(scores, ref_scores, rtol=1e-12, atol=0.0)
         np.testing.assert_array_equal(flags, ref_flags)
         if events != ref_events:
@@ -109,7 +89,7 @@ def main() -> None:
             )
         worst = float(np.max(np.abs(scores - ref_scores)))
         print(f"{n_shards} shards: scores match (max |delta| {worst:.2e}), "
-              f"flags identical, re-reference barrier at chunks {events}")
+              f"flags identical, re-reference at chunks {events}")
 
     print("OK: every shard count reproduced the single stream through drift")
 

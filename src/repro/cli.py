@@ -356,11 +356,12 @@ def run_stream_score(args) -> None:
     # the plan's workload.
     scores = []
     flags = []
-    for chunk_scores, chunk_flags in run_chunked(
-        online_step, data, chunk_size=plan.workload.chunk_size
-    ):
-        scores.append(chunk_scores)
-        flags.append(chunk_flags)
+    with detector:
+        for chunk_scores, chunk_flags in run_chunked(
+            online_step, data, chunk_size=plan.workload.chunk_size
+        ):
+            scores.append(chunk_scores)
+            flags.append(chunk_flags)
     scores = np.concatenate(scores)
     flags = np.concatenate(flags)
     if args.output:
@@ -569,8 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
     stream_bench.add_argument("--repeats", type=int, default=2,
                               help="timing repetitions (best-of)")
     stream_bench.add_argument("--shards", type=int, default=1,
-                              help="also time the sharded streaming tier with "
-                                   "this many shards (records shard_speedup)")
+                              help="also time StreamingDetector(shards=N) against "
+                                   "the single stream (records shard_speedup)")
     stream_bench.add_argument("--quick", action="store_true",
                               help="mark the record as a quick-mode datapoint")
     stream_bench.add_argument("--output", default="BENCH_streaming.json",
@@ -597,9 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--contamination", type=float, default=0.05,
                         help="expected outlier fraction (threshold quantile)")
     stream.add_argument("--threshold-mode", default="window",
-                        choices=("window", "p2", "sketch"),
-                        help="exact ring-buffer quantile, O(1)-memory P2, or "
-                             "mergeable quantile sketch (shardable)")
+                        help="'window' (exact trailing-window quantile) or "
+                             "'sketch' (whole-stream quantile sketch)")
     stream.add_argument("--drift-baseline", type=int, default=128,
                         help="baseline scores for the KS drift monitor")
     stream.add_argument("--drift-recent", type=int, default=64,
@@ -607,8 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--alpha", type=float, default=0.01,
                         help="KS test level for drift checks")
     stream.add_argument("--shards", type=int, default=1,
-                        help="partition the stream across N shard states "
-                             "(mergeable windows, federated threshold/drift)")
+                        help="deal the reference window across N shard windows "
+                             "scored on a thread pool (same answers as 1)")
     stream.add_argument("--seed", type=int, default=7,
                         help="reservoir eviction seed")
     stream.add_argument("--output", default=None,

@@ -185,18 +185,6 @@ class StreamingQuantileThreshold:
             value=self.value, criterion="quantile", objective=self.contamination
         )
 
-    def window_scores(self) -> np.ndarray:
-        """The retained score window as a multiset (a copy, slot order).
-
-        The quantile is order-free, so trackers over disjoint round-robin
-        substreams merge exactly: the union of their windows *is* the
-        trailing global window, and ``np.quantile`` over the concatenated
-        multisets equals the single-tracker value bit for bit.  The
-        federated threshold of the sharded streaming tier reads shard
-        trackers through this accessor.
-        """
-        return self._buffer[: self.size].copy()
-
     def reset(self) -> None:
         """Forget the buffered scores (drift re-reference hook)."""
         self.size = 0

@@ -637,21 +637,16 @@ def run_streaming_bench(
     never post a fast number); the record schema mirrors
     ``BENCH_depth_kernels.json`` (git sha, per-case rows).
 
-    With ``shards > 1`` the sharded tier is timed as well: the same
-    chunked arrival stream is pushed once through a single-stream
-    incremental detector and once through a
-    :class:`~repro.streaming.ShardedStreamingDetector` (thread backend)
+    With ``shards > 1`` sharding is timed as well: the same chunked
+    arrival stream is pushed once through a single-stream incremental
+    detector and once through ``StreamingDetector(..., shards=shards)``
     at the same chunk size, with score equivalence asserted (rtol
     ``1e-12``; exact for dirout/halfspace) before either side is timed.
     Sharded rows carry ``shards``/``shard_speedup`` fields
     (``schema_version`` 3).
     """
     from repro.fda.fdata import MFDataGrid
-    from repro.streaming import (
-        ShardedStreamingDetector,
-        SlidingWindow,
-        StreamingDetector,
-    )
+    from repro.streaming import SlidingWindow, StreamingDetector
 
     rng = np.random.default_rng(seed)
     grid = np.linspace(0.0, 1.0, m)
@@ -740,20 +735,16 @@ def run_streaming_bench(
                 return np.concatenate(collected)
 
             def run_sharded() -> np.ndarray:
-                detector = ShardedStreamingDetector(
+                with StreamingDetector(
                     kind,
+                    SlidingWindow(window),
                     shards=shards,
-                    capacity=window,
                     min_reference=2,
-                    backend="thread",
                     block_bytes=block_bytes,
-                )
-                try:
+                ) as detector:
                     detector.prime(prime_mfd)
                     collected = [detector.process(c).scores for c in chunks]
                     return np.concatenate(collected)
-                finally:
-                    detector.close()
 
             single_scores = run_single()
             sharded_scores = run_sharded()

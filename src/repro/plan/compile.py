@@ -216,19 +216,10 @@ class StreamPlan(ScoringPlan):
         self._detector = None
 
     def build(self):
-        """Window + threshold + drift monitor + detector, from the spec.
-
-        ``shards > 1`` compiles to a
-        :class:`~repro.streaming.sharded.ShardedStreamingDetector` with
-        the federated threshold/drift aggregators; ``shards == 1`` keeps
-        the single-window detector.
-        """
+        """Window + threshold + drift monitor + detector, from the spec."""
         from repro.streaming import (
             DepthRankDrift,
-            FederatedDrift,
-            FederatedThreshold,
             ReservoirWindow,
-            ShardedStreamingDetector,
             SlidingWindow,
             StreamingDetector,
             make_threshold,
@@ -238,36 +229,6 @@ class StreamPlan(ScoringPlan):
         block_bytes = spec.block_bytes
         if block_bytes is None:
             block_bytes = self.workload.block_bytes
-        if spec.shards > 1:
-            threshold = FederatedThreshold(
-                spec.contamination,
-                spec.shards,
-                mode=spec.threshold_mode,
-                capacity=max(spec.window, 2 * spec.shards),
-            )
-            drift = FederatedDrift(
-                spec.shards,
-                baseline_size=spec.drift_baseline,
-                recent_size=spec.drift_recent,
-                alpha=spec.alpha,
-            )
-            return ShardedStreamingDetector(
-                spec.kind,
-                shards=spec.shards,
-                capacity=spec.window,
-                window_kind=spec.policy,
-                threshold=threshold,
-                drift=drift,
-                min_reference=spec.min_reference,
-                update_policy=spec.update_policy,
-                on_drift=spec.effective_on_drift,
-                incremental=spec.incremental,
-                backend=spec.shard_backend,
-                block_bytes=block_bytes,
-                context=self.context,
-                seed=spec.seed,
-                **spec.params,
-            )
         if spec.policy == "sliding":
             window = SlidingWindow(spec.window)
         else:
@@ -283,6 +244,7 @@ class StreamPlan(ScoringPlan):
         return StreamingDetector(
             spec.kind,
             window,
+            shards=spec.shards,
             threshold=threshold,
             drift=drift,
             min_reference=spec.min_reference,

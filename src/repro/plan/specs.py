@@ -557,10 +557,10 @@ class StreamSpec:
     incremental: bool = True
     block_bytes: int | None = None
     shards: int = 1
-    shard_backend: str = "thread"
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        from repro.streaming.calibrate import THRESHOLD_MODES
         from repro.streaming.online import STREAM_KINDS, StreamingDetector
 
         _check_type(self.kind, str, "stream kind")
@@ -591,7 +591,7 @@ class StreamSpec:
                 f"stream contamination must be in (0, 1), got {contamination}"
             )
         object.__setattr__(self, "contamination", float(contamination))
-        _check_choice(self.threshold_mode, ("window", "p2", "sketch"), "stream threshold_mode")
+        _check_choice(self.threshold_mode, THRESHOLD_MODES, "stream threshold_mode")
         _check_type(self.drift_baseline, int, "stream drift_baseline")
         _check_type(self.drift_recent, int, "stream drift_recent")
         # DepthRankDrift's floors: a KS test on fewer than 8 scores per
@@ -618,8 +618,6 @@ class StreamSpec:
         _check_type(self.shards, int, "stream shards")
         if self.shards < 1:
             raise ConfigurationError(f"stream shards must be >= 1, got {self.shards}")
-        _check_choice(self.shard_backend, ("serial", "thread", "process"),
-                      "stream shard_backend")
         if self.shards > 1:
             if self.window % self.shards:
                 raise ConfigurationError(
@@ -630,25 +628,6 @@ class StreamSpec:
                 raise ConfigurationError(
                     f"stream window={self.window} leaves fewer than 2 slots "
                     f"per shard across shards={self.shards}"
-                )
-            if self.threshold_mode == "p2":
-                raise ConfigurationError(
-                    "threshold_mode='p2' cannot shard: P² markers are not "
-                    "mergeable — use 'window' (exact) or 'sketch' (mergeable "
-                    "quantile sketch)"
-                )
-            if self.drift_baseline % self.shards or self.drift_recent % self.shards:
-                raise ConfigurationError(
-                    f"drift_baseline={self.drift_baseline} and drift_recent="
-                    f"{self.drift_recent} must divide evenly across "
-                    f"shards={self.shards}"
-                )
-            if (self.drift_baseline // self.shards < 8
-                    or self.drift_recent // self.shards < 8):
-                raise ConfigurationError(
-                    "per-shard KS samples need >= 8 scores: raise "
-                    f"drift_baseline={self.drift_baseline}/drift_recent="
-                    f"{self.drift_recent} or lower shards={self.shards}"
                 )
         object.__setattr__(self, "params", _as_params(self.params, "stream"))
         _check_keys(
@@ -674,6 +653,16 @@ class StreamSpec:
     @classmethod
     def from_dict(cls, doc: Mapping) -> "StreamSpec":
         _check_type(doc, Mapping, "stream spec")
+        doc = dict(doc)
+        # Legacy documents name the shard executor; "thread" and "serial"
+        # gave identical outputs and are both what shards now run on.
+        legacy_backend = doc.pop("shard_backend", "thread")
+        if legacy_backend == "process":
+            raise ConfigurationError(
+                "stream shard_backend 'process' was removed; shards run on "
+                "one thread pool (drop the key)"
+            )
+        _check_choice(legacy_backend, ("serial", "thread"), "stream shard_backend")
         _doc_keys(doc, {f.name for f in fields(cls)}, "stream spec")
         return cls(**{k: v for k, v in doc.items() if k != "spec"})
 

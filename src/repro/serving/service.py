@@ -47,7 +47,6 @@ from repro.fda.fdata import MFDataGrid, as_mfd
 from repro.plan.executor import iter_curve_chunks, run_chunked
 from repro.serving.persist import load_pipeline
 from repro.streaming.online import StreamBatchResult, StreamingDetector
-from repro.streaming.sharded import ShardedStreamingDetector
 from repro.telemetry import DEFAULT_SIZE_BUCKETS, Telemetry, resolve_telemetry
 from repro.utils.validation import check_int
 
@@ -356,7 +355,7 @@ class ScoringService:
         """
         if not isinstance(name, str) or not name:
             raise ValidationError(f"pipeline name must be a non-empty string, got {name!r}")
-        if isinstance(pipeline, (DepthScorer, StreamingDetector, ShardedStreamingDetector)):
+        if isinstance(pipeline, (DepthScorer, StreamingDetector)):
             if pipeline.context is None:
                 pipeline.context = self.context
             elif not pipeline.context.telemetry.enabled:
@@ -419,7 +418,7 @@ class ScoringService:
         """
         mfd = as_mfd(data)
         pipeline = self._pipeline(name)  # fail fast on unknown names
-        if isinstance(pipeline, (StreamingDetector, ShardedStreamingDetector)):
+        if isinstance(pipeline, StreamingDetector):
             raise ValidationError(
                 f"pipeline {name!r} is a streaming detector; its scoring is "
                 "stateful (window updates are order-dependent), so it cannot "
@@ -536,10 +535,10 @@ class ScoringService:
         chunks come back with ``scores=None``).
         """
         detector = self._pipeline(name)
-        if not isinstance(detector, (StreamingDetector, ShardedStreamingDetector)):
+        if not isinstance(detector, StreamingDetector):
             raise ValidationError(
-                f"pipeline {name!r} is not a StreamingDetector (or sharded "
-                "variant); use score_stream() for fixed-reference chunked scoring"
+                f"pipeline {name!r} is not a StreamingDetector; use "
+                "score_stream() for fixed-reference chunked scoring"
             )
         return run_chunked(
             detector.process, data, chunk_size=chunk_size,
@@ -557,7 +556,7 @@ class ScoringService:
         on the plan executor's single chunked path.
         """
         pipeline = self._pipeline(name)
-        if isinstance(pipeline, (StreamingDetector, ShardedStreamingDetector)):
+        if isinstance(pipeline, StreamingDetector):
             def online_scores(chunk) -> np.ndarray:
                 result = pipeline.process(chunk)
                 if result.scores is None:

@@ -6,54 +6,44 @@ scores *unbounded* curve streams whose reference population evolves:
 
 * :mod:`repro.streaming.window` — sliding-window and reservoir-sampling
   reference maintainers over one preallocated ring buffer, with seeded
-  reproducible eviction and ``merged()``/``split()`` shard operations;
+  reproducible eviction and round-robin ``split()`` (plus the sliding
+  window's inverse ``merged()``);
 * :mod:`repro.streaming.online` — :class:`StreamingDetector`, scoring
   each arrival against the current window through the vectorized depth
   kernels (FUNTA, Dir.out, halfspace profiles) or the fitted-pipeline
   feature path, with reference statistics refreshed incrementally on
-  insert/evict instead of refit from scratch;
+  insert/evict instead of refit from scratch.  ``shards=N`` deals the
+  reference across N shard windows whose ingest and partial scoring
+  run on a thread pool, while the threshold and drift monitor stay the
+  single-stream trackers in the coordinator, so the answers are those
+  of ``shards=1``;
 * :mod:`repro.streaming.calibrate` — streaming quantile thresholds
   (exact ring-buffer window, shared with the batch
-  :func:`~repro.detectors.threshold.threshold_from_quantile`, the
-  O(1)-memory P² approximation, and the mergeable
-  :class:`QuantileSketch` behind the federated threshold);
+  :func:`~repro.detectors.threshold.threshold_from_quantile`, and a
+  whole-stream :class:`QuantileSketch`);
 * :mod:`repro.streaming.drift` — a depth-rank Kolmogorov–Smirnov drift
-  monitor emitting re-reference events, plus its shard-aggregated
-  :class:`FederatedDrift` variant;
-* :mod:`repro.streaming.sharded` — :class:`ShardedStreamingDetector`,
-  partitioning one stream across N shard states (round-robin) and
-  recovering single-stream scores from merged/partial statistics with
-  near-linear throughput scaling.
+  monitor emitting re-reference events.
 
 ``repro stream-score`` exposes the subsystem from the CLI (``--shards``
-selects the sharded tier), and
+sets the shard count), and
 :class:`~repro.serving.service.ScoringService` serves registered
 streaming detectors next to batch pipelines.
 """
 
 from repro.streaming.calibrate import (
-    FederatedThreshold,
-    P2Quantile,
-    P2QuantileThreshold,
+    THRESHOLD_MODES,
     QuantileSketch,
     SketchQuantileThreshold,
     StreamingQuantileThreshold,
     make_threshold,
 )
-from repro.streaming.drift import (
-    DepthRankDrift,
-    DriftEvent,
-    FederatedDrift,
-    ks_two_sample,
-)
+from repro.streaming.drift import DepthRankDrift, DriftEvent, ks_two_sample
 from repro.streaming.online import (
     STREAM_KINDS,
     SortedLanes,
     StreamBatchResult,
     StreamingDetector,
-    merge_moments,
 )
-from repro.streaming.sharded import SHARD_BACKENDS, ShardedStreamingDetector
 from repro.streaming.window import (
     ReferenceWindow,
     ReservoirWindow,
@@ -62,18 +52,13 @@ from repro.streaming.window import (
 )
 
 __all__ = [
-    "SHARD_BACKENDS",
     "STREAM_KINDS",
+    "THRESHOLD_MODES",
     "DepthRankDrift",
     "DriftEvent",
-    "FederatedDrift",
-    "FederatedThreshold",
-    "P2Quantile",
-    "P2QuantileThreshold",
     "QuantileSketch",
     "ReferenceWindow",
     "ReservoirWindow",
-    "ShardedStreamingDetector",
     "SketchQuantileThreshold",
     "SlidingWindow",
     "SortedLanes",
@@ -83,5 +68,4 @@ __all__ = [
     "WindowUpdate",
     "ks_two_sample",
     "make_threshold",
-    "merge_moments",
 ]

@@ -7,27 +7,16 @@ Two quantile trackers back the streaming decision boundary:
   ``capacity`` scores whose quantile is re-read after every update.
   Memory is O(capacity); the threshold reflects exactly the trailing
   window, so it forgets old regimes at the window rate.
-* :class:`P2Quantile` / :class:`P2QuantileThreshold` — the Jain &
-  Chlamtac P² algorithm: five markers track the target quantile with
-  O(1) memory over the *whole* stream, no buffer at all.  The estimate
-  is approximate (parabolic interpolation between markers) but
-  converges on stationary streams; use it when even a score ring is too
-  much state, or when the threshold should average over the full
-  history rather than a trailing window.
+* :class:`SketchQuantileThreshold` over a :class:`QuantileSketch` — a
+  t-digest-style centroid sketch summarizing the *whole* stream in
+  O(``compression``) memory; exact until compression kicks in, then
+  rank-accurate.  Use it when the threshold should average over the
+  full history rather than a trailing window.
 
 Both expose the same ``update(scores) -> float`` / ``value`` /
 ``ready`` / ``reset()`` surface, which is the threshold contract
 :class:`~repro.streaming.online.StreamingDetector` consumes;
 :func:`make_threshold` builds either flavour from a config string.
-
-The sharded streaming tier needs one more property the P² estimator
-cannot offer: *mergeability*.  N shards each track their own substream
-of scores, and the coordinator must read a single global boundary from
-the union.  :class:`QuantileSketch` / :class:`SketchQuantileThreshold`
-provide that (a t-digest-style centroid sketch whose merge is exact
-commutative and whose estimate is exact until compression kicks in),
-and :class:`FederatedThreshold` federates N shard-local trackers —
-ring-buffer windows or sketches — behind the same threshold contract.
 """
 
 from __future__ import annotations
@@ -35,187 +24,34 @@ from __future__ import annotations
 import numpy as np
 
 from repro.detectors.threshold import LearnedThreshold, StreamingQuantileThreshold
-from repro.exceptions import ValidationError
+from repro.exceptions import ConfigurationError, ValidationError
 from repro.utils.validation import as_float_array, check_in_range, check_int
 
 __all__ = [
+    "THRESHOLD_MODES",
     "StreamingQuantileThreshold",
-    "P2Quantile",
-    "P2QuantileThreshold",
     "QuantileSketch",
     "SketchQuantileThreshold",
-    "FederatedThreshold",
     "make_threshold",
 ]
 
-
-class P2Quantile:
-    """P² single-quantile estimator (Jain & Chlamtac 1985), O(1) memory.
-
-    Five markers hold (estimated) heights at the min, the q/2, q,
-    (1+q)/2 quantiles and the max; every observation shifts the marker
-    positions and adjusts heights by piecewise-parabolic (falling back
-    to linear) interpolation.  Until five observations arrive the
-    estimate is exact (order statistic of the seen values).
-    """
-
-    def __init__(self, q: float):
-        self.q = check_in_range(q, 0.0, 1.0, "q", inclusive=(False, False))
-        self.n_seen = 0
-        self._heights = np.empty(5)
-        # Marker positions (1-indexed as in the paper) and their targets.
-        self._positions = np.arange(1.0, 6.0)
-        self._desired = np.array([1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0])
-        self._increments = np.array([0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0])
-
-    @property
-    def ready(self) -> bool:
-        return self.n_seen >= 1
-
-    @property
-    def value(self) -> float:
-        """Current quantile estimate (exact until 5 observations)."""
-        if self.n_seen == 0:
-            raise ValidationError("P2Quantile has seen no observations")
-        if self.n_seen < 5:
-            # Exact small-sample quantile over the sorted prefix.
-            return float(np.quantile(np.sort(self._heights[: self.n_seen]), self.q))
-        return float(self._heights[2])
-
-    def update(self, values) -> float:
-        values = np.atleast_1d(as_float_array(values, "values")).ravel()
-        for x in values:
-            self._update_one(float(x))
-        return self.value
-
-    def reset(self) -> None:
-        self.n_seen = 0
-        self._positions = np.arange(1.0, 6.0)
-        self._desired = np.array(
-            [1.0, 1.0 + 2.0 * self.q, 1.0 + 4.0 * self.q, 3.0 + 2.0 * self.q, 5.0]
-        )
-
-    # ------------------------------------------------------------------ internals
-    def _update_one(self, x: float) -> None:
-        if self.n_seen < 5:
-            self._heights[self.n_seen] = x
-            self.n_seen += 1
-            if self.n_seen == 5:
-                self._heights.sort()
-            return
-        self.n_seen += 1
-        h = self._heights
-        if x < h[0]:
-            h[0] = x
-            cell = 0
-        elif x >= h[4]:
-            h[4] = x
-            cell = 3
-        else:
-            cell = int(np.searchsorted(h, x, side="right")) - 1
-            cell = min(max(cell, 0), 3)
-        self._positions[cell + 1 :] += 1.0
-        self._desired += self._increments
-        # Adjust the three interior markers toward their desired positions.
-        for i in (1, 2, 3):
-            d = self._desired[i] - self._positions[i]
-            if (d >= 1.0 and self._positions[i + 1] - self._positions[i] > 1.0) or (
-                d <= -1.0 and self._positions[i - 1] - self._positions[i] < -1.0
-            ):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = self._linear(i, step)
-                self._positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        p, h = self._positions, self._heights
-        term1 = (p[i] - p[i - 1] + step) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-        term2 = (p[i + 1] - p[i] - step) * (h[i] - h[i - 1]) / (p[i] - p[i - 1])
-        return h[i] + step / (p[i + 1] - p[i - 1]) * (term1 + term2)
-
-    def _linear(self, i: int, step: float) -> float:
-        p, h = self._positions, self._heights
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (p[j] - p[i])
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"P2Quantile(q={self.q}, n_seen={self.n_seen})"
-
-
-class P2QuantileThreshold:
-    """Bounded-memory threshold: P² tracking of ``1 - contamination``.
-
-    The O(1)-state sibling of
-    :class:`~repro.detectors.threshold.StreamingQuantileThreshold` with
-    the same surface, so detectors can swap trackers freely.
-    """
-
-    def __init__(self, contamination: float):
-        self.contamination = check_in_range(
-            contamination, 0.0, 0.5, "contamination", inclusive=(False, False)
-        )
-        self._tracker = P2Quantile(1.0 - self.contamination)
-
-    @property
-    def ready(self) -> bool:
-        return self._tracker.n_seen >= 2
-
-    @property
-    def value(self) -> float:
-        if not self.ready:
-            raise ValidationError(
-                "need at least 2 scores before a quantile threshold exists"
-            )
-        return self._tracker.value
-
-    @property
-    def n_seen(self) -> int:
-        return self._tracker.n_seen
-
-    def update(self, scores) -> float | None:
-        self._tracker.update(scores)
-        return self.value if self.ready else None
-
-    def learned(self) -> LearnedThreshold:
-        return LearnedThreshold(
-            value=self.value, criterion="quantile-p2", objective=self.contamination
-        )
-
-    def reset(self) -> None:
-        self._tracker.reset()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"P2QuantileThreshold(contamination={self.contamination}, "
-            f"n_seen={self.n_seen})"
-        )
+#: The ``mode`` strings :func:`make_threshold` accepts.
+THRESHOLD_MODES = ("window", "sketch")
 
 
 class QuantileSketch:
-    """Mergeable quantile sketch: sorted weighted centroids, t-digest style.
+    """Quantile sketch: sorted weighted centroids, t-digest style.
 
-    The state is a *multiset* of ``(mean, weight)`` centroids kept in
-    canonical order (sorted by mean, then weight).  New observations
-    enter as weight-1 singletons; once the centroid count exceeds
-    ``compression``, adjacent centroids are folded into ``compression``
-    equal-weight buckets.  Consequences:
-
-    * **Exact until compressed** — while ``n_seen <= compression`` every
-      centroid is a singleton and :meth:`quantile` returns
-      ``np.quantile`` of the observations, bit for bit.
-    * **Commutative merge, exactly** — :meth:`merge` concatenates the
-      two centroid multisets and re-canonicalizes, so
-      ``a.merge(b)`` and ``b.merge(a)`` hold identical state.
-    * **Associative within tolerance** — exact while no compression
-      triggers; once it does, differently-parenthesized merges agree to
-      the bucket resolution (pinned by the property suite).
+    The state is a multiset of ``(mean, weight)`` centroids sorted by
+    mean (then weight).  New observations enter as weight-1 singletons;
+    once the centroid count exceeds ``compression``, adjacent centroids
+    are folded into ``compression`` equal-weight buckets.  While
+    ``n_seen <= compression`` every centroid is a singleton and
+    :meth:`quantile` returns ``np.quantile`` of the observations, bit
+    for bit.
 
     Unlike the ring tracker this summarizes the *whole* stream in
-    O(``compression``) memory — the mergeable counterpart of the P²
-    estimator, which cannot be merged at all.
+    O(``compression``) memory.
     """
 
     def __init__(self, compression: int = 256):
@@ -257,31 +93,6 @@ class QuantileSketch:
             np.concatenate([self._weights, np.ones(values.size)]),
         )
 
-    def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        """Combined sketch over both streams (inputs untouched)."""
-        if not isinstance(other, QuantileSketch):
-            raise ValidationError(
-                f"can only merge QuantileSketch, got {type(other).__name__}"
-            )
-        merged = QuantileSketch(max(self.compression, other.compression))
-        merged.n_seen = self.n_seen + other.n_seen
-        merged._canonicalize(
-            np.concatenate([self._means, other._means]),
-            np.concatenate([self._weights, other._weights]),
-        )
-        return merged
-
-    @classmethod
-    def merged(cls, sketches) -> "QuantileSketch":
-        """Fold any number of sketches into one (left fold of :meth:`merge`)."""
-        sketches = list(sketches)
-        if not sketches:
-            raise ValidationError("merged() needs at least one sketch")
-        result = sketches[0]
-        for sketch in sketches[1:]:
-            result = result.merge(sketch)
-        return result
-
     # ------------------------------------------------------------------ queries
     @property
     def ready(self) -> bool:
@@ -314,11 +125,10 @@ class QuantileSketch:
 
 
 class SketchQuantileThreshold:
-    """Mergeable streaming threshold over a :class:`QuantileSketch`.
+    """Whole-stream threshold over a :class:`QuantileSketch`.
 
-    Same surface as :class:`StreamingQuantileThreshold` /
-    :class:`P2QuantileThreshold`, plus :meth:`merge` — shard trackers
-    combine into one tracker whose value reflects the union stream.
+    Same surface as :class:`StreamingQuantileThreshold`, so detectors
+    can swap trackers freely.
     """
 
     def __init__(self, contamination: float, compression: int = 256):
@@ -347,27 +157,6 @@ class SketchQuantileThreshold:
         self.sketch.update(scores)
         return self.value if self.ready else None
 
-    def merge(self, other: "SketchQuantileThreshold") -> "SketchQuantileThreshold":
-        if not isinstance(other, SketchQuantileThreshold):
-            raise ValidationError(
-                f"can only merge SketchQuantileThreshold, got {type(other).__name__}"
-            )
-        merged = SketchQuantileThreshold(
-            self.contamination, compression=self.sketch.compression
-        )
-        merged.sketch = self.sketch.merge(other.sketch)
-        return merged
-
-    @classmethod
-    def merged(cls, trackers) -> "SketchQuantileThreshold":
-        trackers = list(trackers)
-        if not trackers:
-            raise ValidationError("merged() needs at least one tracker")
-        result = trackers[0]
-        for tracker in trackers[1:]:
-            result = result.merge(tracker)
-        return result
-
     def learned(self) -> LearnedThreshold:
         return LearnedThreshold(
             value=self.value, criterion="quantile-sketch", objective=self.contamination
@@ -383,135 +172,20 @@ class SketchQuantileThreshold:
         )
 
 
-class FederatedThreshold:
-    """One decision boundary over N shard-local score trackers.
-
-    Each shard's round-robin score substream feeds its own tracker;
-    :attr:`value` reads the boundary of the *union*:
-
-    * ``mode="window"`` — per-shard ring trackers of capacity
-      ``capacity / n_shards``.  Because round-robin dispatch makes the
-      union of the shard windows exactly the trailing global score
-      window, ``np.quantile`` over the concatenated window multisets
-      equals the single-stream tracker bit for bit.
-    * ``mode="sketch"`` — per-shard :class:`SketchQuantileThreshold`;
-      the value is the merged sketch's quantile (exact until any shard
-      compresses, rank-accurate after).
-
-    ``update`` takes one score array per shard (empty arrays allowed —
-    a shard that received no arrivals this chunk).  The P² estimator is
-    rejected: its marker state cannot be merged.
-    """
-
-    def __init__(
-        self,
-        contamination: float,
-        n_shards: int,
-        mode: str = "window",
-        capacity: int = 1024,
-        compression: int = 256,
-    ):
-        self.contamination = check_in_range(
-            contamination, 0.0, 0.5, "contamination", inclusive=(False, False)
-        )
-        self.n_shards = check_int(n_shards, "n_shards", minimum=1)
-        self.mode = mode
-        if mode == "window":
-            capacity = check_int(capacity, "capacity", minimum=2 * self.n_shards)
-            if capacity % self.n_shards:
-                raise ValidationError(
-                    f"federated window capacity {capacity} must divide evenly "
-                    f"across {self.n_shards} shards"
-                )
-            self.trackers = [
-                StreamingQuantileThreshold(
-                    contamination, capacity=capacity // self.n_shards
-                )
-                for _ in range(self.n_shards)
-            ]
-        elif mode == "sketch":
-            self.trackers = [
-                SketchQuantileThreshold(contamination, compression=compression)
-                for _ in range(self.n_shards)
-            ]
-        else:
-            raise ValidationError(
-                f"federated threshold mode must be 'window' or 'sketch' "
-                f"(P2 markers cannot merge), got {mode!r}"
-            )
-
-    @property
-    def ready(self) -> bool:
-        if self.mode == "window":
-            return sum(t.size for t in self.trackers) >= 2
-        return sum(t.n_seen for t in self.trackers) >= 2
-
-    @property
-    def n_seen(self) -> int:
-        return sum(t.n_seen for t in self.trackers)
-
-    @property
-    def value(self) -> float:
-        if not self.ready:
-            raise ValidationError(
-                "need at least 2 scores before a quantile threshold exists"
-            )
-        if self.mode == "window":
-            pooled = np.concatenate([t.window_scores() for t in self.trackers])
-            return float(np.quantile(pooled, 1.0 - self.contamination))
-        merged = QuantileSketch.merged([t.sketch for t in self.trackers])
-        return merged.quantile(1.0 - self.contamination)
-
-    def update(self, shard_scores) -> float | None:
-        """Fold one score array per shard in; returns the fresh boundary."""
-        shard_scores = list(shard_scores)
-        if len(shard_scores) != self.n_shards:
-            raise ValidationError(
-                f"expected {self.n_shards} shard score arrays, "
-                f"got {len(shard_scores)}"
-            )
-        for tracker, scores in zip(self.trackers, shard_scores):
-            scores = np.atleast_1d(as_float_array(scores, "scores")).ravel()
-            if scores.size:
-                tracker.update(scores)
-        return self.value if self.ready else None
-
-    def learned(self) -> LearnedThreshold:
-        criterion = "quantile" if self.mode == "window" else "quantile-sketch"
-        return LearnedThreshold(
-            value=self.value, criterion=f"{criterion}-federated",
-            objective=self.contamination,
-        )
-
-    def reset(self) -> None:
-        for tracker in self.trackers:
-            tracker.reset()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"FederatedThreshold(mode={self.mode!r}, shards={self.n_shards}, "
-            f"n_seen={self.n_seen})"
-        )
-
-
 def make_threshold(
     contamination: float, mode: str = "window", capacity: int = 1024
 ):
     """Build a streaming threshold tracker from a config string.
 
     ``mode="window"`` → the exact ring-buffer tracker (memory
-    O(``capacity``), trailing-window semantics); ``mode="p2"`` → the
-    O(1)-memory P² approximation over the whole stream;
-    ``mode="sketch"`` → the mergeable centroid sketch over the whole
-    stream (the flavour the sharded tier can federate).
+    O(``capacity``), trailing-window semantics); ``mode="sketch"`` → the
+    centroid sketch over the whole stream.
     """
     if mode == "window":
         return StreamingQuantileThreshold(contamination, capacity=check_int(
             capacity, "capacity", minimum=2))
-    if mode == "p2":
-        return P2QuantileThreshold(contamination)
     if mode == "sketch":
         return SketchQuantileThreshold(contamination)
-    raise ValidationError(
-        f"unknown threshold mode {mode!r}; use 'window', 'p2' or 'sketch'"
+    raise ConfigurationError(
+        f"unknown threshold mode {mode!r}; use one of {THRESHOLD_MODES}"
     )

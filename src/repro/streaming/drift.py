@@ -33,7 +33,7 @@ from repro.exceptions import ValidationError
 from repro.telemetry import NULL_TELEMETRY, resolve_telemetry
 from repro.utils.validation import as_float_array, check_in_range, check_int
 
-__all__ = ["DriftEvent", "ks_two_sample", "DepthRankDrift", "FederatedDrift"]
+__all__ = ["DriftEvent", "ks_two_sample", "DepthRankDrift"]
 
 
 @dataclass(frozen=True)
@@ -214,187 +214,4 @@ class DepthRankDrift:
             f"DepthRankDrift(baseline={self.baseline_size}, "
             f"recent={self.recent_size}, alpha={self.alpha}, "
             f"events={len(self.events)})"
-        )
-
-
-class FederatedDrift:
-    """Shard-aggregated KS drift monitor with a coordinated barrier.
-
-    The sharded streaming tier deals the score stream round-robin across
-    ``n_shards`` substreams; each substream gets its own baseline/recent
-    buffers (an equal ``1/n_shards`` share of the configured sizes), and
-    a *single* federated decision is taken per chunk.  Empirical CDFs
-    over disjoint substreams are mergeable state: the equal-weight mean
-    of the shard ECDFs *is* the ECDF of the pooled sample, so the
-    decision statistic is the KS distance between the pooled baselines
-    and the pooled recents — for chunk-aligned substreams that pooled
-    sample is the same multiset a single
-    :class:`DepthRankDrift` would hold, making the federated decision
-    sequence identical to the single-stream monitor's.  The per-shard
-    statistics ``D_i`` are also computed and exposed
-    (:attr:`shard_statistics`) as shard-level diagnostics: a drift
-    localized to one shard's substream shows up there first.  The usual
-    ``patience`` streak then gates the event.
-
-    On an event every shard re-baselines *together* on its own recent
-    window (the coordinated re-reference barrier of the tentpole): no
-    shard ever drifts against a different anchor than its siblings, so
-    a subsequent re-reference re-anchors all shards on the same global
-    window.  :meth:`rebase` exposes the same barrier for the detector's
-    re-reference path.
-
-    Checks are chunk-synchronized: :meth:`update` folds one chunk's
-    per-shard score splits in and performs at most one check at the
-    chunk boundary, so the decision sequence is deterministic for a
-    given chunking regardless of shard count.
-    """
-
-    def __init__(
-        self,
-        n_shards: int,
-        baseline_size: int = 256,
-        recent_size: int = 128,
-        alpha: float = 0.01,
-        patience: int = 2,
-        min_gap: int = 16,
-    ):
-        self.n_shards = check_int(n_shards, "n_shards", minimum=1)
-        self.baseline_size = check_int(baseline_size, "baseline_size", minimum=8)
-        self.recent_size = check_int(recent_size, "recent_size", minimum=8)
-        if self.baseline_size % self.n_shards or self.recent_size % self.n_shards:
-            raise ValidationError(
-                f"baseline_size={self.baseline_size} and recent_size="
-                f"{self.recent_size} must divide evenly across "
-                f"{self.n_shards} shards"
-            )
-        self._baseline_share = self.baseline_size // self.n_shards
-        self._recent_share = self.recent_size // self.n_shards
-        if self._baseline_share < 8 or self._recent_share < 8:
-            raise ValidationError(
-                f"per-shard KS samples need >= 8 scores; got baseline share "
-                f"{self._baseline_share}, recent share {self._recent_share}"
-            )
-        self.alpha = check_in_range(alpha, 0.0, 1.0, "alpha", inclusive=(False, False))
-        self.patience = check_int(patience, "patience", minimum=1)
-        self.min_gap = check_int(min_gap, "min_gap", minimum=1)
-        self._baseline = np.empty((self.n_shards, self._baseline_share))
-        self._baseline_fill = np.zeros(self.n_shards, dtype=np.int64)
-        self._recent = np.empty((self.n_shards, self._recent_share))
-        self._recent_fill = np.zeros(self.n_shards, dtype=np.int64)
-        self._cursor = np.zeros(self.n_shards, dtype=np.int64)
-        self._streak = 0
-        self._since_check = 0
-        self._last_statistic: float | None = None
-        self.shard_statistics: list[float] | None = None
-        self.n_seen = 0
-        self.n_checks = 0
-        self.events: list[DriftEvent] = []
-        self.attach_telemetry(NULL_TELEMETRY)
-
-    def attach_telemetry(self, telemetry, kind: str = "-") -> None:
-        """Bind the drift check/event counters, labelled by detector kind."""
-        telemetry = resolve_telemetry(None, telemetry)
-        self._m_checks = telemetry.counter("streaming_drift_checks_total", kind=kind)
-        self._m_events = telemetry.counter("streaming_drift_events_total", kind=kind)
-
-    # ------------------------------------------------------------------ state
-    @property
-    def baselined(self) -> bool:
-        return bool((self._baseline_fill == self._baseline_share).all())
-
-    @property
-    def last_statistic(self) -> float | None:
-        return self._last_statistic if self.n_checks else None
-
-    def rebase(self) -> None:
-        """Barrier re-baseline: every shard anchors on its recent window."""
-        for i in range(self.n_shards):
-            recent = self._recent_window(i)
-            take = min(recent.size, self._baseline_share)
-            self._baseline[i, :take] = recent[recent.size - take :]
-            self._baseline_fill[i] = take
-        self._recent_fill[:] = 0
-        self._cursor[:] = 0
-        self._streak = 0
-        self._since_check = 0
-
-    def _recent_window(self, shard: int) -> np.ndarray:
-        fill = int(self._recent_fill[shard])
-        if fill < self._recent_share:
-            return self._recent[shard, :fill].copy()
-        cursor = int(self._cursor[shard])
-        return np.concatenate(
-            [self._recent[shard, cursor:], self._recent[shard, :cursor]]
-        )
-
-    # ------------------------------------------------------------------ updates
-    def update(self, shard_scores) -> DriftEvent | None:
-        """Fold one chunk's per-shard score splits in; check once after.
-
-        ``shard_scores`` is a length-``n_shards`` sequence, entry ``i``
-        holding shard ``i``'s scores from this chunk (possibly empty).
-        """
-        shard_scores = list(shard_scores)
-        if len(shard_scores) != self.n_shards:
-            raise ValidationError(
-                f"expected scores for {self.n_shards} shards, "
-                f"got {len(shard_scores)} entries"
-            )
-        for i, scores in enumerate(shard_scores):
-            scores = np.atleast_1d(as_float_array(scores, "scores")).ravel()
-            for x in scores:
-                self.n_seen += 1
-                if self._baseline_fill[i] < self._baseline_share:
-                    self._baseline[i, self._baseline_fill[i]] = x
-                    self._baseline_fill[i] += 1
-                    continue
-                self._recent[i, self._cursor[i]] = x
-                self._cursor[i] = (self._cursor[i] + 1) % self._recent_share
-                self._recent_fill[i] = min(self._recent_fill[i] + 1, self._recent_share)
-                self._since_check += 1
-        ready = bool((self._recent_fill == self._recent_share).all())
-        if not ready or self._since_check < self.min_gap:
-            return None
-        return self._check()
-
-    def _check(self) -> DriftEvent | None:
-        self._since_check = 0
-        self.n_checks += 1
-        self._m_checks.inc()
-        # Per-shard diagnostics: which substream moved.
-        self.shard_statistics = [
-            ks_two_sample(self._baseline[i], self._recent[i])
-            for i in range(self.n_shards)
-        ]
-        # The decision statistic aggregates the shard state: the mean of
-        # the shard ECDFs is the pooled-sample ECDF (KS is order-free,
-        # so raveling the buffers pools the multisets exactly).
-        statistic = ks_two_sample(self._baseline.ravel(), self._recent.ravel())
-        critical = ks_critical_value(
-            self.baseline_size, self.recent_size, self.alpha
-        )
-        self._last_statistic = statistic
-        if statistic <= critical:
-            self._streak = 0
-            return None
-        self._streak += 1
-        if self._streak < self.patience:
-            return None
-        event = DriftEvent(
-            n_seen=self.n_seen,
-            statistic=statistic,
-            critical=critical,
-            baseline_size=self.baseline_size,
-            recent_size=self.recent_size,
-        )
-        self.events.append(event)
-        self._m_events.inc()
-        self.rebase()
-        return event
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"FederatedDrift(n_shards={self.n_shards}, "
-            f"baseline={self.baseline_size}, recent={self.recent_size}, "
-            f"alpha={self.alpha}, events={len(self.events)})"
         )

@@ -46,11 +46,17 @@ For multivariate (p > 1) ``dirout``/``halfspace``, the per-grid-point
 random projection directions make caching memory-prohibitive; those
 configurations transparently use the refit path with a fixed
 ``random_state`` (documented via :attr:`StreamingDetector.effective_incremental`).
+
+``StreamingDetector(..., shards=N)`` deals the reference across N
+round-robin shard windows, each with its own cache, and recovers the
+single-stream scores from shard partials or merged shard state; see the
+class docstring.
 """
 
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +70,12 @@ from repro.depth.funta import funta_outlyingness
 from repro.exceptions import NotFittedError, ValidationError
 from repro.fda.fdata import MFDataGrid, as_mfd
 from repro.streaming.drift import DepthRankDrift, DriftEvent
-from repro.streaming.window import ReferenceWindow, WindowUpdate
+from repro.streaming.window import (
+    ReferenceWindow,
+    ReservoirWindow,
+    SlidingWindow,
+    WindowUpdate,
+)
 from repro.telemetry import resolve_telemetry
 from repro.utils.linalg import (
     CholeskyDowndateError,
@@ -78,7 +89,6 @@ __all__ = [
     "SortedLanes",
     "StreamBatchResult",
     "StreamingDetector",
-    "merge_moments",
 ]
 
 STREAM_KINDS = ("funta", "dirout", "halfspace", "pipeline")
@@ -200,35 +210,6 @@ class SortedLanes:
         return out
 
 
-def merge_moments(parts):
-    """Chan-style combine of per-shard ``(count, mean, scatter)`` partials.
-
-    The mergeable form of the Welford insert/evict recurrences kept by
-    the ``pipeline`` scorer state: for two partials A, B with
-    ``δ = μ_B − μ_A``,
-
-    ``μ = μ_A + δ·n_B/n``  and  ``S = S_A + S_B + δδᵀ·n_A·n_B/n``.
-
-    Associative and exact up to floating-point accumulation (same class
-    of error as the incremental recurrences themselves); empty partials
-    (``count == 0``) are identity elements, so empty shards merge away.
-    Returns the combined ``(count, mean, scatter)``.
-    """
-    live = [p for p in parts if p[0] > 0]
-    if not live:
-        return 0, None, None
-    count = live[0][0]
-    mean = np.array(live[0][1], dtype=np.float64, copy=True)
-    scatter = np.array(live[0][2], dtype=np.float64, copy=True)
-    for n_b, mean_b, scatter_b in live[1:]:
-        total = count + n_b
-        delta = np.asarray(mean_b, dtype=np.float64) - mean
-        mean = mean + delta * (n_b / total)
-        scatter = scatter + scatter_b + np.outer(delta, delta) * (count * n_b / total)
-        count = total
-    return count, mean, scatter
-
-
 # =====================================================================
 # per-kind scorer states
 # =====================================================================
@@ -236,6 +217,9 @@ class _ScorerState:
     """Cache interface every kind implements (refit kinds no-op)."""
 
     incremental = False
+    #: Whether shard scores combine additively (:meth:`partials` /
+    #: :meth:`combine`) instead of needing the merged reference state.
+    additive = False
 
     def apply(self, update: WindowUpdate) -> None:
         if update.skipped:
@@ -253,6 +237,10 @@ class _ScorerState:
 
     def reset(self) -> None:
         pass
+
+    def absorb(self, states, windows) -> None:
+        """Take over the union of shard caches (merged-state scoring)."""
+        raise NotImplementedError
 
     def score(self, items: np.ndarray, window: ReferenceWindow) -> np.ndarray:
         raise NotImplementedError
@@ -293,31 +281,66 @@ class _FuntaState(_ScorerState):
     def reset(self) -> None:
         self._theta = None
 
-    @staticmethod
-    def merged_theta(states, windows) -> np.ndarray | None:
-        """Union of shard tangent-angle rings in merged slot layout.
+    @property
+    def additive(self) -> bool:
+        return self.incremental and self.trim == 0
 
-        ``states[i]``/``windows[i]`` are the scorer state and window of
-        round-robin shard ``i``; the returned ``(size, m-1, p)`` array
-        aligns row-for-row with ``SlidingWindow.merged(windows).values``
-        (item with global index ``g`` at slot ``g mod C``), so scoring
+    def absorb(self, states, windows) -> None:
+        """Union of shard tangent-angle rings, in merged-window row order.
+
+        Rows align with :func:`_union_window` of the same shard windows —
+        for sliding shards the item with global index ``g`` sits at slot
+        ``g mod C``, otherwise shards are concatenated — so scoring
         against the merged reference reuses the shard-computed angles
-        bit for bit instead of recomputing them.  ``None`` while every
-        ring is still unallocated.
+        bit for bit instead of recomputing them.
         """
+        filled = [(s, w) for s, w in zip(states, windows) if w.size]
+        if not filled:
+            self._theta = None
+            return
+        if not isinstance(windows[0], SlidingWindow):
+            self._theta = np.concatenate([s._theta[: w.size] for s, w in filled])
+            return
         n = len(states)
-        total_size = sum(w.size for w in windows)
         capacity = sum(w.capacity for w in windows)
-        shaped = next((s._theta for s in states if s._theta is not None), None)
-        if shaped is None or total_size == 0:
-            return None
-        theta = np.empty((total_size, *shaped.shape[1:]))
+        theta = np.empty((sum(w.size for w in windows), *filled[0][0]._theta.shape[1:]))
         for i, (state, window) in enumerate(zip(states, windows)):
-            cap = window.capacity
-            first_local = window.n_seen - window.size
-            for j in range(first_local, window.n_seen):
-                theta[(j * n + i) % capacity] = state._theta[j % cap]
-        return theta
+            for j in range(window.n_seen - window.size, window.n_seen):
+                theta[(j * n + i) % capacity] = state._theta[j % window.capacity]
+        self._theta = theta
+
+    def partials(self, items: np.ndarray, window: ReferenceWindow):
+        """Per-query ``(count, angle-sum)`` totals vs this shard's window.
+
+        Stacked per parameter, ``(p, n_items)`` int64 counts and float
+        sums; additive across shards (untrimmed FUNTA only).
+        """
+        b, _, p = items.shape
+        counts = np.zeros((p, b), dtype=np.int64)
+        sums = np.zeros((p, b))
+        if window.size == 0:
+            return counts, sums
+        theta_pts = self._angles(items)
+        theta_ref = self._theta[: window.size]
+        for k in range(p):
+            counts[k], sums[k] = _kernels.funta_partials(
+                items[:, :, k],
+                window.values[:, :, k],
+                self.grid,
+                theta_pts=np.ascontiguousarray(theta_pts[:, :, k]),
+                theta_ref=np.ascontiguousarray(theta_ref[:, :, k]),
+                block_bytes=self.block_bytes,
+            )
+        return counts, sums
+
+    @staticmethod
+    def combine(parts, n_reference: int) -> np.ndarray:
+        """FUNTA outlyingness from the summed shard partials."""
+        counts = np.sum([part[0] for part in parts], axis=0)  # (p, b)
+        sums = np.sum([part[1] for part in parts], axis=0)
+        safe = np.maximum(counts, 1)
+        depth = np.where(counts > 0, 1.0 - (sums / safe) / _kernels._HALF_PI, 1.0)
+        return 1.0 - np.mean(np.clip(depth, 0.0, 1.0), axis=0)
 
     def score(self, items: np.ndarray, window: ReferenceWindow) -> np.ndarray:
         ref = window.values  # (r, m, p), physical slot order
@@ -349,8 +372,12 @@ class _FuntaState(_ScorerState):
         return 1.0 - np.mean(per_param, axis=0)
 
 
-class _DiroutState(_ScorerState):
-    """Dir.out with maintained cross-sectional order statistics (p=1)."""
+class _LaneState(_ScorerState):
+    """Cross-sectional order statistics kept in sorted lanes (p = 1).
+
+    Shared by Dir.out and halfspace; multivariate data (p > 1) use the
+    seeded refit path instead.
+    """
 
     def __init__(self, grid, capacity, n_directions, random_state, block_bytes,
                  context, incremental, p):
@@ -373,6 +400,13 @@ class _DiroutState(_ScorerState):
     def reset(self) -> None:
         if self._lanes is not None:
             self._lanes.reset()
+
+    def absorb(self, states, windows) -> None:
+        self._lanes = SortedLanes.merged([state._lanes for state in states])
+
+
+class _DiroutState(_LaneState):
+    """Dir.out with maintained cross-sectional order statistics (p=1)."""
 
     def score(self, items: np.ndarray, window: ReferenceWindow) -> np.ndarray:
         if not self.incremental:
@@ -400,31 +434,39 @@ class _DiroutState(_ScorerState):
         return summarize_outlyingness(sdo[:, :, None] * units, self.grid).total
 
 
-class _HalfspaceState(_ScorerState):
+class _HalfspaceState(_LaneState):
     """Integrated halfspace depth via binary searches in sorted lanes."""
 
     def __init__(self, grid, capacity, aggregation, n_directions, random_state,
                  block_bytes, context, incremental, p):
-        self.grid = grid
+        super().__init__(grid, capacity, n_directions, random_state, block_bytes,
+                         context, incremental, p)
         self.aggregation = aggregation
-        self.n_directions = n_directions
-        self.random_state = random_state
-        self.block_bytes = block_bytes
-        self.context = context
-        self.incremental = incremental and p == 1
-        self._lanes = SortedLanes(grid.shape[0], capacity) if self.incremental else None
 
-    def _insert(self, slot: int, item: np.ndarray) -> None:
-        if self.incremental:
-            self._lanes.insert(item[:, 0])
+    @property
+    def additive(self) -> bool:
+        return self.incremental
 
-    def _replace(self, slot: int, item: np.ndarray, evicted: np.ndarray) -> None:
-        if self.incremental:
-            self._lanes.replace(evicted[:, 0], item[:, 0])
+    def partials(self, items: np.ndarray, window: ReferenceWindow):
+        """``(<=, <)`` rank counts of the queries in this window's lanes.
 
-    def reset(self) -> None:
-        if self._lanes is not None:
-            self._lanes.reset()
+        ``(m, n_items)`` int64 each: exact integers, so counts summed
+        over shard windows equal the union window's counts bit for bit.
+        """
+        if window.size == 0:
+            zero = np.zeros((items.shape[1], items.shape[0]), dtype=np.int64)
+            return zero, zero
+        return self._lanes.rank_counts(items[:, :, 0])
+
+    def combine(self, parts, n_reference: int) -> np.ndarray:
+        """Halfspace outlyingness from the summed rank counts."""
+        le = np.sum([part[0] for part in parts], axis=0)
+        lt = np.sum([part[1] for part in parts], axis=0)
+        # Transposing the lane-major counts reproduces the batch
+        # kernel's memory layout, so the aggregation reduces in the
+        # identical order (bit-identical scores, not just close ones).
+        profile = (np.minimum(le, n_reference - lt) / n_reference).T
+        return 1.0 - aggregate_depth(profile, self.grid, self.aggregation)
 
     def score(self, items: np.ndarray, window: ReferenceWindow) -> np.ndarray:
         if not self.incremental:
@@ -444,13 +486,7 @@ class _HalfspaceState(_ScorerState):
                 **kwargs,
             )
             return 1.0 - depth
-        n_ref = window.size
-        le, lt = self._lanes.rank_counts(items[:, :, 0])
-        # Transposing the lane-major result reproduces the batch
-        # kernel's memory layout, so the aggregation reduces in the
-        # identical order (bit-identical scores, not just close ones).
-        profile = (np.minimum(le, n_ref - lt) / n_ref).T
-        return 1.0 - aggregate_depth(profile, self.grid, self.aggregation)
+        return self.combine([self.partials(items, window)], window.size)
 
 
 class _PipelineState(_ScorerState):
@@ -611,6 +647,9 @@ class StreamingDetector:
         The :class:`~repro.streaming.window.ReferenceWindow` holding the
         reference sample (curves, or feature vectors for
         ``kind="pipeline"``).
+    shards:
+        Number of shard windows the reference is dealt across (see
+        *Sharding* below).  ``1`` (default) is the single stream.
     pipeline:
         Fitted :class:`~repro.core.pipeline.GeometricOutlierPipeline`
         providing the smooth→map feature path (``kind="pipeline"``
@@ -652,6 +691,30 @@ class StreamingDetector:
         ``n_directions``, ``random_state`` (dirout / halfspace p > 1 —
         the seed is replayed per batch so refit scoring stays
         deterministic); ``ridge_eps``, ``resync_every`` (pipeline).
+
+    Sharding
+    --------
+    With ``shards=N > 1`` the window is split into N round-robin shard
+    windows (``window.split(N)``; its capacity must divide evenly), each
+    with its own incremental cache, and arrival ``g`` goes to shard
+    ``g mod N``.  Scores are still computed against the union of the
+    shard windows, which for sliding windows *is* the single-stream
+    window (shard reservoirs each sample their own share of the stream):
+
+    * untrimmed incremental FUNTA and univariate incremental halfspace
+      sum per-shard partials (crossing counts/angle sums, rank counts);
+    * every other configuration scores against the merged state
+      (:func:`_union_window`, merged tangent-angle rings, merged sorted
+      lanes) with the single-stream scorer code.
+
+    The threshold and drift monitor are the ordinary single-stream
+    trackers, fed each whole score chunk in the coordinator, so on
+    sliding windows flags, drift events and re-references are those of
+    ``shards=1`` (scores agree to ``rtol=1e-12`` for FUNTA partials,
+    bit for bit otherwise).
+    Per-shard ingest and partial scoring fan out over one persistent
+    thread pool, released by :meth:`close` (or a ``with`` block).  The
+    ``pipeline`` kind is single-stream only.
     """
 
     _ALLOWED_OPTIONS = {
@@ -666,6 +729,7 @@ class StreamingDetector:
         kind: str,
         window: ReferenceWindow,
         *,
+        shards: int = 1,
         pipeline=None,
         threshold=None,
         drift: DepthRankDrift | None = None,
@@ -715,9 +779,21 @@ class StreamingDetector:
             raise ValidationError(
                 "threshold must expose update(scores); see repro.streaming.calibrate"
             )
+        self.n_shards = check_int(shards, "shards", minimum=1)
+        if self.n_shards > 1:
+            if kind == "pipeline":
+                raise ValidationError("kind='pipeline' is single-stream only (shards=1)")
+            if not isinstance(window, (SlidingWindow, ReservoirWindow)):
+                raise ValidationError(
+                    "shards > 1 needs a SlidingWindow or ReservoirWindow, got "
+                    f"{type(window).__name__}"
+                )
+            self._windows = window.split(self.n_shards)
+        else:
+            self._windows = [window]
         floor = 3 if kind == "pipeline" else 2
         self.kind = kind
-        self.window = window
+        self.capacity = window.capacity
         self.pipeline = pipeline
         self.threshold = threshold
         self.drift = drift
@@ -736,7 +812,8 @@ class StreamingDetector:
         self.options = options
         self.grid: np.ndarray | None = None
         self.n_parameters: int | None = None
-        self._scorer: _ScorerState | None = None
+        self._scorers: list[_ScorerState] | None = None
+        self._pool: ThreadPoolExecutor | None = None
         self.n_seen = 0
         self.n_scored = 0
         self.n_flagged = 0
@@ -750,7 +827,10 @@ class StreamingDetector:
         again by :meth:`ScoringService.register`, so a detector served
         through a service emits into the service's registry.  The drift
         monitor (if any) is re-bound alongside, labelled by this
-        detector's kind.
+        detector's kind.  Sharded detectors add per-shard window-fill
+        gauges (``streaming_shard_window_fill{shard}``) and the
+        partial/merged scoring latency histograms
+        (``streaming_merge_seconds{stage}``).
         """
         telemetry = resolve_telemetry(None, telemetry)
         self.telemetry = telemetry
@@ -763,6 +843,15 @@ class StreamingDetector:
         self._m_process_seconds = telemetry.histogram(
             "streaming_process_seconds", kind=self.kind
         )
+        if self.n_shards > 1:
+            self._m_merge = {
+                stage: telemetry.histogram("streaming_merge_seconds", stage=stage)
+                for stage in ("partials", "merged")
+            }
+            self._m_shard_fill = [
+                telemetry.gauge("streaming_shard_window_fill", shard=str(i))
+                for i in range(self.n_shards)
+            ]
         if self.drift is not None:
             self.drift.attach_telemetry(telemetry, kind=self.kind)
 
@@ -781,13 +870,20 @@ class StreamingDetector:
 
     # ------------------------------------------------------------------ plumbing
     @property
+    def window(self) -> ReferenceWindow:
+        """The reference window; with shards, a merged snapshot of the union."""
+        if self.n_shards == 1:
+            return self._windows[0]
+        return _union_window(self._windows)
+
+    @property
     def n_reference(self) -> int:
-        return self.window.size
+        return sum(window.size for window in self._windows)
 
     @property
     def ready(self) -> bool:
         """Whether the window is warm enough to score."""
-        return self.window.size >= self.min_reference
+        return self.n_reference >= self.min_reference
 
     @property
     def effective_incremental(self) -> bool:
@@ -797,9 +893,13 @@ class StreamingDetector:
         refit path (their random-direction statistics cannot be cached
         within reasonable memory).
         """
-        if self._scorer is None:
+        if self._scorers is None:
             return self.incremental
-        return bool(self._scorer.incremental)
+        return bool(self._scorers[0].incremental)
+
+    @property
+    def _scorer(self) -> _ScorerState | None:
+        return None if self._scorers is None else self._scorers[0]
 
     @property
     def drift_events(self) -> list[DriftEvent]:
@@ -820,8 +920,7 @@ class StreamingDetector:
                 )
         return mfd
 
-    def _make_scorer(self) -> _ScorerState:
-        capacity = self.window.capacity
+    def _make_scorer(self, capacity: int) -> _ScorerState:
         if self.kind == "funta":
             return _FuntaState(
                 self.grid, capacity, self.options.get("trim", 0.0),
@@ -855,33 +954,90 @@ class StreamingDetector:
             return self.pipeline.transform(mfd)
         return mfd.values
 
-    def _ensure_scorer(self) -> _ScorerState:
-        if self._scorer is None:
-            self._scorer = self._make_scorer()
-            # The window may have been populated before this detector
-            # attached to it (a shared or externally primed window):
-            # replay its contents in slot order so every incremental
-            # cache starts in sync with what it will score against.
-            for slot in range(self.window.size):
-                self._scorer._insert(slot, self.window.values[slot])
-        return self._scorer
+    def _ensure_scorers(self) -> list[_ScorerState]:
+        if self._scorers is None:
+            self._scorers = []
+            for window in self._windows:
+                scorer = self._make_scorer(window.capacity)
+                # The window may have been populated before this detector
+                # attached to it (a shared or externally primed window):
+                # replay its contents in slot order so every incremental
+                # cache starts in sync with what it will score against.
+                for slot in range(window.size):
+                    scorer._insert(slot, window.values[slot])
+                self._scorers.append(scorer)
+        return self._scorers
+
+    def _map(self, task) -> list:
+        """``task(i)`` for every shard ``i`` on the pool, in shard order."""
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.n_shards, thread_name_prefix="repro-shard"
+            )
+        futures = [self._pool.submit(task, i) for i in range(self.n_shards)]
+        return [future.result() for future in futures]
 
     def _ingest(self, items: np.ndarray, mask: np.ndarray | None = None) -> None:
-        self._ensure_scorer()
-        for i in range(items.shape[0]):
-            if mask is not None and not mask[i]:
-                continue
-            update = self.window.observe(items[i])
-            self._scorer.apply(update)
+        scorers = self._ensure_scorers()
+        if self.n_shards == 1:
+            _observe(self._windows[0], scorers[0], items, mask)
+            return
+        # Round-robin over the ingested items only, continuing from the
+        # total dispatched so far, so the shard union stays exactly the
+        # single-stream trailing window.
+        n = self.n_shards
+        kept = np.arange(items.shape[0]) if mask is None else np.flatnonzero(mask)
+        base = sum(window.n_seen for window in self._windows)
+        self._map(lambda i: _observe(
+            self._windows[i], scorers[i], items[kept[(i - base) % n :: n]]
+        ))
+        if self.telemetry.enabled:
+            for gauge, window in zip(self._m_shard_fill, self._windows):
+                gauge.set(window.size)
+
+    def _score_items(self, items: np.ndarray) -> np.ndarray:
+        scorers = self._ensure_scorers()
+        if self.n_shards == 1:
+            return scorers[0].score(items, self._windows[0])
+        start = time.perf_counter() if self.telemetry.enabled else 0.0
+        if scorers[0].additive:
+            stage = "partials"
+            parts = self._map(lambda i: scorers[i].partials(items, self._windows[i]))
+            scores = scorers[0].combine(parts, self.n_reference)
+        else:
+            stage = "merged"
+            merged = self._make_scorer(self.capacity)
+            if merged.incremental:
+                merged.absorb(scorers, self._windows)
+            scores = merged.score(items, self.window)
+        if self.telemetry.enabled:
+            self._m_merge[stage].observe(time.perf_counter() - start)
+        return scores
 
     def _rereference(self) -> None:
-        self.window.reset()
-        if self._scorer is not None:
-            self._scorer.reset()
+        for window in self._windows:
+            window.reset()
+        for scorer in self._scorers or ():
+            scorer.reset()
         if self.threshold is not None and hasattr(self.threshold, "reset"):
             self.threshold.reset()
         self.n_rereferences += 1
         self._m_rereferences.inc()
+        if self.n_shards > 1 and self.telemetry.enabled:
+            for gauge in self._m_shard_fill:
+                gauge.set(0)
+
+    def close(self) -> None:
+        """Release the shard thread pool (a no-op for ``shards=1``)."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
+
+    def __enter__(self) -> "StreamingDetector":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # ------------------------------------------------------------------ API
     def prime(self, reference) -> "StreamingDetector":
@@ -901,10 +1057,10 @@ class StreamingDetector:
         mfd = self._coerce(data)
         if not self.ready:
             raise NotFittedError(
-                f"streaming reference holds {self.window.size} curves but "
+                f"streaming reference holds {self.n_reference} curves but "
                 f"min_reference={self.min_reference}; prime() or process() more data"
             )
-        return self._ensure_scorer().score(self._featurize(mfd), self.window)
+        return self._score_items(self._featurize(mfd))
 
     # Stateless scoring under the common scorer surface, so a streaming
     # detector can be registered with a ScoringService and serve direct
@@ -924,9 +1080,9 @@ class StreamingDetector:
                 self._m_process_seconds.observe(time.perf_counter() - start)
             return StreamBatchResult(
                 scores=None, flags=None, threshold=None, drift=None,
-                n_reference=self.window.size, warmup=True,
+                n_reference=self.n_reference, warmup=True,
             )
-        scores = self._ensure_scorer().score(items, self.window)
+        scores = self._score_items(items)
         self.n_scored += scores.shape[0]
         self._m_scored.inc(scores.shape[0])
         threshold_value = None
@@ -944,7 +1100,7 @@ class StreamingDetector:
         # score distribution without any drift in the data.  Feed the
         # monitor only at-capacity scores.
         event = None
-        if self.drift is not None and self.window.full:
+        if self.drift is not None and self.n_reference == self.capacity:
             event = self.drift.update(scores)
         if event is not None and self.on_drift == "rereference":
             self._rereference()
@@ -959,17 +1115,18 @@ class StreamingDetector:
             self._m_process_seconds.observe(time.perf_counter() - start)
         return StreamBatchResult(
             scores=scores, flags=flags, threshold=threshold_value,
-            drift=event, n_reference=self.window.size, warmup=False,
+            drift=event, n_reference=self.n_reference, warmup=False,
         )
 
     def stats(self) -> dict:
         """Counters for monitoring (mirrors ``ScoringService.stats``)."""
         return {
             "kind": self.kind,
+            "shards": self.n_shards,
             "n_seen": self.n_seen,
             "n_scored": self.n_scored,
             "n_flagged": self.n_flagged,
-            "n_reference": self.window.size,
+            "n_reference": self.n_reference,
             "n_rereferences": self.n_rereferences,
             "drift_events": len(self.drift_events),
             "incremental": self.effective_incremental,
@@ -978,5 +1135,33 @@ class StreamingDetector:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"StreamingDetector({self.kind!r}, window={self.window!r}, "
-            f"scored={self.n_scored})"
+            f"shards={self.n_shards}, scored={self.n_scored})"
         )
+
+
+def _observe(window, scorer, items: np.ndarray, mask=None):
+    """Offer ``items`` (the rows where ``mask`` holds) to one window + cache."""
+    for i in range(items.shape[0]):
+        if mask is not None and not mask[i]:
+            continue
+        scorer.apply(window.observe(items[i]))
+
+
+def _union_window(windows) -> ReferenceWindow:
+    """One window holding the union of round-robin shard windows.
+
+    Sliding shards merge into the single-stream ring, slot layout
+    included (:meth:`SlidingWindow.merged`); reservoir shards, which
+    keep no arrival order, are concatenated in shard order.
+    """
+    if isinstance(windows[0], SlidingWindow):
+        return SlidingWindow.merged(windows)
+    merged = ReferenceWindow(sum(w.capacity for w in windows))
+    filled = [w.values for w in windows if w.size]
+    if filled:
+        values = np.concatenate(filled, axis=0)
+        merged._values = np.empty((merged.capacity, *values.shape[1:]))
+        merged._values[: values.shape[0]] = values
+        merged.size = values.shape[0]
+    merged.n_seen = sum(w.n_seen for w in windows)
+    return merged

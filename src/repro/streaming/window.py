@@ -297,49 +297,6 @@ class ReservoirWindow(ReferenceWindow):
         return np.arange(self.size)
 
     # ------------------------------------------------------------------ sharding
-    @classmethod
-    def merged(cls, shards, capacity=None, random_state=None) -> "ReservoirWindow":
-        """Combine shard reservoirs into one reservoir-distributed window.
-
-        Each retained item of shard ``i`` stands for ``n_seen_i /
-        size_i`` stream arrivals; the merge draws ``capacity`` of the
-        pooled items by weighted sampling without replacement
-        (Efraimidis–Spirakis keys ``u ** (1/w)``), which preserves the
-        uniform-over-history marginal of Algorithm R.  Unlike the
-        sliding-window merge this is a *resample*, not a bit-exact
-        reconstruction — reservoirs forget arrival order, so only the
-        distribution is mergeable.  Seeded and reproducible via
-        ``random_state``.
-        """
-        shards = list(shards)
-        if not shards:
-            raise ValidationError("merged() needs at least one shard window")
-        for shard in shards:
-            if not isinstance(shard, ReservoirWindow):
-                raise ValidationError(
-                    f"merged() takes ReservoirWindow shards, got {type(shard).__name__}"
-                )
-        if capacity is None:
-            capacity = sum(s.capacity for s in shards)
-        total_seen = sum(s.n_seen for s in shards)
-        merged = cls(capacity, random_state=random_state)
-        merged.n_seen = total_seen
-        pool = [s.values for s in shards if s.size]
-        if not pool:
-            return merged
-        items = np.concatenate(pool, axis=0)
-        weights = np.concatenate(
-            [np.full(s.size, s.n_seen / s.size) for s in shards if s.size]
-        )
-        if items.shape[0] > capacity:
-            keys = merged._rng.random(items.shape[0]) ** (1.0 / weights)
-            keep = np.argsort(keys)[-capacity:]
-            items = items[np.sort(keep)]
-        merged._values = np.empty((merged.capacity, *items.shape[1:]))
-        merged._values[: items.shape[0]] = items
-        merged.size = items.shape[0]
-        return merged
-
     def split(self, n_shards: int, random_state=None) -> "list[ReservoirWindow]":
         """Deal this reservoir into ``n_shards`` shard reservoirs.
 
@@ -347,7 +304,9 @@ class ReservoirWindow(ReferenceWindow):
         a uniform subsample (capacity ``capacity / n_shards``, which
         must divide and leave >= 2 slots) and a proportional share of
         ``n_seen``, so every shard is itself a valid Algorithm-R state
-        over ``1 / n_shards`` of the history.
+        over ``1 / n_shards`` of the history.  ``random_state`` defaults
+        to this window's own eviction stream, so a seeded reservoir
+        splits reproducibly.
         """
         n_shards = check_int(n_shards, "n_shards", minimum=1)
         if self.capacity % n_shards:
@@ -361,7 +320,7 @@ class ReservoirWindow(ReferenceWindow):
                 f"window capacity {self.capacity} leaves {shard_cap} slots per "
                 f"shard; every shard window needs >= 2"
             )
-        rng = check_random_state(random_state)
+        rng = self._rng if random_state is None else check_random_state(random_state)
         order = rng.permutation(self.size)
         shards = []
         for i in range(n_shards):

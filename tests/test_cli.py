@@ -173,15 +173,22 @@ class TestStreamScore:
         assert np.isnan(scores[:16]).all()  # warm-up curves
         assert np.isfinite(scores[16:]).all()
 
-    def test_reservoir_policy_and_p2_threshold(self, stream_npz, capsys):
+    def test_reservoir_policy_and_sketch_threshold(self, stream_npz, capsys):
         rc = main([
             "stream-score", "--data", str(stream_npz), "--kind", "halfspace",
-            "--policy", "reservoir", "--threshold-mode", "p2",
+            "--policy", "reservoir", "--threshold-mode", "sketch",
             "--window", "32", "--min-reference", "8",
             "--drift-baseline", "32", "--drift-recent", "16",
         ])
         assert rc == 0
         assert "reservoir" in capsys.readouterr().out
+
+    def test_removed_p2_threshold_exits_2(self, stream_npz, capsys):
+        rc = main([
+            "stream-score", "--data", str(stream_npz), "--threshold-mode", "p2",
+        ])
+        assert rc == 2
+        assert "sketch" in capsys.readouterr().err
 
     def test_missing_data_file_exits_2(self, tmp_path, capsys):
         rc = main(["stream-score", "--data", str(tmp_path / "nope.npz")])

@@ -1,14 +1,9 @@
-"""Property tests: mergeable shard state combines like the single stream.
+"""Property tests: sharded reference state combines like the single stream.
 
-The sharded tier is only sound if its merge operations behave like set
+``StreamingDetector(shards=N)`` scores against the union of its shard
+windows, so the merge operations it relies on must behave like set
 union on the underlying observations.  Hypothesis-driven pins:
 
-* :class:`QuantileSketch` merge is **exactly commutative** (identical
-  centroid state both ways) and associative — bit-exact while no
-  compression triggers, within a bucket-resolution tolerance once it
-  does — including empty and single-element shards;
-* :func:`merge_moments` is order-insensitive and associative at
-  ``rtol=1e-12`` with empty partials acting as identity elements;
 * ``SlidingWindow.split`` → ``SlidingWindow.merged`` round-trips the
   window **bit-exactly** (values, slot order, ``n_seen``) across shard
   counts and fill levels, and permuting equally-filled shards leaves
@@ -21,119 +16,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.streaming import QuantileSketch, SlidingWindow
-from repro.streaming.online import SortedLanes, merge_moments
+from repro.streaming import SlidingWindow, SortedLanes
 
 COMMON = settings(max_examples=20, deadline=None)
-
-RTOL = 1e-12
-
-
-def _chunks(seed: int, sizes) -> list:
-    rng = np.random.default_rng(seed)
-    return [rng.standard_normal(int(s)) for s in sizes]
-
-
-class TestQuantileSketchMerge:
-    @COMMON
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        size_a=st.integers(0, 50),
-        size_b=st.integers(0, 50),
-    )
-    def test_merge_exactly_commutative(self, seed, size_a, size_b):
-        chunk_a, chunk_b = _chunks(seed, [size_a, size_b])
-        a = QuantileSketch(compression=16)
-        b = QuantileSketch(compression=16)
-        a.update(chunk_a)
-        b.update(chunk_b)
-        ab, ba = a.merge(b), b.merge(a)
-        assert ab.n_seen == ba.n_seen == size_a + size_b
-        np.testing.assert_array_equal(ab._means, ba._means)
-        np.testing.assert_array_equal(ab._weights, ba._weights)
-        if ab.n_seen:
-            for q in (0.0, 0.05, 0.5, 0.95, 1.0):
-                assert ab.quantile(q) == ba.quantile(q)
-
-    @COMMON
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        sizes=st.tuples(*[st.integers(0, 40)] * 3),
-    )
-    def test_merge_associative(self, seed, sizes):
-        compression = 32
-        chunks = _chunks(seed, sizes)
-        sketches = []
-        for chunk in chunks:
-            sketch = QuantileSketch(compression=compression)
-            sketch.update(chunk)
-            sketches.append(sketch)
-        a, b, c = sketches
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        total = sum(sizes)
-        assert left.n_seen == right.n_seen == total
-        if total == 0:
-            return
-        pooled = np.concatenate(chunks)
-        if total <= compression:
-            # No folding anywhere: both sides hold the exact multiset.
-            np.testing.assert_array_equal(left._means, right._means)
-            for q in (0.05, 0.5, 0.95):
-                assert left.quantile(q) == np.quantile(pooled, q)
-                assert right.quantile(q) == np.quantile(pooled, q)
-        else:
-            # Compressed: parenthesizations agree to bucket resolution.
-            span = float(pooled.max() - pooled.min()) or 1.0
-            atol = 6.0 * span / compression
-            for q in (0.05, 0.5, 0.95):
-                assert abs(left.quantile(q) - right.quantile(q)) <= atol
-
-    def test_empty_and_singleton_shards(self):
-        empty = QuantileSketch()
-        single = QuantileSketch()
-        single.update([2.5])
-        merged = QuantileSketch.merged([empty, single, QuantileSketch()])
-        assert merged.n_seen == 1
-        assert merged.quantile(0.5) == 2.5
-
-
-class TestMergeMoments:
-    @COMMON
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        sizes=st.tuples(*[st.integers(0, 30)] * 3),
-        dim=st.integers(1, 4),
-    )
-    def test_order_insensitive_and_associative(self, seed, sizes, dim):
-        rng = np.random.default_rng(seed)
-        parts = []
-        for size in sizes:
-            block = rng.standard_normal((int(size), dim))
-            if size == 0:
-                parts.append((0, None, None))
-                continue
-            mean = block.mean(axis=0)
-            centered = block - mean
-            parts.append((int(size), mean, centered.T @ centered))
-        a, b, c = parts
-
-        def close(x, y):
-            assert x[0] == y[0]
-            if x[0] == 0:
-                return
-            np.testing.assert_allclose(x[1], y[1], rtol=RTOL, atol=1e-10)
-            np.testing.assert_allclose(x[2], y[2], rtol=RTOL, atol=1e-10)
-
-        close(merge_moments([a, b, c]), merge_moments([c, b, a]))
-        left = merge_moments([merge_moments([a, b]), c])
-        right = merge_moments([a, merge_moments([b, c])])
-        close(left, right)
-        # Identity: folding in empty partials changes nothing.
-        close(
-            merge_moments([a, (0, None, None)]),
-            merge_moments([a]),
-        )
 
 
 class TestSlidingWindowMerge:

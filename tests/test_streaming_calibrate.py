@@ -1,4 +1,4 @@
-"""Unit tests for the streaming quantile thresholds (exact ring + P²)."""
+"""Unit tests for the streaming quantile thresholds (exact ring + sketch)."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,8 @@ from repro.detectors.threshold import (
     StreamingQuantileThreshold,
     threshold_from_quantile,
 )
-from repro.exceptions import ValidationError
-from repro.streaming import P2Quantile, P2QuantileThreshold, make_threshold
+from repro.exceptions import ConfigurationError, ValidationError
+from repro.streaming import QuantileSketch, SketchQuantileThreshold, make_threshold
 
 
 class TestStreamingQuantileThreshold:
@@ -72,55 +72,58 @@ class TestStreamingQuantileThreshold:
             StreamingQuantileThreshold(0.1, capacity=1)
 
 
-class TestP2Quantile:
-    def test_exact_until_five_observations(self):
-        tracker = P2Quantile(0.9)
+class TestQuantileSketch:
+    def test_exact_until_compressed(self):
+        sketch = QuantileSketch(compression=16)
         seen = []
         rng = np.random.default_rng(3)
-        for x in rng.standard_normal(4):
+        for x in rng.standard_normal(16):
             seen.append(x)
-            tracker.update(np.array([x]))
-            assert tracker.value == pytest.approx(
-                float(np.quantile(np.sort(seen), 0.9))
-            )
+            sketch.update(np.array([x]))
+            assert sketch.quantile(0.9) == float(np.quantile(seen, 0.9))
 
     @pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.95])
     def test_converges_on_gaussian_stream(self, q):
         rng = np.random.default_rng(4)
         sample = rng.standard_normal(20_000)
-        tracker = P2Quantile(q)
-        tracker.update(sample)
-        assert tracker.value == pytest.approx(
-            float(np.quantile(sample, q)), abs=0.08
+        sketch = QuantileSketch()
+        for chunk in np.array_split(sample, 200):
+            sketch.update(chunk)
+        assert sketch.quantile(q) == pytest.approx(
+            float(np.quantile(sample, q)), abs=0.02
         )
 
     def test_handles_new_extremes(self):
-        tracker = P2Quantile(0.5)
-        tracker.update(np.arange(10.0))
-        tracker.update(np.array([-100.0, 100.0]))
-        assert -100.0 <= tracker.value <= 100.0
+        sketch = QuantileSketch(compression=8)
+        sketch.update(np.arange(10.0))
+        sketch.update(np.array([-100.0, 100.0]))
+        assert -100.0 <= sketch.quantile(0.5) <= 100.0
+        assert sketch.quantile(0.0) >= -100.0 and sketch.quantile(1.0) <= 100.0
 
     def test_validation_and_empty_state(self):
         with pytest.raises(ValidationError):
-            P2Quantile(1.0)
+            QuantileSketch(compression=4)
         with pytest.raises(ValidationError):
-            P2Quantile(0.5).value
+            QuantileSketch().quantile(0.5)
+        with pytest.raises(ValidationError):
+            QuantileSketch().quantile(1.5)
 
 
-class TestP2QuantileThreshold:
+class TestSketchQuantileThreshold:
     def test_tracks_quantile_with_constant_memory(self):
         rng = np.random.default_rng(5)
-        tracker = P2QuantileThreshold(0.05)
+        tracker = SketchQuantileThreshold(0.05)
         for _ in range(50):
             tracker.update(rng.standard_normal(100))
+        assert tracker.sketch._means.size <= tracker.sketch.compression
         assert tracker.value == pytest.approx(
             float(np.quantile(rng.standard_normal(100_000), 0.95)), abs=0.1
         )
         learned = tracker.learned()
-        assert learned.criterion == "quantile-p2"
+        assert learned.criterion == "quantile-sketch"
 
     def test_reset(self):
-        tracker = P2QuantileThreshold(0.1)
+        tracker = SketchQuantileThreshold(0.1)
         tracker.update(np.arange(10.0))
         tracker.reset()
         assert not tracker.ready
@@ -129,8 +132,12 @@ class TestP2QuantileThreshold:
 class TestMakeThreshold:
     def test_builds_both_flavours(self):
         assert isinstance(make_threshold(0.1, "window", 32), StreamingQuantileThreshold)
-        assert isinstance(make_threshold(0.1, "p2"), P2QuantileThreshold)
+        assert isinstance(make_threshold(0.1, "sketch"), SketchQuantileThreshold)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValidationError, match="window"):
             make_threshold(0.1, "exact")
+
+    def test_removed_p2_mode_names_sketch(self):
+        with pytest.raises(ConfigurationError, match="sketch"):
+            make_threshold(0.1, "p2")

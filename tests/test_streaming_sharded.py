@@ -1,36 +1,37 @@
-"""Sharded streaming: N shard states must reproduce the single stream.
+"""Sharded streaming: ``StreamingDetector(shards=N)`` must reproduce ``shards=1``.
 
-The acceptance pins for the sharded tier:
+The acceptance pins for sharding:
 
-* on :func:`repro.data.make_drifting_stream` with shard-aligned
-  geometry (window 84 = 2²·3·7, chunk 21), the sharded detector must
-  reproduce the single-stream scores (``rtol=1e-12`` — the only
-  difference is floating summation order over shard partials), the
-  exact flag sequence, and the exact drift/re-reference chunk indices,
-  for every shard count in {1, 2, 3, 7} **through a re-reference
-  barrier** (the hard part: all shards must re-anchor on the same
-  window or the states diverge silently);
-* the serial / thread / process backends are bitwise interchangeable;
-* the process backend refuses configurations whose per-arrival state
-  cannot be shipped as additive partials;
-* the plan layer compiles ``StreamSpec(shards=N)`` into the sharded
-  detector and rejects non-mergeable / non-divisible configurations;
+* on :func:`repro.data.make_drifting_stream`, the sharded detector must
+  reproduce the single-stream scores (``rtol=1e-12`` for FUNTA — the
+  only difference is floating summation order over shard partials —
+  bit-exact for Dir.out and halfspace), the exact flag sequence, and the
+  exact drift/re-reference chunk indices, for every shard count in
+  {1, 2, 3, 7} **through a re-reference barrier**.  Two geometries:
+  checks landing on chunk boundaries (window 84 = 2²·3·7, chunk 21,
+  ``min_gap`` 21) and checks landing inside chunks (the streaming
+  benchmark's chunk 64 with ``min_gap`` 16 and a 128-score drift
+  baseline);
+* the shard window capacity must divide evenly;
+* the plan layer compiles ``StreamSpec(shards=N)`` and still loads
+  legacy ``shard_backend`` documents;
 * the serving layer streams through a registered sharded detector.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
 from repro.data import make_drifting_stream
+from repro.depth.funta import funta_outlyingness
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.fda.fdata import MFDataGrid
-from repro.plan import StreamSpec, compile_plan
+from repro.plan import StreamSpec, compile_plan, spec_from_dict
 from repro.serving import ScoringService
 from repro.streaming import (
     DepthRankDrift,
-    FederatedDrift,
-    FederatedThreshold,
-    ShardedStreamingDetector,
+    ReservoirWindow,
     SlidingWindow,
     StreamingDetector,
     make_threshold,
@@ -38,34 +39,52 @@ from repro.streaming import (
 
 RTOL = 1e-12
 
-# 84 = 2^2 * 3 * 7: window, drift buffers and chunk size all divide
-# evenly for every tested shard count, and min_gap == chunk_size lands
-# both monitors' checks on chunk boundaries (required for the federated
-# decision sequence to be identical, not just statistically close).
+# 84 = 2^2 * 3 * 7: the reference window divides evenly for every
+# tested shard count.
 WINDOW = 84
-CHUNK = 21
 CONTAMINATION = 0.1
 ALPHA = 0.05
 SHARD_COUNTS = (1, 2, 3, 7)
 
+# name -> (chunk, min_gap, drift baseline, drift recent, n_directions)
+GEOMETRIES = {
+    "chunk_aligned": (21, 21, WINDOW, WINDOW, None),
+    "min_gap_below_chunk": (64, 16, 128, 64, 50),
+}
 
-def _stream():
+
+def _stream(chunk):
     return make_drifting_stream(
-        n_chunks=20, chunk_size=CHUNK, n_points=40, drift_at=8, drift_ramp=2,
+        n_chunks=20, chunk_size=chunk, n_points=40, drift_at=8, drift_ramp=2,
         drift_phase=1.2, drift_scale=1.8, random_state=3,
     )
 
 
-def _collect(detector):
+@functools.lru_cache(maxsize=None)
+def _run(kind, n_shards, geometry):
+    chunk, min_gap, baseline, recent, n_directions = GEOMETRIES[geometry]
+    options = {}
+    if kind != "funta" and n_directions is not None:
+        options["n_directions"] = n_directions
+    detector = StreamingDetector(
+        kind, SlidingWindow(WINDOW), shards=n_shards, min_reference=2,
+        threshold=make_threshold(CONTAMINATION, "window", capacity=WINDOW),
+        drift=DepthRankDrift(
+            baseline_size=baseline, recent_size=recent, alpha=ALPHA,
+            patience=1, min_gap=min_gap,
+        ),
+        on_drift="rereference", **options,
+    )
     scores, flags, events = [], [], []
-    for chunk_idx, (chunk, _) in enumerate(_stream()):
-        result = detector.process(chunk)
-        if result.scores is not None:
-            scores.append(result.scores)
-        if result.flags is not None:
-            flags.append(result.flags)
-        if result.drift is not None:
-            events.append(chunk_idx)
+    with detector:
+        for chunk_idx, (batch, _) in enumerate(_stream(chunk)):
+            result = detector.process(batch)
+            if result.scores is not None:
+                scores.append(result.scores)
+            if result.flags is not None:
+                flags.append(result.flags)
+            if result.drift is not None:
+                events.append(chunk_idx)
     return (
         np.concatenate(scores),
         np.concatenate(flags),
@@ -74,127 +93,94 @@ def _collect(detector):
     )
 
 
-def _run_single(kind):
-    detector = StreamingDetector(
-        kind, SlidingWindow(WINDOW), min_reference=2,
-        threshold=make_threshold(CONTAMINATION, "window", capacity=WINDOW),
-        drift=DepthRankDrift(
-            baseline_size=WINDOW, recent_size=WINDOW, alpha=ALPHA,
-            patience=1, min_gap=CHUNK,
-        ),
-        on_drift="rereference",
-    )
-    return _collect(detector)
-
-
-def _run_sharded(kind, n_shards, backend="serial"):
-    detector = ShardedStreamingDetector(
-        kind, shards=n_shards, capacity=WINDOW, min_reference=2,
-        threshold=FederatedThreshold(
-            CONTAMINATION, n_shards, mode="window", capacity=WINDOW
-        ),
-        drift=FederatedDrift(
-            n_shards, baseline_size=WINDOW, recent_size=WINDOW, alpha=ALPHA,
-            patience=1, min_gap=CHUNK,
-        ),
-        on_drift="rereference", backend=backend,
-    )
-    try:
-        return _collect(detector)
-    finally:
-        detector.close()
+def _assert_matches_single(kind, n_shards, geometry):
+    scores, flags, events, rereferences = _run(kind, 1, geometry)
+    assert events, "stream parameters must provoke a drift event"
+    assert rereferences >= 1, "re-reference barrier must actually fire"
+    sh_scores, sh_flags, sh_events, sh_rereferences = _run(kind, n_shards, geometry)
+    if kind == "funta":
+        np.testing.assert_allclose(sh_scores, scores, rtol=RTOL, atol=0.0)
+    else:
+        np.testing.assert_array_equal(sh_scores, scores)
+    np.testing.assert_array_equal(sh_flags, flags)
+    assert sh_events == events
+    assert sh_rereferences == rereferences
 
 
 class TestShardedEqualsSingleStream:
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_funta_scores_flags_and_rereference_match(self, n_shards):
-        scores, flags, events, rereferences = _run_single("funta")
-        assert events, "stream parameters must provoke a drift event"
-        assert rereferences >= 1, "re-reference barrier must actually fire"
-        sh_scores, sh_flags, sh_events, sh_rereferences = _run_sharded(
-            "funta", n_shards
-        )
-        np.testing.assert_allclose(sh_scores, scores, rtol=RTOL, atol=0.0)
-        np.testing.assert_array_equal(sh_flags, flags)
-        assert sh_events == events
-        assert sh_rereferences == rereferences
+        _assert_matches_single("funta", n_shards, "chunk_aligned")
 
     @pytest.mark.parametrize("kind", ["dirout", "halfspace"])
     def test_other_kinds_match_bitwise(self, kind):
-        scores, flags, events, rereferences = _run_single(kind)
-        sh_scores, sh_flags, sh_events, sh_rereferences = _run_sharded(kind, 3)
-        np.testing.assert_array_equal(sh_scores, scores)
-        np.testing.assert_array_equal(sh_flags, flags)
-        assert sh_events == events
-        assert sh_rereferences == rereferences
+        _assert_matches_single(kind, 3, "chunk_aligned")
 
+    @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
+    @pytest.mark.parametrize("kind", ["funta", "dirout", "halfspace"])
+    def test_drift_matches_when_min_gap_below_chunk(self, kind, n_shards):
+        # Drift checks fall inside chunks here; the coordinator's single
+        # monitor must still take exactly the single stream's decisions.
+        _assert_matches_single(kind, n_shards, "min_gap_below_chunk")
 
-class TestBackends:
-    @pytest.mark.parametrize("kind", ["funta", "halfspace"])
-    def test_thread_backend_bitwise_equals_serial(self, kind):
-        serial = _run_sharded(kind, 2, backend="serial")
-        threaded = _run_sharded(kind, 2, backend="thread")
-        np.testing.assert_array_equal(threaded[0], serial[0])
-        np.testing.assert_array_equal(threaded[1], serial[1])
-        assert threaded[2] == serial[2]
-
-    def test_process_backend_bitwise_equals_serial(self):
-        rng = np.random.default_rng(11)
-        m, window, chunk = 32, 24, 6
-        grid = np.linspace(0.0, 1.0, m)
-        prime = MFDataGrid(rng.standard_normal((window, m, 1)), grid)
+    def test_univariate_incremental_kinds_match(self):
+        # p = 1 exercises the incremental caches: halfspace sums shard
+        # rank counts, Dir.out and trimmed FUNTA score merged state.
+        rng = np.random.default_rng(5)
+        grid = np.linspace(0.0, 1.0, 24)
         batches = [
-            MFDataGrid(rng.standard_normal((chunk, m, 1)), grid)
-            for _ in range(4)
+            MFDataGrid(rng.standard_normal((12, 24, 1)).cumsum(axis=1), grid)
+            for _ in range(12)
         ]
+        for kind, options in [("halfspace", {}), ("dirout", {}), ("funta", {"trim": 0.1})]:
+            runs = []
+            for n_shards in (1, 4):
+                with StreamingDetector(
+                    kind, SlidingWindow(WINDOW), shards=n_shards,
+                    min_reference=2, **options,
+                ) as detector:
+                    runs.append(np.concatenate([
+                        s for s in (detector.process(b).scores for b in batches)
+                        if s is not None
+                    ]))
+            np.testing.assert_allclose(runs[1], runs[0], rtol=RTOL, atol=0.0)
 
-        def run(backend):
-            detector = ShardedStreamingDetector(
-                "funta", shards=2, capacity=window, min_reference=2,
-                backend=backend,
-            )
-            try:
-                detector.prime(prime)
-                return np.concatenate(
-                    [detector.process(b).scores for b in batches]
-                )
-            finally:
-                detector.close()
 
-        np.testing.assert_array_equal(run("process"), run("serial"))
-
-    def test_process_backend_rejects_non_partial_configs(self):
-        with pytest.raises(ValidationError, match="process"):
-            ShardedStreamingDetector(
-                "dirout", shards=2, capacity=16, backend="process"
+class TestShardedReservoir:
+    def test_scores_against_union_of_shard_reservoirs(self):
+        rng = np.random.default_rng(9)
+        grid = np.linspace(0.0, 1.0, 20)
+        window = ReservoirWindow(16, random_state=4)
+        with StreamingDetector(
+            "funta", window, shards=2, min_reference=4, trim=0.1
+        ) as detector:
+            for _ in range(5):
+                detector.process(MFDataGrid(rng.standard_normal((8, 20, 1)), grid))
+            queries = MFDataGrid(rng.standard_normal((6, 20, 1)), grid)
+            union = detector.window
+            assert union.size == 16
+            expected = funta_outlyingness(
+                queries, reference=MFDataGrid(union.values, grid), trim=0.1
             )
-        with pytest.raises(ValidationError, match="process"):
-            ShardedStreamingDetector(
-                "funta", shards=2, capacity=16, backend="process", trim=0.1
-            )
-        with pytest.raises(ValidationError, match="process"):
-            ShardedStreamingDetector(
-                "funta", shards=2, capacity=16, backend="process",
-                incremental=False,
+            np.testing.assert_allclose(
+                detector.score(queries), expected, rtol=RTOL, atol=0.0
             )
 
 
 class TestValidation:
     def test_capacity_must_divide_across_shards(self):
         with pytest.raises(ValidationError, match="divide"):
-            ShardedStreamingDetector("funta", shards=3, capacity=16)
+            StreamingDetector("funta", SlidingWindow(16), shards=3)
 
-    def test_federated_state_must_match_shard_count(self):
-        with pytest.raises(ValidationError, match="shards"):
-            ShardedStreamingDetector(
-                "funta", shards=2, capacity=16,
-                threshold=FederatedThreshold(0.1, 3, capacity=12),
-            )
-        with pytest.raises(ValidationError, match="shards"):
-            ShardedStreamingDetector(
-                "funta", shards=2, capacity=16,
-                drift=FederatedDrift(3, baseline_size=24, recent_size=24),
-            )
+    def test_close_releases_the_pool_and_is_idempotent(self):
+        rng = np.random.default_rng(2)
+        grid = np.linspace(0.0, 1.0, 16)
+        detector = StreamingDetector("funta", SlidingWindow(8), shards=2, min_reference=2)
+        detector.process(MFDataGrid(rng.standard_normal((8, 16, 1)), grid))
+        assert detector._pool is not None
+        detector.close()
+        detector.close()
+        assert detector._pool is None
 
 
 class TestPlanIntegration:
@@ -204,30 +190,32 @@ class TestPlanIntegration:
             drift_baseline=WINDOW, drift_recent=WINDOW,
         )
         plan = compile_plan(spec)
-        detector = plan.build()
-        try:
-            assert isinstance(detector, ShardedStreamingDetector)
+        with plan.build() as detector:
+            assert isinstance(detector, StreamingDetector)
             assert detector.n_shards == 2
-            assert isinstance(detector.threshold, FederatedThreshold)
-            assert isinstance(detector.drift, FederatedDrift)
+            assert isinstance(detector.drift, DepthRankDrift)
             assert plan.describe()["shards"] == 2
-        finally:
-            detector.close()
 
     def test_round_trip_keeps_shard_fields(self):
         spec = StreamSpec(
-            kind="funta", window=WINDOW, shards=3, shard_backend="serial",
-            drift_baseline=WINDOW, drift_recent=WINDOW,
+            kind="funta", window=WINDOW, shards=3,
+            drift_baseline=128, drift_recent=64,
         )
         again = StreamSpec.from_dict(spec.to_dict())
-        assert again.shards == 3 and again.shard_backend == "serial"
+        assert again == spec and again.shards == 3
+
+    def test_legacy_shard_backend_documents(self):
+        doc = {"spec": "stream", "kind": "funta", "window": WINDOW, "shards": 2}
+        for backend in ("thread", "serial"):
+            spec = spec_from_dict({**doc, "shard_backend": backend})
+            assert spec == StreamSpec(kind="funta", window=WINDOW, shards=2)
+            assert "shard_backend" not in spec.to_dict()
+        with pytest.raises(ConfigurationError, match="process"):
+            spec_from_dict({**doc, "shard_backend": "process"})
 
     def test_sharded_spec_rejects_p2_threshold(self):
-        with pytest.raises(ConfigurationError, match="merge"):
-            StreamSpec(
-                kind="funta", window=WINDOW, shards=2, threshold_mode="p2",
-                drift_baseline=WINDOW, drift_recent=WINDOW,
-            )
+        with pytest.raises(ConfigurationError, match="sketch"):
+            StreamSpec(kind="funta", window=WINDOW, shards=2, threshold_mode="p2")
 
     def test_sharded_spec_rejects_indivisible_window(self):
         with pytest.raises(ConfigurationError, match="divide"):
@@ -243,10 +231,9 @@ class TestServingIntegration:
         m = 32
         grid = np.linspace(0.0, 1.0, m)
         service = ScoringService()
-        detector = ShardedStreamingDetector(
-            "funta", shards=2, capacity=16, min_reference=4, backend="serial"
-        )
-        try:
+        with StreamingDetector(
+            "funta", SlidingWindow(16), shards=2, min_reference=4
+        ) as detector:
             service.register("sharded", detector)
             data = MFDataGrid(rng.standard_normal((24, m, 1)), grid)
             batches = list(service.stream("sharded", data, chunk_size=8))
@@ -255,5 +242,3 @@ class TestServingIntegration:
             assert scored and all(b.scores.ndim == 1 for b in scored)
             with pytest.raises(ValidationError, match="streaming"):
                 service.submit("sharded", data)
-        finally:
-            detector.close()
