@@ -15,7 +15,9 @@ every gated case.
 Sharding rides along: the same chunked stream is pushed through
 ``StreamingDetector(..., shards=2)`` with score equivalence asserted
 before timing (always), and ``shard_speedup > 1`` gated only on
-machines with >= 2 cores.
+machines with >= 2 cores.  The sharded cases run at
+``repro.perf.SHARD_BENCH_GEOMETRY`` (W=512, 64-curve chunks), where the
+shard thread pool wins on 2 cores, not at this file's ``WINDOW``.
 
 Set ``REPRO_BENCH_QUICK=1`` for the CI smoke configuration; the default
 run uses a larger workload.  ``repro bench-stream`` exposes the same

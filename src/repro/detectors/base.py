@@ -169,10 +169,10 @@ class OutlierDetector(abc.ABC):
                 f"as {cls.__name__!r}"
             )
         detector = cls(**state["config"])
+        n_features = state.get("n_features")
+        detector.n_features_ = None if n_features is None else int(n_features)
         detector._import_fitted(state["fitted"])
         threshold = state.get("threshold")
         detector.threshold_ = None if threshold is None else float(threshold)
-        n_features = state.get("n_features")
-        detector.n_features_ = None if n_features is None else int(n_features)
         detector._fitted = True
         return detector

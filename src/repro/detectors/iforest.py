@@ -15,7 +15,12 @@ normalizer from the original paper::
     c(n) = 2 H(n-1) - 2 (n-1) / n,   H(i) ~ ln(i) + Euler gamma
 
 Scores live in (0, 1); 0.5 is the classical "no anomaly" reference.
-Trees are stored in flat arrays and scoring is vectorized per tree.
+
+The forest *is* its persisted node table (``node_offsets`` delimits each
+tree's nodes; ``feature < 0`` marks a leaf; children are tree-local).  Fit
+grows each tree depth-first into it, scoring walks all (tree x curve)
+lanes at once for ``ceil(log2 psi)`` steps, and loading validates the
+table and keeps it as-is, so memory-mapped manifests stay zero-copy.
 """
 
 from __future__ import annotations
@@ -45,100 +50,69 @@ def average_path_length(n_samples) -> np.ndarray:
     return out
 
 
-class _IsolationTree:
-    """One isolation tree stored in flat arrays for vectorized traversal."""
+#: The persisted node table, in export order: the forest's only representation.
+_NODE_KEYS = ("node_offsets", "node_feature", "node_split", "node_left", "node_right",
+              "node_size", "node_depth")
 
-    __slots__ = ("feature", "split", "left", "right", "size", "depth", "_n_nodes")
+#: Most (tree x curve) lanes walked at once; bounds scoring memory per call.
+_LANE_BLOCK = 1 << 14
 
-    def __init__(self, X: np.ndarray, height_limit: int, rng: np.random.Generator):
-        # Pre-allocate generously: a tree on psi points has < 2*psi nodes.
-        capacity = max(2 * X.shape[0], 8)
-        self.feature = np.full(capacity, -1, dtype=np.int64)
-        self.split = np.zeros(capacity, dtype=np.float64)
-        self.left = np.full(capacity, -1, dtype=np.int64)
-        self.right = np.full(capacity, -1, dtype=np.int64)
-        self.size = np.zeros(capacity, dtype=np.int64)
-        self.depth = np.zeros(capacity, dtype=np.int64)
-        self._n_nodes = 0
-        self._build(X, np.arange(X.shape[0]), 0, height_limit, rng)
-        # Trim to the used prefix.
-        used = slice(0, self._n_nodes)
-        self.feature = self.feature[used]
-        self.split = self.split[used]
-        self.left = self.left[used]
-        self.right = self.right[used]
-        self.size = self.size[used]
-        self.depth = self.depth[used]
 
-    def _new_node(self, depth: int, size: int) -> int:
-        idx = self._n_nodes
-        if idx >= self.feature.shape[0]:
-            for name in ("feature", "left", "right"):
-                setattr(self, name, np.concatenate((getattr(self, name), np.full(idx, -1, dtype=np.int64))))
-            self.split = np.concatenate((self.split, np.zeros(idx)))
-            self.size = np.concatenate((self.size, np.zeros(idx, dtype=np.int64)))
-            self.depth = np.concatenate((self.depth, np.zeros(idx, dtype=np.int64)))
-        self._n_nodes += 1
-        self.depth[idx] = depth
-        self.size[idx] = size
-        return idx
+def _grow(sample, rows, level, height_limit, rng, ints, split, node=0) -> int:
+    """Grow the subtree on ``rows`` depth-first from index ``node``; return the next free one.
 
-    def _build(self, X, rows, depth, height_limit, rng) -> int:
-        node = self._new_node(depth, rows.shape[0])
-        if depth >= height_limit or rows.shape[0] <= 1:
-            return node
-        sub = X[rows]
-        lo = sub.min(axis=0)
-        hi = sub.max(axis=0)
-        candidates = np.nonzero(hi > lo)[0]
-        if candidates.size == 0:
-            # All points identical: external node.
-            return node
-        feat = int(rng.choice(candidates))
-        threshold = rng.uniform(lo[feat], hi[feat])
-        mask = sub[:, feat] < threshold
-        left_rows = rows[mask]
-        right_rows = rows[~mask]
-        if left_rows.size == 0 or right_rows.size == 0:
-            # Degenerate draw (threshold at the boundary): stop here.
-            return node
-        self.feature[node] = feat
-        self.split[node] = threshold
-        self.left[node] = self._build(X, left_rows, depth + 1, height_limit, rng)
-        self.right[node] = self._build(X, right_rows, depth + 1, height_limit, rng)
-        return node
+    ``ints`` rows are feature, left, right (preset to -1), size and depth;
+    ``split`` is preset to 0.  A left child always directly follows its parent.
+    """
+    ints[3, node], ints[4, node] = rows.size, level
+    if level >= height_limit or rows.size <= 1:
+        return node + 1
+    sub = sample[rows]
+    lo = sub.min(axis=0)
+    hi = sub.max(axis=0)
+    candidates = np.nonzero(hi > lo)[0]
+    if candidates.size == 0:
+        return node + 1  # all points identical
+    feat = candidates[rng.integers(candidates.size)]
+    threshold = rng.uniform(lo[feat], hi[feat])
+    mask = sub[:, feat] < threshold
+    if not 0 < np.count_nonzero(mask) < rows.size:
+        return node + 1  # degenerate draw at the boundary
+    right = _grow(sample, rows[mask], level + 1, height_limit, rng, ints, split, node + 1)
+    ints[:3, node] = feat, node + 1, right
+    split[node] = threshold
+    return _grow(sample, rows[~mask], level + 1, height_limit, rng, ints, split, right)
 
-    @classmethod
-    def from_arrays(cls, feature, split, left, right, size, depth) -> "_IsolationTree":
-        """Rebuild a tree from its flat node arrays (state import path)."""
-        tree = cls.__new__(cls)
-        tree.feature = np.asarray(feature, dtype=np.int64)
-        tree.split = np.asarray(split, dtype=np.float64)
-        tree.left = np.asarray(left, dtype=np.int64)
-        tree.right = np.asarray(right, dtype=np.int64)
-        tree.size = np.asarray(size, dtype=np.int64)
-        tree.depth = np.asarray(depth, dtype=np.int64)
-        tree._n_nodes = tree.feature.shape[0]
-        return tree
 
-    def path_length(self, X: np.ndarray) -> np.ndarray:
-        """Adjusted path length ``h(x)`` for each row of ``X``."""
-        n = X.shape[0]
-        current = np.zeros(n, dtype=np.int64)
-        active = np.arange(n)
-        while active.size:
-            nodes = current[active]
-            internal = self.feature[nodes] >= 0
-            if not internal.any():
-                break
-            act = active[internal]
-            nodes = current[act]
-            go_left = X[act, self.feature[nodes]] < self.split[nodes]
-            current[act[go_left]] = self.left[nodes[go_left]]
-            current[act[~go_left]] = self.right[nodes[~go_left]]
-            active = act
-        leaves = current
-        return self.depth[leaves] + average_path_length(self.size[leaves])
+def _check_node_table(table: dict, psi: int, n_features: int | None) -> None:
+    """Raise ``ValidationError`` unless the walk can score ``table``."""
+
+    def require(ok, message):
+        if not ok:
+            raise ValidationError(f"IsolationForest {message}")
+
+    offsets, feature, _, left, right, size, _ = (table[k] for k in _NODE_KEYS)
+    n_nodes = feature.size
+    require(psi >= 2, f"psi must be >= 2, got {psi}")
+    require(all(table[k].shape == (n_nodes,) for k in _NODE_KEYS[1:]),
+            "node arrays must be 1-D and of equal length")
+    counts = np.diff(offsets) if offsets.ndim == 1 else np.zeros(0)
+    require(counts.size and offsets[0] == 0 and offsets[-1] == n_nodes and (counts > 0).all(),
+            f"node_offsets must rise strictly from 0 to {n_nodes}")
+    require(((size >= 1) & (size <= psi)).all(), f"node_size must lie in [1, psi={psi}]")
+    require(n_features is None or (feature < n_features).all(),
+            f"node_feature must be < n_features={n_features}")
+    start = np.repeat(offsets[:-1], counts)
+    internal = feature >= 0
+    local, end = (np.arange(n_nodes) - start)[internal], np.repeat(counts, counts)[internal]
+    for child in (left[internal], right[internal]):
+        require(((child > local) & (child < end)).all(),
+                "child index must follow its parent's inside their tree")
+    level = offsets[:-1]  # the roots; the walk takes ceil(log2 psi) steps from here
+    for _ in range(int(np.ceil(np.log2(psi)))):
+        level = level[feature[level] >= 0]
+        level = np.concatenate((start[level] + left[level], start[level] + right[level]))
+    require((feature[level] < 0).all(), f"trees must be at most ceil(log2 psi={psi}) deep")
 
 
 class IsolationForest(OutlierDetector):
@@ -169,8 +143,8 @@ class IsolationForest(OutlierDetector):
         self.n_estimators = check_int(n_estimators, "n_estimators", minimum=1)
         self.max_samples = check_int(max_samples, "max_samples", minimum=2)
         self.random_state = random_state
-        self._trees: list[_IsolationTree] = []
         self._psi: int | None = None
+        self._table: dict[str, np.ndarray] = {}
 
     def _fit(self, X: np.ndarray) -> None:
         rng = check_random_state(self.random_state)
@@ -179,17 +153,45 @@ class IsolationForest(OutlierDetector):
         if psi < 2:
             raise ValidationError("IsolationForest needs at least 2 training rows")
         height_limit = int(np.ceil(np.log2(psi)))
-        self._psi = psi
-        self._trees = []
+        ints, split = np.empty((5, 2 * psi - 1), dtype=np.int64), np.empty(2 * psi - 1)
+        trees = []
         for _ in range(self.n_estimators):
-            rows = rng.choice(n, size=psi, replace=False)
-            self._trees.append(_IsolationTree(X[rows], height_limit, rng))
+            ints[:3], split[:] = -1, 0.0
+            sample = X[rng.choice(n, size=psi, replace=False)]
+            used = _grow(sample, np.arange(psi), 0, height_limit, rng, ints, split)
+            trees.append((ints[:, :used].copy(), split[:used].copy()))
+        feature, left, right, size, depth = np.concatenate([t[0] for t in trees], axis=1)
+        offsets = np.cumsum([0] + [t[1].size for t in trees], dtype=np.int64)
+        self._psi = psi
+        self._table = dict(zip(_NODE_KEYS, (
+            offsets, feature, np.concatenate([t[1] for t in trees]), left, right, size, depth)))
 
     def _score(self, X: np.ndarray) -> np.ndarray:
-        depths = np.zeros(X.shape[0])
-        for tree in self._trees:
-            depths += tree.path_length(X)
-        mean_depth = depths / len(self._trees)
+        # A lane that reaches a leaf (feature < 0) stays there.  Trees are
+        # summed in tree order (cumsum, never pairwise), so a curve's score
+        # does not depend on the batch it arrives in.
+        offsets, feature, split, left, right, size, depth = (self._table[k] for k in _NODE_KEYS)
+        roots = offsets[:-1, None].astype(np.intp)
+        n_trees = roots.shape[0]
+        steps = int(np.ceil(np.log2(self._psi)))
+        c_of_size = average_path_length(np.arange(self._psi + 1))
+        block = max(1, _LANE_BLOCK // n_trees)
+        depths = np.empty(X.shape[0])
+        for start in range(0, X.shape[0], block):
+            rows = X[start : start + block]
+            flat = rows.ravel()
+            row_base = np.arange(rows.shape[0]) * rows.shape[1]
+            node = np.repeat(roots, rows.shape[0], axis=1)
+            for _ in range(steps):
+                feat = np.take(feature, node)
+                go_left = np.take(flat, feat + row_base) < np.take(split, node)
+                child = np.take(right, node)
+                np.copyto(child, np.take(left, node), where=go_left)
+                child += roots
+                np.copyto(node, child, where=feat >= 0)
+            leaf = np.take(depth, node) + np.take(c_of_size, np.take(size, node))
+            depths[start : start + block] = np.cumsum(leaf, axis=0)[-1]
+        mean_depth = depths / n_trees
         return 2.0 ** (-mean_depth / average_path_length(self._psi))
 
     def _natural_threshold(self) -> float:
@@ -208,26 +210,11 @@ class IsolationForest(OutlierDetector):
         return config
 
     def _export_fitted(self) -> dict:
-        offsets = np.cumsum([0] + [t.feature.shape[0] for t in self._trees])
-        concat = lambda name: np.concatenate([getattr(t, name) for t in self._trees])
-        return {
-            "psi": self._psi,
-            "node_offsets": offsets.astype(np.int64),
-            "node_feature": concat("feature"),
-            "node_split": concat("split"),
-            "node_left": concat("left"),
-            "node_right": concat("right"),
-            "node_size": concat("size"),
-            "node_depth": concat("depth"),
-        }
+        return {"psi": self._psi, **self._table}
 
     def _import_fitted(self, state: dict) -> None:
-        offsets = np.asarray(state["node_offsets"], dtype=np.int64)
+        table = {k: np.asarray(state[k], dtype=np.float64 if k == "node_split" else np.int64)
+                 for k in _NODE_KEYS}
+        _check_node_table(table, int(state["psi"]), self.n_features_)
         self._psi = int(state["psi"])
-        self._trees = [
-            _IsolationTree.from_arrays(
-                *(state[f"node_{name}"][offsets[i] : offsets[i + 1]]
-                  for name in ("feature", "split", "left", "right", "size", "depth"))
-            )
-            for i in range(offsets.shape[0] - 1)
-        ]
+        self._table = table

