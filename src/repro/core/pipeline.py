@@ -199,7 +199,7 @@ class GeometricOutlierPipeline:
         if not self._fitted:
             raise NotFittedError("pipeline is not fitted")
         fdata = self._smooth(data)
-        mapped = self.mapping.transform(fdata, self.eval_grid_)
+        mapped = self.mapping.transform(fdata, self.eval_grid_, cache=self.context.cache)
         return mapped.values
 
     def prepare(self, data) -> np.ndarray:
@@ -222,7 +222,9 @@ class GeometricOutlierPipeline:
             low, high = data.domain
             self.eval_grid_ = np.linspace(low, high, self.eval_points)
         self._fitted = True
-        mapped = self.mapping.transform(MultivariateBasisFData(components), self.eval_grid_)
+        mapped = self.mapping.transform(
+            MultivariateBasisFData(components), self.eval_grid_, cache=self.context.cache
+        )
         return mapped.values
 
     def fit(self, data) -> "GeometricOutlierPipeline":

@@ -848,21 +848,21 @@ def _simplicial_profile(
 
 # --------------------------------------------------------------------------- mahalanobis
 def _mahalanobis_profile(values: np.ndarray, ref_values: np.ndarray) -> np.ndarray:
-    """Mahalanobis depth profile: the p×p statistics per grid point are
-    computed exactly as the naive loop computes them (so degenerate
-    pseudo-inverses agree bit-for-bit); the heavy per-sample quadratic
-    forms are batched into one einsum."""
+    """Mahalanobis depth profile, computed per grid point exactly as the
+    naive loop computes it.  The per-point pseudo-inverse dominates the
+    cost, and on a near-singular covariance the precision entries are
+    ~1e10, so any other summation order for the quadratic form (e.g. one
+    batched einsum) drifts from the oracle by ~1e-10."""
     n, m, p = values.shape
-    locations = np.empty((m, p))
-    precisions = np.empty((m, p, p))
+    d_sq = np.empty((n, m))
     for j in range(m):
         cloud = ref_values[:, j, :]
-        locations[j] = cloud.mean(axis=0)
         cov = np.atleast_2d(np.cov(cloud, rowvar=False))
         cov = cov + 1e-10 * np.trace(cov) / cov.shape[0] * np.eye(cov.shape[0])
-        precisions[j] = np.linalg.pinv(cov)
-    centered = values - locations[None]
-    d_sq = np.einsum("njp,jpq,njq->nj", centered, precisions, centered)
+        precision = np.linalg.pinv(cov)
+        location = np.asarray(cloud.mean(axis=0), dtype=np.float64)
+        centered = values[:, j, :] - location
+        d_sq[:, j] = np.sum((centered @ precision) * centered, axis=1)
     return 1.0 / (1.0 + np.maximum(d_sq, 0.0))
 
 

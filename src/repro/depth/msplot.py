@@ -9,6 +9,12 @@ cutoff; we implement the chi-square approximation on a trimmed
 location/scatter estimate (shrinkage-regularized, as elsewhere in this
 library) plus a simple quadrant rule that names the outlier type — the
 interpretability output the paper's conclusion asks for.
+
+``scipy.stats`` is imported inside :func:`ms_plot`, the one function
+that needs it (for the chi-square quantile).  The rule for the whole
+package: optional heavy dependencies are imported inside the function
+that uses them, so importing an entry point loads only the code it
+runs.  ``tests/test_import_budget.py`` enforces it.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.depth.dirout import directional_outlyingness
 from repro.exceptions import ValidationError
@@ -108,6 +113,8 @@ def ms_plot(
         precision = np.linalg.pinv(cov)
     spread = features - center
     distance = np.sqrt(np.maximum(np.sum((spread @ precision) * spread, axis=1), 0.0))
+
+    from scipy import stats
 
     cutoff = float(np.sqrt(stats.chi2.ppf(alpha, df=d)))
     outlier_mask = distance > cutoff

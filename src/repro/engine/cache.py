@@ -2,7 +2,8 @@
 
 Everything the penalized least-squares machinery computes is a pure
 function of a small configuration tuple: the design matrix ``Phi``
-depends on (basis, grid); the roughness penalty ``R`` on (basis,
+(and each derivative design ``D^q Phi`` a mapping evaluates on its
+grid) depends on (basis, grid, q); the roughness penalty ``R`` on (basis,
 penalty order); the normal-equation factorization ``(Phi'Phi + λR)``
 and the hat matrix ``S`` on (basis, grid, λ, penalty order).  The
 experiment protocol (paper Sec. 4.1: 50 repetitions × 5 contamination
@@ -122,7 +123,7 @@ class FactorizationCache:
 
     Keys
     ----
-    * design matrix: ``(basis.cache_key, grid)``
+    * design matrix: ``(basis.cache_key, grid, derivative)``
     * penalty matrix: ``(basis.cache_key, penalty_order)``
     * factorization / hat matrix: ``(basis.cache_key, grid, λ, penalty_order)``
 
@@ -170,9 +171,9 @@ class FactorizationCache:
         }
 
     # ------------------------------------------------------------------ artifacts
-    def design(self, basis: Basis, points: np.ndarray) -> np.ndarray:
-        """The design matrix ``Phi`` of ``basis`` on ``points``."""
-        key = (basis.cache_key, _grid_key(points))
+    def design(self, basis: Basis, points: np.ndarray, derivative: int = 0) -> np.ndarray:
+        """The design matrix ``D^q Phi`` of ``basis`` on ``points`` (``q = derivative``)."""
+        key = (basis.cache_key, _grid_key(points), int(derivative))
         cached = self._designs.get(key)
         if cached is not None:
             self.stats.design_hits += 1
@@ -180,7 +181,7 @@ class FactorizationCache:
             return cached
         self.stats.design_builds += 1
         self._tel_builds["design"].inc()
-        design = basis.evaluate(points)
+        design = basis.evaluate(points, derivative=derivative)
         self._designs.put(key, design)
         return design
 

@@ -259,9 +259,16 @@ class BasisFData:
     def __len__(self) -> int:
         return self.n_samples
 
-    def evaluate(self, grid, derivative: int = 0) -> np.ndarray:
-        """Evaluate ``D^q x~_i`` for all samples on a grid → ``(n, len(grid))``."""
-        design = self.basis.evaluate(grid, derivative=derivative)
+    def evaluate(self, grid, derivative: int = 0, cache=None) -> np.ndarray:
+        """Evaluate ``D^q x~_i`` for all samples on a grid → ``(n, len(grid))``.
+
+        With a :class:`~repro.engine.FactorizationCache` as ``cache`` the
+        design ``D^q Phi`` on ``grid`` is built once and reused.
+        """
+        if cache is None:
+            design = self.basis.evaluate(grid, derivative=derivative)
+        else:
+            design = cache.design(self.basis, grid, derivative)
         return self.coefficients @ design.T
 
     def to_grid(self, grid) -> FDataGrid:
@@ -314,9 +321,11 @@ class MultivariateBasisFData:
     def __len__(self) -> int:
         return self.n_samples
 
-    def evaluate(self, grid, derivative: int = 0) -> np.ndarray:
+    def evaluate(self, grid, derivative: int = 0, cache=None) -> np.ndarray:
         """Evaluate all parameters on a grid → ``(n, len(grid), p)``."""
-        layers = [comp.evaluate(grid, derivative=derivative) for comp in self.components]
+        layers = [
+            comp.evaluate(grid, derivative=derivative, cache=cache) for comp in self.components
+        ]
         return np.stack(layers, axis=2)
 
     def to_grid(self, grid) -> MFDataGrid:

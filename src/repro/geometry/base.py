@@ -60,8 +60,13 @@ class MappingFunction(abc.ABC):
         """
 
     # ------------------------------------------------------------------ API
-    def transform(self, fdata: MultivariateBasisFData, grid) -> FDataGrid:
-        """Apply the mapping to basis-represented MFD, evaluated on ``grid``."""
+    def transform(self, fdata: MultivariateBasisFData, grid, cache=None) -> FDataGrid:
+        """Apply the mapping to basis-represented MFD, evaluated on ``grid``.
+
+        ``cache`` (a :class:`~repro.engine.FactorizationCache`) memoizes
+        the derivative designs on ``grid``; the output is bit-identical
+        to the uncached evaluation.
+        """
         if not isinstance(fdata, MultivariateBasisFData):
             raise ValidationError(
                 f"fdata must be MultivariateBasisFData, got {type(fdata).__name__}"
@@ -69,7 +74,7 @@ class MappingFunction(abc.ABC):
         grid = check_grid(grid, "grid")
         self._check_dimension(fdata.n_parameters)
         derivatives = [
-            fdata.evaluate(grid, derivative=q)
+            fdata.evaluate(grid, derivative=q, cache=cache)
             for q in range(self.required_derivatives + 1)
         ]
         return FDataGrid(self._map(derivatives, grid), grid)

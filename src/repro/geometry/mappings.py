@@ -210,7 +210,7 @@ class CompositeMapping:
     def required_derivatives(self) -> int:
         return max(m.required_derivatives for m in self.mappings)
 
-    def transform(self, fdata: MultivariateBasisFData, grid) -> FDataGrid:
+    def transform(self, fdata: MultivariateBasisFData, grid, cache=None) -> FDataGrid:
         """Evaluate every mapping and stack curves horizontally.
 
         The result is returned as an :class:`FDataGrid` over a synthetic
@@ -218,7 +218,7 @@ class CompositeMapping:
         downstream vectorization identical to single mappings.
         """
         grid = check_grid(grid, "grid")
-        blocks = [m.transform(fdata, grid).values for m in self.mappings]
+        blocks = [m.transform(fdata, grid, cache=cache).values for m in self.mappings]
         stacked = np.concatenate(blocks, axis=1)
         m = grid.shape[0]
         index_grid = np.concatenate(

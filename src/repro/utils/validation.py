@@ -31,6 +31,12 @@ __all__ = [
 def as_float_array(values, name: str = "array") -> np.ndarray:
     """Convert ``values`` to a float64 ndarray, rejecting NaN and infinity.
 
+    A non-finite entry rejects the whole array, never just the samples
+    that hold it: for arrays of two or more dimensions the error names
+    the offending axis-0 indices (the samples, e.g. curves of a scoring
+    request) — the first 10 of them and their count — so a caller can
+    find and drop them before resubmitting.
+
     Parameters
     ----------
     values:
@@ -48,7 +54,12 @@ def as_float_array(values, name: str = "array") -> np.ndarray:
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} is not convertible to a float array: {exc}") from exc
     if array.size and not np.all(np.isfinite(array)):
-        raise ValidationError(f"{name} contains NaN or infinite values")
+        message = f"{name} contains NaN or infinite values"
+        if array.ndim >= 2:
+            finite = np.isfinite(array).reshape(array.shape[0], -1).all(axis=1)
+            bad = np.flatnonzero(~finite)
+            message += f" in {bad.size} of {array.shape[0]} samples: {bad[:10].tolist()}"
+        raise ValidationError(message)
     return array
 
 

@@ -1,0 +1,63 @@
+"""Import budget: no entry point loads SciPy beyond ``scipy.linalg``.
+
+``scipy.stats`` alone (with the optimize/spatial/special stack it pulls
+in) more than doubles the import time and adds about 40 MB of RSS to
+every process: each Fig. 3 child, ``repro serve`` and its workers, every
+CLI call, and pool workers under a spawn or forkserver start method.
+Optional heavy dependencies are therefore imported inside the function
+that uses them (see :func:`repro.depth.msplot.ms_plot`).  Each check
+runs in a fresh interpreter, since this test process has long since
+imported the modules under test.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ENTRY_POINTS = (
+    "repro",
+    "repro.cli",
+    "repro.serving.server",
+    "repro.evaluation.experiment",
+    "repro.plan",
+    "repro.streaming",
+)
+
+#: ``scipy.linalg`` and the private modules it imports.
+ALLOWED_SCIPY = (
+    "scipy.linalg",
+    "scipy._lib",
+    "scipy._cyutility",
+    "scipy.version",
+    "scipy.__config__",
+    "scipy._distributor_init",
+)
+
+
+def _imported_scipy_modules(module: str) -> list:
+    script = (
+        "import json, sys\n"
+        f"import {module}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.'))))\n"
+    )
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", script], check=True, env=env,
+        capture_output=True, text=True,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def _allowed(name: str) -> bool:
+    return any(name == root or name.startswith(root + ".") for root in ALLOWED_SCIPY)
+
+
+@pytest.mark.parametrize("module", ENTRY_POINTS)
+def test_entry_point_imports_only_scipy_linalg(module):
+    loaded = _imported_scipy_modules(module)
+    assert [name for name in loaded if not _allowed(name)] == []

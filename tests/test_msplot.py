@@ -1,5 +1,9 @@
 """Unit tests for the magnitude-shape plot analysis."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -62,3 +66,40 @@ class TestMsPlot:
         decomposition = directional_outlyingness(mixed_population, random_state=0)
         np.testing.assert_allclose(result.magnitude, decomposition.mean_magnitude)
         np.testing.assert_allclose(result.shape, decomposition.variation)
+
+
+class TestCutoff:
+    """``scipy.stats`` is imported inside :func:`ms_plot`, not at module load."""
+
+    @pytest.mark.parametrize("alpha", [0.8, 0.993, 0.999])
+    def test_cutoff_is_the_chi2_quantile(self, mixed_population, alpha):
+        from scipy import stats
+
+        result = ms_plot(mixed_population, alpha=alpha, random_state=0)
+        assert result.cutoff == np.sqrt(stats.chi2.ppf(alpha, df=2))
+
+    def test_works_in_a_process_without_scipy_stats(self, tmp_path):
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from repro.depth.msplot import ms_plot\n"
+            "from repro.fda.fdata import FDataGrid\n"
+            "assert 'scipy.stats' not in sys.modules\n"
+            "grid = np.linspace(0, 1, 50)\n"
+            "rng = np.random.default_rng(0)\n"
+            "values = np.sin(2 * np.pi * grid) + 0.1 * rng.standard_normal((30, 50))\n"
+            "values[29] += 3.0\n"
+            "result = ms_plot(FDataGrid(values, grid), random_state=0)\n"
+            "print(repr(result.cutoff), bool(result.outlier_mask[29]))\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-c", script], check=True, env=env,
+            capture_output=True, text=True,
+        ).stdout.split()
+        from scipy import stats
+
+        assert float(out[0]) == np.sqrt(stats.chi2.ppf(0.993, df=2))
+        assert out[1] == "True"

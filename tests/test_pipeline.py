@@ -96,6 +96,27 @@ class TestScoring:
         features = pipeline.transform(data)
         assert features.shape == (data.n_samples, data.n_points)
 
+    @pytest.mark.parametrize("eval_points", [None, 50])
+    @pytest.mark.parametrize(
+        "mapping",
+        [CurvatureMapping(), CompositeMapping([CurvatureMapping(), SpeedMapping()])],
+        ids=["curvature", "composite"],
+    )
+    def test_transform_reuses_eval_designs(self, correlation_mfd, mapping, eval_points):
+        data, _ = correlation_mfd
+        pipe = GeometricOutlierPipeline(
+            IsolationForest(random_state=0), mapping=mapping, n_basis=12,
+            eval_points=eval_points,
+        ).fit(data)
+        stats = pipe.context.cache.stats
+        first = pipe.transform(data)
+        builds = stats.design_builds
+        second = pipe.transform(data)
+        assert stats.design_builds == builds
+        uncached = mapping.transform(pipe._smooth(data), pipe.eval_grid_).values
+        assert np.array_equal(first, uncached)
+        assert np.array_equal(second, uncached)
+
     def test_composite_mapping_widens_features(self, correlation_mfd):
         data, _ = correlation_mfd
         pipe = GeometricOutlierPipeline(

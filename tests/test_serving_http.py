@@ -229,6 +229,24 @@ class TestBackpressure:
         assert shed.headers["Retry-After"] == "1.5"
         assert app.shed_requests == 1 and app.accepted_requests == 0
 
+    def test_nan_curves_are_named_and_reject_the_request(self, dataset, fitted):
+        data, _ = dataset
+        service = ScoringService()
+        service.register("main", fitted)
+        app = ServingApp(service)
+        doc = _batch_doc(data, n=8)
+        doc["values"][2][3][0] = float("nan")
+        doc["values"][5][0][1] = float("nan")
+        body = json.dumps(doc).encode()
+        expected = "values contains NaN or infinite values in 2 of 8 samples: [2, 5]"
+        with pytest.raises(ValidationError, match=re.escape(expected)):
+            app.score(body)
+        with pytest.raises(ValidationError, match=re.escape(expected)):
+            app.try_submit(body)
+        # The whole request is rejected before it reaches the queue.
+        assert service.outstanding_curves() == 0
+        assert app.accepted_requests == 0
+
     def test_app_rejects_bad_high_water(self, fitted):
         service = ScoringService()
         service.register("main", fitted)

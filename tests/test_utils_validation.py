@@ -42,6 +42,25 @@ class TestAsFloatArray:
         with pytest.raises(ValidationError, match="myname"):
             as_float_array([np.nan], name="myname")
 
+    def test_names_bad_samples(self):
+        values = np.zeros((8, 5, 2))
+        values[2, 1, 0] = np.nan
+        values[5, 4, 1] = -np.inf
+        with pytest.raises(ValidationError) as info:
+            as_float_array(values, name="values")
+        assert str(info.value) == (
+            "values contains NaN or infinite values in 2 of 8 samples: [2, 5]"
+        )
+
+    def test_lists_first_ten_bad_samples(self):
+        values = np.zeros((30, 3))
+        values[::2, 1] = np.nan
+        with pytest.raises(ValidationError) as info:
+            as_float_array(values, name="values")
+        assert str(info.value).endswith(
+            "in 15 of 30 samples: [0, 2, 4, 6, 8, 10, 12, 14, 16, 18]"
+        )
+
 
 class TestCheckVector:
     def test_accepts_vector(self):
