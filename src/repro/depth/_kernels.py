@@ -5,9 +5,10 @@ samples, grid points, curve pairs or random directions.  This module
 replaces those loops with whole-array NumPy computations over
 memory-bounded blocks:
 
-* **FUNTA** — the O(n²·m) pair loop becomes one broadcast sign-change
-  computation over ``(block × n_ref × m)`` slabs, with tangent angles
-  ``arctan``-ed once per curve instead of once per pair;
+* **FUNTA** — the O(n²·m) pair loop becomes broadcast sign comparisons
+  over cache-sized ``(block × n_ref × m)`` boolean slabs, with tangent
+  angles ``arctan``-ed once per curve instead of once per pair and
+  gathered only at the (sparse) crossings;
 * **pointwise profiles** — projection / halfspace / mahalanobis /
   spatial / simplicial depth of every sample at every grid point is
   dispatched as whole ``(n_samples × n_points)`` cross-sections;
@@ -294,6 +295,51 @@ def _rank_counts_tied(
 
 
 # --------------------------------------------------------------------------- FUNTA
+#: Scratch cap of one FUNTA row block, whatever ``block_bytes`` allows.
+#: The crossing detection allocates four boolean ``(rows, n_ref, m)``
+#: slabs; under this cap one slab stays at or below 96 KB (a dozen
+#: query rows against a 128-curve, 64-point reference), so a block's
+#: temporaries stay in a core's L2 cache instead of spilling to memory.
+_FUNTA_BLOCK_CAP = 4 * 96 * 1024
+
+
+def _funta_row_bytes(n_ref: int, m: int) -> int:
+    """Scratch per query row of :func:`_funta_cross_stats`: the four
+    boolean ``(n_ref, m)`` slabs it allocates (two sign masks, the
+    crossing mask and its sign-flip temporary; the touch mask reuses a
+    sign mask)."""
+    return 4 * max(n_ref, 1) * m
+
+
+def _funta_blocks(n: int, n_ref: int, m: int, block_bytes: int) -> list[tuple[int, int]]:
+    """Cache-sized row blocks of one FUNTA call (``block_bytes`` can only
+    shrink them below :data:`_FUNTA_BLOCK_CAP`)."""
+    return row_blocks(n, _funta_row_bytes(n_ref, m), min(block_bytes, _FUNTA_BLOCK_CAP))
+
+
+def _funta_inputs(values, ref_values, grid, theta_pts, theta_ref, dtype):
+    """C-contiguous compute-dtype lanes and tangent angles of one FUNTA call.
+
+    The crossing kernel compares query rows against every reference lane
+    once per block, so strided lanes (the streaming scorer's
+    ``items[:, :, k]``) are copied once here rather than walked strided
+    per block; the angles are gathered through flat indices, so they
+    must be contiguous too.
+    """
+    compute_dtype = resolve_dtype(dtype)
+    same = values is ref_values
+    values = np.ascontiguousarray(values, dtype=compute_dtype)
+    ref_values = values if same else np.ascontiguousarray(ref_values, dtype=compute_dtype)
+    dt = np.diff(np.asarray(grid, dtype=compute_dtype))
+    if theta_pts is None:
+        theta_pts = np.arctan(np.diff(values, axis=1) / dt)
+    if theta_ref is None:
+        theta_ref = np.arctan(np.diff(ref_values, axis=1) / dt)
+    theta_pts = np.ascontiguousarray(theta_pts, dtype=compute_dtype)
+    theta_ref = np.ascontiguousarray(theta_ref, dtype=compute_dtype)
+    return values, ref_values, theta_pts, theta_ref
+
+
 def _funta_cross_stats(
     block,
     values: np.ndarray,
@@ -303,21 +349,35 @@ def _funta_cross_stats(
     same: bool,
 ):
     """Crossing counts, pair validity and gathered crossing angles for one
-    contiguous row block — the shared core of every FUNTA path."""
+    contiguous row block — the shared core of every FUNTA path.
+
+    Crossings come back sparse, in C order of ``(row, reference, interval)``:
+    ``pair = row * n_ref + reference`` and the folded angle of each one.
+    """
     start, stop = block
     b = stop - start
-    n_ref = ref_values.shape[0]
+    n_ref, m = ref_values.shape
+    w = m - 1
 
-    diff = values[start:stop, None, :] - ref_values[None, :, :]  # (b, r, m)
-    pos = diff > 0
-    neg = diff < 0
+    # Only the signs of query - reference are needed, and for finite
+    # values q - r > 0 exactly when q > r: compare instead of subtracting.
+    q = values[start:stop, None, :]
+    r = ref_values[None, :, :]
+    pos = q > r  # (b, r, m)
+    neg = q < r
     # A crossing lives in interval t when the sign flips or a curve
-    # touches (diff == 0); a touch at the last grid point folds into the
-    # last interval — exactly the interval set the naive loop collects.
-    cross = (pos[:, :, :-1] & neg[:, :, 1:]) | (neg[:, :, :-1] & pos[:, :, 1:])
-    touch = ~(pos | neg)
+    # touches (equal values); a touch at the last grid point folds into
+    # the last interval — exactly the interval set the naive loop collects.
+    cross = pos[:, :, :-1] & neg[:, :, 1:]
+    cross |= neg[:, :, :-1] & pos[:, :, 1:]
+    # Each mask and index array is dropped once folded in, so the peak
+    # stays at the slabs _funta_row_bytes budgets.
+    touch = np.logical_or(pos, neg, out=pos)
+    del neg
+    np.logical_not(touch, out=touch)
     cross |= touch[:, :, :-1]
     cross[:, :, -1] |= touch[:, :, -1]
+    del pos, touch
 
     valid = np.ones((b, n_ref), dtype=bool)
     if same:
@@ -325,13 +385,22 @@ def _funta_cross_stats(
         cross[local, start + local, :] = False
         valid[local, start + local] = False
 
-    counts = cross.sum(axis=2)  # (b, r) crossings per pair
-    # Angles are only needed at the (sparse) crossings: gather them
-    # instead of materializing the dense (b, r, m-1) angle slab.
-    ib, jb, tb = np.nonzero(cross)
-    angles = np.abs(theta_pts[start + ib, tb] - theta_ref[jb, tb])
+    # Crossings are sparse: unravel their flat C-order indices into
+    # (pair, interval) and gather only their angles instead of
+    # materializing the dense (b, r, m-1) angle slab.
+    flat = np.flatnonzero(cross)
+    del cross
+    pair = flat // w
+    tb = flat - pair * w
+    del flat
+    ib = pair // n_ref
+    jb = pair - ib * n_ref
+    counts = np.bincount(pair, minlength=b * n_ref).reshape(b, n_ref)
+    angles = theta_pts.reshape(-1)[(ib + start) * w + tb]
+    angles -= theta_ref.reshape(-1)[jb * w + tb]
+    np.abs(angles, out=angles)
     np.minimum(angles, np.pi - angles, out=angles)
-    return b, n_ref, counts, valid, ib, jb, angles
+    return b, n_ref, counts, valid, pair, angles
 
 
 def _funta_pair_totals(
@@ -349,12 +418,10 @@ def _funta_pair_totals(
     against disjoint reference shards combine by addition — the property
     the sharded streaming scorer exploits.
     """
-    b, n_ref, counts, valid, ib, jb, angles = _funta_cross_stats(
+    b, n_ref, counts, valid, pair, angles = _funta_cross_stats(
         block, values, ref_values, theta_pts, theta_ref, same
     )
-    sums = np.bincount(
-        ib * n_ref + jb, weights=angles, minlength=b * n_ref
-    ).reshape(b, n_ref)
+    sums = np.bincount(pair, weights=angles, minlength=b * n_ref).reshape(b, n_ref)
     # A never-crossing pair contributes one maximal angle (pi/2).
     eff_counts = np.where(valid, np.where(counts > 0, counts, 1), 0)
     eff_sums = np.where(valid, np.where(counts > 0, sums, _HALF_PI), 0.0)
@@ -381,7 +448,7 @@ def _funta_block(
         )
         return np.clip(depth, 0.0, 1.0)
 
-    b, n_ref, counts, valid, ib, jb, angles = _funta_cross_stats(
+    b, n_ref, counts, valid, pair, angles = _funta_cross_stats(
         block, values, ref_values, theta_pts, theta_ref, same
     )
 
@@ -389,7 +456,7 @@ def _funta_block(
     # angle multiset, so walk the gathered angles per row (an O(n) loop
     # over contiguous slices — not the O(n²) pair loop).
     depth = np.empty(b)
-    bounds = np.searchsorted(ib, np.arange(b + 1))
+    bounds = np.searchsorted(pair, np.arange(b + 1) * n_ref)
     missing_counts = (valid & (counts == 0)).sum(axis=1)
     for i in range(b):
         row_angles = angles[bounds[i] : bounds[i + 1]]
@@ -423,8 +490,9 @@ def funta_univariate(
     """Blocked vectorized FUNTA depth (one parameter).
 
     Tangent angles are ``arctan``-ed once per curve — O((n + n_ref)·m)
-    — and the crossing detection runs as one broadcast over
-    ``(block × n_ref × m)`` slabs bounded by ``block_bytes``.
+    — and the crossing detection runs as one broadcast comparison over
+    cache-sized ``(block × n_ref × m)`` boolean slabs, further bounded
+    by ``block_bytes``.
 
     ``theta_pts`` / ``theta_ref`` optionally inject precomputed tangent
     angles (``arctan(diff(curves) / diff(grid))``, per curve).  The
@@ -434,26 +502,15 @@ def funta_univariate(
     identical elementwise computation, injection is bit-identical to
     recomputing.
 
-    ``dtype`` selects the compute precision of the difference/angle
-    slabs (the memory-bound part); counts and the final aggregation stay
-    float64 either way.
+    ``dtype`` selects the compute precision of the curves and angles;
+    counts and the final aggregation stay float64 either way.
     """
     block_bytes = resolve_block_bytes(block_bytes)
-    compute_dtype = resolve_dtype(dtype)
-    values, ref_values = _as_dtype_pair(values, ref_values, compute_dtype)
+    values, ref_values, theta_pts, theta_ref = _funta_inputs(
+        values, ref_values, grid, theta_pts, theta_ref, dtype
+    )
     n, m = values.shape
-    dt = np.diff(np.asarray(grid, dtype=compute_dtype))
-    if theta_pts is None:
-        theta_pts = np.arctan(np.diff(values, axis=1) / dt)
-    else:
-        theta_pts = np.asarray(theta_pts, dtype=compute_dtype)
-    if theta_ref is None:
-        theta_ref = np.arctan(np.diff(ref_values, axis=1) / dt)
-    else:
-        theta_ref = np.asarray(theta_ref, dtype=compute_dtype)
-    # Scratch per row: one difference slab + four boolean masks.
-    bytes_per_row = ref_values.shape[0] * m * (compute_dtype.itemsize + 4) * 1.3
-    blocks = row_blocks(n, bytes_per_row, block_bytes)
+    blocks = _funta_blocks(n, ref_values.shape[0], m, block_bytes)
     worker = functools.partial(_funta_block, trim=trim, same=same)
     arrays = {
         "values": values,
@@ -485,23 +542,13 @@ def funta_partials(
     depth up to floating-point summation order.
     """
     block_bytes = resolve_block_bytes(block_bytes)
-    compute_dtype = resolve_dtype(dtype)
-    values, ref_values = _as_dtype_pair(values, ref_values, compute_dtype)
+    values, ref_values, theta_pts, theta_ref = _funta_inputs(
+        values, ref_values, grid, theta_pts, theta_ref, dtype
+    )
     n, m = values.shape
-    dt = np.diff(np.asarray(grid, dtype=compute_dtype))
-    if theta_pts is None:
-        theta_pts = np.arctan(np.diff(values, axis=1) / dt)
-    else:
-        theta_pts = np.asarray(theta_pts, dtype=compute_dtype)
-    if theta_ref is None:
-        theta_ref = np.arctan(np.diff(ref_values, axis=1) / dt)
-    else:
-        theta_ref = np.asarray(theta_ref, dtype=compute_dtype)
-    bytes_per_row = max(ref_values.shape[0], 1) * m * (compute_dtype.itemsize + 4) * 1.3
-    blocks = row_blocks(n, bytes_per_row, block_bytes)
     counts = np.empty(n, dtype=np.int64)
     sums = np.empty(n)
-    for block in blocks:
+    for block in _funta_blocks(n, ref_values.shape[0], m, block_bytes):
         c, s = _funta_pair_totals(
             block, values, ref_values, theta_pts, theta_ref, same=False
         )

@@ -90,3 +90,52 @@ def test_streaming_calls_match_golden(golden, k):
     assert counts.dtype == np.int64
     assert np.array_equal(counts, golden[f"stream_partials_counts_p{k}"])
     assert np.array_equal(sums, golden[f"stream_partials_sums_p{k}"])
+
+
+def _rows_budget(rows, n_ref, m):
+    """A ``block_bytes`` that cuts FUNTA calls into ``rows``-row blocks."""
+    return rows * _kernels._funta_row_bytes(n_ref, m)
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+@pytest.mark.parametrize("trim", [0.0, 0.15])
+def test_funta_block_invariance(golden, monkeypatch, rows, trim):
+    """Scores do not depend on how the query rows are cut into blocks,
+    including self-scoring, whose diagonal exclusion crosses block edges."""
+    grid = golden["stream_grid"]
+    items, window = golden["stream_items"][:, :, 0], golden["stream_window"][:, :, 0]
+    n_ref, m = window.shape
+    if rows is None:  # one block holding every row
+        monkeypatch.setattr(_kernels, "_FUNTA_BLOCK_CAP", _kernels.DEFAULT_BLOCK_BYTES)
+        budget = None
+        assert len(_kernels._funta_blocks(n_ref, n_ref, m, _kernels.DEFAULT_BLOCK_BYTES)) == 1
+    else:
+        budget = _rows_budget(rows, n_ref, m)
+        blocks = _kernels._funta_blocks(n_ref, n_ref, m, budget)
+        assert {stop - start for start, stop in blocks[:-1]} == {rows}
+
+    depth = _kernels.funta_univariate(items, window, grid, trim, False, block_bytes=budget)
+    assert np.array_equal(depth, golden[f"stream_trim{trim}_p0"])
+    self_depth = _kernels.funta_univariate(window, window, grid, trim, True, block_bytes=budget)
+    assert np.array_equal(self_depth, golden[f"stream_self_trim{trim}_p0"])
+    if trim == 0.0:
+        counts, sums = _kernels.funta_partials(items, window, grid, block_bytes=budget)
+        assert np.array_equal(counts, golden["stream_partials_counts_p0"])
+        assert np.array_equal(sums, golden["stream_partials_sums_p0"])
+
+
+@pytest.mark.parametrize("trim", [0.0, 0.15])
+def test_funta_scratch_stays_cache_sized(golden, trim):
+    """64 queries x 128 references x 64 points at the default budget peak
+    below 1 MB of scratch: no dense float slab, no whole-input block."""
+    import tracemalloc
+
+    grid = golden["stream_grid"]
+    items, window = golden["stream_items"][:, :, 0], golden["stream_window"][:, :, 0]
+    tracemalloc.start()
+    try:
+        _kernels.funta_univariate(items, window, grid, trim, False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
