@@ -13,8 +13,6 @@ Usage::
     python -m repro telemetry dump --pipeline model_dir --data batch.npz
     python -m repro telemetry trace --pipeline model_dir --data batch.npz
     python -m repro plan validate examples/specs/*.json model_dir
-    python -m repro bench-depth --n 200 --m 100 --n-jobs 2
-    python -m repro bench-stream --window 128 --arrivals 200
 
 Each figure subcommand prints the same rows/series as the corresponding
 bench in ``benchmarks/`` (the benches additionally assert the expected
@@ -27,6 +25,9 @@ arrays, streaming in bounded-memory chunks.  ``stream-score`` is the
 chunk by chunk against an evolving reference window with an adaptive
 threshold and drift monitoring (curves consumed during warm-up get NaN
 scores).
+
+The CLI records no timings: ``perfbench/run.py`` is the repository
+benchmark, and ``benchmarks/bench_gates.py`` holds the CI speed gates.
 
 ``main`` returns 0 on success and 2 on operational errors (missing or
 corrupt files, invalid data), printing the reason to stderr.
@@ -175,55 +176,6 @@ def _load_batch_npz(path):
     if values.shape[0] == 0:
         raise PersistenceError(f"data file {path} contains no curves")
     return MFDataGrid(values, grid)
-
-
-def run_bench_depth(args) -> None:
-    """bench-depth: time the depth kernels, persist the perf datapoint.
-
-    ``--scale`` swaps the naive-vs-vectorized gate workload for the
-    large scoring workload (no naive oracle timings — at 100k curves
-    the loop kernels would dominate the run); ``--n`` defaults per
-    mode (200 normal, 100_000 scaled).
-    """
-    from repro.perf import (
-        append_bench_record,
-        format_bench_rows,
-        run_depth_kernel_bench,
-        run_scaled_depth_bench,
-    )
-
-    if args.scale:
-        n = 100_000 if args.n is None else args.n
-        record = run_scaled_depth_bench(
-            n=n,
-            n_ref=args.n_ref,
-            m=args.m,
-            seed=args.seed,
-            repeats=args.repeats,
-            n_jobs=args.n_jobs,
-            quick=args.quick,
-        )
-        title = f"Depth kernels (scaled) — n={n}, n_ref={args.n_ref}, m={args.m}"
-    else:
-        n = 200 if args.n is None else args.n
-        record = run_depth_kernel_bench(
-            n=n,
-            m=args.m,
-            seed=args.seed,
-            repeats=args.repeats,
-            n_jobs=args.n_jobs,
-            quick=args.quick,
-        )
-        title = f"Depth kernels — n={n}, m={args.m}"
-    headers, rows = format_bench_rows(record)
-    _print_table(
-        f"{title}, git {record['git_sha'][:12]}",
-        headers,
-        rows,
-    )
-    if args.output:
-        trajectory = append_bench_record(args.output, record)
-        print(f"\nperf trajectory: {args.output} ({len(trajectory)} records)")
 
 
 def _parse_pipeline_args(entries) -> dict:
@@ -439,31 +391,6 @@ def run_telemetry(args) -> None:
             telemetry.tracer.export_jsonl(sys.stdout)
 
 
-def run_bench_stream(args) -> None:
-    """bench-stream: time incremental vs refit streaming, persist record."""
-    from repro.perf import append_bench_record, format_streaming_rows, run_streaming_bench
-
-    record = run_streaming_bench(
-        window=args.window,
-        m=args.m,
-        arrivals=args.arrivals,
-        seed=args.seed,
-        repeats=args.repeats,
-        quick=args.quick,
-        shards=args.shards,
-    )
-    headers, rows = format_streaming_rows(record)
-    _print_table(
-        f"Streaming — window={args.window}, m={args.m}, "
-        f"arrivals={args.arrivals}, git {record['git_sha'][:12]}",
-        headers,
-        rows,
-    )
-    if args.output:
-        trajectory = append_bench_record(args.output, record)
-        print(f"\nperf trajectory: {args.output} ({len(trajectory)} records)")
-
-
 def run_plan_validate(args) -> None:
     """plan validate: parse, validate and compile declarative specs.
 
@@ -533,49 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
         subparsers.add_parser(name, parents=[figure_options],
                               help=f"regenerate {name}" if name != "all"
                               else "regenerate every figure")
-    bench = subparsers.add_parser(
-        "bench-depth",
-        help="time naive vs vectorized depth kernels; append the "
-             "machine-readable record to the perf trajectory")
-    bench.add_argument("--n", type=int, default=None,
-                       help="curves in the workload "
-                            "(default 200, or 100000 with --scale)")
-    bench.add_argument("--m", type=int, default=100, help="grid points per curve")
-    bench.add_argument("--seed", type=int, default=7, help="workload random seed")
-    bench.add_argument("--repeats", type=int, default=2,
-                       help="timing repetitions (best-of)")
-    bench.add_argument("--n-jobs", type=int, default=1,
-                       help="also time the kernels fanned out over this many "
-                            "workers (1 = skip the pool column)")
-    bench.add_argument("--scale", action="store_true",
-                       help="run the large scoring workload instead of the "
-                            "naive-vs-vectorized gate (skips naive timings)")
-    bench.add_argument("--n-ref", type=int, default=256,
-                       help="reference curves for the --scale workload")
-    bench.add_argument("--quick", action="store_true",
-                       help="mark the record as a quick-mode datapoint")
-    bench.add_argument("--output", default="BENCH_depth_kernels.json",
-                       help="perf-trajectory JSON to append to "
-                            "('' = print only)")
-    stream_bench = subparsers.add_parser(
-        "bench-stream",
-        help="time incremental streaming updates vs naive refit per arrival; "
-             "append the machine-readable record to the perf trajectory")
-    stream_bench.add_argument("--window", type=int, default=128,
-                              help="reference window capacity")
-    stream_bench.add_argument("--m", type=int, default=100, help="grid points per curve")
-    stream_bench.add_argument("--arrivals", type=int, default=200,
-                              help="single-curve arrivals timed after the prime")
-    stream_bench.add_argument("--seed", type=int, default=7, help="workload random seed")
-    stream_bench.add_argument("--repeats", type=int, default=2,
-                              help="timing repetitions (best-of)")
-    stream_bench.add_argument("--shards", type=int, default=1,
-                              help="also time StreamingDetector(shards=N) against "
-                                   "the single stream (records shard_speedup)")
-    stream_bench.add_argument("--quick", action="store_true",
-                              help="mark the record as a quick-mode datapoint")
-    stream_bench.add_argument("--output", default="BENCH_streaming.json",
-                              help="perf-trajectory JSON to append to ('' = print only)")
     stream = subparsers.add_parser(
         "stream-score",
         help="online detection over a curve stream (evolving reference, "
@@ -704,10 +588,6 @@ def main(argv=None) -> int:
             run_stream_score(args)
         elif args.command == "telemetry":
             run_telemetry(args)
-        elif args.command == "bench-depth":
-            run_bench_depth(args)
-        elif args.command == "bench-stream":
-            run_bench_stream(args)
         else:
             COMMANDS[args.command](args)
     except (ReproError, OSError) as exc:

@@ -40,7 +40,8 @@ order-independent), except the ``pipeline`` moments, which agree with a
 from-scratch rebuild to floating-point accumulation error (~1e-10) and
 are periodically resynced.  ``incremental=False`` switches every kind
 to the refit-from-scratch path — the equivalence oracle the property
-tests and ``benchmarks/bench_streaming.py`` pin the caches against.
+tests pin the caches against, and the baseline of the incremental
+speed gate in ``benchmarks/bench_gates.py``.
 
 For multivariate (p > 1) ``dirout``/``halfspace``, the per-grid-point
 random projection directions make caching memory-prohibitive; those

@@ -205,33 +205,6 @@ class TestStreamScore:
         assert "error:" in capsys.readouterr().err
 
 
-class TestBenchStream:
-    def test_print_only_run(self, capsys):
-        rc = main([
-            "bench-stream", "--window", "24", "--m", "16", "--arrivals", "10",
-            "--repeats", "1", "--quick", "--output", "",
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "Streaming" in out
-        assert "funta_p1" in out
-
-    def test_appends_perf_record(self, tmp_path, capsys):
-        output = tmp_path / "BENCH_streaming.json"
-        rc = main([
-            "bench-stream", "--window", "24", "--m", "16", "--arrivals", "8",
-            "--repeats", "1", "--quick", "--output", str(output),
-        ])
-        assert rc == 0
-        trajectory = json.loads(output.read_text())
-        assert len(trajectory) == 1
-        record = trajectory[0]
-        assert record["bench"] == "streaming"
-        assert {r["case"] for r in record["results"]} >= {
-            "funta_p1", "dirout_p1", "halfspace_p1",
-        }
-
-
 class TestServeScoreDiagnostics:
     def test_state_type_corruption_exits_2_with_one_line_error(
         self, saved_pipeline, capsys

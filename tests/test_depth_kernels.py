@@ -2,19 +2,15 @@
 
 Covers what the property suite doesn't: block/budget plumbing, the
 ExecutionContext fan-out (pooled results bit-identical to serial), the
-batched Weiszfeld early exit, the serving ``DepthScorer``, the
-partition-select detectors, and the perf-trajectory machinery behind
-``repro bench-depth``.
+batched Weiszfeld early exit, the serving ``DepthScorer`` and the
+partition-select detectors.
 """
-
-import json
-import os
 
 import numpy as np
 import pytest
 
 from repro.depth import _kernels
-from repro.depth.dirout import _spatial_median
+from repro.depth.dirout import _spatial_median, dirout_scores
 from repro.depth.funta import funta_depth
 from repro.depth.functional import pointwise_depth_profile
 from repro.depth.msplot import ms_plot
@@ -23,7 +19,6 @@ from repro.detectors.lof import LocalOutlierFactor
 from repro.engine import ExecutionContext
 from repro.exceptions import ValidationError
 from repro.fda.fdata import FDataGrid, MFDataGrid
-from repro.perf import append_bench_record, git_sha
 from repro.serving import DepthScorer, ScoringService
 from repro.utils.linalg import row_blocks
 
@@ -111,6 +106,14 @@ class TestContextFanOut:
         pooled = pointwise_depth_profile(
             cube2, notion=notion, block_bytes=50_000,
             context=ExecutionContext(n_jobs=2), **kwargs,
+        )
+        np.testing.assert_array_equal(pooled, serial)
+
+    def test_dirout_pool_bit_identical(self, cube2):
+        serial = dirout_scores(cube2, random_state=0, block_bytes=20_000)
+        pooled = dirout_scores(
+            cube2, random_state=0, block_bytes=20_000,
+            context=ExecutionContext(n_jobs=2),
         )
         np.testing.assert_array_equal(pooled, serial)
 
@@ -257,103 +260,3 @@ class TestPartitionSelectDetectors:
         scores = det.score_samples(X)
         assert scores.argmax() == 60  # the planted outlier
         assert np.abs(scores[:60] - 1.0).max() < 1.0
-
-
-class TestPerfTrajectory:
-    def test_append_and_dedupe(self, tmp_path):
-        path = tmp_path / "BENCH_depth_kernels.json"
-        record = {
-            "schema_version": 1, "bench": "depth_kernels",
-            "git_sha": "abc", "quick": True, "dirty": False, "results": [],
-        }
-        assert len(append_bench_record(path, record)) == 1
-        assert len(append_bench_record(path, dict(record))) == 1  # dedup
-        other = dict(record, git_sha="def")
-        trajectory = append_bench_record(path, other)
-        assert [r["git_sha"] for r in trajectory] == ["abc", "def"]
-        assert json.loads(path.read_text())[-1]["git_sha"] == "def"
-
-    def test_dirty_run_never_replaces_clean_baseline(self, tmp_path):
-        path = tmp_path / "BENCH_depth_kernels.json"
-        clean = {
-            "schema_version": 1, "bench": "depth_kernels",
-            "git_sha": "abc", "quick": True, "dirty": False, "results": [],
-        }
-        dirty = dict(clean, dirty=True)
-        append_bench_record(path, clean)
-        trajectory = append_bench_record(path, dirty)
-        assert len(trajectory) == 2  # the clean baseline survives
-        assert [r["dirty"] for r in trajectory] == [False, True]
-        # A second dirty run replaces only the dirty record.
-        assert len(append_bench_record(path, dict(dirty))) == 2
-
-    def test_append_recovers_from_corrupt_file(self, tmp_path):
-        path = tmp_path / "BENCH_depth_kernels.json"
-        path.write_text("{not json")
-        trajectory = append_bench_record(
-            path, {"bench": "depth_kernels", "git_sha": "x", "quick": False}
-        )
-        assert len(trajectory) == 1
-
-    def test_git_sha_in_repo(self):
-        sha = git_sha()
-        assert sha == "unknown" or len(sha) == 40
-
-
-class TestBenchDepthCli:
-    def test_bench_depth_writes_trajectory(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out = tmp_path / "bench.json"
-        code = main([
-            "bench-depth", "--n", "12", "--m", "8", "--repeats", "1",
-            "--quick", "--output", str(out),
-        ])
-        assert code == 0
-        printed = capsys.readouterr().out
-        assert "Depth kernels" in printed
-        trajectory = json.loads(out.read_text())
-        assert len(trajectory) == 1
-        record = trajectory[0]
-        assert record["schema_version"] == 3
-        assert record["bench"] == "depth_kernels"
-        assert record["workload"]["cpu_count"] == os.cpu_count()
-        kernels = {r["kernel"] for r in record["results"]}
-        assert {"funta", "halfspace_p1", "halfspace_p2", "spatial_p2",
-                "projection_p2", "dirout_p2"} <= kernels
-        for r in record["results"]:
-            assert r["pool_s"] is None
-            assert r["parallel_speedup"] is None
-            assert r["naive_s"] > 0 and r["vectorized_s"] > 0
-
-    def test_bench_depth_scale_mode(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out = tmp_path / "bench.json"
-        code = main([
-            "bench-depth", "--scale", "--n", "40", "--n-ref", "16", "--m", "8",
-            "--repeats", "1", "--n-jobs", "2", "--quick", "--output", str(out),
-        ])
-        assert code == 0
-        assert "scaled" in capsys.readouterr().out
-        record = json.loads(out.read_text())[0]
-        assert record["bench"] == "depth_kernels_scaled"
-        assert record["workload"]["n_ref"] == 16
-        for r in record["results"]:
-            assert r["naive_s"] is None and r["speedup"] is None
-            assert r["pool_s"] is not None
-            assert r["parallel_speedup"] is not None
-
-    def test_format_rows_falls_back_on_v1_records(self):
-        from repro.perf import format_bench_rows
-
-        v1 = {
-            "results": [
-                {"kernel": "funta", "p": 1, "gated": True,
-                 "naive_s": 0.5, "vectorized_s": 0.05,
-                 "pool_s": None, "speedup": 10.0},
-            ]
-        }
-        headers, rows = format_bench_rows(v1)
-        assert "pool ms" not in headers
-        assert rows[0][-1] == "10.0x"

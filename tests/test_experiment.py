@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.methods import DirOutMethod, MappedDetectorMethod
+from repro.core.methods import DirOutMethod, MappedDetectorMethod, default_methods
 from repro.data import make_ecg_dataset, square_augment
 from repro.evaluation.experiment import (
     PAPER_CONTAMINATION_LEVELS,
@@ -73,6 +73,22 @@ class TestRunContaminationExperiment:
         )
         values = table.values("iFor(Curvmap)", 0.2)
         assert ((values >= 0) & (values <= 1)).all()
+
+    def test_n_jobs_two_records_equal_serial(self, small_dataset):
+        """The Fig. 3 fan-out over all four paper methods, depth
+        baselines included, reproduces the serial records exactly."""
+        data, labels = small_dataset
+
+        def run(n_jobs):
+            return run_contamination_experiment(
+                data, labels, default_methods(),
+                contamination_levels=(0.1, 0.2),
+                n_repetitions=2,
+                random_state=7,
+                n_jobs=n_jobs,
+            ).to_records()
+
+        assert run(2) == run(1)
 
     def test_label_length_mismatch(self, small_dataset):
         data, labels = small_dataset

@@ -351,6 +351,55 @@ class TestScoringService:
         assert delta.design_builds == 0
         assert delta.factorization_hits > 0
 
+    def test_serving_regimes_and_plan_dispatch_agree(self, dataset, tmp_path):
+        """Cache cleared per batch, one shared context, micro-batched
+        submit/flush and plan-layer dispatch all score the same traffic
+        alike."""
+        from repro.plan import WorkloadSpec, plan_for_pipeline
+
+        data, _ = dataset
+        save_pipeline(_fitted_pipeline(data), tmp_path / "model")
+        rng = np.random.default_rng(1)
+        batches = []
+        for _ in range(8):
+            base = data.values[rng.integers(0, data.n_samples, size=5)]
+            batches.append(
+                MFDataGrid(base + 0.02 * rng.standard_normal(base.shape), data.grid)
+            )
+
+        cleared = ScoringService()
+        cleared.load("m", tmp_path / "model")
+        cleared_scores = []
+        for batch in batches:
+            cleared.context.cache.clear()
+            cleared_scores.append(cleared.score("m", batch))
+        expected = np.concatenate(cleared_scores)
+
+        shared = ScoringService()
+        shared.load("m", tmp_path / "model")
+        shared_scores = [shared.score("m", batches[0])]
+        warm = shared.context.cache.stats.copy()
+        shared_scores += [shared.score("m", batch) for batch in batches[1:]]
+        delta = shared.context.cache.stats - warm
+        assert delta.factorizations == 0
+        assert delta.design_builds == 0
+        assert delta.factorization_hits >= len(batches) - 1
+        np.testing.assert_allclose(np.concatenate(shared_scores), expected, atol=1e-12)
+
+        micro = ScoringService(max_pending=1000)
+        micro.load("m", tmp_path / "model")
+        tickets = [micro.submit("m", batch) for batch in batches]
+        micro.flush()
+        micro_scores = np.concatenate([t.result() for t in tickets])
+        np.testing.assert_allclose(micro_scores, expected, atol=1e-12)
+
+        pipeline = load_pipeline(tmp_path / "model")
+        plan = plan_for_pipeline(pipeline, WorkloadSpec(mode="batch"))
+        for batch in batches:
+            np.testing.assert_array_equal(
+                plan.score(batch), pipeline.score_samples(batch)
+            )
+
     def test_stats_counters(self, dataset):
         data, _ = dataset
         service = ScoringService()

@@ -14,11 +14,12 @@ from repro.core.pipeline import GeometricOutlierPipeline
 from repro.data.synthetic import make_taxonomy_dataset
 from repro.detectors import make_detector
 from repro.exceptions import ValidationError
-from repro.perf import _http_post_json
 from repro.plan import pipeline_to_spec, spec_hash
 from repro.serving import ScoringService, save_pipeline
 from repro.serving.app import JsonResponse, ServingApp
 from repro.serving.server import ScoringServer, http_request_json, load_service
+
+from http_client import get_text, post_json
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +70,7 @@ def _run(bundle, scenario, **server_kwargs):
 
 
 async def _post(server, path, doc):
-    return await _http_post_json("127.0.0.1", server.port, path, doc)
+    return await post_json("127.0.0.1", server.port, path, doc)
 
 
 class TestServerRoutes:
@@ -155,7 +156,7 @@ class TestServerRoutes:
         async def scenario(server):
             unknown = await _post(server, "/score", _batch_doc(data, pipeline="nope"))
             missing_keys = await _post(server, "/score", {"pipeline": "main"})
-            not_json = await _http_post_json(
+            not_json = await post_json(
                 "127.0.0.1", server.port, "/score", "not json"
             )
             bad_path = await _post(server, "/nothing-here", {})
@@ -252,6 +253,134 @@ class TestBackpressure:
         service.register("main", fitted)
         with pytest.raises(ValidationError, match="high_water"):
             ServingApp(service, high_water=0)
+
+    def test_open_loop_arrivals_at_5x_capacity(self, bundle, dataset):
+        """The overload contract: with the scorer throttled to a known
+        capacity and arrivals scheduled at 5x it, excess requests shed
+        with 429 instead of growing the queue, and every accepted one
+        resolves with finite scores."""
+        data, _ = dataset
+        batch, capacity, n_requests = 8, 400.0, 40
+        high_water = 4 * batch
+        # try_submit runs on executor threads, so a few admissions can
+        # pass the high-water check together.
+        admission_window = 8 * batch
+
+        async def scenario(server):
+            service = server.service
+            loaded = service._pipeline("main")
+            real_score = loaded.score_samples
+
+            def throttled_score(mfd):
+                time.sleep(mfd.n_samples / capacity)
+                return real_score(mfd)
+
+            loaded.score_samples = throttled_score
+            doc = _batch_doc(data, n=batch)
+            outcomes, max_outstanding = [], [0]
+            stop = asyncio.Event()
+
+            async def sampler():
+                while not stop.is_set():
+                    max_outstanding[0] = max(
+                        max_outstanding[0], service.outstanding_curves()
+                    )
+                    await asyncio.sleep(0.002)
+
+            async def one_request():
+                outcomes.append(await _post(server, "/submit", doc))
+
+            sampling = asyncio.ensure_future(sampler())
+            interval = batch / (5.0 * capacity)
+            start = time.perf_counter()
+            tasks = []
+            for i in range(n_requests):
+                delay = start + i * interval - time.perf_counter()
+                if delay > 0:
+                    await asyncio.sleep(delay)
+                tasks.append(asyncio.ensure_future(one_request()))
+            await asyncio.gather(*tasks)
+            stop.set()
+            await sampling
+            return outcomes, max_outstanding[0], service.stats()
+
+        outcomes, max_outstanding, stats = _run(
+            bundle, scenario, high_water=high_water, flush_interval=0.02
+        )
+        statuses = [status for status, _ in outcomes]
+        accepted = statuses.count(200)
+        shed = statuses.count(429)
+        assert accepted + shed == n_requests == len(outcomes)
+        assert shed > 0, "no 429s under 5x-capacity arrivals"
+        for status, body in outcomes:
+            if status == 200:
+                assert len(body["scores"]) == batch
+                assert np.all(np.isfinite(body["scores"]))
+        assert max_outstanding <= high_water + admission_window
+        assert stats["failed_requests"] == 0
+        assert stats["served_requests"] == accepted
+
+
+def _parse_prometheus(text):
+    """Exposition text -> {sample name with labels: value}."""
+    samples = {}
+    for line in text.splitlines():
+        if line and not line.startswith("#"):
+            name, _, value = line.rpartition(" ")
+            samples[name] = float(value)
+    return samples
+
+
+class TestMetricsScrape:
+    def test_scrape_under_live_traffic(self, bundle, dataset):
+        """One /metrics scrape, taken while a request is still queued,
+        exposes queue depth, sheds, per-route latency and cache hits
+        that agree with ``stats()``."""
+        data, _ = dataset
+
+        async def scenario(server):
+            for _ in range(2):  # the second /score hits the factorization cache
+                status, body = await _post(server, "/score", _batch_doc(data))
+                assert status == 200, body
+            parked = asyncio.ensure_future(
+                _post(server, "/submit", _batch_doc(data, n=4))
+            )
+            while not server.service.stats()["pending_requests"]:
+                await asyncio.sleep(0.005)
+            # 4 queued + 4 new > high_water=6: shed.
+            status, body = await _post(server, "/submit", _batch_doc(data, n=4))
+            assert status == 429, body
+            scrape = await get_text("127.0.0.1", server.port, "/metrics")
+            stats = server.service.stats()
+            await server.close()
+            parked_status, _ = await asyncio.wait_for(parked, timeout=5)
+            assert parked_status == 200
+            return scrape, stats
+
+        (status, headers, text), stats = _run(
+            bundle, scenario, max_pending=1000, flush_interval=30.0, high_water=6
+        )
+        assert status == 200
+        assert headers["content-type"].startswith("text/plain; version=0.0.4")
+        assert headers.get("x-trace-id"), "no X-Trace-Id on the /metrics response"
+        samples = _parse_prometheus(text)
+        assert samples["serving_queue_depth_curves"] == stats["pending_curves"] == 4
+        assert samples["serving_shed_requests_total"] == 1
+        score_counts = [
+            value for name, value in samples.items()
+            if name.startswith("serving_request_seconds_count")
+            and 'route="/score"' in name
+        ]
+        assert sum(score_counts) == 2
+        hits = sum(
+            value for name, value in samples.items()
+            if name.startswith("engine_cache_hits_total")
+        )
+        stats_hits = sum(
+            value for key, value in stats["cache"].items() if key.endswith("_hits")
+        )
+        assert hits >= 1, "no engine cache hits recorded while serving traffic"
+        assert hits == stats_hits, "stats() and /metrics disagree on cache hits"
 
 
 class TestMultiWorkerServe:

@@ -151,6 +151,21 @@ class TestStreamingEqualsBatch:
             if a.scores is not None:
                 np.testing.assert_array_equal(a.scores, b.scores)
 
+    def test_incremental_funta_p2_equals_refit_oracle(self):
+        stream = _curves(30, p=2, seed=16)
+        incremental = StreamingDetector("funta", SlidingWindow(10), min_reference=4)
+        refit = StreamingDetector(
+            "funta", SlidingWindow(10), min_reference=4, incremental=False
+        )
+        for i in range(30):
+            chunk = _mfd(stream[i : i + 1])
+            a = incremental.process(chunk)
+            b = refit.process(chunk)
+            assert (a.scores is None) == (b.scores is None)
+            if a.scores is not None:
+                np.testing.assert_array_equal(a.scores, b.scores)
+        assert incremental.effective_incremental is True
+
     @pytest.mark.parametrize("kind", ["dirout", "halfspace"])
     def test_p2_falls_back_to_seeded_refit(self, kind):
         detector = StreamingDetector(kind, SlidingWindow(16), min_reference=4)

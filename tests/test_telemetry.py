@@ -10,6 +10,8 @@ Covers the correctness claims the observability layer makes:
   counter, and coordinator-side across a 2-worker shared-memory pool;
 * a caller-opened span becomes the parent of ``run_chunked``'s chunk
   spans, sharing one trace ID;
+* enabled telemetry leaves every gated depth kernel's output
+  bit-identical to :data:`~repro.telemetry.NULL_TELEMETRY`;
 * :meth:`~repro.serving.ScoringService.stats` stays a bit-compatible
   view over the registry (same keys and values as before the registry
   existed), and the queue-depth gauge is the single definition both the
@@ -28,10 +30,13 @@ from hypothesis import strategies as st
 
 from repro.core.pipeline import GeometricOutlierPipeline
 from repro.data.synthetic import make_taxonomy_dataset
+from repro.depth.dirout import dirout_scores
+from repro.depth.functional import pointwise_depth_profile
+from repro.depth.funta import funta_outlyingness
 from repro.detectors import make_detector
 from repro.engine import ExecutionContext
 from repro.exceptions import ValidationError
-from repro.fda.fdata import MFDataGrid
+from repro.fda.fdata import FDataGrid, MFDataGrid
 from repro.plan import run_chunked
 from repro.serving import ScoringService
 from repro.telemetry import (
@@ -340,6 +345,32 @@ class TestNullAndResolve:
 
     def test_context_default_is_null(self):
         assert isinstance(ExecutionContext().telemetry, NullTelemetry)
+
+    @pytest.mark.parametrize("kernel", [
+        "funta", "halfspace_p1", "halfspace_p2", "spatial_p2",
+        "projection_p2", "dirout_p2",
+    ])
+    def test_enabled_telemetry_leaves_kernel_outputs_unchanged(self, kernel):
+        rng = np.random.default_rng(7)
+        grid = np.linspace(0.0, 1.0, 20)
+        curves = FDataGrid(rng.standard_normal((30, 20)).cumsum(axis=1) / 5.0, grid)
+        p1 = curves.to_multivariate()
+        p2 = MFDataGrid(rng.standard_normal((30, 20, 2)), grid)
+        calls = {
+            "funta": lambda ctx: funta_outlyingness(curves, context=ctx),
+            "halfspace_p1": lambda ctx: pointwise_depth_profile(
+                p1, notion="halfspace", context=ctx),
+            "halfspace_p2": lambda ctx: pointwise_depth_profile(
+                p2, notion="halfspace", random_state=7, context=ctx),
+            "spatial_p2": lambda ctx: pointwise_depth_profile(
+                p2, notion="spatial", context=ctx),
+            "projection_p2": lambda ctx: pointwise_depth_profile(
+                p2, notion="projection", random_state=7, context=ctx),
+            "dirout_p2": lambda ctx: dirout_scores(p2, random_state=7, context=ctx),
+        }
+        live = calls[kernel](ExecutionContext(telemetry=Telemetry()))
+        null = calls[kernel](ExecutionContext())
+        np.testing.assert_array_equal(live, null)
 
 
 # --------------------------------------------------------------------------- service view
