@@ -7,8 +7,8 @@ interval of the median ratio lies wholly above the gate's bound:
 
 * 1.0 for the "beats" claims: vectorized depth kernels vs their naive
   loops, incremental streaming vs refit, ``shards=2`` vs one stream, the
-  shared-memory pool vs serial, cached vs cache-cleared serving, warm vs
-  cold method preparation;
+  2-worker block thread pool vs serial, cached vs cache-cleared serving,
+  warm vs cold method preparation;
 * 1.02 for enabled telemetry vs ``NULL_TELEMETRY``;
 * 1.05 for plan-layer dispatch vs direct pipeline calls.
 
@@ -160,9 +160,10 @@ def test_telemetry_overhead(kernels):
 def test_pool_beats_serial():
     """FUNTA, 20k query curves against 256 reference curves, 2 workers.
 
-    The claim is that the pool wins on some kernel. FUNTA is the
-    cheapest one that wins at this size: halfspace p=1 never enters the
-    pool, projection and Dir.out lose, the other two take 10-50x longer.
+    The claim is that the thread pool wins on some kernel. FUNTA is the
+    cheapest pooled kernel at this size: halfspace p=1 never enters the
+    pool, and spatial and halfspace p=2 take 5-50x longer per call.
+    FUNTA is also the kernel the pool helps least at n=20k.
     """
     rng = np.random.default_rng(SEED)
     grid = np.linspace(0.0, 1.0, 48)

@@ -26,8 +26,8 @@ Scratch memory is governed by ``block_bytes`` (default
 blocks whose temporaries fit the budget, so huge inputs stream through
 a bounded footprint.  Blocks are independent, so an optional
 :class:`~repro.engine.ExecutionContext` fans whole blocks out across
-its process pool (``context.distribute``) with results *bit-identical*
-to the serial order.
+an in-process thread pool (``context.run_blocks``) with results
+*bit-identical* to the serial order.
 
 The original loop implementations stay reachable on every public depth
 function via ``naive=True`` — they are the equivalence oracle the
@@ -137,12 +137,12 @@ def _run_blocks(worker, blocks, context, arrays=None, label=None):
     """Apply ``worker(block, **arrays)`` to every block, optionally pooled.
 
     ``arrays`` holds the large read-only inputs (curve cubes, direction
-    stacks, tangent angles).  Serial execution passes them straight
-    through; a parallel :class:`~repro.engine.ExecutionContext` places
-    them in a :class:`~repro.engine.shared.SharedArrayPool` once and the
-    workers attach zero-copy (``context.run_blocks``).  Whole blocks are
-    the work units and results come back in input order, so the pooled
-    result is bit-identical to the serial one.
+    stacks, tangent angles); every block receives the same objects.
+    Without a context the blocks run serially here; with one they go
+    through :meth:`~repro.engine.ExecutionContext.run_blocks`, which
+    fans whole blocks out over a thread pool when ``n_jobs > 1`` and
+    returns results in input order, so the pooled result is
+    bit-identical to the serial one.
 
     When the context carries an enabled telemetry handle, each call
     counts one invocation + ``len(blocks)`` blocks and records its wall
@@ -151,18 +151,14 @@ def _run_blocks(worker, blocks, context, arrays=None, label=None):
     are untouched.
     """
     arrays = dict(arrays or {})
-    serial = context is None or getattr(context, "n_jobs", 1) <= 1 or len(blocks) <= 1
-    telemetry = getattr(context, "telemetry", None)
-    if telemetry is None or not telemetry.enabled:
-        if serial:
-            return [worker(block, **arrays) for block in blocks]
+    if context is None:
+        return [worker(block, **arrays) for block in blocks]
+    telemetry = context.telemetry
+    if not telemetry.enabled:
         return context.run_blocks(worker, blocks, arrays=arrays)
     kernel = label or getattr(worker, "__name__", "kernel")
     start = time.perf_counter()
-    if serial:
-        results = [worker(block, **arrays) for block in blocks]
-    else:
-        results = context.run_blocks(worker, blocks, arrays=arrays)
+    results = context.run_blocks(worker, blocks, arrays=arrays)
     elapsed = time.perf_counter() - start
     telemetry.counter("depth_kernel_invocations_total", kernel=kernel).inc()
     telemetry.counter("depth_kernel_blocks_total", kernel=kernel).inc(len(blocks))

@@ -7,29 +7,21 @@ from *how fast* it runs:
 * :class:`FactorizationCache` memoizes design matrices, roughness
   penalties and normal-equation factorizations keyed by
   ``(basis, grid, λ, penalty order)``;
-* :class:`ExecutionContext` threads one cache, a worker pool and a
+* :class:`ExecutionContext` threads one cache, a parallel width and a
   seed-spawning scheme through the pipeline, the method registry and
   the repetition harness (``run_contamination_experiment(n_jobs=...)``).
 
-Parallel schedules consume per-cell child seed streams, so results are
+Experiment cells fan out over a process pool and consume per-cell child
+seed streams; depth-kernel blocks fan out over an in-process thread
+pool and are concatenated in input order.  Either way results are
 bit-identical to the serial order.
 """
 
 from repro.engine.cache import CacheStats, FactorizationCache
 from repro.engine.context import ExecutionContext
-from repro.engine.shared import (
-    SharedArrayPool,
-    SharedArrayRef,
-    cleanup_live_segments,
-    live_segments,
-)
 
 __all__ = [
     "CacheStats",
     "FactorizationCache",
     "ExecutionContext",
-    "SharedArrayPool",
-    "SharedArrayRef",
-    "cleanup_live_segments",
-    "live_segments",
 ]

@@ -6,9 +6,11 @@ smooth→map→detect stack shares across a whole experiment:
 * a :class:`~repro.engine.cache.FactorizationCache` so every layer
   (LOO-CV sweep, pipeline fit, transform) reuses the same
   linear-algebra artifacts;
-* a process-pool fan-out (``n_jobs``) for embarrassingly parallel
-  work units such as the (level, repetition) cells of the paper's
-  protocol;
+* a parallel width (``n_jobs``) for embarrassingly parallel work:
+  :meth:`ExecutionContext.imap` fans the (level, repetition) cells of
+  the paper's protocol out over a process pool, and
+  :meth:`ExecutionContext.run_blocks` fans depth-kernel blocks out over
+  a thread pool;
 * seed spawning that derives statistically independent child streams
   from one master seed, so parallel schedules are *bit-identical* to
   the serial order (each unit consumes only its own stream).
@@ -20,35 +22,17 @@ experiments to also share the cache).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.engine.cache import FactorizationCache
-from repro.engine.shared import SharedArrayPool, attach_arrays, detach_arrays
 from repro.exceptions import ValidationError
 from repro.telemetry import NULL_TELEMETRY, resolve_telemetry
 from repro.utils.random import spawn_random_states
 
 __all__ = ["ExecutionContext"]
-
-
-def _run_shared_group(task):
-    """Worker entry for :meth:`ExecutionContext.run_blocks`.
-
-    ``task`` is ``(worker, refs, group)``: attach the shared arrays
-    (zero-copy), run the block worker over the group's blocks in order,
-    detach.  Module-level so it pickles; the per-task payload is the
-    (small) worker partial, the O(1) refs and the block bounds — never
-    the arrays themselves.
-    """
-    worker, refs, group = task
-    arrays, handles = attach_arrays(refs)
-    try:
-        return [worker(block, **arrays) for block in group]
-    finally:
-        detach_arrays(handles)
 
 
 def _resolve_n_jobs(n_jobs: int) -> int:
@@ -70,28 +54,19 @@ class ExecutionContext:
         A :class:`FactorizationCache` to share; a fresh one is created
         when omitted.
     n_jobs:
-        Default parallel width for :meth:`map`; ``1`` (serial) by
-        default, ``-1`` for one worker per CPU core.
-    spill_bytes:
-        Shared arrays larger than this many bytes are spilled to an
-        ``np.memmap`` file instead of ``/dev/shm`` during
-        :meth:`run_blocks` (``None`` keeps everything in shared
-        memory); see :class:`~repro.engine.shared.SharedArrayPool`.
-    spill_dir:
-        Directory for spill files (default: the system temp dir).
+        Default parallel width for :meth:`map` and :meth:`run_blocks`;
+        ``1`` (serial) by default, ``-1`` for one worker per CPU core.
     telemetry:
         A :class:`~repro.telemetry.Telemetry` handle; every layer that
-        receives this context (cache, shared pool, depth kernels,
-        chunked executor) emits into its registry.  Defaults to the
-        no-op :data:`~repro.telemetry.NULL_TELEMETRY`.
+        receives this context (cache, depth kernels, chunked executor)
+        emits into its registry.  Defaults to the no-op
+        :data:`~repro.telemetry.NULL_TELEMETRY`.
     """
 
     def __init__(
         self,
         cache: FactorizationCache | None = None,
         n_jobs: int = 1,
-        spill_bytes: int | None = None,
-        spill_dir=None,
         telemetry=None,
     ):
         if cache is not None and not isinstance(cache, FactorizationCache):
@@ -100,8 +75,6 @@ class ExecutionContext:
             )
         self.cache = cache if cache is not None else FactorizationCache()
         self.n_jobs = _resolve_n_jobs(n_jobs)
-        self.spill_bytes = spill_bytes
-        self.spill_dir = spill_dir
         self.telemetry = NULL_TELEMETRY
         self.attach_telemetry(resolve_telemetry(None, telemetry))
 
@@ -178,33 +151,30 @@ class ExecutionContext:
     ) -> list:
         """Apply ``worker(block, **arrays)`` to every block, in order.
 
-        The shared-memory block executor behind the depth kernels: the
-        (large, read-only) ``arrays`` are placed into a
-        :class:`~repro.engine.shared.SharedArrayPool` exactly once,
-        workers attach zero-copy, and each worker processes a contiguous
-        group of blocks (:meth:`distribute`), so the per-task pickle
-        payload is O(1) in the curve count.  Results come back in input
-        order — the pooled result is bit-identical to the serial one.
-        The pool's segments are unlinked on success *and* failure.
+        The block executor behind the depth kernels.  Each thread of a
+        pool runs the worker over one contiguous group of blocks
+        (:meth:`distribute`); the block workers are NumPy loops that
+        release the GIL.  Every worker receives the caller's own
+        ``arrays`` objects, never a copy, so identity fast paths such as
+        ``values is ref_values`` hold.  Results come back in input
+        order, so the pooled result is bit-identical to the serial one;
+        a worker's exception propagates to the caller.
 
         Serial fallbacks (width 1, or fewer than two blocks) call the
-        worker in-process with the original arrays, no copies at all.
+        worker in the calling thread.
         """
         blocks = list(blocks)
         arrays = dict(arrays or {})
         width = self.n_jobs if n_jobs is None else _resolve_n_jobs(n_jobs)
         if width <= 1 or len(blocks) <= 1:
             return [worker(block, **arrays) for block in blocks]
+
+        def run_group(group):
+            return [worker(block, **arrays) for block in group]
+
         groups = self.distribute(blocks, n_jobs=width)
-        if len(groups) <= 1:
-            return [worker(block, **arrays) for block in blocks]
-        with SharedArrayPool(spill_bytes=self.spill_bytes,
-                             spill_dir=self.spill_dir,
-                             telemetry=self.telemetry) as pool:
-            refs = pool.share(arrays)
-            tasks = [(worker, refs, group) for group in groups]
-            with ProcessPoolExecutor(max_workers=len(groups)) as executor:
-                parts = list(executor.map(_run_shared_group, tasks))
+        with ThreadPoolExecutor(max_workers=len(groups)) as executor:
+            parts = list(executor.map(run_group, groups))
         return [result for part in parts for result in part]
 
     def distribute(self, items: Sequence, n_jobs: int | None = None) -> list[list]:
@@ -213,8 +183,7 @@ class ExecutionContext:
         Used by the blocked depth kernels to hand *whole* memory blocks
         to each worker: because every block is computed independently and
         results are concatenated in input order, the fanned-out result is
-        bit-identical to the serial one while each payload is pickled
-        once per group rather than once per block.
+        bit-identical to the serial one.
         """
         items = list(items)
         width = self.n_jobs if n_jobs is None else _resolve_n_jobs(n_jobs)

@@ -64,7 +64,6 @@ def run_chunked(
     data,
     chunk_size: int = 256,
     observe: Callable[[MFDataGrid, object], None] | None = None,
-    context=None,
     telemetry=None,
 ) -> Iterator:
     """Apply ``step`` to every bounded-size chunk of ``data``, lazily.
@@ -75,41 +74,16 @@ def run_chunked(
     :class:`~repro.serving.ScoringService` to fold traffic counters in
     without duplicating the iteration logic.
 
-    ``context`` (an :class:`~repro.engine.ExecutionContext` with
-    ``n_jobs > 1``) fans independent chunks out across the context's
-    process pool via :meth:`~repro.engine.ExecutionContext.imap`,
-    yielding results in input order — only valid when ``step`` is
-    stateless across chunks (pure scoring; stateful streaming steps
-    must stay serial) and picklable.  Chunks are materialized eagerly
-    in that case to hand the pool its work list.
-
-    ``telemetry`` (explicit, else the context's handle) records each
-    chunk into the ``plan_chunk_seconds`` latency histogram and the
-    chunk/curve counters, and — on the serial path, where the step runs
-    in-process — wraps it in a ``chunk`` span, so a caller-opened span
-    becomes the parent of one child per chunk (the request's trace
-    tree).  The pooled path records timing only: the step executes in
-    worker processes, out of reach of this thread's span stack.
+    ``telemetry`` records each chunk into the ``plan_chunk_seconds``
+    latency histogram and the chunk/curve counters, and wraps the step
+    in a ``chunk`` span, so a caller-opened span becomes the parent of
+    one child per chunk (the request's trace tree).
     """
-    telemetry = resolve_telemetry(context, telemetry)
+    telemetry = resolve_telemetry(None, telemetry)
     if telemetry.enabled:
         chunk_seconds = telemetry.histogram("plan_chunk_seconds")
         chunks_total = telemetry.counter("plan_chunks_total")
         curves_total = telemetry.counter("plan_chunk_curves_total")
-    if context is not None and getattr(context, "n_jobs", 1) > 1:
-        chunks = list(iter_curve_chunks(data, chunk_size=chunk_size))
-        last = time.perf_counter()
-        for chunk, result in zip(chunks, context.imap(step, chunks)):
-            if telemetry.enabled:
-                now = time.perf_counter()
-                chunk_seconds.observe(now - last)
-                last = now
-                chunks_total.inc()
-                curves_total.inc(chunk.n_samples)
-            if observe is not None:
-                observe(chunk, result)
-            yield result
-        return
     for index, chunk in enumerate(iter_curve_chunks(data, chunk_size=chunk_size)):
         if telemetry.enabled:
             start = time.perf_counter()

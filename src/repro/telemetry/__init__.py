@@ -4,9 +4,9 @@ A :class:`Telemetry` handle bundles a
 :class:`~repro.telemetry.metrics.MetricsRegistry` and a
 :class:`~repro.telemetry.trace.Tracer`.  Thread it through an
 :class:`~repro.engine.ExecutionContext` (or a
-:class:`~repro.serving.ScoringService`) and every layer — cache, shared
-pool, depth kernels, chunked executor, streaming detectors, serving —
-emits into the same registry; scrape it as Prometheus text
+:class:`~repro.serving.ScoringService`) and every layer — cache, depth
+kernels, chunked executor, streaming detectors, serving — emits into
+the same registry; scrape it as Prometheus text
 (``GET /metrics`` on the HTTP front door, or
 :meth:`Telemetry.to_prometheus`) or snapshot it as JSON
 (:meth:`Telemetry.snapshot`, ``repro telemetry dump``).
@@ -25,11 +25,6 @@ name                                  unit       meaning
 ``engine_cache_hits_total``           count      factorization-cache hits, by ``kind``
                                                  (design/penalty/factorization/hat)
 ``engine_cache_builds_total``         count      factorization-cache misses (builds), by ``kind``
-``engine_pool_placements_total``      segments   arrays placed in shared memory by the pool
-``engine_pool_spills_total``          files      arrays spilled to memmap files by the pool
-``engine_pool_bytes_total``           bytes      bytes placed into shared storage
-``engine_pool_live_segments``         segments   gauge: segments/spills not yet unlinked
-                                                 (non-zero at rest = leak)
 ``depth_kernel_invocations_total``    count      blocked-kernel invocations, by ``kernel``
 ``depth_kernel_blocks_total``         blocks     kernel blocks executed, by ``kernel``
 ``depth_kernel_seconds``              seconds    histogram: wall time per kernel invocation,
@@ -109,10 +104,6 @@ __all__ = [
 CATALOGUE: dict[str, tuple[str, str, str]] = {
     "engine_cache_hits_total": ("counter", "count", "Factorization-cache hits by artifact kind"),
     "engine_cache_builds_total": ("counter", "count", "Factorization-cache builds (misses) by artifact kind"),
-    "engine_pool_placements_total": ("counter", "segments", "Arrays placed in shared memory"),
-    "engine_pool_spills_total": ("counter", "files", "Arrays spilled to memmap files"),
-    "engine_pool_bytes_total": ("counter", "bytes", "Bytes placed into shared storage"),
-    "engine_pool_live_segments": ("gauge", "segments", "Shared segments/spills not yet unlinked"),
     "depth_kernel_invocations_total": ("counter", "count", "Blocked depth-kernel invocations"),
     "depth_kernel_blocks_total": ("counter", "blocks", "Depth-kernel blocks executed"),
     "depth_kernel_seconds": ("histogram", "seconds", "Wall time per depth-kernel invocation"),

@@ -1,20 +1,21 @@
-"""Unit tests for the zero-copy shared-array transport.
+"""Unit tests for the in-process block executor.
 
-Covers :class:`~repro.engine.shared.SharedArrayPool` placement
-(shared memory vs memmap spill), the attach/detach round trip with its
-identity-preserving dedupe, unlink idempotency, the leak registry, and
-the :meth:`~repro.engine.ExecutionContext.run_blocks` executor's
-serial fallbacks and failure-path cleanup.
+Covers :meth:`~repro.engine.ExecutionContext.run_blocks`: pooled
+results equal the serial loop bit for bit, workers see the caller's own
+array objects (no copies, no child processes), the serial fallbacks,
+worker exceptions reaching the caller, and that a pooled kernel call
+leaves process-global signal handlers alone.
 """
 
+import multiprocessing
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from repro.engine import ExecutionContext, SharedArrayPool, SharedArrayRef, live_segments
-from repro.engine.shared import attach_arrays, detach_arrays
-from repro.exceptions import ValidationError
+from repro.engine import ExecutionContext
 
 
 def _sum_block(block, values):
@@ -30,100 +31,8 @@ def _boom(block, values):
     raise RuntimeError("boom")
 
 
-class TestSharedArrayPool:
-    def test_share_attach_roundtrip_bitwise(self):
-        rng = np.random.default_rng(0)
-        arrays = {"a": rng.standard_normal((7, 5)), "b": np.arange(12).reshape(3, 4)}
-        with SharedArrayPool() as pool:
-            refs = pool.share(arrays)
-            assert set(refs) == {"a", "b"}
-            assert all(isinstance(r, SharedArrayRef) for r in refs.values())
-            assert all(r.kind == "shm" for r in refs.values())
-            attached, handles = attach_arrays(refs)
-            np.testing.assert_array_equal(attached["a"], arrays["a"])
-            np.testing.assert_array_equal(attached["b"], arrays["b"])
-            assert attached["a"].dtype == arrays["a"].dtype
-            detach_arrays(handles)
-        assert not live_segments()
-
-    def test_same_object_dedupes_to_one_segment_and_identity(self):
-        x = np.random.default_rng(1).standard_normal((6, 3))
-        with SharedArrayPool() as pool:
-            refs = pool.share({"values": x, "ref_values": x})
-            assert refs["values"] is refs["ref_values"]
-            attached, handles = attach_arrays(refs)
-            # The kernels' `values is ref_values` self-scoring fast path
-            # must survive the process boundary.
-            assert attached["values"] is attached["ref_values"]
-            detach_arrays(handles)
-
-    def test_distinct_equal_arrays_stay_distinct(self):
-        x = np.ones((4, 4))
-        y = np.ones((4, 4))
-        with SharedArrayPool() as pool:
-            refs = pool.share({"x": x, "y": y})
-            assert refs["x"].location != refs["y"].location
-
-    def test_attached_arrays_are_readonly(self):
-        with SharedArrayPool() as pool:
-            refs = pool.share({"a": np.arange(6.0)})
-            attached, handles = attach_arrays(refs)
-            with pytest.raises(ValueError):
-                attached["a"][0] = 99.0
-            detach_arrays(handles)
-
-    def test_spill_path_roundtrip(self, tmp_path):
-        big = np.random.default_rng(2).standard_normal((64, 8))
-        small = np.arange(4.0)
-        with SharedArrayPool(spill_bytes=1024, spill_dir=str(tmp_path)) as pool:
-            refs = pool.share({"big": big, "small": small})
-            assert refs["big"].kind == "memmap"
-            assert refs["small"].kind == "shm"
-            assert os.path.dirname(refs["big"].location) == str(tmp_path)
-            attached, handles = attach_arrays(refs)
-            np.testing.assert_array_equal(attached["big"], big)
-            detach_arrays(handles)
-        assert not os.listdir(tmp_path)
-        assert not live_segments()
-
-    def test_empty_array_roundtrip(self):
-        empty = np.empty((0, 3))
-        with SharedArrayPool() as pool:
-            refs = pool.share({"e": empty})
-            attached, handles = attach_arrays(refs)
-            assert attached["e"].shape == (0, 3)
-            detach_arrays(handles)
-
-    def test_unlink_is_idempotent_and_blocks_reuse(self):
-        pool = SharedArrayPool()
-        pool.share({"a": np.arange(3.0)})
-        pool.unlink()
-        pool.unlink()  # second call is a no-op, not an error
-        assert not live_segments()
-        with pytest.raises(ValidationError, match="unlinked"):
-            pool.share({"b": np.arange(3.0)})
-
-    def test_object_dtype_rejected(self):
-        with SharedArrayPool() as pool:
-            with pytest.raises(ValidationError, match="object dtype"):
-                pool.share({"bad": np.array([{"a": 1}], dtype=object)})
-
-    def test_invalid_spill_bytes_rejected(self):
-        for bad in (0, -1, 1.5, True):
-            with pytest.raises(ValidationError, match="spill_bytes"):
-                SharedArrayPool(spill_bytes=bad)
-
-    def test_unknown_ref_kind_rejected(self):
-        ref = SharedArrayRef("carrier-pigeon", "nowhere", (1,), "<f8")
-        with pytest.raises(ValidationError, match="kind"):
-            attach_arrays({"a": ref})
-
-    def test_leak_registry_tracks_until_unlink(self):
-        pool = SharedArrayPool()
-        refs = pool.share({"a": np.arange(5.0)})
-        assert refs["a"].location in live_segments()
-        pool.unlink()
-        assert refs["a"].location not in live_segments()
+def _return_inputs(block, values, ref_values):
+    return values, ref_values
 
 
 class TestRunBlocks:
@@ -154,7 +63,6 @@ class TestRunBlocks:
             _sum_block, [(0, 4)], arrays={"values": values}
         )
         np.testing.assert_array_equal(out[0], values.sum(axis=1))
-        assert not live_segments()
 
     def test_serial_fallback_n_jobs_one(self):
         values = np.arange(12.0).reshape(4, 3)
@@ -162,102 +70,49 @@ class TestRunBlocks:
             _sum_block, [(0, 2), (2, 4)], arrays={"values": values}
         )
         assert len(out) == 2
-        assert not live_segments()
 
     def test_worker_failure_unlinks_segments(self):
         values = np.random.default_rng(5).standard_normal((8, 3))
         context = ExecutionContext(n_jobs=2)
         with pytest.raises(RuntimeError, match="boom"):
             context.run_blocks(_boom, [(0, 4), (4, 8)], arrays={"values": values})
-        assert not live_segments()
-
-    def test_memmap_spill_end_to_end(self, tmp_path):
-        values = np.random.default_rng(6).standard_normal((30, 7))
-        context = ExecutionContext(n_jobs=2, spill_bytes=64, spill_dir=str(tmp_path))
-        blocks = [(0, 10), (10, 20), (20, 30)]
-        pooled = context.run_blocks(_sum_block, blocks, arrays={"values": values})
-        serial = [_sum_block(b, values) for b in blocks]
-        for s, p in zip(serial, pooled):
-            np.testing.assert_array_equal(s, p)
-        assert not os.listdir(tmp_path)
-        assert not live_segments()
 
 
-class TestCleanupHooks:
-    def test_cleanup_live_segments_idempotent(self):
-        pool = SharedArrayPool()
-        refs = pool.share({"a": np.arange(6.0)})
-        from repro.engine import cleanup_live_segments
-
-        assert refs["a"].location in live_segments()
-        cleanup_live_segments()
-        assert not live_segments()
-        cleanup_live_segments()  # second sweep over nothing is a no-op
-        assert not live_segments()
-
-    @pytest.mark.parametrize("how", ["sigterm", "exception"])
-    def test_killed_process_leaves_no_orphan_segments(self, how, tmp_path):
-        """SIGTERM / unhandled exit must unlink /dev/shm segments.
-
-        The child creates shared segments, reports their names, then
-        either blocks until SIGTERM'd or raises; the parent asserts the
-        segments are gone afterwards.  This is the regression test for
-        interrupted parents orphaning segments until reboot.
-        """
-        import signal
-        import subprocess
-        import sys
-        import time
-        from multiprocessing import shared_memory
-
-        script = r"""
-import sys
-import numpy as np
-from repro.engine import SharedArrayPool, live_segments
-
-pool = SharedArrayPool()
-pool.share({"a": np.arange(512.0), "b": np.ones((64, 8))})
-print("SEGMENTS:" + ",".join(sorted(live_segments())), flush=True)
-if sys.argv[1] == "exception":
-    raise RuntimeError("die without unlinking")
-import time
-while True:
-    time.sleep(0.1)
-"""
-        proc = subprocess.Popen(
-            [sys.executable, "-c", script, how],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
+class TestInProcessPool:
+    def test_workers_receive_caller_arrays_without_child_processes(self):
+        rng = np.random.default_rng(6)
+        values = rng.standard_normal((12, 5))
+        ref_values = rng.standard_normal((7, 5))
+        seen = ExecutionContext(n_jobs=2).run_blocks(
+            _return_inputs,
+            [(0, 4), (4, 8), (8, 12)],
+            arrays={"values": values, "ref_values": ref_values},
         )
-        try:
-            line = proc.stdout.readline().strip()
-            assert line.startswith("SEGMENTS:"), f"child said {line!r}"
-            names = [n for n in line[len("SEGMENTS:"):].split(",") if n]
-            assert names, "child created no segments"
-            if how == "sigterm":
-                proc.send_signal(signal.SIGTERM)
-                proc.wait(timeout=10)
-                assert proc.returncode == -signal.SIGTERM
-            else:
-                proc.wait(timeout=10)
-                assert proc.returncode == 1
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)
+        assert len(seen) == 3
+        assert all(v is values and r is ref_values for v, r in seen)
+        assert multiprocessing.active_children() == []
 
-        # Give the dying process a beat to finish its unlink sweep.
-        deadline = time.monotonic() + 5
-        leaked = names
-        while leaked and time.monotonic() < deadline:
-            leaked = []
-            for name in names:
-                try:
-                    segment = shared_memory.SharedMemory(name=name)
-                except FileNotFoundError:
-                    continue
-                segment.close()
-                leaked.append(name)
-            time.sleep(0.05)
-        assert not leaked, f"orphaned shared segments: {leaked}"
+    def test_pooled_kernel_leaves_sigterm_handler_alone(self):
+        # A fresh interpreter, so no earlier test has touched the handler.
+        script = (
+            "import signal\n"
+            "import numpy as np\n"
+            "from repro.depth.funta import funta_outlyingness\n"
+            "from repro.engine import ExecutionContext\n"
+            "from repro.fda.fdata import FDataGrid\n"
+            "before = signal.getsignal(signal.SIGTERM)\n"
+            "rng = np.random.default_rng(0)\n"
+            "curves = FDataGrid(rng.standard_normal((40, 16)).cumsum(axis=1),\n"
+            "                   np.linspace(0.0, 1.0, 16))\n"
+            "funta_outlyingness(curves, block_bytes=512,\n"
+            "                   context=ExecutionContext(n_jobs=2))\n"
+            "print(signal.getsignal(signal.SIGTERM) is before)\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-c", script], check=True, env=env,
+            capture_output=True, text=True, timeout=120,
+        ).stdout
+        assert out.splitlines()[-1] == "True"

@@ -7,7 +7,7 @@ Covers the correctness claims the observability layer makes:
   is exactly additive (property-based);
 * exact-reservoir percentiles match NumPy's linear interpolation;
 * concurrent increments lose no updates — across threads on one
-  counter, and coordinator-side across a 2-worker shared-memory pool;
+  counter, and around a depth kernel fanned out over a 2-worker pool;
 * a caller-opened span becomes the parent of ``run_chunked``'s chunk
   spans, sharing one trace ID;
 * enabled telemetry leaves every gated depth kernel's output
@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from repro.core.pipeline import GeometricOutlierPipeline
 from repro.data.synthetic import make_taxonomy_dataset
+from repro.depth import _kernels
 from repro.depth.dirout import dirout_scores
 from repro.depth.functional import pointwise_depth_profile
 from repro.depth.funta import funta_outlyingness
@@ -204,26 +205,25 @@ class TestConcurrency:
         assert reg.histogram("hammer_seconds").count == n_threads * per_thread
 
     def test_pool_counters_survive_worker_fanout(self):
-        """Coordinator-side counting: a 2-worker shared-memory run leaves
-        the pool counters consistent and the live-segment gauge at rest."""
+        """A kernel fanned out over 2 workers counts one invocation and
+        every one of its blocks, and returns the serial scores."""
         telemetry = Telemetry()
         context = ExecutionContext(n_jobs=2, telemetry=telemetry)
         rng = np.random.default_rng(0)
-        values = rng.standard_normal((64, 32))
+        curves = FDataGrid(
+            rng.standard_normal((64, 32)).cumsum(axis=1), np.linspace(0.0, 1.0, 32)
+        )
+        blocks = _kernels._funta_blocks(64, 64, 32, 4096)
+        assert len(blocks) > 2
 
-        blocks = [(0, 32), (32, 64)]
-        out = context.run_blocks(_block_sum, blocks, arrays={"values": values})
-        assert [round(v, 10) for v in out] == [
-            round(float(values[lo:hi].sum()), 10) for lo, hi in blocks
-        ]
-        assert telemetry.counter("engine_pool_placements_total").value >= 1
-        assert telemetry.counter("engine_pool_bytes_total").value >= values.nbytes
-        assert telemetry.gauge("engine_pool_live_segments").value == 0
-
-
-def _block_sum(block, values):
-    lo, hi = block
-    return float(values[lo:hi].sum())
+        pooled = funta_outlyingness(curves, block_bytes=4096, context=context)
+        np.testing.assert_array_equal(
+            pooled, funta_outlyingness(curves, block_bytes=4096)
+        )
+        assert telemetry.counter(
+            "depth_kernel_invocations_total", kernel="funta").value == 1
+        assert telemetry.counter(
+            "depth_kernel_blocks_total", kernel="funta").value == len(blocks)
 
 
 # --------------------------------------------------------------------------- tracing
