@@ -5,10 +5,10 @@ pairs, alternating which side runs first, and takes the per-pair ratio
 candidate / baseline.  It fails only when the seeded bootstrap 95%
 interval of the median ratio lies wholly above the gate's bound:
 
-* 1.0 for the "beats" claims: vectorized depth kernels vs their naive
-  loops, incremental streaming vs refit, ``shards=2`` vs one stream, the
-  2-worker block thread pool vs serial, cached vs cache-cleared serving,
-  warm vs cold method preparation;
+* 1.0 for the "beats" claims: vectorized depth kernels vs their loop
+  oracles in ``tests/oracles.py``, incremental streaming vs refit,
+  ``shards=2`` vs one stream, the 2-worker block thread pool vs serial,
+  cached vs cache-cleared serving, warm vs cold method preparation;
 * 1.02 for enabled telemetry vs ``NULL_TELEMETRY``;
 * 1.05 for plan-layer dispatch vs direct pipeline calls.
 
@@ -16,7 +16,7 @@ The HTTP front door's sustained rate is gated the same way against an
 absolute floor: it fails only when the interval of the median curves/s
 over repeated runs lies wholly below 400.
 
-Correctness (vectorized == naive, pooled == serial, telemetry on == off,
+Correctness (vectorized == oracle, pooled == serial, telemetry on == off,
 incremental == refit, sharded == single, the serving regimes agree) is
 asserted by the tier-1 suite; this file only times.  It writes nothing
 into the tree.  Run it from the repository root::
@@ -50,6 +50,9 @@ from repro.telemetry import Telemetry
 
 from benchmarks.conftest import print_table
 from tests.http_client import post_json
+from tests.oracles import directional_outlyingness as dirout_oracle
+from tests.oracles import funta_depth as funta_oracle
+from tests.oracles import pointwise_depth_profile as profile_oracle
 
 SEED = 7
 RESAMPLES = 4000
@@ -112,33 +115,50 @@ def check_gates(title, cases, bound, above=False):
 # --------------------------------------------------------------------------- depth kernels
 @pytest.fixture(scope="module")
 def kernels():
-    """The six gated kernels on n=200 curves, m=100 grid points."""
+    """The six gated kernels on n=200 curves, m=100 grid points, each as a
+    ``(kernel, oracle)`` pair; kernels take keyword options, oracles none."""
     rng = np.random.default_rng(SEED)
     grid = np.linspace(0.0, 1.0, 100)
     curves = FDataGrid(rng.standard_normal((200, 100)).cumsum(axis=1) / 5.0, grid)
     mfd_p1 = curves.to_multivariate()
     mfd_p2 = MFDataGrid(rng.standard_normal((200, 100, 2)), grid)
     return {
-        "funta": lambda **kw: funta_outlyingness(curves, **kw),
-        "halfspace_p1": lambda **kw: pointwise_depth_profile(
-            mfd_p1, notion="halfspace", **kw),
-        "halfspace_p2": lambda **kw: pointwise_depth_profile(
-            mfd_p2, notion="halfspace", random_state=SEED, **kw),
-        "spatial_p2": lambda **kw: pointwise_depth_profile(
-            mfd_p2, notion="spatial", **kw),
-        "projection_p2": lambda **kw: pointwise_depth_profile(
-            mfd_p2, notion="projection", random_state=SEED, **kw),
-        "dirout_p2": lambda **kw: dirout_scores(mfd_p2, random_state=SEED, **kw),
+        "funta": (
+            lambda **kw: funta_outlyingness(curves, **kw),
+            lambda: 1.0 - funta_oracle(curves),
+        ),
+        "halfspace_p1": (
+            lambda **kw: pointwise_depth_profile(mfd_p1, notion="halfspace", **kw),
+            lambda: profile_oracle(mfd_p1, notion="halfspace"),
+        ),
+        "halfspace_p2": (
+            lambda **kw: pointwise_depth_profile(
+                mfd_p2, notion="halfspace", random_state=SEED, **kw),
+            lambda: profile_oracle(mfd_p2, notion="halfspace", random_state=SEED),
+        ),
+        "spatial_p2": (
+            lambda **kw: pointwise_depth_profile(mfd_p2, notion="spatial", **kw),
+            lambda: profile_oracle(mfd_p2, notion="spatial"),
+        ),
+        "projection_p2": (
+            lambda **kw: pointwise_depth_profile(
+                mfd_p2, notion="projection", random_state=SEED, **kw),
+            lambda: profile_oracle(mfd_p2, notion="projection", random_state=SEED),
+        ),
+        "dirout_p2": (
+            lambda **kw: dirout_scores(mfd_p2, random_state=SEED, **kw),
+            lambda: dirout_oracle(mfd_p2, random_state=SEED).total,
+        ),
     }
 
 
 def test_vectorized_beats_naive(kernels):
     cases = {
-        name: paired_ratios(lambda: call(naive=True), call, pairs=5)
-        for name, call in kernels.items()
+        name: paired_ratios(oracle, kernel, pairs=5)
+        for name, (kernel, oracle) in kernels.items()
     }
-    failed = check_gates("vectorized / naive, n=200 m=100", cases, 1.0)
-    assert not failed, f"vectorized path not faster than its naive loop: {failed}"
+    failed = check_gates("vectorized / loop oracle, n=200 m=100", cases, 1.0)
+    assert not failed, f"vectorized path not faster than its loop oracle: {failed}"
 
 
 def test_telemetry_overhead(kernels):
@@ -147,10 +167,10 @@ def test_telemetry_overhead(kernels):
     null_ctx, live_ctx = ExecutionContext(), ExecutionContext(telemetry=Telemetry())
     cases = {
         name: paired_ratios(
-            lambda: call(context=null_ctx), lambda: call(context=live_ctx),
+            lambda: kernel(context=null_ctx), lambda: kernel(context=live_ctx),
             pairs=15, min_seconds=0.2,
         )
-        for name, call in kernels.items()
+        for name, (kernel, _) in kernels.items()
     }
     failed = check_gates("enabled telemetry / NULL_TELEMETRY, n=200 m=100", cases, 1.02)
     assert not failed, f"enabled telemetry costs more than 2%: {failed}"

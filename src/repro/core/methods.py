@@ -259,8 +259,9 @@ class FuntaMethod(Method):
     baseline's authors intended.
 
     Scoring runs through the blocked vectorized kernel layer
-    (:mod:`repro.depth._kernels`); ``naive=True`` restores the original
-    pair loop and ``block_bytes`` tunes the kernel scratch budget.
+    (:mod:`repro.depth._kernels`); ``block_bytes`` tunes the kernel
+    scratch budget.  The original pair loop is the equivalence oracle in
+    ``tests/oracles.py``.
     """
 
     def __init__(
@@ -268,14 +269,12 @@ class FuntaMethod(Method):
         trim: float = 0.0,
         smooth: bool = True,
         name: str = "FUNTA",
-        naive: bool = False,
         block_bytes: int | None = None,
         dtype=None,
     ):
         self.trim = trim
         self.smooth = bool(smooth)
         self.name = name
-        self.naive = bool(naive)
         self.block_bytes = block_bytes
         self.dtype = dtype
 
@@ -292,16 +291,16 @@ class FuntaMethod(Method):
         test = data[np.asarray(test_idx)]
         return funta_outlyingness(
             test, reference=train, trim=self.trim,
-            naive=self.naive, block_bytes=self.block_bytes, dtype=self.dtype,
+            block_bytes=self.block_bytes, dtype=self.dtype,
         )
 
 
 class DirOutMethod(Method):
     """Directional outlyingness baseline (Dai & Genton 2019).
 
-    Scoring runs through the batched Dir.out kernels; ``naive=True``
-    restores the original per-grid-point loop and ``block_bytes`` tunes
-    the kernel scratch budget.
+    Scoring runs through the batched Dir.out kernels; ``block_bytes``
+    tunes the kernel scratch budget.  The original per-grid-point loop
+    is the equivalence oracle in ``tests/oracles.py``.
     """
 
     def __init__(
@@ -310,7 +309,6 @@ class DirOutMethod(Method):
         n_directions: int = 200,
         smooth: bool = True,
         name: str = "Dir.out",
-        naive: bool = False,
         block_bytes: int | None = None,
         dtype=None,
     ):
@@ -318,7 +316,6 @@ class DirOutMethod(Method):
         self.n_directions = n_directions
         self.smooth = bool(smooth)
         self.name = name
-        self.naive = bool(naive)
         self.block_bytes = block_bytes
         self.dtype = dtype
 
@@ -339,7 +336,6 @@ class DirOutMethod(Method):
             method=self.method,
             n_directions=self.n_directions,
             random_state=random_state,
-            naive=self.naive,
             block_bytes=self.block_bytes,
             dtype=self.dtype,
         )

@@ -1,11 +1,10 @@
 """Statistical depth functions and the paper's depth-based baselines.
 
 Every depth notion runs on the blocked, vectorized kernel layer of
-:mod:`repro.depth._kernels` by default (scratch bounded by a
-``block_bytes`` budget, optional ``context`` worker-pool fan-out); pass
-``naive=True`` to any public function to run the original loop
-implementation instead — the equivalence oracle the property tests pin
-the kernels against.
+:mod:`repro.depth._kernels` (scratch bounded by a ``block_bytes``
+budget, optional ``context`` worker-pool fan-out).  The original loop
+implementations live in ``tests/oracles.py``: the equivalence oracles
+the property tests pin the kernels against.
 """
 
 from repro.depth._kernels import DEFAULT_BLOCK_BYTES

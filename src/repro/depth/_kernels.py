@@ -29,9 +29,9 @@ a bounded footprint.  Blocks are independent, so an optional
 an in-process thread pool (``context.run_blocks``) with results
 *bit-identical* to the serial order.
 
-The original loop implementations stay reachable on every public depth
-function via ``naive=True`` — they are the equivalence oracle the
-property tests pin these kernels against.
+The original loop implementations live in ``tests/oracles.py``: they
+are the equivalence oracle the property tests pin these kernels
+against.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ def _as_dtype_pair(values, ref_values, dtype: np.dtype):
 
 def draw_directions(random_state, n_directions: int, p: int) -> np.ndarray:
     """Random unit directions plus the coordinate axes — shared by the
-    naive and vectorized projection/halfspace paths so both consume the
-    generator identically."""
+    vectorized projection/halfspace paths and the loop oracle in
+    ``tests/oracles.py``, so both consume the generator identically."""
     rng = check_random_state(random_state)
     directions = rng.standard_normal((n_directions, p))
     directions = np.vstack([directions, np.eye(p)])
@@ -123,10 +123,11 @@ def draw_directions(random_state, n_directions: int, p: int) -> np.ndarray:
 
 
 def _direction_stack(random_state, n_directions: int, p: int, m: int) -> np.ndarray:
-    """One direction set per grid point, drawn exactly like the naive
-    per-point loop draws them (one :func:`check_random_state` resolution
-    per grid point, in grid order), so an int seed reproduces the naive
-    profile bit-for-bit and a Generator is consumed in the same order."""
+    """One direction set per grid point, drawn exactly like the loop
+    oracle in ``tests/oracles.py`` draws them (one
+    :func:`check_random_state` resolution per grid point, in grid
+    order), so an int seed reproduces the loop oracle's profile
+    bit-for-bit and a Generator is consumed in the same order."""
     stack = np.empty((m, n_directions + p, p))
     for j in range(m):
         stack[j] = draw_directions(random_state, n_directions, p)
@@ -191,8 +192,8 @@ def rank_counts(ref_lanes: np.ndarray, pts_lanes: np.ndarray) -> tuple[np.ndarra
       pairs — a mixed run always exposes one): re-resolved in a batch
       with full tie-run arithmetic (:func:`_rank_counts_tied`).
 
-    No stable sort anywhere, and the counts match the naive boolean
-    comparisons bit for bit.  This is what lets halfspace depth drop
+    No stable sort anywhere, and the counts match the boolean
+    comparisons of the loop oracle in ``tests/oracles.py`` bit for bit.  This is what lets halfspace depth drop
     its per-point comparisons without changing the result.
     """
     if pts_lanes is ref_lanes:
@@ -241,8 +242,8 @@ def _rank_counts_self(lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     For a value in tie run ``[s, e)`` of its sorted lane, ``lt = s``
     and ``le = e`` (the count includes the value itself, exactly as the
-    naive ``reference <= x`` comparison does when ``x`` is a member of
-    the reference).
+    ``reference <= x`` comparison of the loop oracle in
+    ``tests/oracles.py`` does when ``x`` is a member of the reference).
     """
     order = np.argsort(lanes, axis=1)
     sorted_vals = np.take_along_axis(lanes, order, axis=1)
@@ -363,7 +364,8 @@ def _funta_cross_stats(
     neg = q < r
     # A crossing lives in interval t when the sign flips or a curve
     # touches (equal values); a touch at the last grid point folds into
-    # the last interval — exactly the interval set the naive loop collects.
+    # the last interval — exactly the interval set the loop oracle in
+    # tests/oracles.py collects.
     cross = pos[:, :, :-1] & neg[:, :, 1:]
     cross |= neg[:, :, :-1] & pos[:, :, 1:]
     # Each mask and index array is dropped once folded in, so the peak
@@ -555,7 +557,8 @@ def funta_partials(
 
 # --------------------------------------------------------------------------- SDO
 def _sdo_1d_columns(pts: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """|x - med| / MAD per column, with the naive degenerate-MAD guard."""
+    """|x - med| / MAD per column, with the degenerate-MAD guard of the
+    loop oracle in ``tests/oracles.py``."""
     med = np.median(ref, axis=0)
     mad = MAD_SCALE * np.median(np.abs(ref - med), axis=0)
     degenerate = mad < 1e-12
@@ -570,7 +573,7 @@ def _project_block(cube: np.ndarray, directions: np.ndarray, j0: int, j1: int) -
 
     One batched GEMM per block (samples × directions for every grid
     point) — this is the op that replaces the per-grid-point Python
-    loop of the naive path.
+    loop of the loop oracle in ``tests/oracles.py``.
     """
     return np.matmul(
         cube[:, j0:j1].transpose(1, 0, 2), directions[j0:j1].transpose(0, 2, 1)
@@ -626,8 +629,9 @@ def batched_stahel_donoho(
 
     ``values``/``ref_values`` are ``(n, m, p)`` cubes.  Exact (no random
     directions) for p = 1; for p > 1 the per-grid-point direction draws
-    replicate the naive loop's generator consumption, so a seeded run
-    matches ``naive=True`` to floating-point roundoff.
+    replicate the generator consumption of the loop oracle in
+    ``tests/oracles.py``, so a seeded run matches it to floating-point
+    roundoff.
     """
     block_bytes = resolve_block_bytes(block_bytes)
     compute_dtype = resolve_dtype(dtype)
@@ -636,7 +640,8 @@ def batched_stahel_donoho(
     if p == 1:
         return _sdo_1d_columns(values[:, :, 0], ref_values[:, :, 0])
     # Directions are drawn in float64 (generator consumption must match
-    # the naive loop exactly), then cast to the compute dtype.
+    # the loop oracle in tests/oracles.py exactly), then cast to the
+    # compute dtype.
     directions = np.asarray(
         _direction_stack(random_state, n_directions, p, m), dtype=compute_dtype
     )
@@ -655,7 +660,8 @@ def _halfspace_exact_columns(pts: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
     One sort of the reference lanes plus two batched binary searches:
     ``#{ref <= x}`` and ``#{ref >= x}`` are integer-exact, so the result
-    matches the naive boolean-comparison means bit for bit.
+    matches the boolean-comparison means of the loop oracle in
+    ``tests/oracles.py`` bit for bit.
     """
     n_ref = ref.shape[0]
     ref_lanes = np.ascontiguousarray(ref.T)  # (m, n_ref)
@@ -729,7 +735,7 @@ def halfspace_depth_cloud(
 ) -> np.ndarray:
     """Random-direction halfspace depth of one cloud, all directions at
     once (the caller draws ``directions`` so generator consumption
-    matches the naive per-direction loop)."""
+    matches the loop oracle in ``tests/oracles.py``)."""
     block_bytes = resolve_block_bytes(block_bytes)
     n_ref = reference.shape[0]
     n = points.shape[0]
@@ -751,8 +757,8 @@ def _unit_vector_stats(diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``diffs`` has the reference on axis 1: ``(..., n_ref, ..., p)`` with
     shape ``(n, r, J, p)`` (or ``(b, r, p)`` for a single cloud).
-    Zero-distance pairs are dropped, exactly like the naive loop's
-    ``norms > 1e-12`` filter.
+    Zero-distance pairs are dropped, exactly like the ``norms > 1e-12``
+    filter of the loop oracle in ``tests/oracles.py``.
     """
     sq = diffs[..., 0] ** 2
     for k in range(1, diffs.shape[-1]):
@@ -821,8 +827,9 @@ def simplicial_depth_cloud(
 
     All C(n, 3) reference triangles are tested against blocks of query
     points in one broadcast per ``(query-block × triangle-block)`` slab —
-    the same sign test as the naive per-point loop, element for element,
-    so results are identical including boundary and degenerate triangles.
+    the same sign test as the loop oracle in ``tests/oracles.py``,
+    element for element, so results are identical including boundary and
+    degenerate triangles.
     """
     from itertools import combinations
 
@@ -892,7 +899,7 @@ def _simplicial_profile(
 # --------------------------------------------------------------------------- mahalanobis
 def _mahalanobis_profile(values: np.ndarray, ref_values: np.ndarray) -> np.ndarray:
     """Mahalanobis depth profile, computed per grid point exactly as the
-    naive loop computes it.  The per-point pseudo-inverse dominates the
+    loop oracle in ``tests/oracles.py`` computes it.  The per-point pseudo-inverse dominates the
     cost, and on a near-singular covariance the precision entries are
     ~1e10, so any other summation order for the quadratic form (e.g. one
     batched einsum) drifts from the oracle by ~1e-10."""
@@ -961,6 +968,8 @@ def pointwise_profile(
     if notion == "simplicial":
         if values.shape[2] != 2:
             raise ValidationError("simplicial_depth is implemented for p = 2 only")
+        if ref_values.shape[0] < 3:
+            raise ValidationError("simplicial_depth needs at least 3 reference points")
         return _simplicial_profile(
             values, ref_values, block_bytes=block_bytes, context=context, **depth_kwargs
         )
@@ -997,8 +1006,8 @@ def batched_spatial_median(
     iterations = np.zeros(m, dtype=np.int64)
     # Column-major working copy, made ONCE: the reference axis lands on
     # a contiguous reduction axis (pairwise summation — the same order
-    # the per-column naive loop uses, so results stay bit-identical to
-    # it), and slicing converged columns out is a cheap first-axis
+    # the loop oracle in tests/oracles.py uses per column, so results
+    # stay bit-identical to it), and slicing converged columns out is a cheap first-axis
     # gather instead of a full advanced-index copy per iteration.
     clouds_t = np.ascontiguousarray(clouds.transpose(1, 0, 2))  # (m, r, p)
     active_idx = np.arange(m)
@@ -1016,7 +1025,8 @@ def batched_spatial_median(
         wsum = weights.sum(axis=1)
         new = np.einsum("ar,arp->ap", weights, sub) / np.maximum(wsum, tiny)[:, None]
         # Columns whose cloud collapsed onto the median keep it (the
-        # naive loop returns the current median in that case).
+        # loop oracle in tests/oracles.py returns the current median in
+        # that case).
         new = np.where(any_keep[:, None], new, current)
         step = np.linalg.norm(new - current, axis=1)
         scale = 1.0 + np.linalg.norm(current, axis=1)

@@ -56,7 +56,6 @@ def functional_boxplot(
     data: FDataGrid,
     central_fraction: float = 0.5,
     inflation: float = 1.5,
-    naive: bool = False,
 ) -> FunctionalBoxplot:
     """Fit the functional boxplot of a sample of curves.
 
@@ -69,9 +68,6 @@ def functional_boxplot(
         the original proposal).
     inflation:
         Whisker inflation factor (1.5 in the original proposal).
-    naive:
-        Route the band-depth ordering through the explicit pair loop
-        instead of the rank-count kernel (equivalence oracle).
     """
     if not isinstance(data, FDataGrid):
         raise ValidationError(f"data must be FDataGrid, got {type(data).__name__}")
@@ -82,7 +78,7 @@ def functional_boxplot(
     )
     inflation = check_positive(inflation, "inflation")
 
-    depth = modified_band_depth(data, naive=naive)
+    depth = modified_band_depth(data)
     order = np.argsort(-depth)
     n_central = max(int(np.ceil(central_fraction * data.n_samples)), 2)
     central = data.values[order[:n_central]]

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.depth import _kernels
-from repro.depth.multivariate import stahel_donoho_outlyingness
 from repro.exceptions import ValidationError
 from repro.fda.fdata import FDataGrid, MFDataGrid
 from repro.fda.quadrature import trapezoid_weights
@@ -41,31 +40,6 @@ __all__ = [
     "directional_outlyingness",
     "dirout_scores",
 ]
-
-
-def _spatial_median(cloud: np.ndarray, max_iter: int = 128, tol: float = 1e-9) -> np.ndarray:
-    """Weiszfeld's algorithm for the geometric median of a point cloud.
-
-    Converges (and exits early) once the update step drops below the
-    scale-aware tolerance ``tol * (1 + |median|)`` — an absolute ``tol``
-    alone never triggers on large-magnitude clouds, silently degrading
-    to the full ``max_iter`` sweep.  The batched kernel
-    (:func:`repro.depth._kernels.batched_spatial_median`) applies the
-    same criterion per grid point.
-    """
-    median = cloud.mean(axis=0)
-    for _ in range(max_iter):
-        diffs = cloud - median
-        norms = np.linalg.norm(diffs, axis=1)
-        keep = norms > 1e-12
-        if not keep.any():
-            return median
-        weights = 1.0 / norms[keep]
-        new = (cloud[keep] * weights[:, None]).sum(axis=0) / weights.sum()
-        if np.linalg.norm(new - median) < tol * (1.0 + np.linalg.norm(median)):
-            return new
-        median = new
-    return median
 
 
 @dataclass(frozen=True)
@@ -114,12 +88,14 @@ def directional_outlyingness(
     reference: MFDataGrid | FDataGrid | None = None,
     n_directions: int = 200,
     random_state=None,
-    naive: bool = False,
     block_bytes: int | None = None,
     context=None,
     dtype=None,
 ) -> DirectionalOutlyingness:
     """Compute the Dai–Genton (MO, VO, FO) decomposition.
+
+    The Stahel–Donoho sweep and the Weiszfeld medians run batched over
+    all grid points at once.
 
     Parameters
     ----------
@@ -129,17 +105,11 @@ def directional_outlyingness(
         Cross-sectional clouds defining "typical" (default: the data).
     n_directions, random_state:
         Controls for the projection-depth approximation (exact when p=1).
-    naive:
-        ``True`` runs the original loop — per grid point AND per
-        direction (the equivalence oracle, always float64); the default
-        batches the Stahel–Donoho sweep and the Weiszfeld medians over
-        all grid points at once.
     block_bytes, context:
         Kernel scratch budget and optional worker-pool fan-out (see
         :mod:`repro.depth._kernels`).
     dtype:
-        Kernel compute precision for the batched path (float64 default,
-        float32 fast path).
+        Kernel compute precision (float64 default, float32 fast path).
     """
     if isinstance(data, FDataGrid):
         data = data.to_multivariate()
@@ -160,32 +130,15 @@ def directional_outlyingness(
         raise ValidationError("reference must contain at least 2 samples")
     check_int(n_directions, "n_directions", minimum=1)
 
-    n, m, p = data.values.shape
-    if not naive:
-        out_vectors = _kernels.batched_outlyingness_vectors(
-            data.values,
-            reference.values,
-            n_directions=n_directions,
-            random_state=random_state,
-            block_bytes=block_bytes,
-            context=context,
-            dtype=dtype,
-        )
-    else:
-        out_vectors = np.empty((n, m, p))
-        for j in range(m):
-            cloud = reference.values[:, j, :]
-            pts = data.values[:, j, :]
-            sdo = stahel_donoho_outlyingness(
-                pts, cloud, n_directions=n_directions, random_state=random_state,
-                naive=True,
-            )
-            center = _spatial_median(cloud) if p > 1 else np.array([np.median(cloud[:, 0])])
-            diffs = pts - center
-            norms = np.linalg.norm(diffs, axis=1, keepdims=True)
-            units = np.divide(diffs, norms, out=np.zeros_like(diffs), where=norms > 1e-12)
-            out_vectors[:, j, :] = sdo[:, None] * units
-
+    out_vectors = _kernels.batched_outlyingness_vectors(
+        data.values,
+        reference.values,
+        n_directions=n_directions,
+        random_state=random_state,
+        block_bytes=block_bytes,
+        context=context,
+        dtype=dtype,
+    )
     return summarize_outlyingness(out_vectors, data.grid)
 
 
@@ -195,7 +148,6 @@ def dirout_scores(
     method: str = "total",
     n_directions: int = 200,
     random_state=None,
-    naive: bool = False,
     block_bytes: int | None = None,
     context=None,
     dtype=None,
@@ -209,7 +161,7 @@ def dirout_scores(
     """
     decomposition = directional_outlyingness(
         data, reference, n_directions=n_directions, random_state=random_state,
-        naive=naive, block_bytes=block_bytes, context=context, dtype=dtype,
+        block_bytes=block_bytes, context=context, dtype=dtype,
     )
     if method == "total":
         return decomposition.total

@@ -16,13 +16,9 @@ geometric alternative:
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Callable
-
 import numpy as np
 
 from repro.depth import _kernels
-from repro.depth import multivariate as mvdepth
 from repro.exceptions import ValidationError
 from repro.fda.fdata import FDataGrid, MFDataGrid
 from repro.fda.quadrature import trapezoid_weights
@@ -36,24 +32,13 @@ __all__ = [
     "modified_band_depth",
 ]
 
-_POINTWISE: dict[str, Callable] = {
-    "projection": mvdepth.projection_depth,
-    "halfspace": mvdepth.halfspace_depth,
-    "mahalanobis": mvdepth.mahalanobis_depth,
-    "spatial": mvdepth.spatial_depth,
-    "simplicial": mvdepth.simplicial_depth,
-}
-
-#: Notions whose naive implementation itself takes a ``naive`` flag —
-#: the oracle loop pins those to their original per-point code too.
-_LOOPED_NOTIONS = ("projection", "halfspace", "spatial", "simplicial")
+_NOTIONS = ("projection", "halfspace", "mahalanobis", "spatial", "simplicial")
 
 
 def pointwise_depth_profile(
     data: MFDataGrid,
     reference: MFDataGrid | None = None,
     notion: str = "projection",
-    naive: bool = False,
     block_bytes: int | None = None,
     context=None,
     dtype=None,
@@ -63,14 +48,12 @@ def pointwise_depth_profile(
 
     At each ``t`` the cross-section ``{X_i(t)}`` of ``reference``
     (default: the data themselves) forms a cloud in R^p and the chosen
-    pointwise depth is evaluated on it.  The default path dispatches the
-    whole ``(n_samples × n_points)`` computation to the blocked kernels
+    pointwise depth is evaluated on it.  The whole
+    ``(n_samples × n_points)`` computation runs on the blocked kernels
     of :mod:`repro.depth._kernels` (scratch bounded by ``block_bytes``;
     ``context`` optionally fans blocks out across its worker pool with
     bit-identical results; ``dtype`` selects the kernel compute
-    precision — float64 default, float32 fast path).  ``naive=True``
-    runs the original grid-point-by-grid-point loop — the equivalence
-    oracle, always in float64.
+    precision — float64 default, float32 fast path).
     """
     if not isinstance(data, MFDataGrid):
         raise ValidationError(f"data must be MFDataGrid, got {type(data).__name__}")
@@ -85,29 +68,19 @@ def pointwise_depth_profile(
         )
     if reference.n_samples < 2:
         raise ValidationError("reference must contain at least 2 samples")
-    if notion not in _POINTWISE:
+    if notion not in _NOTIONS:
         raise ValidationError(
-            f"unknown depth notion {notion!r}; choose from {sorted(_POINTWISE)}"
+            f"unknown depth notion {notion!r}; choose from {sorted(_NOTIONS)}"
         )
-    if not naive:
-        return _kernels.pointwise_profile(
-            data.values,
-            reference.values,
-            notion,
-            block_bytes=block_bytes,
-            context=context,
-            dtype=dtype,
-            **depth_kwargs,
-        )
-    depth_fn = _POINTWISE[notion]
-    if notion in _LOOPED_NOTIONS:
-        depth_kwargs = {**depth_kwargs, "naive": True}
-    profile = np.empty((data.n_samples, data.n_points))
-    for j in range(data.n_points):
-        cloud = reference.values[:, j, :]
-        pts = data.values[:, j, :]
-        profile[:, j] = depth_fn(pts, cloud, **depth_kwargs)
-    return profile
+    return _kernels.pointwise_profile(
+        data.values,
+        reference.values,
+        notion,
+        block_bytes=block_bytes,
+        context=context,
+        dtype=dtype,
+        **depth_kwargs,
+    )
 
 
 def aggregate_depth(profile: np.ndarray, grid, aggregation: str = "integral") -> np.ndarray:
@@ -138,14 +111,13 @@ def functional_depth(
     reference: MFDataGrid | None = None,
     notion: str = "projection",
     aggregation: str = "integral",
-    naive: bool = False,
     block_bytes: int | None = None,
     context=None,
     **depth_kwargs,
 ) -> np.ndarray:
     """Sample-level functional depth of MFD (higher = more central)."""
     profile = pointwise_depth_profile(
-        data, reference, notion, naive=naive, block_bytes=block_bytes,
+        data, reference, notion, block_bytes=block_bytes,
         context=context, **depth_kwargs,
     )
     ref = data if reference is None else reference
@@ -156,7 +128,6 @@ def univariate_integrated_depth(
     data: FDataGrid,
     reference: FDataGrid | None = None,
     aggregation: str = "integral",
-    naive: bool = False,
     block_bytes: int | None = None,
     context=None,
 ) -> np.ndarray:
@@ -167,7 +138,7 @@ def univariate_integrated_depth(
     ref = reference.to_multivariate() if reference is not None else None
     return functional_depth(
         mfd, ref, notion="halfspace", aggregation=aggregation,
-        naive=naive, block_bytes=block_bytes, context=context,
+        block_bytes=block_bytes, context=context,
     )
 
 
@@ -184,9 +155,7 @@ def _check_mbd_inputs(data: FDataGrid, reference: FDataGrid | None) -> np.ndarra
     return ref
 
 
-def modified_band_depth(
-    data: FDataGrid, reference: FDataGrid | None = None, naive: bool = False
-) -> np.ndarray:
+def modified_band_depth(data: FDataGrid, reference: FDataGrid | None = None) -> np.ndarray:
     """Modified band depth (J = 2) of univariate functional data.
 
     ``MBD_i`` is the average, over reference-curve pairs ``{j, k}`` and
@@ -199,12 +168,8 @@ def modified_band_depth(
     entirely from those strictly above, so with ``b`` references below
     and ``a`` above the covering count is
     ``C(n,2) - C(b,2) - C(a,2)`` — an O(n·m·log n) computation instead
-    of the O(n²·m) pair sweep.  ``naive=True`` runs the explicit pair
-    loop (the equivalence oracle), mirroring the escape hatch on the
-    other depth notions.
+    of the O(n²·m) pair sweep.
     """
-    if naive:
-        return _modified_band_depth_pairwise(data, reference)
     ref = _check_mbd_inputs(data, reference)
     n_ref = ref.shape[0]
     values = data.values
@@ -220,21 +185,3 @@ def modified_band_depth(
     covering = n_pairs - missing
     return covering.mean(axis=1) / n_pairs
 
-
-def _modified_band_depth_pairwise(
-    data: FDataGrid, reference: FDataGrid | None = None
-) -> np.ndarray:
-    """Reference implementation: the explicit O(n²·m) pair loop.
-
-    Kept as the ground truth the vectorized rank-count version is
-    tested against.
-    """
-    ref = _check_mbd_inputs(data, reference)
-    pairs = list(combinations(range(ref.shape[0]), 2))
-    depth = np.zeros(data.n_samples)
-    for j, k in pairs:
-        lower = np.minimum(ref[j], ref[k])
-        upper = np.maximum(ref[j], ref[k])
-        inside = (data.values >= lower[None, :]) & (data.values <= upper[None, :])
-        depth += inside.mean(axis=1)
-    return depth / len(pairs)

@@ -45,57 +45,6 @@ from repro.utils.validation import check_in_range
 
 __all__ = ["funta_depth", "funta_outlyingness"]
 
-_HALF_PI = np.pi / 2.0
-
-
-def _crossing_angles(curve_a: np.ndarray, curve_b: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Acute tangent angles at the crossings of two sampled curves."""
-    diff = curve_a - curve_b
-    sign = np.sign(diff)
-    # A crossing happens in interval j when the sign changes (or hits 0).
-    change = np.nonzero((sign[:-1] * sign[1:]) < 0)[0]
-    touch = np.nonzero(diff == 0.0)[0]
-    intervals = set(change.tolist())
-    for j in touch:
-        intervals.add(min(int(j), len(grid) - 2))
-    if not intervals:
-        return np.empty(0)
-    idx = np.fromiter(sorted(intervals), dtype=np.int64)
-    dt = grid[idx + 1] - grid[idx]
-    slope_a = (curve_a[idx + 1] - curve_a[idx]) / dt
-    slope_b = (curve_b[idx + 1] - curve_b[idx]) / dt
-    angles = np.abs(np.arctan(slope_a) - np.arctan(slope_b))
-    # Fold to the acute angle in [0, pi/2].
-    return np.minimum(angles, np.pi - angles)
-
-
-def _funta_univariate(
-    values: np.ndarray, ref_values: np.ndarray, grid: np.ndarray, trim: float, same: bool
-) -> np.ndarray:
-    n = values.shape[0]
-    depth = np.empty(n)
-    for i in range(n):
-        collected = []
-        for j in range(ref_values.shape[0]):
-            if same and j == i:
-                continue
-            angles = _crossing_angles(values[i], ref_values[j], grid)
-            if angles.size == 0:
-                collected.append(np.array([_HALF_PI]))
-            else:
-                collected.append(angles)
-        angles = np.concatenate(collected) if collected else np.empty(0)
-        if angles.size == 0:
-            depth[i] = 1.0
-            continue
-        if trim > 0:
-            cutoff = np.quantile(angles, 1.0 - trim)
-            kept = angles[angles <= cutoff]
-            if kept.size:
-                angles = kept
-        depth[i] = 1.0 - float(np.mean(angles)) / _HALF_PI
-    return np.clip(depth, 0.0, 1.0)
-
 
 def _resolve_pair(data, reference):
     if reference is None:
@@ -111,7 +60,6 @@ def funta_depth(
     data,
     reference=None,
     trim: float = 0.0,
-    naive: bool = False,
     block_bytes: int | None = None,
     context=None,
     dtype=None,
@@ -129,24 +77,17 @@ def funta_depth(
     trim:
         Robustification: fraction of the *largest* angles discarded per
         sample before averaging (0 = original FUNTA).
-    naive:
-        ``True`` runs the original O(n²·m) pair loop (the equivalence
-        oracle); the default is the blocked broadcast kernel of
-        :mod:`repro.depth._kernels`.
     block_bytes:
         Scratch budget per kernel block (default ~64 MB).
     context:
         Optional :class:`~repro.engine.ExecutionContext` whose worker
         pool fans out sample blocks (bit-identical to serial).
     dtype:
-        Kernel compute precision for the blocked path (float64 default,
-        float32 fast path); the naive oracle is always float64.
+        Kernel compute precision (float64 default, float32 fast path).
     """
     trim = check_in_range(trim, 0.0, 0.5, "trim", inclusive=(True, False))
 
     def univariate(values, ref_values, grid, same):
-        if naive:
-            return _funta_univariate(values, ref_values, grid, trim, same)
         return _kernels.funta_univariate(
             values, ref_values, grid, trim, same,
             block_bytes=block_bytes, context=context, dtype=dtype,
@@ -175,7 +116,6 @@ def funta_outlyingness(
     data,
     reference=None,
     trim: float = 0.0,
-    naive: bool = False,
     block_bytes: int | None = None,
     context=None,
     dtype=None,
@@ -183,5 +123,5 @@ def funta_outlyingness(
     """Outlyingness score ``1 - FUNTA`` (higher = more anomalous)."""
     return 1.0 - funta_depth(
         data, reference=reference, trim=trim,
-        naive=naive, block_bytes=block_bytes, context=context, dtype=dtype,
+        block_bytes=block_bytes, context=context, dtype=dtype,
     )

@@ -68,7 +68,6 @@ def ms_plot(
     alpha: float = 0.993,
     n_directions: int = 200,
     random_state=None,
-    naive: bool = False,
     block_bytes: int | None = None,
     context=None,
 ) -> MSPlotResult:
@@ -83,14 +82,13 @@ def ms_plot(
         high coverage, e.g. 99.3%).
     n_directions, random_state:
         Projection-depth approximation controls.
-    naive, block_bytes, context:
-        Passed through to the batched Dir.out kernels (``naive=True``
-        keeps the original per-grid-point loop).
+    block_bytes, context:
+        Passed through to the batched Dir.out kernels.
     """
     alpha = check_in_range(alpha, 0.5, 1.0, "alpha", inclusive=(False, False))
     decomposition = directional_outlyingness(
         data, reference, n_directions=n_directions, random_state=random_state,
-        naive=naive, block_bytes=block_bytes, context=context,
+        block_bytes=block_bytes, context=context,
     )
     features = np.column_stack([decomposition.mean, decomposition.variation])
     n, d = features.shape

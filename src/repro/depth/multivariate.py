@@ -72,17 +72,14 @@ def _directional_outlyingness_1d(proj_points: np.ndarray, proj_ref: np.ndarray) 
 
 
 def stahel_donoho_outlyingness(
-    points, reference, n_directions: int = 200, random_state=None,
-    naive: bool = False,
+    points, reference, n_directions: int = 200, random_state=None
 ) -> np.ndarray:
     """Stahel–Donoho outlyingness ``sup_u |u'x - med| / MAD``.
 
     Exact for univariate clouds; for p > 1 the supremum is taken over
     ``n_directions`` random unit vectors (plus the coordinate axes,
-    which stabilizes low-dimensional behaviour).  The default path
-    evaluates every direction's median/MAD in one batched sweep;
-    ``naive=True`` keeps the original per-direction loop (the
-    equivalence oracle, same discipline as :func:`halfspace_depth`).
+    which stabilizes low-dimensional behaviour), with every direction's
+    median/MAD evaluated in one batched sweep.
     """
     points, reference = _check_cloud(points, reference)
     p = reference.shape[1]
@@ -92,13 +89,6 @@ def stahel_donoho_outlyingness(
     directions = _kernels.draw_directions(random_state, n_directions, p)
     proj_ref = reference @ directions.T        # (n_ref, n_dir)
     proj_pts = points @ directions.T           # (n_pts, n_dir)
-    if naive:
-        out = np.zeros(points.shape[0])
-        for d in range(directions.shape[0]):
-            out = np.maximum(
-                out, _directional_outlyingness_1d(proj_pts[:, d], proj_ref[:, d])
-            )
-        return out
     med = np.median(proj_ref, axis=0)
     mad = _MAD_SCALE * np.median(np.abs(proj_ref - med), axis=0)
     degenerate = mad < 1e-12
@@ -110,13 +100,10 @@ def stahel_donoho_outlyingness(
 
 
 def projection_depth(
-    points, reference, n_directions: int = 200, random_state=None,
-    naive: bool = False,
+    points, reference, n_directions: int = 200, random_state=None
 ) -> np.ndarray:
     """Projection depth ``1 / (1 + SDO)`` (Zuo 2003)."""
-    sdo = stahel_donoho_outlyingness(
-        points, reference, n_directions, random_state, naive=naive
-    )
+    sdo = stahel_donoho_outlyingness(points, reference, n_directions, random_state)
     return 1.0 / (1.0 + sdo)
 
 
@@ -125,17 +112,15 @@ def halfspace_depth(
     reference,
     n_directions: int = 500,
     random_state=None,
-    naive: bool = False,
     block_bytes: int | None = None,
 ) -> np.ndarray:
     """Tukey halfspace depth, normalized to [0, 1/2].
 
     Exact in one dimension (minimum of the two empirical tail
     fractions); approximated by minimizing over random directions for
-    p > 1 (the approximation can only overestimate the true depth).
-    The default path evaluates all directions at once via exact rank
-    counting in ``block_bytes``-bounded blocks; ``naive=True`` keeps
-    the original per-direction loop (the equivalence oracle).
+    p > 1 (the approximation can only overestimate the true depth),
+    all directions at once via exact rank counting in
+    ``block_bytes``-bounded blocks.
     """
     points, reference = _check_cloud(points, reference)
     n_ref, p = reference.shape
@@ -145,83 +130,31 @@ def halfspace_depth(
         return np.minimum(below, above)
     n_directions = check_int(n_directions, "n_directions", minimum=1)
     directions = _kernels.draw_directions(random_state, n_directions, p)
-    if not naive:
-        return _kernels.halfspace_depth_cloud(
-            points, reference, directions, block_bytes=block_bytes
-        )
-    proj_ref = reference @ directions.T
-    proj_pts = points @ directions.T
-    depth = np.full(points.shape[0], np.inf)
-    for d in range(proj_ref.shape[1]):
-        tail = (proj_ref[:, d][None, :] >= proj_pts[:, d][:, None]).mean(axis=1)
-        other = (proj_ref[:, d][None, :] <= proj_pts[:, d][:, None]).mean(axis=1)
-        depth = np.minimum(depth, np.minimum(tail, other))
-    return depth
+    return _kernels.halfspace_depth_cloud(
+        points, reference, directions, block_bytes=block_bytes
+    )
 
 
-def spatial_depth(
-    points, reference, naive: bool = False, block_bytes: int | None = None
-) -> np.ndarray:
+def spatial_depth(points, reference, block_bytes: int | None = None) -> np.ndarray:
     """Spatial (L1) depth: ``1 - |E[(x - X)/|x - X|]|``.
 
-    Vectorized over all query points in ``block_bytes``-bounded blocks;
-    ``naive=True`` keeps the original per-point loop.
+    Vectorized over all query points in ``block_bytes``-bounded blocks.
     """
     points, reference = _check_cloud(points, reference)
-    if not naive:
-        return _kernels.spatial_depth_cloud(points, reference, block_bytes=block_bytes)
-    depth = np.empty(points.shape[0])
-    for i, x in enumerate(points):
-        diffs = x[None, :] - reference
-        norms = np.linalg.norm(diffs, axis=1)
-        keep = norms > 1e-12
-        if not keep.any():
-            depth[i] = 1.0
-            continue
-        units = diffs[keep] / norms[keep, None]
-        depth[i] = 1.0 - np.linalg.norm(units.mean(axis=0))
-    return np.clip(depth, 0.0, 1.0)
+    return _kernels.spatial_depth_cloud(points, reference, block_bytes=block_bytes)
 
 
-def simplicial_depth(
-    points, reference, naive: bool = False, block_bytes: int | None = None
-) -> np.ndarray:
+def simplicial_depth(points, reference, block_bytes: int | None = None) -> np.ndarray:
     """Simplicial depth for p = 2: fraction of triangles containing the point.
 
     Exact enumeration over all ``C(n, 3)`` reference triangles via a
     sign test; intended for modest cloud sizes (the functional
-    aggregation calls it once per grid point).  The default path counts
-    orientation signs for whole (query-block × triangle-block) slabs at
-    once; ``naive=True`` keeps the original per-query-point loop.
+    aggregation calls it once per grid point).  Orientation signs are
+    counted for whole (query-block × triangle-block) slabs at once.
     """
     points, reference = _check_cloud(points, reference)
     if reference.shape[1] != 2:
         raise ValidationError("simplicial_depth is implemented for p = 2 only")
-    n = reference.shape[0]
-    if n < 3:
+    if reference.shape[0] < 3:
         raise ValidationError("simplicial_depth needs at least 3 reference points")
-    if not naive:
-        return _kernels.simplicial_depth_cloud(points, reference, block_bytes=block_bytes)
-    from itertools import combinations
-
-    triangles = np.array(list(combinations(range(n), 3)))
-    a = reference[triangles[:, 0]]
-    b = reference[triangles[:, 1]]
-    c = reference[triangles[:, 2]]
-
-    def _sign(p1, p2, p3):
-        return (p1[:, 0] - p3[:, 0]) * (p2[:, 1] - p3[:, 1]) - (
-            p2[:, 0] - p3[:, 0]
-        ) * (p1[:, 1] - p3[:, 1])
-
-    depth = np.empty(points.shape[0])
-    for i, x in enumerate(points):
-        xx = np.broadcast_to(x, a.shape)
-        d1 = _sign(xx, a, b)
-        d2 = _sign(xx, b, c)
-        d3 = _sign(xx, c, a)
-        neg = (d1 < 0) | (d2 < 0) | (d3 < 0)
-        pos = (d1 > 0) | (d2 > 0) | (d3 > 0)
-        inside = ~(neg & pos)
-        depth[i] = inside.mean()
-    return depth
+    return _kernels.simplicial_depth_cloud(points, reference, block_bytes=block_bytes)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.depth.functional import (
-    _modified_band_depth_pairwise,
     aggregate_depth,
     functional_depth,
     modified_band_depth,
@@ -13,6 +12,8 @@ from repro.depth.functional import (
 )
 from repro.exceptions import ValidationError
 from repro.fda.fdata import FDataGrid, MFDataGrid
+
+from oracles import _modified_band_depth_pairwise
 
 
 @pytest.fixture

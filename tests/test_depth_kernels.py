@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.depth import _kernels
-from repro.depth.dirout import _spatial_median, dirout_scores
+from repro.depth.dirout import dirout_scores
 from repro.depth.funta import funta_depth
 from repro.depth.functional import pointwise_depth_profile
 from repro.depth.msplot import ms_plot
@@ -21,6 +21,8 @@ from repro.exceptions import ValidationError
 from repro.fda.fdata import FDataGrid, MFDataGrid
 from repro.serving import DepthScorer, ScoringService
 from repro.utils.linalg import row_blocks
+
+from oracles import _spatial_median
 
 
 @pytest.fixture
@@ -64,16 +66,14 @@ class TestBlockPlumbing:
 
     def test_profile_rejects_parameter_mismatch(self, cube2):
         bad_ref = MFDataGrid(np.zeros((5, cube2.n_points, 3)), cube2.grid)
-        for naive in (False, True):
-            with pytest.raises(ValidationError):
-                pointwise_depth_profile(
-                    cube2, reference=bad_ref, notion="spatial", naive=naive
-                )
-
-    def test_profile_rejects_tiny_reference(self, cube2):
-        tiny = cube2[np.arange(1)]
         with pytest.raises(ValidationError):
-            pointwise_depth_profile(cube2, reference=tiny, notion="spatial")
+            pointwise_depth_profile(cube2, reference=bad_ref, notion="spatial")
+
+    @pytest.mark.parametrize("notion, n_ref", [("spatial", 1), ("simplicial", 2)])
+    def test_profile_rejects_tiny_reference(self, cube2, notion, n_ref):
+        tiny = cube2[np.arange(n_ref)]
+        with pytest.raises(ValidationError):
+            pointwise_depth_profile(cube2, reference=tiny, notion=notion)
 
     def test_dirout_rejects_parameter_mismatch(self, cube2):
         from repro.depth.dirout import directional_outlyingness

@@ -5,12 +5,13 @@ import pytest
 
 from repro.depth.dirout import (
     DirectionalOutlyingness,
-    _spatial_median,
     directional_outlyingness,
     dirout_scores,
 )
 from repro.exceptions import ValidationError
 from repro.fda.fdata import FDataGrid, MFDataGrid
+
+from oracles import _spatial_median
 
 
 @pytest.fixture

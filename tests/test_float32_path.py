@@ -1,12 +1,12 @@
 """Float32 fast-path accuracy: pinned ULP tolerances + rank preservation.
 
 The vectorized kernels accept ``dtype="float32"`` (threaded from
-``WorkloadSpec.dtype`` through the plan compiler); the naive oracles
-always run in float64.  These tests pin how far the float32 path may
-drift from the float64 result, measured in units of float32 machine
-epsilon (one "ULP" here = ``eps32 * max(|x|, 1)``), and assert that the
-drift never reorders scores on the Figure-3 workload — the property
-detection actually relies on.
+``WorkloadSpec.dtype`` through the plan compiler); the loop oracles in
+``tests/oracles.py`` are float64 only.  These tests pin how far the
+float32 path may drift from the float64 result, measured in units of
+float32 machine epsilon (one "ULP" here = ``eps32 * max(|x|, 1)``), and
+assert that the drift never reorders scores on the Figure-3 workload —
+the property detection actually relies on.
 
 Tolerances are pinned per kernel from their numerics, with headroom
 over observed error (seeded workload, BLAS-order dependent):
@@ -90,17 +90,6 @@ class TestPinnedUlpTolerances:
         )
         # depth quantum is 1/n per flipped rank
         assert np.max(np.abs(ref - fast)) * mfd.n_samples <= 4.0
-
-    def test_naive_oracle_ignores_dtype(self, fig3_workload):
-        """The float64 oracle is the fixed point dtype cannot move."""
-        _, mfd, _ = fig3_workload
-        small = mfd[:20]
-        ref = pointwise_depth_profile(small, notion="spatial", naive=True)
-        also = pointwise_depth_profile(
-            small, notion="spatial", naive=True, dtype="float32"
-        )
-        np.testing.assert_array_equal(ref, also)
-        assert also.dtype == np.float64
 
 
 class TestRankPreservation:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.depth.funta import _crossing_angles, funta_depth, funta_outlyingness
+from repro.depth.funta import funta_depth, funta_outlyingness
 from repro.exceptions import ValidationError
 from repro.fda.fdata import FDataGrid, MFDataGrid
+
+from oracles import _crossing_angles
 
 
 @pytest.fixture

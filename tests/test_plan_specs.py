@@ -118,10 +118,19 @@ class TestValidationErrors:
         with pytest.raises(ConfigurationError, match="known kinds"):
             MethodSpec("LSTM")
 
-    def test_unknown_method_param_lists_valid_keys(self):
+    @pytest.mark.parametrize(
+        "kind, params, valid_key",
+        [
+            ("funta", {"trims": 0.1}, "trim"),
+            ("funta", {"naive": True}, "trim"),
+            ("Dir.out", {"naive": True}, "n_directions"),
+        ],
+        ids=["funta-typo", "funta-naive", "dirout-naive"],
+    )
+    def test_unknown_method_param_lists_valid_keys(self, kind, params, valid_key):
         with pytest.raises(ConfigurationError) as err:
-            MethodSpec("funta", {"trims": 0.1})
-        assert "trim" in str(err.value)
+            MethodSpec(kind, params)
+        assert valid_key in str(err.value)
         assert "valid:" in str(err.value)
 
     def test_method_param_keys_include_detector_keys(self):

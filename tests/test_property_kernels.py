@@ -1,8 +1,8 @@
-"""Property tests: blocked vectorized depth kernels ≡ naive loop oracles.
+"""Property tests: blocked vectorized depth kernels ≡ loop oracles.
 
-Every public depth function keeps its original loop implementation
-reachable via ``naive=True``; these tests pin the vectorized kernels to
-that oracle at ``rtol=1e-12`` across depth notions, parameter counts
+The original loop implementation of every depth notion lives in
+``tests/oracles.py``; these tests pin the vectorized kernels to that
+oracle at ``rtol=1e-12`` across depth notions, parameter counts
 p ∈ {1, 2, 3}, block sizes (including blocks smaller than the sample
 count), and degenerate inputs (ties, duplicated curves, constant
 curves, curves that never cross).
@@ -18,6 +18,8 @@ from repro.depth.dirout import directional_outlyingness
 from repro.depth.functional import modified_band_depth, pointwise_depth_profile
 from repro.depth.funta import funta_depth
 from repro.fda.fdata import FDataGrid, MFDataGrid
+
+import oracles
 
 COMMON = settings(max_examples=12, deadline=None)
 
@@ -92,7 +94,7 @@ class TestFuntaEquivalence:
     def test_self_scoring(self, seed, n, m, trim, degenerate):
         values = _cube(seed, n, m, 1, degenerate)[:, :, 0]
         data = FDataGrid(values, np.linspace(0.0, 1.0, m))
-        expected = funta_depth(data, trim=trim, naive=True)
+        expected = oracles.funta_depth(data, trim=trim)
         for block_bytes in BLOCK_SIZES:
             got = funta_depth(data, trim=trim, block_bytes=block_bytes)
             np.testing.assert_allclose(got, expected, rtol=RTOL, atol=ATOL)
@@ -107,7 +109,7 @@ class TestFuntaEquivalence:
         grid = np.linspace(0.0, 1.0, 20)
         data = MFDataGrid(_cube(seed, 6, 20, p, degenerate), grid)
         ref = MFDataGrid(_cube(seed + 1, 8, 20, p, degenerate), grid)
-        expected = funta_depth(data, reference=ref, naive=True)
+        expected = oracles.funta_depth(data, reference=ref)
         got = funta_depth(data, reference=ref, block_bytes=2_000)
         np.testing.assert_allclose(got, expected, rtol=RTOL, atol=ATOL)
 
@@ -119,7 +121,7 @@ class TestFuntaEquivalence:
         )
         data = FDataGrid(values, grid)
         np.testing.assert_allclose(
-            funta_depth(data), funta_depth(data, naive=True), rtol=RTOL, atol=ATOL
+            funta_depth(data), oracles.funta_depth(data), rtol=RTOL, atol=ATOL
         )
 
 
@@ -145,8 +147,8 @@ class TestProfileEquivalence:
             if notion in ("projection", "halfspace")
             else {}
         )
-        expected = pointwise_depth_profile(
-            data, reference=reference, notion=notion, naive=True, **kwargs
+        expected = oracles.pointwise_depth_profile(
+            data, reference=reference, notion=notion, **kwargs
         )
         for block_bytes in BLOCK_SIZES:
             got = pointwise_depth_profile(
@@ -163,7 +165,7 @@ class TestProfileEquivalence:
     def test_simplicial(self, seed, degenerate):
         grid = np.linspace(0.0, 1.0, 6)
         data = MFDataGrid(_cube(seed, 9, 6, 2, degenerate), grid)
-        expected = pointwise_depth_profile(data, notion="simplicial", naive=True)
+        expected = oracles.pointwise_depth_profile(data, notion="simplicial")
         got = pointwise_depth_profile(data, notion="simplicial", block_bytes=3_000)
         np.testing.assert_allclose(got, expected, rtol=RTOL, atol=ATOL)
 
@@ -181,14 +183,12 @@ class TestCloudEquivalence:
         reference = np.round(rng.standard_normal((15, p)), round_to + 1)
         np.testing.assert_allclose(
             mvdepth.halfspace_depth(points, reference, random_state=seed % 50),
-            mvdepth.halfspace_depth(
-                points, reference, random_state=seed % 50, naive=True
-            ),
+            oracles.halfspace_depth(points, reference, random_state=seed % 50),
             rtol=RTOL, atol=ATOL,
         )
         np.testing.assert_allclose(
             mvdepth.spatial_depth(points, reference, block_bytes=2_000),
-            mvdepth.spatial_depth(points, reference, naive=True),
+            oracles.spatial_depth(points, reference),
             rtol=RTOL, atol=ATOL,
         )
 
@@ -202,7 +202,7 @@ class TestCloudEquivalence:
         points = np.vstack([reference[:4], np.round(rng.standard_normal((4, 2)), 1)])
         np.testing.assert_allclose(
             mvdepth.simplicial_depth(points, reference, block_bytes=1_000),
-            mvdepth.simplicial_depth(points, reference, naive=True),
+            oracles.simplicial_depth(points, reference),
             rtol=RTOL, atol=ATOL,
         )
 
@@ -217,13 +217,13 @@ class TestDiroutAndBandDepth:
     def test_dirout_decomposition(self, seed, p, degenerate):
         grid = np.linspace(0.0, 1.0, 15)
         data = MFDataGrid(_cube(seed, 9, 15, p, degenerate), grid)
-        naive = directional_outlyingness(data, random_state=seed % 100, naive=True)
+        oracle = oracles.directional_outlyingness(data, random_state=seed % 100)
         batched = directional_outlyingness(data, random_state=seed % 100)
-        np.testing.assert_allclose(batched.mean, naive.mean, rtol=RTOL, atol=ATOL)
+        np.testing.assert_allclose(batched.mean, oracle.mean, rtol=RTOL, atol=ATOL)
         np.testing.assert_allclose(
-            batched.variation, naive.variation, rtol=RTOL, atol=ATOL
+            batched.variation, oracle.variation, rtol=RTOL, atol=ATOL
         )
-        np.testing.assert_allclose(batched.total, naive.total, rtol=RTOL, atol=ATOL)
+        np.testing.assert_allclose(batched.total, oracle.total, rtol=RTOL, atol=ATOL)
 
     @COMMON
     @given(
@@ -235,6 +235,6 @@ class TestDiroutAndBandDepth:
         data = FDataGrid(values, np.linspace(0.0, 1.0, 18))
         np.testing.assert_allclose(
             modified_band_depth(data),
-            modified_band_depth(data, naive=True),
+            oracles._modified_band_depth_pairwise(data),
             rtol=RTOL, atol=ATOL,
         )
