@@ -8,7 +8,8 @@ interval of the median ratio lies wholly above the gate's bound:
 * 1.0 for the "beats" claims: vectorized depth kernels vs their loop
   oracles in ``tests/oracles.py``, incremental streaming vs refit,
   ``shards=2`` vs one stream, the 2-worker block thread pool vs serial,
-  cached vs cache-cleared serving, warm vs cold method preparation;
+  float32 vs float64 kernels, cached vs cache-cleared serving, warm vs
+  cold method preparation;
 * 1.02 for enabled telemetry vs ``NULL_TELEMETRY``;
 * 1.05 for plan-layer dispatch vs direct pipeline calls.
 
@@ -199,6 +200,27 @@ def test_pool_beats_serial():
     }
     failed = check_gates("n_jobs=2 pool / serial, n=20k n_ref=256 m=48", cases, 1.0)
     assert not failed, "the 2-worker pool is not faster than serial"
+
+
+def test_float32_beats_float64():
+    """Dir.out at p=2 and univariate FUNTA, 200 curves on the Fig. 3
+    grid of 85 points, in the float32 and the float64 kernel dtype."""
+    rng = np.random.default_rng(SEED)
+    grid = np.linspace(0.0, 1.0, 85)
+    curves = FDataGrid(rng.standard_normal((200, 85)).cumsum(axis=1) / 5.0, grid)
+    mfd_p2 = MFDataGrid(rng.standard_normal((200, 85, 2)).cumsum(axis=1) / 5.0, grid)
+    kernels = {
+        "dirout_p2": lambda dtype: dirout_scores(mfd_p2, random_state=SEED, dtype=dtype),
+        "funta": lambda dtype: funta_outlyingness(curves, dtype=dtype),
+    }
+    cases = {
+        name: paired_ratios(
+            lambda: kernel("float64"), lambda: kernel("float32"), pairs=5, min_seconds=0.2
+        )
+        for name, kernel in kernels.items()
+    }
+    failed = check_gates("float32 / float64 kernels, n=200 m=85", cases, 1.0)
+    assert not failed, f"float32 kernels not faster than float64: {failed}"
 
 
 # --------------------------------------------------------------------------- streaming

@@ -22,9 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.pipeline import GeometricOutlierPipeline
-from repro.depth.dirout import dirout_scores
+from repro.depth.dirout import check_dirout_method, dirout_scores
 from repro.engine import ExecutionContext
-from repro.depth.funta import funta_outlyingness
+from repro.depth.funta import check_trim, funta_outlyingness
 from repro.detectors.iforest import IsolationForest
 from repro.detectors.ocsvm import OneClassSVM
 from repro.evaluation.tuning import tune_nu
@@ -35,6 +35,7 @@ from repro.fda.smoothing import BasisSmoother
 from repro.geometry.base import MappingFunction
 from repro.geometry.mappings import CompositeMapping, CurvatureMapping
 from repro.utils.random import check_random_state
+from repro.utils.validation import check_int
 
 __all__ = [
     "Method",
@@ -272,7 +273,7 @@ class FuntaMethod(Method):
         block_bytes: int | None = None,
         dtype=None,
     ):
-        self.trim = trim
+        self.trim = check_trim(trim)
         self.smooth = bool(smooth)
         self.name = name
         self.block_bytes = block_bytes
@@ -312,8 +313,8 @@ class DirOutMethod(Method):
         block_bytes: int | None = None,
         dtype=None,
     ):
-        self.method = method
-        self.n_directions = n_directions
+        self.method = check_dirout_method(method)
+        self.n_directions = check_int(n_directions, "n_directions", minimum=1)
         self.smooth = bool(smooth)
         self.name = name
         self.block_bytes = block_bytes

@@ -15,8 +15,9 @@ memory-bounded blocks:
   halfspace counts come from an exact double-argsort rank trick rather
   than O(n·n_ref) boolean comparisons per point;
 * **Dir.out** — the per-grid-point Stahel–Donoho and Weiszfeld loops
-  become batched matrix ops (the geometric median iterates all grid
-  points simultaneously, freezing columns as they converge);
+  become batched matrix ops (projection medians and MADs read off
+  in-place sorted lanes; the geometric median iterates all grid points
+  simultaneously, freezing columns as they converge);
 * **simplicial depth** — the per-query-point Python loop over C(n,3)
   triangles becomes blocked orientation-sign counting over
   ``(query-block × triangle-block)`` slabs.
@@ -54,6 +55,7 @@ __all__ = [
     "rank_counts",
     "funta_univariate",
     "pointwise_profile",
+    "sorted_median",
     "batched_stahel_donoho",
     "batched_spatial_median",
     "batched_outlyingness_vectors",
@@ -580,6 +582,19 @@ def _project_block(cube: np.ndarray, directions: np.ndarray, j0: int, j1: int) -
     )
 
 
+def sorted_median(lanes: np.ndarray) -> np.ndarray:
+    """Median along the last axis of ``lanes``, sorted ascending on it.
+
+    The middle value for an odd length, the halved sum of the two middle
+    values for an even one: bit-identical to ``np.median(lanes,
+    axis=-1)`` on the unsorted lanes, without its selection pass.
+    """
+    n = lanes.shape[-1]
+    if n % 2:
+        return lanes[..., n // 2].copy()
+    return (lanes[..., n // 2 - 1] + lanes[..., n // 2]) / 2.0
+
+
 def _sdo_block(
     block,
     values: np.ndarray,
@@ -589,31 +604,49 @@ def _sdo_block(
     """Stahel–Donoho outlyingness for one contiguous grid-point block.
 
     One lane-major batched GEMM per cube — ``(J, d, p) @ (J, p, r)``
-    lands every direction's projections on the contiguous last axis, so
-    the median partitions run straight on the GEMM output with no
-    transpose copy in between.  Medians/MAD are selection statistics, so
-    both partitions run in place (the scrambled lane order leaves the
-    deviation multiset unchanged).
+    lands every direction's projections on the contiguous last axis.
+    The reference lanes are sorted in place and the median read off the
+    middle; the lanes are then overwritten with their absolute
+    deviations, sorted again, and the MAD read off the middle.  One
+    in-place sort per statistic beats ``np.median``, whose even-length
+    lanes fall back to a generic multi-rank selection, and the in-place
+    deviations allocate no new slab.
     """
     j0, j1 = block
     dirs = directions[j0:j1]  # (J, d, p)
-    ref_lanes = np.matmul(dirs, ref_values[:, j0:j1].transpose(1, 2, 0))  # (J, d, r)
+    ref_block = ref_values[:, j0:j1].transpose(1, 2, 0)  # (J, p, r)
+    ref_lanes = np.matmul(dirs, ref_block)  # (J, d, r)
     if values is ref_values:
         # Self-scoring: queries are the reference projections; copy
-        # before the in-place partitions scramble the lane order.
+        # before the in-place sort reorders the lanes.
         pts_lanes = ref_lanes.copy()
     else:
         pts_lanes = np.matmul(dirs, values[:, j0:j1].transpose(1, 2, 0))  # (J, d, n)
-    med = np.median(ref_lanes, axis=2, overwrite_input=True)  # (J, d)
-    dev = np.abs(ref_lanes - med[:, :, None])
-    mad = MAD_SCALE * np.median(dev, axis=2, overwrite_input=True)
+    ref_lanes.sort(axis=2)
+    med = sorted_median(ref_lanes)[:, :, None]  # (J, d, 1)
+    np.subtract(ref_lanes, med, out=ref_lanes)
+    np.abs(ref_lanes, out=ref_lanes)
+    ref_lanes.sort(axis=2)
+    mad = MAD_SCALE * sorted_median(ref_lanes)  # (J, d)
     degenerate = mad < 1e-12
     if degenerate.any():
-        spread = ref_lanes.std(axis=2)  # (J, d) — order-invariant up to roundoff
-        mad = np.where(degenerate, np.where(spread > 1e-12, spread, 1.0), mad)
-    out = np.abs(pts_lanes - med[:, :, None])
-    out /= mad[:, :, None]
-    return out.max(axis=1).T  # (n, J)
+        # The lanes now hold deviations, so the degenerate lanes'
+        # projections are rebuilt for their spread.  np.std's sum depends
+        # on lane order in its last bits, so the lanes first take the
+        # order np.median's in-place partition leaves (its middle ranks
+        # plus the last), the order this guard summed in when the
+        # medians were selections.  A multi-rank partition runs NumPy's
+        # scalar introselect, so that order is the same on every CPU.
+        lanes = np.matmul(dirs, ref_block)[degenerate]  # (k, r)
+        r = lanes.shape[1]
+        ranks = [r // 2 - 1, r // 2] if r % 2 == 0 else [r // 2]
+        lanes.partition(ranks + [-1], axis=1)
+        spread = lanes.std(axis=1)
+        mad[degenerate] = np.where(spread > 1e-12, spread, 1.0)
+    np.subtract(pts_lanes, med, out=pts_lanes)
+    np.abs(pts_lanes, out=pts_lanes)
+    pts_lanes /= mad[:, :, None]
+    return pts_lanes.max(axis=1).T  # (n, J)
 
 
 def batched_stahel_donoho(

@@ -142,6 +142,13 @@ def directional_outlyingness(
     return summarize_outlyingness(out_vectors, data.grid)
 
 
+def check_dirout_method(method: str) -> str:
+    """Validate a :func:`dirout_scores` method: ``total`` or ``mahalanobis``."""
+    if method not in ("total", "mahalanobis"):
+        raise ValidationError(f"unknown method {method!r}; use 'total' or 'mahalanobis'")
+    return method
+
+
 def dirout_scores(
     data,
     reference=None,
@@ -159,18 +166,17 @@ def dirout_scores(
     each sample's ``(MO, VO)`` point w.r.t. the reference samples'
     ``(MO, VO)`` cloud, following Dai & Genton's detection rule.
     """
+    check_dirout_method(method)
     decomposition = directional_outlyingness(
         data, reference, n_directions=n_directions, random_state=random_state,
         block_bytes=block_bytes, context=context, dtype=dtype,
     )
     if method == "total":
         return decomposition.total
-    if method == "mahalanobis":
-        features = np.column_stack([decomposition.mean, decomposition.variation])
-        location = np.median(features, axis=0)
-        centered = features - location
-        cov = np.atleast_2d(np.cov(features, rowvar=False))
-        cov = cov + 1e-8 * np.trace(cov) / cov.shape[0] * np.eye(cov.shape[0])
-        precision = np.linalg.pinv(cov)
-        return np.sqrt(np.maximum(np.sum((centered @ precision) * centered, axis=1), 0.0))
-    raise ValidationError(f"unknown method {method!r}; use 'total' or 'mahalanobis'")
+    features = np.column_stack([decomposition.mean, decomposition.variation])
+    location = np.median(features, axis=0)
+    centered = features - location
+    cov = np.atleast_2d(np.cov(features, rowvar=False))
+    cov = cov + 1e-8 * np.trace(cov) / cov.shape[0] * np.eye(cov.shape[0])
+    precision = np.linalg.pinv(cov)
+    return np.sqrt(np.maximum(np.sum((centered @ precision) * centered, axis=1), 0.0))

@@ -56,6 +56,11 @@ def _resolve_pair(data, reference):
     return reference, False
 
 
+def check_trim(trim) -> float:
+    """Validate the robustified variant's trimmed fraction, in [0, 0.5)."""
+    return check_in_range(trim, 0.0, 0.5, "trim", inclusive=(True, False))
+
+
 def funta_depth(
     data,
     reference=None,
@@ -85,7 +90,7 @@ def funta_depth(
     dtype:
         Kernel compute precision (float64 default, float32 fast path).
     """
-    trim = check_in_range(trim, 0.0, 0.5, "trim", inclusive=(True, False))
+    trim = check_trim(trim)
 
     def univariate(values, ref_values, grid, same):
         return _kernels.funta_univariate(

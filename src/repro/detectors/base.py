@@ -56,6 +56,10 @@ class OutlierDetector(abc.ABC):
         """Fit the detector on training rows (contaminated training allowed)."""
         X = check_matrix(X, "X")
         self._fit(X)
+        return self._finish_fit(X)
+
+    def _finish_fit(self, X: np.ndarray) -> "OutlierDetector":
+        """Record the training width and the decision threshold after ``_fit``."""
         self.n_features_ = X.shape[1]
         self._fitted = True
         if self.contamination is not None:

@@ -29,7 +29,7 @@ import numpy as np
 from repro.detectors.base import OutlierDetector
 from repro.detectors.kernels import make_kernel, resolve_gamma
 from repro.exceptions import ConvergenceError, ValidationError
-from repro.utils.validation import check_in_range, check_int, check_positive
+from repro.utils.validation import check_in_range, check_int, check_matrix, check_positive
 
 __all__ = ["OneClassSVM", "smo_solve"]
 
@@ -58,6 +58,16 @@ def smo_solve(
     -------
     (alpha, rho, n_iter):
         Optimal multipliers, offset ``rho``, iterations used.
+
+    Notes
+    -----
+    An iteration costs two O(n) selections and one O(n) gradient update;
+    the rest is Python scalar work.  So the loop keeps the masked
+    gradients of the working-set selection up to date instead of
+    rebuilding them, re-checks the box only at the two multipliers that
+    moved, reads the update's Gram columns as contiguous rows of
+    ``Q.T``, and does the step arithmetic in Python floats.  Each of
+    these leaves every selected pair, step and output bit unchanged.
     """
     n = Q.shape[0]
     if Q.shape != (n, n):
@@ -80,30 +90,54 @@ def smo_solve(
 
     grad = Q @ alpha
     eps = 1e-12
+    below_bound = C - eps
+    # Row k of Q_cols is column k of Q, contiguous for the gradient update.
+    Q_cols = np.ascontiguousarray(Q.T)
+    delta = np.empty(n)
+    can_up = alpha < below_bound
+    can_down = alpha > eps
+    n_up, n_down = int(np.count_nonzero(can_up)), int(np.count_nonzero(can_down))
+    # The gradient with ineligible entries at -/+inf: each update adds the
+    # same delta as to ``grad`` (inf stays inf), so it equals the masked
+    # copy of ``grad`` bit for bit without rebuilding it every iteration.
+    grad_up = np.where(can_up, grad, np.inf)
+    grad_down = np.where(can_down, grad, -np.inf)
     iteration = 0
     for iteration in range(1, max_iter + 1):
-        can_up = alpha < C - eps
-        can_down = alpha > eps
-        if not can_up.any() or not can_down.any():
+        if not n_up or not n_down:
             break
-        grad_up = np.where(can_up, grad, np.inf)
-        grad_down = np.where(can_down, grad, -np.inf)
-        i = int(np.argmin(grad_up))
-        j = int(np.argmax(grad_down))
-        violation = grad[j] - grad[i]
+        i = int(grad_up.argmin())
+        j = int(grad_down.argmax())
+        # Scalar step math in Python floats: the same IEEE doubles as
+        # NumPy scalars, without their per-operation overhead.
+        violation = grad.item(j) - grad.item(i)
         if violation <= tol:
             break
-        curvature = Q[i, i] + Q[j, j] - 2.0 * Q[i, j]
+        a_i, a_j = alpha.item(i), alpha.item(j)
+        curvature = Q.item(i, i) + Q.item(j, j) - 2.0 * Q.item(i, j)
         if curvature <= eps:
             # Flat direction: move as far as the box allows.
-            step = min(C - alpha[i], alpha[j])
+            step = min(C - a_i, a_j)
         else:
-            step = min(violation / curvature, C - alpha[i], alpha[j])
+            step = min(violation / curvature, C - a_i, a_j)
         if step <= eps:
             break
-        alpha[i] += step
-        alpha[j] -= step
-        grad += step * (Q[:, i] - Q[:, j])
+        a_i += step
+        a_j -= step
+        alpha[i], alpha[j] = a_i, a_j
+        np.subtract(Q_cols[i], Q_cols[j], out=delta)
+        delta *= step
+        grad += delta
+        grad_up += delta
+        grad_down += delta
+        # Only alpha_i and alpha_j moved: update their eligibility.
+        for k, a_k in ((i, a_i), (j, a_j)):
+            up, down = a_k < below_bound, a_k > eps
+            n_up += up - bool(can_up[k])
+            n_down += down - bool(can_down[k])
+            can_up[k], can_down[k] = up, down
+            grad_up[k] = grad[k] if up else np.inf
+            grad_down[k] = grad[k] if down else -np.inf
     else:
         raise ConvergenceError(
             f"SMO did not converge within {max_iter} iterations "
@@ -156,6 +190,10 @@ class OneClassSVM(OutlierDetector):
     ):
         super().__init__(contamination=contamination)
         self.nu = check_in_range(nu, 0.0, 1.0, "nu", inclusive=(False, True))
+        # An unknown kernel or a bad gamma fails here, not at the first fit.
+        make_kernel(kernel, 1.0)
+        if not (isinstance(gamma, str) and gamma in ("scale", "auto")):
+            check_positive(gamma, "gamma")
         self.kernel = kernel
         self.gamma = gamma
         self.degree = check_int(degree, "degree", minimum=1)
@@ -171,13 +209,21 @@ class OneClassSVM(OutlierDetector):
         self._kernel_fn = None
 
     def _fit(self, X: np.ndarray) -> None:
-        n = X.shape[0]
-        if n < 2:
+        self._solve(X, *self._gram(X))
+
+    def _gram(self, X: np.ndarray) -> tuple[float, np.ndarray]:
+        """Resolve gamma on the training rows; return it with their Gram matrix."""
+        if X.shape[0] < 2:
             raise ValidationError("OneClassSVM needs at least 2 training rows")
         gamma_value = resolve_gamma(self.gamma, X)
+        kernel_fn = make_kernel(self.kernel, gamma_value, self.degree, self.coef0)
+        return gamma_value, kernel_fn(X, X)
+
+    def _solve(self, X: np.ndarray, gamma_value: float, Q: np.ndarray) -> None:
+        """Fit on the training rows ``X`` given their Gram matrix ``Q``."""
+        n = X.shape[0]
         self._gamma_value = gamma_value
         self._kernel_fn = make_kernel(self.kernel, gamma_value, self.degree, self.coef0)
-        Q = self._kernel_fn(X, X)
         upper = 1.0 / (self.nu * n)
         alpha, rho, n_iter = smo_solve(Q, upper, tol=self.tol, max_iter=self.max_iter)
         self.alpha_ = alpha
@@ -238,3 +284,18 @@ class OneClassSVM(OutlierDetector):
     def _natural_threshold(self) -> float:
         # f(x) = 0 boundary, i.e. score 0 on the flipped scale.
         return 0.0
+
+
+def fit_shared_gram(models, X) -> None:
+    """Fit OneClassSVMs that differ only in ``nu`` on the same rows ``X``.
+
+    The Gram matrix depends on the rows and the kernel alone (``gamma``
+    ``'scale'``/``'auto'`` resolves from ``X``), so it is built once and
+    every model runs the solve of :meth:`OneClassSVM.fit` on it.  This is
+    how :func:`repro.evaluation.tune_nu` fits its ν candidates per fold.
+    """
+    X = check_matrix(X, "X")
+    gamma_value, Q = models[0]._gram(X)
+    for model in models:
+        model._solve(X, gamma_value, Q)
+        model._finish_fit(X)

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.detectors.ocsvm import OneClassSVM
+from repro.detectors.ocsvm import OneClassSVM, fit_shared_gram
 from repro.evaluation.splits import kfold_indices
 from repro.exceptions import ValidationError
 from repro.utils.random import check_random_state
@@ -55,27 +55,32 @@ def tune_nu(
     """Pick ν by the 5-fold self-consistency criterion (see module doc).
 
     Returns the :class:`TuningResult` whose ``best`` minimizes the mean
-    absolute gap between ν and the held-out rejection rate.
+    absolute gap between ν and the held-out rejection rate.  Per fold,
+    every ν candidate is fitted on one shared Gram matrix of the fold's
+    training rows (:func:`~repro.detectors.ocsvm.fit_shared_gram`).  A
+    bad ν, kernel or gamma raises :class:`ValidationError`; a fold with
+    too few training rows to fit scores a gap of 1 for every candidate.
     """
     X = check_matrix(X, "X")
     n_folds = check_int(n_folds, "n_folds", minimum=2)
     if not candidates:
         raise ValidationError("need at least one nu candidate")
+    models = [OneClassSVM(nu=float(nu), kernel=kernel, gamma=gamma) for nu in candidates]
     rng = check_random_state(random_state)
     folds = kfold_indices(X.shape[0], n_folds=n_folds, random_state=rng)
-    scores: dict[float, float] = {}
-    for nu in candidates:
-        gaps = []
-        for train_idx, valid_idx in folds:
-            model = OneClassSVM(nu=float(nu), kernel=kernel, gamma=gamma)
-            try:
-                model.fit(X[train_idx])
-            except ValidationError:
-                gaps.append(1.0)
-                continue
-            rejected = float(np.mean(model.raw_decision(X[valid_idx]) < 0.0))
-            gaps.append(abs(rejected - float(nu)))
-        scores[float(nu)] = float(np.mean(gaps))
+    gaps = [[] for _ in models]
+    for train_idx, valid_idx in folds:
+        try:
+            fit_shared_gram(models, X[train_idx])
+        except ValidationError:
+            for model_gaps in gaps:
+                model_gaps.append(1.0)
+            continue
+        valid = X[valid_idx]
+        for model, model_gaps in zip(models, gaps):
+            rejected = float(np.mean(model.raw_decision(valid) < 0.0))
+            model_gaps.append(abs(rejected - model.nu))
+    scores = {model.nu: float(np.mean(model_gaps)) for model, model_gaps in zip(models, gaps)}
     best = min(scores, key=scores.get)
     return TuningResult(best=best, scores=scores)
 

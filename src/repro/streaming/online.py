@@ -151,9 +151,7 @@ class SortedLanes:
         n = self.size
         if n == 0:
             raise NotFittedError("sorted lanes are empty")
-        if n % 2:
-            return self.lanes[:, n // 2].copy()
-        return (self.lanes[:, n // 2 - 1] + self.lanes[:, n // 2]) / 2.0
+        return _kernels.sorted_median(self.lanes[:, :n])
 
     def rank_counts(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(le, lt)`` counts of each query within its lane, lane-major.

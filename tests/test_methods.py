@@ -139,6 +139,25 @@ class TestBaselineMethods:
         raw_state = DirOutMethod(smooth=False).prepare(data)
         np.testing.assert_array_equal(raw_state["data"].values, data.values)
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("funta", {"trim": 0.7}),
+            ("dirout", {"method": "bogus"}),
+            ("dirout", {"n_directions": 0}),
+        ],
+    )
+    def test_invalid_params_fail_at_build(self, kind, params):
+        """Bad baseline options fail when the method is built (what
+        ``repro plan validate`` runs), not at the first ``fit_score``."""
+        from repro.plan import MethodSpec, compile_plan
+
+        cls = FuntaMethod if kind == "funta" else DirOutMethod
+        with pytest.raises(ValidationError):
+            cls(**params)
+        with pytest.raises(ValidationError):
+            compile_plan(MethodSpec(kind=kind, params=params)).build()
+
 
 class TestRegistry:
     def test_default_methods_are_figure3(self):

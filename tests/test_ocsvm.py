@@ -134,6 +134,13 @@ class TestOneClassSVM:
         with pytest.raises(ValidationError):
             OneClassSVM(nu=1.5)
 
+    @pytest.mark.parametrize(
+        "options", [{"kernel": "rbff"}, {"gamma": -1.0}, {"gamma": "wide"}]
+    )
+    def test_invalid_kernel_or_gamma_at_construction(self, options):
+        with pytest.raises(ValidationError):
+            OneClassSVM(**options)
+
     def test_needs_two_rows(self):
         with pytest.raises(ValidationError):
             OneClassSVM().fit(np.ones((1, 2)))

@@ -353,6 +353,16 @@ class TestPlanValidateCli:
         assert main(["plan", "validate", str(spec_path)]) == 2
         assert "nu" in capsys.readouterr().err
 
+    def test_invalid_baseline_param_exits_nonzero(self, tmp_path, capsys):
+        from repro.cli import main
+
+        bad = tmp_path / "funta_trim.json"
+        bad.write_text(json.dumps({"spec": "method", "kind": "funta",
+                                   "params": {"trim": 0.7}}),
+                       encoding="utf-8")
+        assert main(["plan", "validate", str(bad)]) == 2
+        assert "trim" in capsys.readouterr().err
+
     def test_invalid_spec_exits_nonzero(self, tmp_path, capsys):
         from repro.cli import main
 

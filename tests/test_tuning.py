@@ -31,6 +31,19 @@ class TestTuneNu:
         with pytest.raises(ValidationError):
             tune_nu(rng.standard_normal((20, 2)), candidates=())
 
+    @pytest.mark.parametrize(
+        "options", [{"kernel": "rbff"}, {"gamma": -1.0}, {"candidates": (0.0, 0.1)}]
+    )
+    def test_bad_configuration_raises(self, rng, options):
+        """A bad kernel, gamma or nu is an error, not a gap of 1 per fold."""
+        with pytest.raises(ValidationError):
+            tune_nu(rng.standard_normal((40, 3)), random_state=0, **options)
+
+    def test_fold_too_small_to_fit_scores_full_gap(self, rng):
+        # Two rows in two folds leave one training row per fold.
+        result = tune_nu(rng.standard_normal((2, 3)), candidates=(0.1, 0.2), n_folds=2)
+        assert result.scores == {0.1: 1.0, 0.2: 1.0}
+
     def test_result_requires_scores(self):
         with pytest.raises(ValidationError):
             TuningResult(best=0.1, scores={})
