@@ -632,11 +632,11 @@ def _sdo_block(
     if degenerate.any():
         # The lanes now hold deviations, so the degenerate lanes'
         # projections are rebuilt for their spread.  np.std's sum depends
-        # on lane order in its last bits, so the lanes first take the
-        # order np.median's in-place partition leaves (its middle ranks
-        # plus the last), the order this guard summed in when the
-        # medians were selections.  A multi-rank partition runs NumPy's
-        # scalar introselect, so that order is the same on every CPU.
+        # on lane order in its last bits; the lanes take the order
+        # np.median's in-place partition leaves (its middle ranks plus
+        # the last), which tests/data/dirout_golden.npz pins.  A
+        # multi-rank partition runs NumPy's scalar introselect, so that
+        # order is the same on every CPU.
         lanes = np.matmul(dirs, ref_block)[degenerate]  # (k, r)
         r = lanes.shape[1]
         ranks = [r // 2 - 1, r // 2] if r % 2 == 0 else [r // 2]
