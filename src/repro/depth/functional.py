@@ -22,7 +22,7 @@ from repro.depth import _kernels
 from repro.exceptions import ValidationError
 from repro.fda.fdata import FDataGrid, MFDataGrid
 from repro.fda.quadrature import trapezoid_weights
-from repro.utils.validation import check_grid
+from repro.utils.validation import check_grid, check_int
 
 __all__ = [
     "pointwise_depth_profile",
@@ -72,6 +72,8 @@ def pointwise_depth_profile(
         raise ValidationError(
             f"unknown depth notion {notion!r}; choose from {sorted(_NOTIONS)}"
         )
+    if "n_directions" in depth_kwargs:
+        check_int(depth_kwargs["n_directions"], "n_directions", minimum=1)
     return _kernels.pointwise_profile(
         data.values,
         reference.values,

@@ -250,7 +250,6 @@ class StreamPlan(ScoringPlan):
             min_reference=spec.min_reference,
             update_policy=spec.update_policy,
             on_drift=spec.effective_on_drift,
-            incremental=spec.incremental,
             block_bytes=block_bytes,
             context=self.context,
             **spec.params,

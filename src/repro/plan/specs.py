@@ -554,7 +554,6 @@ class StreamSpec:
     seed: int = 7
     update_policy: str = "all"
     on_drift: str | None = None
-    incremental: bool = True
     block_bytes: int | None = None
     shards: int = 1
     params: dict = field(default_factory=dict)
@@ -612,7 +611,6 @@ class StreamSpec:
         _check_choice(self.update_policy, ("all", "inliers", "none"), "stream update_policy")
         if self.on_drift is not None:
             _check_choice(self.on_drift, ("adapt", "rereference"), "stream on_drift")
-        _check_type(self.incremental, bool, "stream incremental")
         if self.block_bytes is not None:
             _check_type(self.block_bytes, int, "stream block_bytes")
         _check_type(self.shards, int, "stream shards")
@@ -663,6 +661,15 @@ class StreamSpec:
                 "one thread pool (drop the key)"
             )
         _check_choice(legacy_backend, ("serial", "thread"), "stream shard_backend")
+        # Legacy documents also name the scoring path; true is the only
+        # path there is (each kind has one scoring rule).
+        legacy_incremental = doc.pop("incremental", True)
+        if legacy_incremental is not True:
+            raise ConfigurationError(
+                "stream 'incremental' must be true or absent: each kind has "
+                "one scoring rule, so the refit switch was removed (drop the "
+                f"key), got {legacy_incremental!r}"
+            )
         _doc_keys(doc, {f.name for f in fields(cls)}, "stream spec")
         return cls(**{k: v for k, v in doc.items() if k != "spec"})
 

@@ -11,8 +11,10 @@ scores *unbounded* curve streams whose reference population evolves:
 * :mod:`repro.streaming.online` — :class:`StreamingDetector`, scoring
   each arrival against the current window through the vectorized depth
   kernels (FUNTA, Dir.out, halfspace profiles) or the fitted-pipeline
-  feature path, with reference statistics refreshed incrementally on
-  insert/evict instead of refit from scratch.  ``shards=N`` deals the
+  feature path, one scoring rule per kind: FUNTA, and Dir.out and
+  halfspace at p = 1, refresh cached reference statistics on
+  insert/evict instead of refitting them; Dir.out and halfspace at
+  p > 1 and the pipeline kind refit per score.  ``shards=N`` deals the
   reference across N shard windows whose ingest and partial scoring
   run on a thread pool, while the threshold and drift monitor stay the
   single-stream trackers in the coordinator, so the answers are those

@@ -8,13 +8,14 @@ threshold and drift monitor fold the scores in, and the window then
 absorbs the arrivals — so the reference population evolves with the
 stream instead of being fixed at fit time.
 
-The point of the layer is that scoring does **not** refit the reference
-statistics from scratch on every arrival.  Each scorer kind keeps an
-incremental cache, refreshed per window insert/evict from the
-:class:`~repro.streaming.window.WindowUpdate` signal:
+Each kind has exactly one scoring rule.  Where a cache pays, scoring
+does **not** refit the reference statistics from scratch on every
+arrival: the kind keeps an incremental cache, refreshed per window
+insert/evict from the :class:`~repro.streaming.window.WindowUpdate`
+signal.  Where it does not, the kind refits:
 
 =============  =======================================================
-kind           cached reference statistic (per-arrival refresh cost)
+kind           reference statistic and how it follows the window
 =============  =======================================================
 ``funta``      tangent-angle ring ``arctan(diff(curve)/dt)`` — one
                O(m·p) row per insert vs O(n_ref·m·p) per refit
@@ -26,27 +27,23 @@ kind           cached reference statistic (per-arrival refresh cost)
                from one broadcast comparison against the maintained
                lanes — same O(n_ref·m) asymptotics as the rebuild but
                without the per-arrival re-sort (or argsort machinery)
-``pipeline``   the fitted-pipeline feature path from serving: mean and
-               scatter of the windowed feature vectors via exact
-               Welford insert/evict updates, with the scatter's
-               Cholesky factor maintained by O(d²) rank-one
-               updates/downdates instead of O(d³) refactorizations
+``pipeline``   the fitted-pipeline feature path from serving: refit
+               per score — mean, scatter and ridged Cholesky factor
+               of the windowed feature vectors, computed from the
+               window contents on every call
 =============  =======================================================
 
-Every incremental path reproduces the one-shot batch computation over
-the same window contents *bit-identically* (the cached quantities are
+Every cached path reproduces the one-shot batch computation over the
+same window contents *bit-identically* (the cached quantities are
 produced by the identical elementwise operations; order statistics are
-order-independent), except the ``pipeline`` moments, which agree with a
-from-scratch rebuild to floating-point accumulation error (~1e-10) and
-are periodically resynced.  ``incremental=False`` switches every kind
-to the refit-from-scratch path — the equivalence oracle the property
-tests pin the caches against, and the baseline of the incremental
-speed gate in ``benchmarks/bench_gates.py``.
+order-independent); the tests pin each kind against the public batch
+function on ``window.values``, and ``benchmarks/bench_gates.py`` times
+the caches against that per-arrival batch refit.
 
 For multivariate (p > 1) ``dirout``/``halfspace``, the per-grid-point
 random projection directions make caching memory-prohibitive; those
-configurations transparently use the refit path with a fixed
-``random_state`` (documented via :attr:`StreamingDetector.effective_incremental`).
+configurations score with the batch kernel and a fixed
+``random_state`` (reported by :attr:`StreamingDetector.effective_incremental`).
 
 ``StreamingDetector(..., shards=N)`` deals the reference across N
 round-robin shard windows, each with its own cache, and recovers the
@@ -67,7 +64,7 @@ from repro.depth import _kernels
 from repro.depth._kernels import MAD_SCALE
 from repro.depth.dirout import dirout_scores, summarize_outlyingness
 from repro.depth.functional import aggregate_depth, functional_depth
-from repro.depth.funta import funta_outlyingness
+from repro.depth.funta import check_trim
 from repro.exceptions import NotFittedError, ValidationError
 from repro.fda.fdata import MFDataGrid, as_mfd
 from repro.streaming.drift import DepthRankDrift, DriftEvent
@@ -78,12 +75,7 @@ from repro.streaming.window import (
     WindowUpdate,
 )
 from repro.telemetry import resolve_telemetry
-from repro.utils.linalg import (
-    CholeskyDowndateError,
-    cholesky_downdate,
-    cholesky_update,
-)
-from repro.utils.validation import check_int
+from repro.utils.validation import check_int, check_positive
 
 __all__ = [
     "STREAM_KINDS",
@@ -215,6 +207,7 @@ class SortedLanes:
 class _ScorerState:
     """Cache interface every kind implements (refit kinds no-op)."""
 
+    #: Whether scores read maintained caches (a fact of the kind and p).
     incremental = False
     #: Whether shard scores combine additively (:meth:`partials` /
     #: :meth:`combine`) instead of needing the merged reference state.
@@ -228,10 +221,10 @@ class _ScorerState:
         else:
             self._replace(update.slot, update.inserted, update.evicted)
 
-    def _insert(self, slot: int, item: np.ndarray) -> None:  # pragma: no cover
+    def _insert(self, slot: int, item: np.ndarray) -> None:
         pass
 
-    def _replace(self, slot: int, item: np.ndarray, evicted: np.ndarray) -> None:  # pragma: no cover
+    def _replace(self, slot: int, item: np.ndarray, evicted: np.ndarray) -> None:
         pass
 
     def reset(self) -> None:
@@ -251,12 +244,13 @@ class _ScorerState:
 class _FuntaState(_ScorerState):
     """FUNTA with an incrementally maintained tangent-angle ring."""
 
-    def __init__(self, grid, capacity, trim, block_bytes, context, incremental):
+    incremental = True
+
+    def __init__(self, grid, capacity, trim, block_bytes, context):
         self.grid = grid
         self.trim = trim
         self.block_bytes = block_bytes
         self.context = context
-        self.incremental = incremental
         self.capacity = capacity
         self._dt = np.diff(grid)
         self._theta: np.ndarray | None = None  # (capacity, m-1, p)
@@ -267,8 +261,6 @@ class _FuntaState(_ScorerState):
         return np.arctan(np.diff(values, axis=-2) / self._dt[:, None])
 
     def _insert(self, slot: int, item: np.ndarray) -> None:
-        if not self.incremental:
-            return
         if self._theta is None:
             m, p = item.shape
             self._theta = np.empty((self.capacity, m - 1, p))
@@ -282,7 +274,7 @@ class _FuntaState(_ScorerState):
 
     @property
     def additive(self) -> bool:
-        return self.incremental and self.trim == 0
+        return self.trim == 0
 
     def absorb(self, states, windows) -> None:
         """Union of shard tangent-angle rings, in merged-window row order.
@@ -343,14 +335,6 @@ class _FuntaState(_ScorerState):
 
     def score(self, items: np.ndarray, window: ReferenceWindow) -> np.ndarray:
         ref = window.values  # (r, m, p), physical slot order
-        if not self.incremental:
-            return funta_outlyingness(
-                MFDataGrid(items, self.grid),
-                reference=MFDataGrid(ref, self.grid),
-                trim=self.trim,
-                block_bytes=self.block_bytes,
-                context=self.context,
-            )
         theta_pts = self._angles(items)
         theta_ref = self._theta[: window.size]
         p = items.shape[2]
@@ -374,18 +358,18 @@ class _FuntaState(_ScorerState):
 class _LaneState(_ScorerState):
     """Cross-sectional order statistics kept in sorted lanes (p = 1).
 
-    Shared by Dir.out and halfspace; multivariate data (p > 1) use the
-    seeded refit path instead.
+    Shared by Dir.out and halfspace; multivariate data (p > 1) keep no
+    lanes and score with the seeded batch kernel instead.
     """
 
     def __init__(self, grid, capacity, n_directions, random_state, block_bytes,
-                 context, incremental, p):
+                 context, p):
         self.grid = grid
         self.n_directions = n_directions
         self.random_state = random_state
         self.block_bytes = block_bytes
         self.context = context
-        self.incremental = incremental and p == 1
+        self.incremental = p == 1
         self._lanes = SortedLanes(grid.shape[0], capacity) if self.incremental else None
 
     def _insert(self, slot: int, item: np.ndarray) -> None:
@@ -437,9 +421,9 @@ class _HalfspaceState(_LaneState):
     """Integrated halfspace depth via binary searches in sorted lanes."""
 
     def __init__(self, grid, capacity, aggregation, n_directions, random_state,
-                 block_bytes, context, incremental, p):
+                 block_bytes, context, p):
         super().__init__(grid, capacity, n_directions, random_state, block_bytes,
-                         context, incremental, p)
+                         context, p)
         self.aggregation = aggregation
 
     @property
@@ -469,12 +453,6 @@ class _HalfspaceState(_LaneState):
 
     def score(self, items: np.ndarray, window: ReferenceWindow) -> np.ndarray:
         if not self.incremental:
-            kwargs = {}
-            if items.shape[2] > 1:
-                kwargs = {
-                    "n_directions": self.n_directions,
-                    "random_state": self.random_state,
-                }
             depth = functional_depth(
                 MFDataGrid(items, self.grid),
                 self._reference_mfd(window, self.grid),
@@ -482,7 +460,8 @@ class _HalfspaceState(_LaneState):
                 aggregation=self.aggregation,
                 block_bytes=self.block_bytes,
                 context=self.context,
-                **kwargs,
+                n_directions=self.n_directions,
+                random_state=self.random_state,
             )
             return 1.0 - depth
         return self.combine([self.partials(items, window)], window.size)
@@ -491,95 +470,14 @@ class _HalfspaceState(_LaneState):
 class _PipelineState(_ScorerState):
     """Windowed Mahalanobis scoring over fitted-pipeline features.
 
-    Mean and scatter of the feature window follow exact Welford-style
-    insert/evict recurrences; the scatter's Cholesky factor is carried
-    along by rank-one updates (O(d²)) with a periodic full resync that
-    also refreshes the conditioning ridge.  Scores are robust distances
-    ``sqrt((x-μ)ᵀ Σ⁻¹ (x-μ))`` with ``Σ = (S + ridge·I) / (n-1)``.
+    Every score refits the mean, scatter ``S`` and ridged Cholesky
+    factor from the window contents; nothing is carried between calls.
+    Scores are robust distances ``sqrt((x-μ)ᵀ Σ⁻¹ (x-μ))`` with
+    ``Σ = (S + ridge·I) / (n-1)``, ``ridge = ridge_eps·tr(S)/d``.
     """
 
-    def __init__(self, ridge_eps, resync_every, incremental):
+    def __init__(self, ridge_eps):
         self.ridge_eps = ridge_eps
-        self.resync_every = resync_every
-        self.incremental = incremental
-        self.mean: np.ndarray | None = None
-        self.scatter: np.ndarray | None = None
-        self._chol: np.ndarray | None = None
-        self._count = 0
-        self._updates_since_sync = 0
-
-    # ------------------------------------------------------------------ moments
-    def _insert(self, slot: int, item: np.ndarray) -> None:
-        if not self.incremental:
-            return
-        x = item.ravel()
-        if self.mean is None:
-            self.mean = x.copy()
-            self.scatter = np.zeros((x.size, x.size))
-            self._count = 1
-            return
-        n = self._count
-        delta = x - self.mean
-        self.mean = self.mean + delta / (n + 1)
-        # S_{n+1} = S_n + (n/(n+1)) δδᵀ, exact.
-        factor = n / (n + 1.0)
-        self.scatter += factor * np.outer(delta, delta)
-        self._count = n + 1
-        self._rank_one(delta, factor, downdate=False)
-
-    def _evict(self, item: np.ndarray) -> None:
-        n = self._count
-        if n <= 1:
-            self.reset()
-            return
-        y = item.ravel()
-        delta = y - self.mean
-        # Inverse Welford: S_{n-1} = S_n - (n/(n-1)) δδᵀ with δ = y - μ_n.
-        factor = n / (n - 1.0)
-        self.mean = self.mean - delta / (n - 1)
-        self.scatter -= factor * np.outer(delta, delta)
-        self._count = n - 1
-        self._rank_one(delta, factor, downdate=True)
-
-    def _replace(self, slot: int, item: np.ndarray, evicted: np.ndarray) -> None:
-        if not self.incremental:
-            return
-        self._evict(evicted)
-        self._insert(slot, item)
-
-    def _rank_one(self, delta: np.ndarray, factor: float, downdate: bool) -> None:
-        if self._chol is None:
-            return
-        self._updates_since_sync += 1
-        if self._updates_since_sync >= self.resync_every:
-            self._chol = None  # next score refactorizes (and re-ridges)
-            return
-        try:
-            self._chol = cholesky_update(
-                self._chol, np.sqrt(factor) * delta, downdate=downdate
-            )
-        except CholeskyDowndateError:
-            self._chol = None
-
-    def reset(self) -> None:
-        self.mean = None
-        self.scatter = None
-        self._chol = None
-        self._count = 0
-        self._updates_since_sync = 0
-
-    # ------------------------------------------------------------------ scoring
-    def _refit_moments(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mean = features.mean(axis=0)
-        centered = features - mean
-        return mean, centered.T @ centered
-
-    def _factor(self, scatter: np.ndarray) -> np.ndarray:
-        d = scatter.shape[0]
-        ridge = self.ridge_eps * np.trace(scatter) / d
-        if ridge <= 0.0:
-            ridge = self.ridge_eps
-        return np.linalg.cholesky(scatter + ridge * np.eye(d))
 
     def score(self, items: np.ndarray, window: ReferenceWindow) -> np.ndarray:
         n = window.size
@@ -587,15 +485,15 @@ class _PipelineState(_ScorerState):
             raise NotFittedError(
                 "pipeline streaming scoring needs at least 3 reference curves"
             )
-        if not self.incremental:
-            mean, scatter = self._refit_moments(window.values)
-            chol = self._factor(scatter)
-        else:
-            mean, scatter = self.mean, self.scatter
-            if self._chol is None:
-                self._chol = self._factor(scatter)
-                self._updates_since_sync = 0
-            chol = self._chol
+        features = window.values
+        mean = features.mean(axis=0)
+        centered = features - mean
+        scatter = centered.T @ centered
+        d = scatter.shape[0]
+        ridge = self.ridge_eps * np.trace(scatter) / d
+        if ridge <= 0.0:
+            ridge = self.ridge_eps
+        chol = np.linalg.cholesky(scatter + ridge * np.eye(d))
         z = sla.solve_triangular(chol, (items - mean).T, lower=True)
         d_sq = (n - 1) * np.sum(z * z, axis=0)
         return np.sqrt(np.maximum(d_sq, 0.0))
@@ -676,9 +574,6 @@ class StreamingDetector:
         reset the window, scorer caches and threshold so the reference
         re-fills from the post-drift regime (the right policy for
         reservoir windows, which otherwise dilute drift indefinitely).
-    incremental:
-        ``False`` switches to refit-from-scratch scoring (the oracle
-        path used by tests and the streaming bench).
     aggregation:
         Profile aggregation for ``kind="halfspace"`` (``"integral"`` or
         ``"infimum"``).
@@ -686,22 +581,29 @@ class StreamingDetector:
         Kernel scratch budget / optional worker-pool fan-out, passed
         through to the depth kernels.
     options:
-        Kind-specific scoring options: ``trim`` (funta);
-        ``n_directions``, ``random_state`` (dirout / halfspace p > 1 —
-        the seed is replayed per batch so refit scoring stays
-        deterministic); ``ridge_eps``, ``resync_every`` (pipeline).
+        Kind-specific scoring options, checked here as the batch
+        functions check them: ``trim`` in [0, 0.5) (funta);
+        ``n_directions`` >= 1, ``random_state`` (dirout / halfspace
+        p > 1 — the seed is replayed per batch so scoring stays
+        deterministic); ``ridge_eps`` > 0 (pipeline).
+
+    Each kind has one scoring rule, fixed by the kind and the data's
+    dimension p (see :attr:`effective_incremental`): FUNTA reads its
+    tangent-angle ring, Dir.out and halfspace read sorted lanes at
+    p = 1 and run the seeded batch kernel at p > 1, and ``pipeline``
+    refits its moments on every score.
 
     Sharding
     --------
     With ``shards=N > 1`` the window is split into N round-robin shard
     windows (``window.split(N)``; its capacity must divide evenly), each
-    with its own incremental cache, and arrival ``g`` goes to shard
+    with its own cache, and arrival ``g`` goes to shard
     ``g mod N``.  Scores are still computed against the union of the
     shard windows, which for sliding windows *is* the single-stream
     window (shard reservoirs each sample their own share of the stream):
 
-    * untrimmed incremental FUNTA and univariate incremental halfspace
-      sum per-shard partials (crossing counts/angle sums, rank counts);
+    * untrimmed FUNTA and univariate halfspace sum per-shard partials
+      (crossing counts/angle sums, rank counts);
     * every other configuration scores against the merged state
       (:func:`_union_window`, merged tangent-angle rings, merged sorted
       lanes) with the single-stream scorer code.
@@ -720,7 +622,7 @@ class StreamingDetector:
         "funta": frozenset({"trim"}),
         "dirout": frozenset({"n_directions", "random_state"}),
         "halfspace": frozenset({"n_directions", "random_state"}),
-        "pipeline": frozenset({"ridge_eps", "resync_every"}),
+        "pipeline": frozenset({"ridge_eps"}),
     }
 
     def __init__(
@@ -735,7 +637,6 @@ class StreamingDetector:
         min_reference: int = 8,
         update_policy: str = "all",
         on_drift: str = "adapt",
-        incremental: bool = True,
         aggregation: str = "integral",
         block_bytes: int | None = None,
         context=None,
@@ -755,12 +656,22 @@ class StreamingDetector:
             raise ValidationError(
                 f"on_drift must be 'adapt' or 'rereference', got {on_drift!r}"
             )
+        if aggregation not in ("integral", "infimum"):
+            raise ValidationError(
+                f"aggregation must be 'integral' or 'infimum', got {aggregation!r}"
+            )
         unknown = set(options) - self._ALLOWED_OPTIONS[kind]
         if unknown:
             raise ValidationError(
                 f"unknown options for kind {kind!r}: {sorted(unknown)}; "
                 f"allowed: {sorted(self._ALLOWED_OPTIONS[kind])}"
             )
+        if "trim" in options:
+            check_trim(options["trim"])
+        if "n_directions" in options:
+            check_int(options["n_directions"], "n_directions", minimum=1)
+        if "ridge_eps" in options:
+            check_positive(options["ridge_eps"], "ridge_eps")
         if kind == "pipeline":
             from repro.core.pipeline import GeometricOutlierPipeline
 
@@ -804,7 +715,6 @@ class StreamingDetector:
             )
         self.update_policy = update_policy
         self.on_drift = on_drift
-        self.incremental = bool(incremental)
         self.aggregation = aggregation
         self.block_bytes = block_bytes
         self.context = context
@@ -886,15 +796,17 @@ class StreamingDetector:
 
     @property
     def effective_incremental(self) -> bool:
-        """Whether scoring actually runs on incremental caches.
+        """Whether scoring runs on maintained caches — a report, not a switch.
 
-        ``dirout``/``halfspace`` with p > 1 silently use the seeded
-        refit path (their random-direction statistics cannot be cached
-        within reasonable memory).
+        True for FUNTA and for ``dirout``/``halfspace`` at p = 1; those
+        two use the seeded batch kernel at p > 1 (their random-direction
+        statistics cannot be cached within reasonable memory), and
+        ``pipeline`` refits its moments per score.  Until the first
+        batch fixes p, p = 1 is assumed.
         """
         if self._scorers is None:
-            return self.incremental
-        return bool(self._scorers[0].incremental)
+            return self.kind != "pipeline"
+        return self._scorers[0].incremental
 
     @property
     def _scorer(self) -> _ScorerState | None:
@@ -923,29 +835,23 @@ class StreamingDetector:
         if self.kind == "funta":
             return _FuntaState(
                 self.grid, capacity, self.options.get("trim", 0.0),
-                self.block_bytes, self.context, self.incremental,
+                self.block_bytes, self.context,
             )
         if self.kind == "dirout":
             return _DiroutState(
                 self.grid, capacity,
                 self.options.get("n_directions", 200),
                 self.options.get("random_state", 0),
-                self.block_bytes, self.context, self.incremental,
-                self.n_parameters,
+                self.block_bytes, self.context, self.n_parameters,
             )
         if self.kind == "halfspace":
             return _HalfspaceState(
                 self.grid, capacity, self.aggregation,
                 self.options.get("n_directions", 500),
                 self.options.get("random_state", 0),
-                self.block_bytes, self.context, self.incremental,
-                self.n_parameters,
+                self.block_bytes, self.context, self.n_parameters,
             )
-        return _PipelineState(
-            self.options.get("ridge_eps", 1e-9),
-            check_int(self.options.get("resync_every", 64), "resync_every", minimum=1),
-            self.incremental,
-        )
+        return _PipelineState(self.options.get("ridge_eps", 1e-9))
 
     def _featurize(self, mfd: MFDataGrid) -> np.ndarray:
         """Batch → the items actually scored and stored (curves or features)."""
@@ -960,8 +866,8 @@ class StreamingDetector:
                 scorer = self._make_scorer(window.capacity)
                 # The window may have been populated before this detector
                 # attached to it (a shared or externally primed window):
-                # replay its contents in slot order so every incremental
-                # cache starts in sync with what it will score against.
+                # replay its contents in slot order so every cache
+                # starts in sync with what it will score against.
                 for slot in range(window.size):
                     scorer._insert(slot, window.values[slot])
                 self._scorers.append(scorer)

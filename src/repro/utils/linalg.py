@@ -14,9 +14,6 @@ __all__ = [
     "safe_inverse_sqrt",
     "pairwise_sq_dists",
     "row_blocks",
-    "CholeskyDowndateError",
-    "cholesky_update",
-    "cholesky_downdate",
 ]
 
 
@@ -122,53 +119,3 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     np.maximum(dists, 0.0, out=dists)
     return dists
 
-
-class CholeskyDowndateError(ValidationError):
-    """A rank-one downdate would destroy positive definiteness.
-
-    Raised by :func:`cholesky_downdate` when the matrix ``A - x xᵀ`` is
-    (numerically) not positive definite; callers fall back to a full
-    refactorization.
-    """
-
-
-def cholesky_update(L: np.ndarray, x: np.ndarray, downdate: bool = False) -> np.ndarray:
-    """Rank-one update of a lower Cholesky factor: ``A ± x xᵀ``.
-
-    Given ``L`` with ``L Lᵀ = A``, returns the factor of ``A + x xᵀ``
-    (or ``A - x xᵀ`` with ``downdate=True``) in O(d²) via Givens-style
-    eliminations — versus O(d³/3) for refactorizing from scratch.  The
-    streaming feature scorer uses this to track the reference scatter's
-    factor across window insertions and evictions.
-
-    ``L`` and ``x`` are not modified; the updated factor is returned.
-    """
-    L = np.array(L, dtype=np.float64)
-    x = np.array(x, dtype=np.float64).ravel()
-    d = L.shape[0]
-    if L.ndim != 2 or L.shape[1] != d:
-        raise ValidationError(f"L must be square lower-triangular, got shape {L.shape}")
-    if x.shape[0] != d:
-        raise ValidationError(f"x has length {x.shape[0]}, expected {d}")
-    sign = -1.0 if downdate else 1.0
-    for k in range(d):
-        diag = L[k, k]
-        r_sq = diag * diag + sign * x[k] * x[k]
-        if r_sq <= 0.0 or diag == 0.0:
-            raise CholeskyDowndateError(
-                "rank-one downdate lost positive definiteness "
-                f"(pivot {k}: r^2 = {r_sq:.3e})"
-            )
-        r = np.sqrt(r_sq)
-        c = r / diag
-        s = x[k] / diag
-        L[k, k] = r
-        if k + 1 < d:
-            L[k + 1 :, k] = (L[k + 1 :, k] + sign * s * x[k + 1 :]) / c
-            x[k + 1 :] = c * x[k + 1 :] - s * L[k + 1 :, k]
-    return L
-
-
-def cholesky_downdate(L: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Rank-one downdate ``A - x xᵀ`` (see :func:`cholesky_update`)."""
-    return cholesky_update(L, x, downdate=True)

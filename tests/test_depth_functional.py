@@ -49,6 +49,14 @@ class TestPointwiseProfile:
         with pytest.raises(ValidationError, match="unknown depth notion"):
             pointwise_depth_profile(fan_mfd, notion="bogus")
 
+    @pytest.mark.parametrize("n_directions", [0, -3])
+    def test_invalid_n_directions(self, fan_mfd, n_directions):
+        # Checked before the kernel, as halfspace_depth and dirout_scores do.
+        with pytest.raises(ValidationError, match="n_directions"):
+            functional_depth(
+                fan_mfd, fan_mfd, notion="halfspace", n_directions=n_directions
+            )
+
     def test_reference_grid_mismatch(self, fan_mfd):
         other = MFDataGrid(fan_mfd.values[:, :-1, :], fan_mfd.grid[:-1])
         with pytest.raises(ValidationError):

@@ -16,6 +16,7 @@ from repro.plan import (
     SmootherSpec,
     StreamSpec,
     WorkloadSpec,
+    compile_plan,
     dump_spec,
     load_spec,
     spec_from_dict,
@@ -145,6 +146,27 @@ class TestValidationErrors:
     def test_stream_unknown_option(self):
         with pytest.raises(ConfigurationError, match="trim"):
             StreamSpec(kind="funta", params={"trin": 0.1})
+
+    @pytest.mark.parametrize("kind, params, match", [
+        ("funta", {"trim": 0.7}, "trim"),
+        ("funta", {"trim": -1.0}, "trim"),
+        ("dirout", {"n_directions": 0}, "n_directions"),
+        ("halfspace", {"n_directions": 0}, "n_directions"),
+    ])
+    def test_stream_option_values_rejected_at_build(self, kind, params, match):
+        # What `repro plan validate` does: compile AND build.
+        plan = compile_plan({"spec": "stream", "kind": kind, "params": params})
+        with pytest.raises(ValidationError, match=match):
+            plan.build()
+
+    def test_stream_legacy_incremental_key(self):
+        doc = {"spec": "stream", "kind": "funta", "window": 64}
+        spec = spec_from_dict({**doc, "incremental": True})
+        assert spec == StreamSpec(kind="funta", window=64)
+        assert "incremental" not in spec.to_dict()
+        assert compile_plan(spec).build().effective_incremental is True
+        with pytest.raises(ConfigurationError, match="one scoring rule"):
+            spec_from_dict({**doc, "incremental": False})
 
     def test_stream_min_reference_bounded_by_window(self):
         with pytest.raises(ConfigurationError, match="min_reference"):

@@ -181,27 +181,3 @@ class TestEvictInsertEqualsRebuild:
             np.diff(detector.window.values, axis=1) / dt[:, None]
         )
         np.testing.assert_array_equal(theta, recomputed)
-
-    @COMMON
-    @given(
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=5, max_value=10),
-        st.integers(min_value=0, max_value=40),
-    )
-    def test_pipeline_moments_match_rebuild_after_churn(self, seed, capacity, churn):
-        from repro.streaming.online import _PipelineState
-
-        rng = np.random.default_rng(seed)
-        d = 4
-        window = SlidingWindow(capacity)
-        state = _PipelineState(ridge_eps=1e-9, resync_every=10_000, incremental=True)
-        for _ in range(capacity + churn):
-            state.apply(window.observe(rng.standard_normal(d)))
-        features = window.values
-        np.testing.assert_allclose(
-            state.mean, features.mean(axis=0), rtol=1e-9, atol=1e-12
-        )
-        centered = features - features.mean(axis=0)
-        np.testing.assert_allclose(
-            state.scatter, centered.T @ centered, rtol=1e-7, atol=1e-9
-        )

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from repro.core.pipeline import GeometricOutlierPipeline
-from repro.data import make_drifting_stream
+from repro.data import make_drifting_stream, make_taxonomy_dataset
 from repro.depth.dirout import dirout_scores
 from repro.depth.functional import functional_depth
 from repro.depth.funta import funta_outlyingness
@@ -19,7 +20,7 @@ from repro.streaming import (
     StreamingDetector,
     StreamingQuantileThreshold,
 )
-from repro.streaming.online import SortedLanes, _PipelineState
+from repro.streaming.online import SortedLanes
 
 GRID = np.linspace(0.0, 1.0, 36)
 M = GRID.shape[0]
@@ -32,6 +33,33 @@ def _curves(n, p=1, seed=0):
 
 def _mfd(values):
     return MFDataGrid(values, GRID)
+
+
+def _batch_score(kind, items, reference):
+    """The public batch function a ``kind`` stream must reproduce, with
+    the detector's default options (p = 1 for dirout / halfspace)."""
+    if kind == "funta":
+        return funta_outlyingness(items, reference=reference)
+    if kind == "dirout":
+        return dirout_scores(
+            items, reference=reference, method="total", n_directions=200,
+            random_state=0,
+        )
+    return 1.0 - functional_depth(items, reference, notion="halfspace")
+
+
+def _batch_per_arrival(kind, stream, capacity, min_reference):
+    """Batch scores of each single-curve arrival against a plain sliding
+    window (``None`` while it warms up), then the arrival is observed."""
+    window = SlidingWindow(capacity)
+    scores = []
+    for curve in stream:
+        scores.append(
+            _batch_score(kind, _mfd(curve[None]), _mfd(window.values))
+            if window.size >= min_reference else None
+        )
+        window.observe(curve)
+    return scores
 
 
 class TestSortedLanes:
@@ -140,30 +168,22 @@ class TestStreamingEqualsBatch:
     def test_incremental_equals_refit_oracle_per_arrival(self, kind):
         stream = _curves(40, seed=13)
         incremental = StreamingDetector(kind, SlidingWindow(10), min_reference=4)
-        refit = StreamingDetector(
-            kind, SlidingWindow(10), min_reference=4, incremental=False
-        )
+        oracle = _batch_per_arrival(kind, stream, 10, 4)
         for i in range(40):
-            chunk = _mfd(stream[i : i + 1])
-            a = incremental.process(chunk)
-            b = refit.process(chunk)
-            assert (a.scores is None) == (b.scores is None)
+            a = incremental.process(_mfd(stream[i : i + 1]))
+            assert (a.scores is None) == (oracle[i] is None)
             if a.scores is not None:
-                np.testing.assert_array_equal(a.scores, b.scores)
+                np.testing.assert_array_equal(a.scores, oracle[i])
 
     def test_incremental_funta_p2_equals_refit_oracle(self):
         stream = _curves(30, p=2, seed=16)
         incremental = StreamingDetector("funta", SlidingWindow(10), min_reference=4)
-        refit = StreamingDetector(
-            "funta", SlidingWindow(10), min_reference=4, incremental=False
-        )
+        oracle = _batch_per_arrival("funta", stream, 10, 4)
         for i in range(30):
-            chunk = _mfd(stream[i : i + 1])
-            a = incremental.process(chunk)
-            b = refit.process(chunk)
-            assert (a.scores is None) == (b.scores is None)
+            a = incremental.process(_mfd(stream[i : i + 1]))
+            assert (a.scores is None) == (oracle[i] is None)
             if a.scores is not None:
-                np.testing.assert_array_equal(a.scores, b.scores)
+                np.testing.assert_array_equal(a.scores, oracle[i])
         assert incremental.effective_incremental is True
 
     @pytest.mark.parametrize("kind", ["dirout", "halfspace"])
@@ -197,40 +217,37 @@ class TestPipelineKind:
         assert scores.shape == (4,)
         assert np.all(np.isfinite(scores)) and np.all(scores >= 0.0)
 
-    def test_incremental_moments_match_rebuild(self, pipeline):
-        incremental = StreamingDetector(
-            "pipeline", SlidingWindow(16), pipeline=pipeline, min_reference=12
+    def test_scores_equal_batch_refit_at_85_features(self):
+        # 85 curvature features against a 128-slot window: the scatter
+        # is near-singular, so any carried-over factor drifts from the
+        # refit; every score must be the batch refit over the window.
+        train, _ = make_taxonomy_dataset(
+            "correlation", n_inliers=120, n_outliers=1, random_state=0
         )
-        refit = StreamingDetector(
-            "pipeline", SlidingWindow(16), pipeline=pipeline, min_reference=12,
-            incremental=False,
+        pipeline = GeometricOutlierPipeline(
+            IsolationForest(n_estimators=50, random_state=0), n_basis=15
+        ).fit(train)
+        stream, _ = make_taxonomy_dataset(
+            "correlation", n_inliers=277, n_outliers=1, random_state=1
         )
-        stream = _curves(40, p=2, seed=19)
-        queries = _mfd(_curves(4, p=2, seed=20))
-        for i in range(0, 40, 4):
-            chunk = _mfd(stream[i : i + 4])
-            incremental.process(chunk)
-            refit.process(chunk)
-        np.testing.assert_allclose(
-            incremental.score(queries), refit.score(queries), rtol=1e-6
+        detector = StreamingDetector(
+            "pipeline", SlidingWindow(128), pipeline=pipeline, min_reference=8
         )
-
-    def test_cholesky_survives_many_rank_one_updates(self):
-        rng = np.random.default_rng(21)
-        state = _PipelineState(ridge_eps=1e-9, resync_every=10_000, incremental=True)
-        window = SlidingWindow(10)
-        features = rng.standard_normal((80, 5))
-        for i in range(12):
-            state.apply(window.observe(features[i]))
-        queries = rng.standard_normal((3, 5))
-        state.score(queries, window)  # installs the factor
-        for i in range(12, 80):
-            state.apply(window.observe(features[i]))
-        assert state._chol is not None  # maintained, not rebuilt
-        oracle = _PipelineState(ridge_eps=1e-9, resync_every=10_000, incremental=False)
-        np.testing.assert_allclose(
-            state.score(queries, window), oracle.score(queries, window), rtol=1e-6
-        )
+        detector.prime(MFDataGrid(stream.values[:128], stream.grid))
+        for i in range(128, 278):
+            chunk = MFDataGrid(stream.values[i : i + 1], stream.grid)
+            features = pipeline.transform(chunk)
+            assert features.shape == (1, 85)
+            reference = detector.window.values.copy()
+            n, d = reference.shape
+            mean = reference.mean(axis=0)
+            centered = reference - mean
+            scatter = centered.T @ centered
+            ridge = 1e-9 * np.trace(scatter) / d
+            chol = np.linalg.cholesky(scatter + ridge * np.eye(d))
+            z = sla.solve_triangular(chol, (features - mean).T, lower=True)
+            expected = np.sqrt(np.maximum((n - 1) * np.sum(z * z, axis=0), 0.0))
+            np.testing.assert_array_equal(detector.process(chunk).scores, expected)
 
     def test_requires_fitted_pipeline(self):
         unfitted = GeometricOutlierPipeline(IsolationForest(), n_basis=8)
@@ -317,12 +334,11 @@ class TestProcessFlow:
         for curve in _curves(20, seed=45):
             window.observe(curve)
         detector = StreamingDetector(kind, window, min_reference=8)
-        refit = StreamingDetector(
-            kind, SlidingWindow(24), min_reference=8, incremental=False
-        )
-        refit.prime(_mfd(_curves(20, seed=45)))
         queries = _mfd(_curves(4, seed=46))
-        np.testing.assert_array_equal(detector.score(queries), refit.score(queries))
+        np.testing.assert_array_equal(
+            detector.score(queries),
+            _batch_score(kind, queries, _mfd(_curves(20, seed=45))),
+        )
         # process() on the prefilled window works too (scorer exists).
         result = detector.process(queries)
         assert not result.warmup and result.scores.shape == (4,)
@@ -352,6 +368,19 @@ class TestProcessFlow:
             StreamingDetector("funta", SlidingWindow(8), on_drift="panic")
         with pytest.raises(ValidationError, match="unknown options"):
             StreamingDetector("funta", SlidingWindow(8), n_directions=5)
+        with pytest.raises(ValidationError, match="allowed: \\['ridge_eps'\\]"):
+            StreamingDetector("pipeline", SlidingWindow(8), resync_every=64)
+        for trim in (0.7, -1.0):
+            with pytest.raises(ValidationError, match="trim"):
+                StreamingDetector("funta", SlidingWindow(8), trim=trim)
+        with pytest.raises(ValidationError, match="aggregation"):
+            StreamingDetector("halfspace", SlidingWindow(8), aggregation="bogus")
+        for kind in ("dirout", "halfspace"):
+            with pytest.raises(ValidationError, match="n_directions"):
+                StreamingDetector(kind, SlidingWindow(8), n_directions=0)
+        for ridge_eps in (0.0, -1e-9):
+            with pytest.raises(ValidationError, match="ridge_eps"):
+                StreamingDetector("pipeline", SlidingWindow(8), ridge_eps=ridge_eps)
         with pytest.raises(ValidationError, match="exceeds"):
             StreamingDetector("funta", SlidingWindow(8), min_reference=9)
         with pytest.raises(ValidationError, match="update"):
