@@ -12,7 +12,9 @@ interval of the median ratio lies wholly above the gate's bound:
   kernels, cached vs cache-cleared serving, warm vs cold method
   preparation;
 * 1.02 for enabled telemetry vs ``NULL_TELEMETRY``;
-* 1.05 for plan-layer dispatch vs direct pipeline calls.
+* 1.05 for plan-layer dispatch vs direct pipeline calls;
+* 0.8 for the front door's orjson request parse vs the json-only parse
+  oracle, so a tie fails.
 
 The HTTP front door's sustained rate is gated the same way against an
 absolute floor: it fails only when the interval of the median curves/s
@@ -27,6 +29,7 @@ nothing into the tree.  Run it from the repository root::
 """
 
 import asyncio
+import json
 import os
 import tempfile
 import time
@@ -46,6 +49,7 @@ from repro.engine import ExecutionContext
 from repro.fda.fdata import FDataGrid, MFDataGrid
 from repro.plan import WorkloadSpec, plan_for_pipeline
 from repro.serving import ScoringService, load_pipeline, save_pipeline
+from repro.serving.app import ServingApp
 from repro.serving.server import ScoringServer, load_service
 from repro.streaming import SlidingWindow, StreamingDetector
 from repro.telemetry import Telemetry
@@ -54,6 +58,7 @@ from benchmarks.conftest import print_table
 from tests.http_client import post_json
 from tests.oracles import directional_outlyingness as dirout_oracle
 from tests.oracles import funta_depth as funta_oracle
+from tests.oracles import parse_scoring_request as parse_oracle
 from tests.oracles import pointwise_depth_profile as profile_oracle
 
 SEED = 7
@@ -363,6 +368,28 @@ def test_plan_dispatch_overhead(traffic):
     }
     failed = check_gates("plan dispatch / direct calls", cases, 1.05)
     assert not failed, "plan-layer dispatch costs more than 5%"
+
+
+def test_orjson_parse_beats_json_oracle(traffic):
+    """One serve-shaped body: 128 ECG curves x 85 points x 2, about 480 KB."""
+    model_dir, _ = traffic
+    service = ScoringService()
+    service.load("m", model_dir)
+    app = ServingApp(service)
+    data, _, _ = make_ecg_dataset(n_normal=85, n_abnormal=43, random_state=SEED)
+    curves = square_augment(data)
+    body = json.dumps(
+        {"pipeline": "m", "values": curves.values.tolist(), "grid": curves.grid.tolist()}
+    ).encode()
+    cases = {
+        "128 x 85 x 2 body": paired_ratios(
+            lambda: parse_oracle(body, app.resolve),
+            lambda: app._parse_scoring_request(body),
+            pairs=15, min_seconds=0.3,
+        )
+    }
+    failed = check_gates("orjson parse / json-only oracle", cases, 0.8)
+    assert not failed, "the orjson request parse is not clearly faster than json"
 
 
 def test_warm_prepare_beats_cold():

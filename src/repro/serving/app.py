@@ -14,6 +14,13 @@ Requests and responses are JSON.  A scoring request body is::
      "values": [[...], ...],          # (n, m) or (n, m, p) nested lists
      "grid": [...]}                   # (m,) strictly increasing
 
+Bodies are parsed with :func:`orjson.loads`; a body orjson rejects is
+parsed once more with :func:`json.loads`, so the non-standard ``NaN`` /
+``Infinity`` literals that Python's ``json.dumps`` emits, overflowing
+literals such as ``1e400`` and lone-surrogate escapes are still
+accepted exactly as before.  For every body orjson accepts the two
+parsers give bit-identical arrays.
+
 * ``POST /score``  — score the batch immediately (bypasses the queue).
 * ``POST /submit`` — enqueue into the micro-batch queue; the response
   arrives once the batch's flush resolves (``max_pending``-or-deadline,
@@ -39,8 +46,10 @@ across a fleet of workers without coordinating name assignments.
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
+import orjson
 
 from repro.exceptions import ReproError, ValidationError
 from repro.fda.fdata import MFDataGrid
@@ -127,6 +136,10 @@ class ServingApp:
         self.telemetry = service.telemetry
         self._c_accepted = self.telemetry.counter("serving_accepted_requests_total")
         self._c_shed = self.telemetry.counter("serving_shed_requests_total")
+        self._h_decode = {
+            route: self.telemetry.histogram("serving_decode_seconds", route=route)
+            for route in ("/score", "/submit")
+        }
         # name -> name plus spec-hash -> name aliases, rebuilt on demand.
         self._routes: dict[str, str] = {}
 
@@ -219,9 +232,14 @@ class ServingApp:
 
     def _parse_scoring_request(self, body: bytes) -> tuple[str, MFDataGrid]:
         try:
-            doc = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"request body is not valid JSON: {exc}") from exc
+            doc = orjson.loads(body)
+        except orjson.JSONDecodeError:
+            # NaN/Infinity literals, overflowing numbers and lone
+            # surrogates: only the stdlib parser accepts these.
+            try:
+                doc = json.loads(body.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise ValidationError(f"request body is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ValidationError(
                 f"request body must be a JSON object, got {type(doc).__name__}"
@@ -231,9 +249,21 @@ class ServingApp:
             raise ValidationError("request body needs a 'pipeline' name or spec hash")
         return self.resolve(key), _parse_batch(doc)
 
+    def _decode(self, body: bytes, route: str) -> tuple[str, MFDataGrid]:
+        """Parse a scoring body into ``serving_decode_seconds{route}``.
+
+        Rejected bodies are timed too: a flood of malformed requests
+        costs decode time like any other.
+        """
+        start = time.perf_counter()
+        try:
+            return self._parse_scoring_request(body)
+        finally:
+            self._h_decode[route].observe(time.perf_counter() - start)
+
     def score(self, body: bytes) -> JsonResponse:
         """Immediate scoring — no queue, no backpressure beyond the socket."""
-        name, mfd = self._parse_scoring_request(body)
+        name, mfd = self._decode(body, "/score")
         scores = self.service.score(name, mfd)
         self._c_accepted.inc()
         return JsonResponse(200, {"pipeline": name, "scores": scores.tolist()})
@@ -249,7 +279,7 @@ class ServingApp:
         overload costs one JSON parse per rejected request and no queue
         growth.
         """
-        name, mfd = self._parse_scoring_request(body)
+        name, mfd = self._decode(body, "/submit")
         if self.service.outstanding_curves() + mfd.n_samples > self.high_water:
             self._c_shed.inc()
             return JsonResponse(

@@ -116,7 +116,12 @@ async def _read_request(reader: asyncio.StreamReader):
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    raw_length = headers.get("content-length", "0") or "0"
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise ValidationError(
+            f"Content-Length must be a non-negative decimal integer, got {raw_length!r}"
+        )
+    length = int(raw_length)
     if length > _MAX_BODY_BYTES:
         raise ValidationError(f"request body of {length} bytes exceeds the 64 MB cap")
     body = await reader.readexactly(length) if length else b""

@@ -60,6 +60,8 @@ name                                  unit       meaning
 ``serving_request_seconds``           seconds    histogram: end-to-end HTTP latency, by
                                                  ``route`` and ``pipeline`` (spec hash
                                                  when the pipeline has one)
+``serving_decode_seconds``            seconds    histogram: request-body parse time, by
+                                                 ``route`` (shed and rejected bodies too)
 ====================================  =========  ===========================================
 
 Trace JSONL format (``Tracer.export_jsonl`` / ``repro telemetry trace``):
@@ -130,6 +132,7 @@ CATALOGUE: dict[str, tuple[str, str, str]] = {
     "serving_accepted_requests_total": ("counter", "requests", "HTTP requests accepted"),
     "serving_shed_requests_total": ("counter", "requests", "HTTP requests shed with 429"),
     "serving_request_seconds": ("histogram", "seconds", "End-to-end HTTP request latency"),
+    "serving_decode_seconds": ("histogram", "seconds", "Scoring request body parse time"),
 }
 
 

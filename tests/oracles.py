@@ -12,10 +12,15 @@ The oracles draw random directions through the same
 as the kernels; they reuse the production p = 1 Stahel–Donoho helper
 and the package's input checks; and they always compute in float64.
 
+The serving section holds the stdlib-``json`` parse of a scoring
+request body, which the HTTP front door used before it parsed with
+orjson; a property test pins the production parse to it bit for bit.
+
 Tier-1 tests import this module as ``oracles`` (pytest puts ``tests/``
 on the path); the bench gates import ``tests.oracles``.
 """
 
+import json
 from itertools import combinations
 
 import numpy as np
@@ -31,6 +36,7 @@ from repro.depth.multivariate import (
 )
 from repro.exceptions import ValidationError
 from repro.fda.fdata import FDataGrid
+from repro.serving.app import _parse_batch
 from repro.utils.validation import check_in_range, check_int
 
 _HALF_PI = np.pi / 2.0
@@ -293,3 +299,21 @@ def directional_outlyingness(data, reference=None, n_directions: int = 200, rand
         units = np.divide(diffs, norms, out=np.zeros_like(diffs), where=norms > 1e-12)
         out_vectors[:, j, :] = sdo[:, None] * units
     return summarize_outlyingness(out_vectors, data.grid)
+
+
+# --------------------------------------------------------------------------- serving
+def parse_scoring_request(body: bytes, resolve):
+    """``ServingApp._parse_scoring_request`` with the stdlib ``json`` parser
+    only; ``resolve`` stands in for the app's pipeline-key lookup."""
+    try:
+        doc = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"request body is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(
+            f"request body must be a JSON object, got {type(doc).__name__}"
+        )
+    key = doc.get("pipeline")
+    if not isinstance(key, str) or not key:
+        raise ValidationError("request body needs a 'pipeline' name or spec hash")
+    return resolve(key), _parse_batch(doc)

@@ -1,15 +1,19 @@
-"""Import budget: no entry point loads SciPy beyond ``scipy.linalg``.
+"""Import budget: no entry point loads SciPy beyond ``scipy.linalg``, and
+only the HTTP front door loads orjson.
 
 ``scipy.stats`` alone (with the optimize/spatial/special stack it pulls
 in) more than doubles the import time and adds about 40 MB of RSS to
 every process: each Fig. 3 child, ``repro serve`` and its workers, every
 CLI call, and pool workers under a spawn or forkserver start method.
 Optional heavy dependencies are therefore imported inside the function
-that uses them (see :func:`repro.depth.msplot.ms_plot`).  Each check
-runs in a fresh interpreter, since this test process has long since
-imported the modules under test.
+that uses them (see :func:`repro.depth.msplot.ms_plot`).  orjson parses
+request bodies in :mod:`repro.serving.app`, so ``import repro``, the
+CLI, Fig. 3 children and streaming never load it.  Each entry point is
+imported once, in a fresh interpreter, since this test process has long
+since imported the modules under test.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -37,11 +41,12 @@ ALLOWED_SCIPY = (
 )
 
 
-def _imported_scipy_modules(module: str) -> list:
+@functools.lru_cache(maxsize=None)
+def _imported_modules(module: str) -> tuple:
     script = (
         "import json, sys\n"
         f"import {module}\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.'))))\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
     )
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -50,7 +55,7 @@ def _imported_scipy_modules(module: str) -> list:
         [sys.executable, "-c", script], check=True, env=env,
         capture_output=True, text=True,
     ).stdout
-    return json.loads(out.splitlines()[-1])
+    return tuple(json.loads(out.splitlines()[-1]))
 
 
 def _allowed(name: str) -> bool:
@@ -59,5 +64,12 @@ def _allowed(name: str) -> bool:
 
 @pytest.mark.parametrize("module", ENTRY_POINTS)
 def test_entry_point_imports_only_scipy_linalg(module):
-    loaded = _imported_scipy_modules(module)
+    loaded = [name for name in _imported_modules(module) if name.startswith("scipy.")]
     assert [name for name in loaded if not _allowed(name)] == []
+
+
+@pytest.mark.parametrize(
+    "module", [name for name in ENTRY_POINTS if name != "repro.serving.server"]
+)
+def test_entry_point_does_not_load_orjson(module):
+    assert "orjson" not in _imported_modules(module)

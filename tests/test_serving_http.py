@@ -152,6 +152,24 @@ class TestServerRoutes:
 
     def test_error_statuses(self, bundle, dataset):
         data, _ = dataset
+        bad_lengths = ("abc", "-5", "1e3")
+
+        async def bad_length(server, content_length):
+            # A malformed Content-Length is answered with 400, then closed.
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            try:
+                writer.write(
+                    f"POST /score HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                    f"Content-Length: {content_length}\r\n\r\n{{}}".encode("ascii")
+                )
+                await writer.drain()
+                head, _, body = (await asyncio.wait_for(reader.read(), 5)).partition(
+                    b"\r\n\r\n"
+                )
+                return int(head.split(b" ", 2)[1]), json.loads(body)
+            finally:
+                writer.close()
+                await writer.wait_closed()
 
         async def scenario(server):
             unknown = await _post(server, "/score", _batch_doc(data, pipeline="nope"))
@@ -160,13 +178,19 @@ class TestServerRoutes:
                 "127.0.0.1", server.port, "/score", "not json"
             )
             bad_path = await _post(server, "/nothing-here", {})
-            return unknown, missing_keys, not_json, bad_path
+            malformed = [await bad_length(server, value) for value in bad_lengths]
+            return unknown, missing_keys, not_json, bad_path, malformed
 
-        unknown, missing_keys, not_json, bad_path = _run(bundle, scenario)
+        unknown, missing_keys, not_json, bad_path, malformed = _run(bundle, scenario)
         assert unknown[0] == 404 and "no pipeline named" in unknown[1]["error"]
         assert missing_keys[0] == 400 and "missing keys" in missing_keys[1]["error"]
         assert not_json[0] == 400
         assert bad_path[0] == 404
+        assert malformed == [
+            (400, {"error": "Content-Length must be a non-negative decimal "
+                            f"integer, got {value!r}"})
+            for value in bad_lengths
+        ]
 
     def test_clean_shutdown_settles_outstanding(self, bundle, dataset):
         data, _ = dataset
@@ -372,6 +396,17 @@ class TestMetricsScrape:
             and 'route="/score"' in name
         ]
         assert sum(score_counts) == 2
+        # Every scoring body is decoded once: two /score, the parked
+        # /submit and the shed one.
+        decode_counts = {
+            route: sum(
+                value for name, value in samples.items()
+                if name.startswith("serving_decode_seconds_count")
+                and f'route="{route}"' in name
+            )
+            for route in ("/score", "/submit")
+        }
+        assert decode_counts == {"/score": 2, "/submit": 2}
         hits = sum(
             value for name, value in samples.items()
             if name.startswith("engine_cache_hits_total")
