@@ -18,8 +18,20 @@ instead of subtracting them:
   ``stream_partials_*``), and self-scoring of the window lanes
   (``stream_self_*``).  This shape spans several default-budget blocks.
 
-The file is never regenerated: a mismatch means FUNTA scores changed,
-which needs a deliberate decision, not a new fixture.
+``tests/data/funta_untied_golden.npz`` holds the same calls on
+*continuous* random walks (``standard_normal(...).cumsum(axis=1) / 5``,
+unrounded), so no query value equals a reference value at any grid
+point: ``stream_Q`` (64 × 64 × 2) against ``stream_R`` (128 × 64 × 2),
+the streaming scorer's shape, and ``fig3_Q`` (67 × 85 × 2) against
+``fig3_R`` (133 × 85 × 2), a Fig. 3 test/train split.  For each shape
+``<shape>_<dtype>_trim<trim>_p<k>`` is ``funta_univariate`` of the
+strided lanes with injected tangent angles, ``<shape>_self_*`` the
+self-scoring of the ``R`` lanes and ``<shape>_partials_*`` the
+``funta_partials`` counts and sums, for float64 and float32 and
+``trim`` 0 and 0.15.
+
+Neither file is ever regenerated: a mismatch means FUNTA scores
+changed, which needs a deliberate decision, not a new fixture.
 """
 
 from pathlib import Path
@@ -32,10 +44,19 @@ from repro.depth import _kernels
 DATA = Path(__file__).parent / "data"
 
 
+def _load(name):
+    with np.load(DATA / name, allow_pickle=False) as bundle:
+        return {key: bundle[key] for key in bundle.files}
+
+
 @pytest.fixture(scope="module")
 def golden():
-    with np.load(DATA / "funta_golden.npz", allow_pickle=False) as bundle:
-        return {key: bundle[key] for key in bundle.files}
+    return _load("funta_golden.npz")
+
+
+@pytest.fixture(scope="module")
+def untied():
+    return _load("funta_untied_golden.npz")
 
 
 def _stream_angles(golden):
@@ -90,6 +111,29 @@ def test_streaming_calls_match_golden(golden, k):
     assert counts.dtype == np.int64
     assert np.array_equal(counts, golden[f"stream_partials_counts_p{k}"])
     assert np.array_equal(sums, golden[f"stream_partials_sums_p{k}"])
+
+
+@pytest.mark.parametrize("shape", ["stream", "fig3"])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("k", [0, 1])
+def test_untied_calls_match_golden(untied, shape, dtype, k):
+    Q, R, grid = (untied[f"{shape}_{name}"] for name in ("Q", "R", "grid"))
+    dt = np.diff(grid)
+    angles = {
+        key: np.ascontiguousarray(np.arctan(np.diff(x, axis=-2) / dt[:, None])[:, :, k])
+        for key, x in (("theta_pts", Q), ("theta_ref", R))
+    }
+    for trim in (0.0, 0.15):
+        depth = _kernels.funta_univariate(
+            Q[:, :, k], R[:, :, k], grid, trim, same=False, dtype=dtype, **angles
+        )
+        assert np.array_equal(depth, untied[f"{shape}_{dtype}_trim{trim}_p{k}"])
+        lane = R[:, :, k]
+        self_depth = _kernels.funta_univariate(lane, lane, grid, trim, same=True, dtype=dtype)
+        assert np.array_equal(self_depth, untied[f"{shape}_self_{dtype}_trim{trim}_p{k}"])
+    counts, sums = _kernels.funta_partials(Q[:, :, k], R[:, :, k], grid, dtype=dtype, **angles)
+    assert np.array_equal(counts, untied[f"{shape}_partials_counts_{dtype}_p{k}"])
+    assert np.array_equal(sums, untied[f"{shape}_partials_sums_{dtype}_p{k}"])
 
 
 def _rows_budget(rows, n_ref, m):
