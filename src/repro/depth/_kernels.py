@@ -304,9 +304,10 @@ _FUNTA_BLOCK_CAP = 4 * 96 * 1024
 
 def _funta_row_bytes(n_ref: int, m: int) -> int:
     """Scratch per query row of :func:`_funta_cross_stats`: the four
-    boolean ``(n_ref, m)`` slabs it allocates (two sign masks, the
-    crossing mask and its sign-flip temporary; the touch mask reuses a
-    sign mask)."""
+    boolean ``(n_ref, m)`` slabs the tie-aware mask allocates (two sign
+    masks, the crossing mask and its sign-flip temporary; the touch mask
+    reuses a sign mask).  The tie-free mask needs two of them (``q >= r``
+    and the crossing mask), but blocks keep one geometry on both paths."""
     return 4 * max(n_ref, 1) * m
 
 
@@ -339,29 +340,48 @@ def _funta_inputs(values, ref_values, grid, theta_pts, theta_ref, dtype):
     return values, ref_values, theta_pts, theta_ref
 
 
-def _funta_cross_stats(
-    block,
-    values: np.ndarray,
-    ref_values: np.ndarray,
-    theta_pts: np.ndarray,
-    theta_ref: np.ndarray,
-    same: bool,
-):
-    """Crossing counts, pair validity and gathered crossing angles for one
-    contiguous row block — the shared core of every FUNTA path.
+def _funta_tied(values: np.ndarray, ref_values: np.ndarray, same: bool) -> bool:
+    """Whether one FUNTA call needs the exact tie-aware crossing masks.
 
-    Crossings come back sparse, in C order of ``(row, reference, interval)``:
-    ``pair = row * n_ref + reference`` and the folded angle of each one.
+    True when some query value equals some reference value at the same
+    grid point (with ``same``, when two distinct curves are equal
+    there), or when any value is non-finite.  Ties among the queries or
+    among the references alone do not count: they never meet in a
+    comparison.  The test is exact and sort-based, like the cross-tie
+    detection of :func:`rank_counts`: per grid point, a run of equal
+    values that mixes both groups always exposes one adjacent mixed
+    pair in the sorted lane.
     """
-    start, stop = block
-    b = stop - start
-    n_ref, m = ref_values.shape
-    w = m - 1
+    if not (np.isfinite(values).all() and np.isfinite(ref_values).all()):
+        return True
+    # One lane per grid point; a sort that leaves no two neighbours
+    # equal rules out every tie at once, the common continuous case.
+    groups = [values.T] if same else [ref_values.T, values.T]
+    lanes = np.concatenate(groups, axis=1)
+    lanes.sort(axis=1)
+    any_tie = bool((lanes[:, 1:] == lanes[:, :-1]).any())
+    if same or not any_tie:
+        return any_tie
+    stacked = np.concatenate(groups, axis=1)
+    order = np.argsort(stacked, axis=1)  # quicksort; tie order irrelevant
+    is_pts = order >= ref_values.shape[0]
+    sorted_vals = np.take_along_axis(stacked, order, axis=1)
+    cross_tie = (sorted_vals[:, 1:] == sorted_vals[:, :-1]) & (
+        is_pts[:, 1:] != is_pts[:, :-1]
+    )
+    return bool(cross_tie.any())
 
+
+def _crossing_mask(q: np.ndarray, r: np.ndarray, tied: bool) -> np.ndarray:
+    """``(b, n_ref, m-1)`` mask of the intervals where a query and a
+    reference curve cross, for broadcast lanes ``q`` and ``r``."""
+    if not tied:
+        # Without ties or NaNs, q < r is exactly not (q >= r): a sign
+        # flip is a change of q >= r between neighbouring grid points.
+        ge = q >= r  # (b, r, m)
+        return ge[:, :, :-1] ^ ge[:, :, 1:]
     # Only the signs of query - reference are needed, and for finite
     # values q - r > 0 exactly when q > r: compare instead of subtracting.
-    q = values[start:stop, None, :]
-    r = ref_values[None, :, :]
     pos = q > r  # (b, r, m)
     neg = q < r
     # A crossing lives in interval t when the sign flips or a curve
@@ -370,14 +390,38 @@ def _funta_cross_stats(
     # tests/oracles.py collects.
     cross = pos[:, :, :-1] & neg[:, :, 1:]
     cross |= neg[:, :, :-1] & pos[:, :, 1:]
-    # Each mask and index array is dropped once folded in, so the peak
-    # stays at the slabs _funta_row_bytes budgets.
+    # Each mask is dropped once folded in, so the peak stays at the
+    # slabs _funta_row_bytes budgets.
     touch = np.logical_or(pos, neg, out=pos)
     del neg
     np.logical_not(touch, out=touch)
     cross |= touch[:, :, :-1]
     cross[:, :, -1] |= touch[:, :, -1]
-    del pos, touch
+    return cross
+
+
+def _funta_cross_stats(
+    block,
+    values: np.ndarray,
+    ref_values: np.ndarray,
+    theta_pts: np.ndarray,
+    theta_ref: np.ndarray,
+    same: bool,
+    tied: bool,
+):
+    """Crossing counts, pair validity and gathered crossing angles for one
+    contiguous row block — the shared core of every FUNTA path.
+
+    Crossings come back sparse, in C order of ``(row, reference, interval)``:
+    ``pair = row * n_ref + reference`` and the folded angle of each one.
+    ``tied`` is :func:`_funta_tied` of the whole call; both crossing
+    masks are the same set of intervals on untied input.
+    """
+    start, stop = block
+    b = stop - start
+    n_ref, m = ref_values.shape
+    w = m - 1
+    cross = _crossing_mask(values[start:stop, None, :], ref_values[None, :, :], tied)
 
     valid = np.ones((b, n_ref), dtype=bool)
     if same:
@@ -410,6 +454,7 @@ def _funta_pair_totals(
     theta_pts: np.ndarray,
     theta_ref: np.ndarray,
     same: bool,
+    tied: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-query effective crossing counts and angle sums over the
     reference (the ``trim == 0`` accumulators, before the depth formula).
@@ -419,7 +464,7 @@ def _funta_pair_totals(
     the sharded streaming scorer exploits.
     """
     b, n_ref, counts, valid, pair, angles = _funta_cross_stats(
-        block, values, ref_values, theta_pts, theta_ref, same
+        block, values, ref_values, theta_pts, theta_ref, same, tied
     )
     sums = np.bincount(pair, weights=angles, minlength=b * n_ref).reshape(b, n_ref)
     # A never-crossing pair contributes one maximal angle (pi/2).
@@ -436,11 +481,12 @@ def _funta_block(
     theta_ref: np.ndarray,
     trim: float,
     same: bool,
+    tied: bool,
 ) -> np.ndarray:
     """FUNTA depth of one contiguous row block of ``values``."""
     if trim == 0.0:
         total_counts, total_sums = _funta_pair_totals(
-            block, values, ref_values, theta_pts, theta_ref, same
+            block, values, ref_values, theta_pts, theta_ref, same, tied
         )
         safe = np.maximum(total_counts, 1)
         depth = np.where(
@@ -449,7 +495,7 @@ def _funta_block(
         return np.clip(depth, 0.0, 1.0)
 
     b, n_ref, counts, valid, pair, angles = _funta_cross_stats(
-        block, values, ref_values, theta_pts, theta_ref, same
+        block, values, ref_values, theta_pts, theta_ref, same, tied
     )
 
     # Robustified variant: the trimming quantile needs each sample's full
@@ -511,7 +557,8 @@ def funta_univariate(
     )
     n, m = values.shape
     blocks = _funta_blocks(n, ref_values.shape[0], m, block_bytes)
-    worker = functools.partial(_funta_block, trim=trim, same=same)
+    tied = _funta_tied(values, ref_values, same)
+    worker = functools.partial(_funta_block, trim=trim, same=same, tied=tied)
     arrays = {
         "values": values,
         "ref_values": ref_values,
@@ -548,9 +595,10 @@ def funta_partials(
     n, m = values.shape
     counts = np.empty(n, dtype=np.int64)
     sums = np.empty(n)
+    tied = _funta_tied(values, ref_values, same=False)
     for block in _funta_blocks(n, ref_values.shape[0], m, block_bytes):
         c, s = _funta_pair_totals(
-            block, values, ref_values, theta_pts, theta_ref, same=False
+            block, values, ref_values, theta_pts, theta_ref, same=False, tied=tied
         )
         counts[block[0] : block[1]] = c
         sums[block[0] : block[1]] = s

@@ -136,6 +136,150 @@ def test_untied_calls_match_golden(untied, shape, dtype, k):
     assert np.array_equal(sums, untied[f"{shape}_partials_sums_{dtype}_p{k}"])
 
 
+# --------------------------------------------------------------------------- tie dispatch
+def _lanes(bundle, shape, k):
+    return (np.ascontiguousarray(bundle[f"{shape}_{name}"][:, :, k]) for name in ("Q", "R"))
+
+
+@pytest.fixture
+def mask_paths(monkeypatch):
+    """Records the ``tied`` flag of every crossing mask a call builds."""
+    seen = []
+    real = _kernels._crossing_mask
+
+    def spy(q, r, tied):
+        seen.append(tied)
+        return real(q, r, tied)
+
+    monkeypatch.setattr(_kernels, "_crossing_mask", spy)
+    return seen
+
+
+def _all_calls(values, ref, grid, **kw):
+    """Every FUNTA kernel entry on one lane pair, as a flat list of arrays."""
+    out = []
+    for trim in (0.0, 0.15):
+        out.append(_kernels.funta_univariate(values, ref, grid, trim, False, **kw))
+        out.append(_kernels.funta_univariate(ref, ref, grid, trim, True, **kw))
+    out.extend(_kernels.funta_partials(values, ref, grid, **kw))
+    return out
+
+
+@pytest.mark.parametrize("shape", ["stream", "fig3"])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_tie_free_path_equals_tied_path(untied, monkeypatch, mask_paths, shape, dtype):
+    """On untied lanes the one-compare mask gives the same scores, bit
+    for bit, as the four-mask path forced on the same calls."""
+    values, ref = _lanes(untied, shape, 0)
+    grid = untied[f"{shape}_grid"]
+    fast = _all_calls(values, ref, grid, dtype=dtype)
+    assert mask_paths and not any(mask_paths)
+    mask_paths.clear()
+    monkeypatch.setattr(_kernels, "_funta_tied", lambda *args, **kwargs: True)
+    exact = _all_calls(values, ref, grid, dtype=dtype)
+    assert mask_paths and all(mask_paths)
+    for a, b in zip(fast, exact):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+def test_golden_lanes_take_the_tied_path(golden):
+    """Every lane of funta_golden.npz is rounded, so it pins the exact path."""
+    for k in (0, 1):
+        q, r = (np.ascontiguousarray(golden[name][:, :, k]) for name in ("Q", "R"))
+        assert _kernels._funta_tied(q, r, same=False)
+        assert _kernels._funta_tied(r, r, same=True)
+
+
+def _touching_pair(values, ref):
+    """A query row, reference row and interior grid point where the query
+    lies strictly above the reference at both neighbours."""
+    above = (values[:, None, :] > ref[None, :, :])
+    both = above[:, :, :-2] & above[:, :, 2:]
+    i, j, t = np.argwhere(both)[0]
+    return i, j, t + 1
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_planted_tie_falls_back_to_exact_path(untied, monkeypatch, mask_paths, dtype):
+    """One query value equal to one reference value (a touch without a
+    sign flip) sends the call down the exact path, which counts the
+    touch; the one-compare mask would miss it."""
+    values, ref = _lanes(untied, "stream", 0)
+    grid = untied["stream_grid"]
+    values = values.astype(dtype)
+    ref = ref.astype(dtype)
+    i, j, t = _touching_pair(values, ref)
+    values[i, t] = ref[j, t]
+    assert _kernels._funta_tied(values, ref, same=False)
+
+    auto = _kernels.funta_univariate(values, ref, grid, 0.0, False, dtype=dtype)
+    assert mask_paths and all(mask_paths)
+    counts, _ = _kernels.funta_partials(values, ref, grid, dtype=dtype)
+    monkeypatch.setattr(_kernels, "_funta_tied", lambda *args, **kwargs: False)
+    wrong = _kernels.funta_univariate(values, ref, grid, 0.0, False, dtype=dtype)
+    wrong_counts, _ = _kernels.funta_partials(values, ref, grid, dtype=dtype)
+    assert counts[i] == wrong_counts[i] + 1
+    assert not np.array_equal(auto, wrong)
+
+
+def test_planted_tie_matches_loop_oracle(untied):
+    from oracles import _funta_univariate as funta_oracle
+
+    values, ref = _lanes(untied, "stream", 1)
+    grid = untied["stream_grid"]
+    i, j, t = _touching_pair(values, ref)
+    values[i, t] = ref[j, t]
+    for trim in (0.0, 0.15):
+        np.testing.assert_allclose(
+            _kernels.funta_univariate(values, ref, grid, trim, False),
+            funta_oracle(values, ref, grid, trim, False),
+            rtol=1e-12, atol=1e-12,
+        )
+
+
+def test_signed_zeros_and_nan_count_as_ties(monkeypatch, mask_paths):
+    """``+0.0 == -0.0``, and a NaN compares false both ways: either one
+    makes ``q >= r`` disagree with ``not (q < r)``, so both count as ties."""
+    grid = np.linspace(0.0, 1.0, 5)
+    ref = np.array([[1.0, -0.0, 1.0, 2.0, 3.0], [0.5, -1.0, -2.0, -3.0, -4.0]])
+    values = np.array([[2.0, 0.0, 2.0, 4.0, 5.0], [0.7, 2.0, 1.5, 0.5, -1.0]])
+    assert _kernels._funta_tied(values, ref, same=False)
+    with_nan = values.copy()
+    with_nan[1, 1] = np.nan
+    assert _kernels._funta_tied(with_nan, ref, same=False)
+    assert _kernels._funta_tied(ref, ref * np.array([1, 1, 1, np.inf, 1]), same=False)
+    lanes = np.array([[1.0, 0.0, 1.0], [2.0, -0.0, 3.0]])
+    assert _kernels._funta_tied(lanes, lanes, same=True)
+
+    # The first query touches the first reference at +0.0 / -0.0 without
+    # a sign flip: the exact path counts that touch as a crossing, the
+    # one-compare mask would score the pair as never crossing (pi/2).
+    depth = _kernels.funta_univariate(values, ref, grid, 0.0, False)
+    assert mask_paths == [True]
+    monkeypatch.setattr(_kernels, "_funta_tied", lambda *args, **kwargs: False)
+    missed = _kernels.funta_univariate(values, ref, grid, 0.0, False)
+    assert depth[0] > missed[0]
+    assert depth[1] == missed[1]
+
+
+def test_ties_within_one_group_keep_the_fast_path(untied, mask_paths):
+    """Equal values among the references only (or the queries only) never
+    meet in a comparison, so they do not force the exact path."""
+    values, ref = _lanes(untied, "stream", 0)
+    grid = untied["stream_grid"]
+    ref[5] = ref[3]  # a duplicated reference curve
+    ref[7, 10:20] = ref[9, 10:20]
+    values[1, :] = values[0, :]
+    assert not _kernels._funta_tied(values, ref, same=False)
+    _kernels.funta_univariate(values, ref, grid, 0.0, False)
+    _kernels.funta_partials(values, ref, grid)
+    assert mask_paths and not any(mask_paths)
+    # Self-scoring is different: the duplicated reference is a second
+    # curve equal to a query, so it is a tie.
+    assert _kernels._funta_tied(ref, ref, same=True)
+
+
 def _rows_budget(rows, n_ref, m):
     """A ``block_bytes`` that cuts FUNTA calls into ``rows``-row blocks."""
     return rows * _kernels._funta_row_bytes(n_ref, m)
