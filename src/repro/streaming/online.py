@@ -10,17 +10,20 @@ stream instead of being fixed at fit time.
 
 Each kind has exactly one scoring rule.  Where a cache pays, scoring
 does **not** refit the reference statistics from scratch on every
-arrival: the kind keeps an incremental cache, refreshed per window
-insert/evict from the :class:`~repro.streaming.window.WindowUpdate`
-signal.  Where it does not, the kind refits:
+arrival: the kind keeps an incremental cache that follows the window
+as each chunk is ingested.  Where it does not, the kind refits:
 
 =============  =======================================================
 kind           reference statistic and how it follows the window
 =============  =======================================================
-``funta``      tangent-angle ring ``arctan(diff(curve)/dt)`` — one
-               O(m·p) row per insert vs O(n_ref·m·p) per refit
+``funta``      tangent-angle ring ``arctan(diff(curve)/dt)`` — the
+               slots a chunk writes (``window.extend``) get their rows
+               in one ``arctan``: O(m·p) per written row vs
+               O(n_ref·m·p) per refit
 ``dirout``     per-grid-point *sorted lanes* of the reference values
-               (p = 1): the cross-sectional median/MAD and the Dir.out
+               (p = 1), updated per insert/evict from the
+               :class:`~repro.streaming.window.WindowUpdate` signal:
+               the cross-sectional median/MAD and the Dir.out
                spatial centers read off the maintained order
                statistics instead of re-partitioning every column
 ``halfspace``  the same sorted lanes; rank counts of arrivals come
@@ -72,7 +75,6 @@ from repro.streaming.window import (
     ReferenceWindow,
     ReservoirWindow,
     SlidingWindow,
-    WindowUpdate,
 )
 from repro.telemetry import resolve_telemetry
 from repro.utils.validation import check_int, check_positive
@@ -213,19 +215,13 @@ class _ScorerState:
     #: :meth:`combine`) instead of needing the merged reference state.
     additive = False
 
-    def apply(self, update: WindowUpdate) -> None:
-        if update.skipped:
-            return
-        if update.evicted is None:
-            self._insert(update.slot, update.inserted)
-        else:
-            self._replace(update.slot, update.inserted, update.evicted)
+    def ingest(self, window: ReferenceWindow, items: np.ndarray) -> None:
+        """Offer ``items`` to ``window`` in arrival order, keeping the cache
+        in step.  Without a cache the window takes the chunk in one call."""
+        window.extend(items)
 
-    def _insert(self, slot: int, item: np.ndarray) -> None:
-        pass
-
-    def _replace(self, slot: int, item: np.ndarray, evicted: np.ndarray) -> None:
-        pass
+    def sync(self, window: ReferenceWindow) -> None:
+        """Build the cache from a window filled before this state existed."""
 
     def reset(self) -> None:
         pass
@@ -260,14 +256,22 @@ class _FuntaState(_ScorerState):
         batch kernel applies (``values`` is ``(..., m, p)``)."""
         return np.arctan(np.diff(values, axis=-2) / self._dt[:, None])
 
-    def _insert(self, slot: int, item: np.ndarray) -> None:
+    def _write(self, slots: np.ndarray, rows: np.ndarray) -> None:
+        if not slots.size:
+            return
         if self._theta is None:
-            m, p = item.shape
+            _, m, p = rows.shape
             self._theta = np.empty((self.capacity, m - 1, p))
-        self._theta[slot] = self._angles(item)
+        self._theta[slots] = self._angles(rows)
 
-    def _replace(self, slot: int, item: np.ndarray, evicted: np.ndarray) -> None:
-        self._insert(slot, item)
+    def ingest(self, window: ReferenceWindow, items: np.ndarray) -> None:
+        # The ring only needs the rows that end up written: one arctan
+        # over the chunk's surviving arrivals.
+        slots = window.extend(items)
+        self._write(slots, window.values[slots])
+
+    def sync(self, window: ReferenceWindow) -> None:
+        self._write(np.arange(window.size), window.values)
 
     def reset(self) -> None:
         self._theta = None
@@ -372,13 +376,24 @@ class _LaneState(_ScorerState):
         self.incremental = p == 1
         self._lanes = SortedLanes(grid.shape[0], capacity) if self.incremental else None
 
-    def _insert(self, slot: int, item: np.ndarray) -> None:
-        if self.incremental:
-            self._lanes.insert(item[:, 0])
+    def ingest(self, window: ReferenceWindow, items: np.ndarray) -> None:
+        if not self.incremental:
+            window.extend(items)
+            return
+        # The lanes follow every insert and eviction in arrival order.
+        for item in items:
+            update = window.observe(item)
+            if update.skipped:
+                continue
+            if update.evicted is None:
+                self._lanes.insert(update.inserted[:, 0])
+            else:
+                self._lanes.replace(update.evicted[:, 0], update.inserted[:, 0])
 
-    def _replace(self, slot: int, item: np.ndarray, evicted: np.ndarray) -> None:
+    def sync(self, window: ReferenceWindow) -> None:
         if self.incremental:
-            self._lanes.replace(evicted[:, 0], item[:, 0])
+            for item in window.values:
+                self._lanes.insert(item[:, 0])
 
     def reset(self) -> None:
         if self._lanes is not None:
@@ -866,10 +881,9 @@ class StreamingDetector:
                 scorer = self._make_scorer(window.capacity)
                 # The window may have been populated before this detector
                 # attached to it (a shared or externally primed window):
-                # replay its contents in slot order so every cache
-                # starts in sync with what it will score against.
-                for slot in range(window.size):
-                    scorer._insert(slot, window.values[slot])
+                # build every cache from its contents, in slot order, so
+                # it starts in sync with what it will score against.
+                scorer.sync(window)
                 self._scorers.append(scorer)
         return self._scorers
 
@@ -884,17 +898,18 @@ class StreamingDetector:
 
     def _ingest(self, items: np.ndarray, mask: np.ndarray | None = None) -> None:
         scorers = self._ensure_scorers()
+        if mask is not None:
+            items = items[mask]
         if self.n_shards == 1:
-            _observe(self._windows[0], scorers[0], items, mask)
+            scorers[0].ingest(self._windows[0], items)
             return
         # Round-robin over the ingested items only, continuing from the
         # total dispatched so far, so the shard union stays exactly the
         # single-stream trailing window.
         n = self.n_shards
-        kept = np.arange(items.shape[0]) if mask is None else np.flatnonzero(mask)
         base = sum(window.n_seen for window in self._windows)
-        self._map(lambda i: _observe(
-            self._windows[i], scorers[i], items[kept[(i - base) % n :: n]]
+        self._map(lambda i: scorers[i].ingest(
+            self._windows[i], items[(i - base) % n :: n]
         ))
         if self.telemetry.enabled:
             for gauge, window in zip(self._m_shard_fill, self._windows):
@@ -1042,14 +1057,6 @@ class StreamingDetector:
             f"StreamingDetector({self.kind!r}, window={self.window!r}, "
             f"shards={self.n_shards}, scored={self.n_scored})"
         )
-
-
-def _observe(window, scorer, items: np.ndarray, mask=None):
-    """Offer ``items`` (the rows where ``mask`` holds) to one window + cache."""
-    for i in range(items.shape[0]):
-        if mask is not None and not mask[i]:
-            continue
-        scorer.apply(window.observe(items[i]))
 
 
 def _union_window(windows) -> ReferenceWindow:

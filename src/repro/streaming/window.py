@@ -16,11 +16,14 @@ the two canonical maintenance policies as preallocated ring buffers:
   drift monitor that triggers :meth:`~ReferenceWindow.reset`.
 
 Both policies write in place into one preallocated ``(capacity, ...)``
-buffer and report every mutation as a :class:`WindowUpdate` — the slot
-touched, the inserted item and a copy of the evicted one — which is the
-exact signal the incremental scorer caches of
-:mod:`repro.streaming.online` need to refresh their reference
-statistics without a rebuild.  Reservoir eviction is seeded and
+buffer.  :meth:`~ReferenceWindow.observe` reports every mutation as a
+:class:`WindowUpdate` — the slot touched, the inserted item and a copy
+of the evicted one — which is the exact signal the sorted-lane caches
+of :mod:`repro.streaming.online` need to refresh their order statistics
+without a rebuild.  :meth:`~ReferenceWindow.extend` takes a whole chunk
+and returns only the slots it wrote, which is all a per-slot cache (the
+FUNTA tangent-angle ring) needs; the sliding window writes the chunk in
+one step.  Reservoir eviction is seeded and
 reproducible: an integer ``random_state`` (optionally spawned through a
 shared :class:`~repro.engine.ExecutionContext` master seed) always
 replays the same eviction schedule.
@@ -144,6 +147,26 @@ class ReferenceWindow:
         self._values[slot] = item
         return WindowUpdate(slot, self._values[slot], evicted)
 
+    def extend(self, items) -> np.ndarray:
+        """Offer a chunk of items in arrival order; returns the slots written.
+
+        The window ends in the state that :meth:`observe` on each item
+        in turn leaves; the returned slots are the distinct rows whose
+        contents changed, each once.  This base version is that loop, so
+        policies with per-arrival draws (the reservoir) keep them.
+        """
+        items = self._check_chunk(items)
+        updates = [self.observe(item) for item in items]
+        return np.unique([u.slot for u in updates if not u.skipped]).astype(np.intp)
+
+    def _check_chunk(self, items) -> np.ndarray:
+        items = np.asarray(items, dtype=np.float64)
+        if items.ndim < 2:
+            raise ValidationError("window chunks must be arrays of items, one per row")
+        if items.shape[0]:
+            self._ensure_buffer(items[0])
+        return items
+
     def __len__(self) -> int:
         return self.size
 
@@ -175,6 +198,26 @@ class SlidingWindow(ReferenceWindow):
         # n_seen was already incremented by observe: arrival t
         # (0-indexed, t = n_seen - 1) lands in slot t mod capacity.
         return (self.n_seen - 1) % self.capacity
+
+    def extend(self, items) -> np.ndarray:
+        """One write for a whole chunk (see :meth:`ReferenceWindow.extend`).
+
+        Arrival ``t`` always lands in slot ``t mod capacity`` (while the
+        window grows, ``size == n_seen``), so the slots follow from
+        ``n_seen`` alone; of a chunk longer than the window only the last
+        ``capacity`` items survive, and only those are written.
+        """
+        items = self._check_chunk(items)
+        n = items.shape[0]
+        if not n:
+            return np.empty(0, dtype=np.intp)
+        kept = items[max(n - self.capacity, 0):]
+        first = self.n_seen + n - kept.shape[0]
+        slots = (first + np.arange(kept.shape[0])) % self.capacity
+        self._values[slots] = kept
+        self.n_seen += n
+        self.size = min(self.size + n, self.capacity)
+        return slots
 
     def ordered_slots(self) -> np.ndarray:
         if not self.full:

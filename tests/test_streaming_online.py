@@ -398,6 +398,111 @@ class TestProcessFlow:
         assert stats["incremental"] is True
 
 
+class _ItemByItem:
+    """The per-arrival ingest a chunk must reproduce: ``observe`` each
+    curve in turn and ``arctan`` the row of every slot it writes."""
+
+    def __init__(self, window):
+        self.window = window
+        self.theta = {}
+
+    def ingest(self, curves):
+        dt = np.diff(GRID)
+        for curve in curves:
+            update = self.window.observe(curve)
+            if not update.skipped:
+                self.theta[update.slot] = np.arctan(np.diff(curve, axis=0) / dt[:, None])
+
+    def assert_matches(self, window, scorer):
+        assert window.size == self.window.size
+        assert window.n_seen == self.window.n_seen
+        np.testing.assert_array_equal(window.values, self.window.values)
+        np.testing.assert_array_equal(window.ordered_values(), self.window.ordered_values())
+        if window.size:
+            expected = np.stack([self.theta[slot] for slot in range(window.size)])
+            np.testing.assert_array_equal(scorer._theta[: window.size], expected)
+
+
+def _drive(detector, models, chunks):
+    """``process`` every chunk, replaying on the item-by-item models what
+    the detector should have ingested, and compare after each chunk."""
+    n = len(models)
+    for chunk in chunks:
+        result = detector.process(_mfd(chunk))
+        if result.drift is not None and detector.on_drift == "rereference":
+            for model in models:
+                model.window.reset()
+        kept = chunk
+        if detector.update_policy == "inliers" and result.flags is not None:
+            kept = chunk[~result.flags]
+        base = sum(model.window.n_seen for model in models)
+        for i, model in enumerate(models):
+            model.ingest(kept[(i - base) % n :: n])
+        for model, window, scorer in zip(models, detector._windows, detector._scorers):
+            model.assert_matches(window, scorer)
+
+
+def _chunks(n_chunks, size, seed, p=2, shift_every=0):
+    rng = np.random.default_rng(seed)
+    out = []
+    for c in range(n_chunks):
+        curves = rng.standard_normal((size, M, p)).cumsum(axis=1) / 5.0
+        if shift_every and c % shift_every == 0:
+            curves[:2] += 3.0  # a few clear outliers to flag
+        out.append(curves)
+    return out
+
+
+class TestChunkIngest:
+    """Chunk-wide ingest leaves the windows and the FUNTA angle rings
+    exactly as per-arrival ``observe`` + one ``arctan`` per row would."""
+
+    @pytest.mark.parametrize("size", [1, 5, 16, 40])
+    def test_sliding_chunks_below_at_and_above_capacity(self, size):
+        detector = StreamingDetector("funta", SlidingWindow(16), min_reference=2)
+        _drive(detector, [_ItemByItem(SlidingWindow(16))], _chunks(6, size, seed=size))
+
+    def test_inliers_mask_applied_before_the_write(self):
+        detector = StreamingDetector(
+            "funta", SlidingWindow(24), min_reference=8,
+            threshold=StreamingQuantileThreshold(0.2, capacity=64),
+            update_policy="inliers",
+        )
+        _drive(detector, [_ItemByItem(SlidingWindow(24))],
+               _chunks(8, 10, seed=61, shift_every=2))
+        assert detector.n_flagged > 0
+
+    def test_ingest_after_rereference(self):
+        detector = StreamingDetector(
+            "funta", SlidingWindow(16), min_reference=4,
+            drift=DepthRankDrift(
+                baseline_size=16, recent_size=8, alpha=0.2, patience=1, min_gap=1
+            ),
+            on_drift="rereference",
+        )
+        chunks = _chunks(4, 8, seed=62) + [c + 5.0 for c in _chunks(10, 8, seed=63)]
+        _drive(detector, [_ItemByItem(SlidingWindow(16))], chunks)
+        assert detector.n_rereferences > 0
+
+    def test_reservoir_makes_the_same_draws(self):
+        detector = StreamingDetector(
+            "funta", ReservoirWindow(16, random_state=4), min_reference=2
+        )
+        _drive(detector, [_ItemByItem(ReservoirWindow(16, random_state=4))],
+               _chunks(8, 12, seed=64))
+
+    @pytest.mark.parametrize("size", [3, 16, 40])
+    def test_two_shards_round_robin(self, size):
+        detector = StreamingDetector(
+            "funta", SlidingWindow(16), shards=2, min_reference=2
+        )
+        try:
+            models = [_ItemByItem(SlidingWindow(8)) for _ in range(2)]
+            _drive(detector, models, _chunks(5, size, seed=65))
+        finally:
+            detector.close()
+
+
 class TestDriftingStreamIntegration:
     def test_drift_monitor_fires_after_injected_regime_change(self):
         stream = make_drifting_stream(

@@ -126,3 +126,83 @@ class TestReservoirWindow:
             hits[kept] += 1
         rates = hits / n_runs
         assert np.all(np.abs(rates - 0.25) < 0.08)
+
+
+def _same_state(chunked, sequential):
+    assert chunked.size == sequential.size
+    assert chunked.n_seen == sequential.n_seen
+    np.testing.assert_array_equal(chunked.values, sequential.values)
+    np.testing.assert_array_equal(chunked.ordered_values(), sequential.ordered_values())
+
+
+def _feed(chunked, sequential, items, chunk):
+    """Offer ``items`` in ``chunk``-sized pieces to one window and one at a
+    time to the other; each ``extend`` must report exactly the slots the
+    item-by-item ``observe`` calls wrote."""
+    for start in range(0, items.shape[0], chunk):
+        piece = items[start : start + chunk]
+        slots = chunked.extend(piece)
+        written = {u.slot for u in map(sequential.observe, piece) if not u.skipped}
+        assert slots.dtype == np.intp
+        assert len(set(slots.tolist())) == slots.size
+        assert set(slots.tolist()) == written
+        _same_state(chunked, sequential)
+
+
+class TestChunkExtend:
+    """``extend`` leaves every window in the state item-by-item ``observe``
+    leaves it in."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, 5, 12])
+    def test_sliding_chunks_of_every_size_wrap_like_observe(self, chunk):
+        # capacity 5: chunks below, at and above capacity; 23 items wrap
+        # the ring several times.
+        chunked, sequential = SlidingWindow(5), SlidingWindow(5)
+        _feed(chunked, sequential, _items(23, shape=(4, 2), seed=chunk), chunk)
+
+    @pytest.mark.parametrize("chunk", [1, 4, 9])
+    def test_ingest_after_reset(self, chunk):
+        chunked, sequential = SlidingWindow(4), SlidingWindow(4)
+        _feed(chunked, sequential, _items(7, seed=1), chunk)
+        chunked.reset()
+        sequential.reset()
+        _same_state(chunked, sequential)
+        _feed(chunked, sequential, _items(10, seed=2), chunk)
+
+    @pytest.mark.parametrize("chunk", [1, 6, 16, 40])
+    def test_reservoir_chunks_make_the_same_draws(self, chunk):
+        chunked = ReservoirWindow(16, random_state=9)
+        sequential = ReservoirWindow(16, random_state=9)
+        _feed(chunked, sequential, _items(150, seed=7), chunk)
+        # Both eviction streams stand at the same draw.
+        assert chunked._rng.integers(2**32) == sequential._rng.integers(2**32)
+
+    def test_empty_chunk_changes_nothing(self):
+        window = SlidingWindow(3)
+        assert window.extend(np.empty((0, 4))).size == 0
+        assert window.size == 0 and window.n_seen == 0
+        window.extend(_items(2))
+        before = window.values.copy()
+        assert window.extend(np.empty((0, 4))).size == 0
+        np.testing.assert_array_equal(window.values, before)
+        assert window.size == 2 and window.n_seen == 2
+
+    def test_chunk_shape_checked(self):
+        window = SlidingWindow(3)
+        with pytest.raises(ValidationError, match="one per row"):
+            window.extend(np.zeros(4))
+        window.extend(np.zeros((2, 4)))
+        with pytest.raises(ValidationError, match="item shape"):
+            window.extend(np.zeros((2, 5)))
+
+    def test_split_shards_extend_like_the_merged_window(self):
+        """Round-robin chunks into split shards stay mergeable."""
+        window = SlidingWindow(8)
+        window.extend(_items(11, seed=3))
+        shards = window.split(2)
+        items = _items(13, seed=4)
+        window.extend(items)
+        base = 11
+        for i, shard in enumerate(shards):
+            shard.extend(items[(i - base) % 2 :: 2])
+        _same_state(SlidingWindow.merged(shards), window)
