@@ -14,7 +14,9 @@ interval of the median ratio lies wholly above the gate's bound:
 * 1.02 for enabled telemetry vs ``NULL_TELEMETRY``;
 * 1.05 for plan-layer dispatch vs direct pipeline calls;
 * 0.8 for the front door's orjson request parse vs the json-only parse
-  oracle, so a tie fails.
+  oracle, so a tie fails;
+* 0.9 for the tie-free FUNTA crossing mask vs the same call with one
+  planted query/reference tie, so a tie fails.
 
 The HTTP front door's sustained rate is gated the same way against an
 absolute floor: it fails only when the interval of the median curves/s
@@ -41,6 +43,7 @@ import pytest
 from repro.core.methods import MappedDetectorMethod
 from repro.core.pipeline import GeometricOutlierPipeline
 from repro.data import make_ecg_dataset, make_taxonomy_dataset, square_augment
+from repro.depth import _kernels
 from repro.depth.dirout import dirout_scores
 from repro.depth.functional import functional_depth, pointwise_depth_profile
 from repro.depth.funta import funta_outlyingness
@@ -227,6 +230,32 @@ def test_float32_beats_float64():
     }
     failed = check_gates("float32 / float64 kernels, n=200 m=85", cases, 1.0)
     assert not failed, f"float32 kernels not faster than float64: {failed}"
+
+
+def test_untied_funta_beats_tied_path():
+    """One stream-shaped FUNTA call (64 queries x 128 references x 64
+    points, injected angles) on continuous walks, against the same call
+    with one query value set equal to a reference value, which sends
+    every block down the exact four-mask path."""
+    rng = np.random.default_rng(SEED)
+    grid = np.linspace(0.0, 1.0, 64)
+    items, window = (rng.standard_normal((n, 64)).cumsum(axis=1) / 5.0 for n in (64, 128))
+    tied_items = items.copy()
+    tied_items[0, 10] = window[0, 10]
+    dt = np.diff(grid)
+    angles = {
+        "theta_pts": np.arctan(np.diff(items, axis=1) / dt),
+        "theta_ref": np.arctan(np.diff(window, axis=1) / dt),
+    }
+    cases = {
+        "64 x 128 x 64": paired_ratios(
+            lambda: _kernels.funta_univariate(tied_items, window, grid, 0.0, False, **angles),
+            lambda: _kernels.funta_univariate(items, window, grid, 0.0, False, **angles),
+            pairs=15, min_seconds=0.2,
+        )
+    }
+    failed = check_gates("untied / one planted tie, FUNTA stream call", cases, 0.9)
+    assert not failed, "the tie-free FUNTA mask is not clearly faster than the tied path"
 
 
 # --------------------------------------------------------------------------- streaming
