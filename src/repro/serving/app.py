@@ -89,7 +89,8 @@ def _parse_batch(doc: dict) -> MFDataGrid:
     try:
         values = np.asarray(doc["values"], dtype=np.float64)
         grid = np.asarray(doc["grid"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: an integer literal beyond the float range.
         raise ValidationError(f"values/grid are not numeric arrays: {exc}") from exc
     if values.ndim == 2:
         values = values[:, :, None]

@@ -192,6 +192,20 @@ class TestServerRoutes:
             for value in bad_lengths
         ]
 
+    def test_oversized_integer_literal_is_a_400(self, bundle, dataset):
+        # A 400-digit integer parses (json) to a Python int that no float
+        # holds; both scoring routes answer 400, not 500.
+        data, _ = dataset
+        doc = _batch_doc(data)
+        doc["values"][1][2][0] = 10**400
+
+        async def scenario(server):
+            return [await _post(server, route, doc) for route in ("/score", "/submit")]
+
+        for status, body in _run(bundle, scenario):
+            assert status == 400
+            assert body["error"].startswith("values/grid are not numeric arrays")
+
     def test_clean_shutdown_settles_outstanding(self, bundle, dataset):
         data, _ = dataset
 
