@@ -202,14 +202,7 @@ def rank_counts(ref_lanes: np.ndarray, pts_lanes: np.ndarray) -> tuple[np.ndarra
         return _rank_counts_self(ref_lanes)
     n_lanes, n_ref = ref_lanes.shape
     n_pts = pts_lanes.shape[1]
-    stacked = np.concatenate([ref_lanes, pts_lanes], axis=1)
-    order = np.argsort(stacked, axis=1)  # quicksort; tie order irrelevant
-    is_pts = order >= n_ref
-    sorted_vals = np.take_along_axis(stacked, order, axis=1)
-    cross_tie = (sorted_vals[:, 1:] == sorted_vals[:, :-1]) & (
-        is_pts[:, 1:] != is_pts[:, :-1]
-    )
-    bad = cross_tie.any(axis=1)
+    order, is_pts, bad = _sort_stacked(ref_lanes, pts_lanes)
     positions = np.nonzero(is_pts)[1].reshape(n_lanes, n_pts)
     original = (order[is_pts] - n_ref).reshape(n_lanes, n_pts)
     counts = positions - np.arange(n_pts)[None, :]  # #ref sorted before
@@ -219,6 +212,21 @@ def rank_counts(ref_lanes: np.ndarray, pts_lanes: np.ndarray) -> tuple[np.ndarra
     if bad.any():
         le[bad], lt[bad] = _rank_counts_tied(ref_lanes[bad], pts_lanes[bad])
     return le, lt
+
+
+def _sort_stacked(ref_lanes: np.ndarray, pts_lanes: np.ndarray):
+    """Argsort of every lane of ``ref ++ pts``: the order, which sorted
+    entries are queries, and per lane whether some query value equals
+    some reference value (a run of equal values that mixes both groups
+    always exposes one adjacent mixed pair)."""
+    stacked = np.concatenate([ref_lanes, pts_lanes], axis=1)
+    order = np.argsort(stacked, axis=1)  # quicksort; tie order irrelevant
+    is_pts = order >= ref_lanes.shape[1]
+    sorted_vals = np.take_along_axis(stacked, order, axis=1)
+    cross_tie = (sorted_vals[:, 1:] == sorted_vals[:, :-1]) & (
+        is_pts[:, 1:] != is_pts[:, :-1]
+    )
+    return order, is_pts, cross_tie.any(axis=1)
 
 
 def _run_bounds(sorted_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -347,29 +355,20 @@ def _funta_tied(values: np.ndarray, ref_values: np.ndarray, same: bool) -> bool:
     grid point (with ``same``, when two distinct curves are equal
     there), or when any value is non-finite.  Ties among the queries or
     among the references alone do not count: they never meet in a
-    comparison.  The test is exact and sort-based, like the cross-tie
-    detection of :func:`rank_counts`: per grid point, a run of equal
-    values that mixes both groups always exposes one adjacent mixed
-    pair in the sorted lane.
+    comparison.  The test is exact and sort-based, the cross-tie
+    detection of :func:`rank_counts` on one lane per grid point.
     """
     if not (np.isfinite(values).all() and np.isfinite(ref_values).all()):
         return True
-    # One lane per grid point; a sort that leaves no two neighbours
-    # equal rules out every tie at once, the common continuous case.
+    # A plain sort that leaves no two neighbours equal rules out every
+    # tie at once, the common continuous case.
     groups = [values.T] if same else [ref_values.T, values.T]
     lanes = np.concatenate(groups, axis=1)
     lanes.sort(axis=1)
     any_tie = bool((lanes[:, 1:] == lanes[:, :-1]).any())
     if same or not any_tie:
         return any_tie
-    stacked = np.concatenate(groups, axis=1)
-    order = np.argsort(stacked, axis=1)  # quicksort; tie order irrelevant
-    is_pts = order >= ref_values.shape[0]
-    sorted_vals = np.take_along_axis(stacked, order, axis=1)
-    cross_tie = (sorted_vals[:, 1:] == sorted_vals[:, :-1]) & (
-        is_pts[:, 1:] != is_pts[:, :-1]
-    )
-    return bool(cross_tie.any())
+    return bool(_sort_stacked(*groups)[2].any())
 
 
 def _crossing_mask(q: np.ndarray, r: np.ndarray, tied: bool) -> np.ndarray:
