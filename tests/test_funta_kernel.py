@@ -183,6 +183,24 @@ def test_tie_free_path_equals_tied_path(untied, monkeypatch, mask_paths, shape, 
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("n_queries", [1, 3, 9, 40, 64])
+def test_tie_test_equals_brute_force(n_queries):
+    """Both strategies of the tie test (a direct compare for a few
+    queries, the stacked sort otherwise) agree with the broadcast
+    equality they stand for, on rounded and continuous lanes."""
+    rng = np.random.default_rng(n_queries)
+    for decimals in (None, 1, 2, 3):
+        values = rng.standard_normal((n_queries, 20)).cumsum(axis=1)
+        ref = rng.standard_normal((48, 20)).cumsum(axis=1)
+        if decimals is not None:
+            values, ref = np.round(values, decimals), np.round(ref, decimals)
+        expected = bool((values[:, None, :] == ref[None, :, :]).any())
+        assert _kernels._funta_tied(values, ref, same=False) == expected
+        pairs = ref[:, None, :] == ref[None, :, :]
+        pairs[np.arange(48), np.arange(48)] = False
+        assert _kernels._funta_tied(ref, ref, same=True) == bool(pairs.any())
+
+
 def test_golden_lanes_take_the_tied_path(golden):
     """Every lane of funta_golden.npz is rounded, so it pins the exact path."""
     for k in (0, 1):
