@@ -71,7 +71,7 @@ class WindowUpdate:
 class ReferenceWindow:
     """Base ring-buffer window; subclasses choose the eviction policy.
 
-    The buffer is allocated lazily on the first :meth:`observe`, taking
+    The buffer is allocated lazily on the first item offered, taking
     its item shape from that first item — windows therefore work for
     raw curves ``(m,)``/``(m, p)`` and for feature vectors ``(d,)``
     alike.  ``values`` exposes the filled region in *physical slot
