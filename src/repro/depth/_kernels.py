@@ -355,17 +355,11 @@ def _funta_tied(values: np.ndarray, ref_values: np.ndarray, same: bool) -> bool:
     grid point (with ``same``, when two distinct curves are equal
     there), or when any value is non-finite.  Ties among the queries or
     among the references alone do not count: they never meet in a
-    comparison.  The test is exact: sort-based, the cross-tie detection
-    of :func:`rank_counts` on one lane per grid point, or a direct
-    equality compare when there are only a few queries.
+    comparison.  The test is exact and sort-based: the cross-tie
+    detection of :func:`rank_counts` on one lane per grid point.
     """
     if not (np.isfinite(values).all() and np.isfinite(ref_values).all()):
         return True
-    n, n_ref = values.shape[0], ref_values.shape[0]
-    if not same and n * n_ref <= 8 * (n + n_ref):
-        # A few queries (single arrivals): one equality slab, no larger
-        # than the inputs, is cheaper than sorting them.
-        return bool((values[:, None, :] == ref_values[None, :, :]).any())
     # A plain sort that leaves no two neighbours equal rules out every
     # tie at once, the common continuous case.
     groups = [values.T] if same else [ref_values.T, values.T]

@@ -185,9 +185,9 @@ def test_tie_free_path_equals_tied_path(untied, monkeypatch, mask_paths, shape, 
 
 @pytest.mark.parametrize("n_queries", [1, 3, 9, 40, 64])
 def test_tie_test_equals_brute_force(n_queries):
-    """Both strategies of the tie test (a direct compare for a few
-    queries, the stacked sort otherwise) agree with the broadcast
-    equality they stand for, on rounded and continuous lanes."""
+    """The sort-based tie test agrees with the broadcast equality it
+    stands for, from a single query up, on rounded and continuous
+    lanes."""
     rng = np.random.default_rng(n_queries)
     for decimals in (None, 1, 2, 3):
         values = rng.standard_normal((n_queries, 20)).cumsum(axis=1)
