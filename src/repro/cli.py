@@ -492,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="KS test level for drift checks")
     stream.add_argument("--shards", type=int, default=1,
                         help="deal the reference window across N shard windows "
-                             "scored on a thread pool (same answers as 1)")
+                             "scored on a thread pool (same answers as 1); "
+                             "funta only, whose shard partials add up")
     stream.add_argument("--seed", type=int, default=7,
                         help="reservoir eviction seed")
     stream.add_argument("--output", default=None,

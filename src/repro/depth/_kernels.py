@@ -634,7 +634,9 @@ def sorted_median(lanes: np.ndarray) -> np.ndarray:
 
     The middle value for an odd length, the halved sum of the two middle
     values for an even one: bit-identical to ``np.median(lanes,
-    axis=-1)`` on the unsorted lanes, without its selection pass.
+    axis=-1)`` on the unsorted lanes, without its selection pass.  Used
+    by :func:`_sdo_block`, which sorts its projection lanes in place
+    anyway; callers holding unsorted values should call ``np.median``.
     """
     n = lanes.shape[-1]
     if n % 2:

@@ -560,7 +560,7 @@ class StreamSpec:
 
     def __post_init__(self):
         from repro.streaming.calibrate import THRESHOLD_MODES
-        from repro.streaming.online import STREAM_KINDS, StreamingDetector
+        from repro.streaming.online import STREAM_KINDS, StreamingDetector, _unshardable
 
         _check_type(self.kind, str, "stream kind")
         if self.kind == "pipeline":
@@ -633,6 +633,10 @@ class StreamSpec:
             set(StreamingDetector._ALLOWED_OPTIONS[self.kind]),
             f"stream kind {self.kind!r}",
         )
+        if self.shards > 1:
+            reason = _unshardable(self.kind, self.params.get("trim", 0.0))
+            if reason is not None:
+                raise ConfigurationError(f"stream {reason}")
 
     @property
     def effective_on_drift(self) -> str:

@@ -11,10 +11,10 @@ scores *unbounded* curve streams whose reference population evolves:
 * :mod:`repro.streaming.online` — :class:`StreamingDetector`, scoring
   each arrival against the current window through the vectorized depth
   kernels (FUNTA, Dir.out, halfspace profiles) or the fitted-pipeline
-  feature path, one scoring rule per kind: FUNTA, and Dir.out and
-  halfspace at p = 1, refresh cached reference statistics on
-  insert/evict instead of refitting them; Dir.out and halfspace at
-  p > 1 and the pipeline kind refit per score.  ``shards=N`` deals the
+  feature path, one scoring rule per kind: FUNTA refreshes its cached
+  tangent angles as chunks are ingested instead of refitting them;
+  Dir.out, halfspace and the pipeline kind score from the window
+  contents on every call.  For untrimmed FUNTA, ``shards=N`` deals the
   reference across N shard windows whose ingest and partial scoring
   run on a thread pool, while the threshold and drift monitor stay the
   single-stream trackers in the coordinator, so the answers are those
@@ -27,7 +27,7 @@ scores *unbounded* curve streams whose reference population evolves:
   monitor emitting re-reference events.
 
 ``repro stream-score`` exposes the subsystem from the CLI (``--shards``
-sets the shard count), and
+sets the shard count of a FUNTA stream), and
 :class:`~repro.serving.service.ScoringService` serves registered
 streaming detectors next to batch pipelines.
 """
@@ -42,7 +42,6 @@ from repro.streaming.calibrate import (
 from repro.streaming.drift import DepthRankDrift, DriftEvent, ks_two_sample
 from repro.streaming.online import (
     STREAM_KINDS,
-    SortedLanes,
     StreamBatchResult,
     StreamingDetector,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "ReservoirWindow",
     "SketchQuantileThreshold",
     "SlidingWindow",
-    "SortedLanes",
     "StreamBatchResult",
     "StreamingDetector",
     "StreamingQuantileThreshold",

@@ -8,10 +8,9 @@ threshold and drift monitor fold the scores in, and the window then
 absorbs the arrivals — so the reference population evolves with the
 stream instead of being fixed at fit time.
 
-Each kind has exactly one scoring rule.  Where a cache pays, scoring
-does **not** refit the reference statistics from scratch on every
-arrival: the kind keeps an incremental cache that follows the window
-as each chunk is ingested.  Where it does not, the kind refits:
+Each kind has exactly one scoring rule.  FUNTA keeps the one streaming
+cache; every other kind scores from the window contents
+(``window.values``) on every call:
 
 =============  =======================================================
 kind           reference statistic and how it follows the window
@@ -20,38 +19,30 @@ kind           reference statistic and how it follows the window
                slots a chunk writes (``window.extend``) get their rows
                in one ``arctan``: O(m·p) per written row vs
                O(n_ref·m·p) per refit
-``dirout``     per-grid-point *sorted lanes* of the reference values
-               (p = 1), updated per insert/evict from the
-               :class:`~repro.streaming.window.WindowUpdate` signal:
-               the cross-sectional median/MAD and the Dir.out
-               spatial centers read off the maintained order
-               statistics instead of re-partitioning every column
-``halfspace``  the same sorted lanes; rank counts of arrivals come
-               from one broadcast comparison against the maintained
-               lanes — same O(n_ref·m) asymptotics as the rebuild but
-               without the per-arrival re-sort (or argsort machinery)
+``dirout``     from the window: at p = 1 a closed form (spatial
+               centers are the cross-sectional medians,
+               ``np.median(window.values[:, :, 0], axis=0)``); at
+               p > 1 the seeded batch kernel
+``halfspace``  from the window: the batch
+               :func:`~repro.depth.functional.functional_depth`
+               profile for every p
 ``pipeline``   the fitted-pipeline feature path from serving: refit
                per score — mean, scatter and ridged Cholesky factor
                of the windowed feature vectors, computed from the
                window contents on every call
 =============  =======================================================
 
-Every cached path reproduces the one-shot batch computation over the
-same window contents *bit-identically* (the cached quantities are
-produced by the identical elementwise operations; order statistics are
-order-independent); the tests pin each kind against the public batch
-function on ``window.values``, and ``benchmarks/bench_gates.py`` times
-the caches against that per-arrival batch refit.
+Every kind reproduces the one-shot batch computation over the same
+window contents *bit-identically* (the ring holds the identical
+elementwise ``arctan`` the batch kernel applies); the tests pin each
+kind against the public batch function on ``window.values``, and
+``benchmarks/bench_gates.py`` times the streams against that
+per-arrival batch refit.
 
-For multivariate (p > 1) ``dirout``/``halfspace``, the per-grid-point
-random projection directions make caching memory-prohibitive; those
-configurations score with the batch kernel and a fixed
-``random_state`` (reported by :attr:`StreamingDetector.effective_incremental`).
-
-``StreamingDetector(..., shards=N)`` deals the reference across N
-round-robin shard windows, each with its own cache, and recovers the
-single-stream scores from shard partials or merged shard state; see the
-class docstring.
+``StreamingDetector(..., shards=N)`` deals the reference of an
+untrimmed FUNTA stream across N round-robin shard windows, each with
+its own ring, and sums the single-stream scores from shard partials;
+see the class docstring.
 """
 
 from __future__ import annotations
@@ -66,7 +57,7 @@ from scipy import linalg as sla
 from repro.depth import _kernels
 from repro.depth._kernels import MAD_SCALE
 from repro.depth.dirout import dirout_scores, summarize_outlyingness
-from repro.depth.functional import aggregate_depth, functional_depth
+from repro.depth.functional import functional_depth
 from repro.depth.funta import check_trim
 from repro.exceptions import NotFittedError, ValidationError
 from repro.fda.fdata import MFDataGrid, as_mfd
@@ -81,7 +72,6 @@ from repro.utils.validation import check_int, check_positive
 
 __all__ = [
     "STREAM_KINDS",
-    "SortedLanes",
     "StreamBatchResult",
     "StreamingDetector",
 ]
@@ -90,130 +80,10 @@ STREAM_KINDS = ("funta", "dirout", "halfspace", "pipeline")
 
 
 # =====================================================================
-# sorted lanes — maintained per-grid-point order statistics (p = 1)
-# =====================================================================
-class SortedLanes:
-    """Per-grid-point sorted reference values, maintained incrementally.
-
-    ``lanes[j, :size]`` is the ascending sort of the window's values at
-    grid point ``j``.  Inserts and replacements are O(n·m) vectorized
-    gathers (no re-sort); medians read off the maintained order
-    statistics in O(m), replicating :func:`numpy.median` bit for bit.
-    """
-
-    def __init__(self, n_points: int, capacity: int):
-        self.lanes = np.empty((n_points, capacity))
-        self.size = 0
-
-    def insert(self, new: np.ndarray) -> None:
-        """Insert one value per lane (``new`` has shape ``(m,)``)."""
-        n = self.size
-        if n == 0:
-            self.lanes[:, 0] = new
-            self.size = 1
-            return
-        lanes = self.lanes[:, :n]
-        pos = (lanes <= new[:, None]).sum(axis=1)  # rightmost insertion index
-        t = np.arange(n + 1)[None, :]
-        src = t - (t > pos[:, None])
-        src = np.where(t == pos[:, None], 0, src)  # placeholder, overwritten
-        grown = np.take_along_axis(lanes, src, axis=1)
-        np.put_along_axis(grown, pos[:, None], new[:, None], axis=1)
-        self.lanes[:, : n + 1] = grown
-        self.size = n + 1
-
-    def replace(self, old: np.ndarray, new: np.ndarray) -> None:
-        """Swap the (exactly stored) ``old`` value for ``new``, per lane."""
-        n = self.size
-        lanes = self.lanes[:, :n]
-        removed = (lanes < old[:, None]).sum(axis=1)  # leftmost slot == old
-        ins = (lanes <= new[:, None]).sum(axis=1)  # index in the pre-delete lane
-        target = ins - (ins > removed)  # index once old is deleted
-        t = np.arange(n)[None, :]
-        compact = t - (t > target[:, None])
-        src = compact + (compact >= removed[:, None])
-        src = np.where(t == target[:, None], 0, src)  # placeholder, overwritten
-        updated = np.take_along_axis(lanes, src, axis=1)
-        np.put_along_axis(updated, target[:, None], new[:, None], axis=1)
-        lanes[:] = updated
-
-    def reset(self) -> None:
-        self.size = 0
-
-    def median(self) -> np.ndarray:
-        """Per-lane median, bit-identical to ``np.median(ref, axis=0)``."""
-        n = self.size
-        if n == 0:
-            raise NotFittedError("sorted lanes are empty")
-        return _kernels.sorted_median(self.lanes[:, :n])
-
-    def rank_counts(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(le, lt)`` counts of each query within its lane, lane-major.
-
-        ``queries`` is ``(n_queries, m)``; returns integer arrays of
-        shape ``(m, n_queries)``: ``le[j, i] = #{ref_j <= queries[i, j]}``
-        and ``lt[j, i] = #{ref_j < queries[i, j]}`` — exactly the counts
-        the batch halfspace kernel derives from its stacked argsort
-        (which is also lane-major; callers transpose, so downstream
-        reductions see the identical memory layout and accumulate in
-        the identical order).
-        """
-        n = self.size
-        n_queries, m = queries.shape
-        lanes = self.lanes[:, :n]
-        queries_t = queries.T  # (m, n_queries)
-        le = np.empty((m, n_queries), dtype=np.int64)
-        lt = np.empty((m, n_queries), dtype=np.int64)
-        # One broadcast comparison slab per query block (exact integer
-        # counts, no per-lane Python loop); the block bound keeps the
-        # (m, n, block) boolean scratch around ~8 MB.
-        step = max(int(8 * 1024 * 1024 // max(n * m, 1)), 1)
-        for q0 in range(0, n_queries, step):
-            block = queries_t[:, None, q0 : q0 + step]  # (m, 1, b)
-            le[:, q0 : q0 + step] = (lanes[:, :, None] <= block).sum(
-                axis=1, dtype=np.int64
-            )
-            lt[:, q0 : q0 + step] = (lanes[:, :, None] < block).sum(
-                axis=1, dtype=np.int64
-            )
-        return le, lt
-
-    @classmethod
-    def merged(cls, parts) -> "SortedLanes":
-        """Combine shard lanes into one lane set over the union window.
-
-        Lane content is the ascending multiset of window values per grid
-        point, so the sorted concatenation of shard lanes is *bit-equal*
-        to the lanes a single tracker would have built incrementally
-        over the union — medians and rank counts of the merged lanes
-        therefore match the single-stream cache exactly.
-        """
-        parts = [p for p in parts if p is not None]
-        if not parts:
-            raise ValidationError("merged() needs at least one SortedLanes")
-        n_points = parts[0].lanes.shape[0]
-        if any(p.lanes.shape[0] != n_points for p in parts):
-            raise ValidationError("shard lanes must share one grid length")
-        out = cls(n_points, sum(p.lanes.shape[1] for p in parts))
-        filled = [p.lanes[:, : p.size] for p in parts if p.size]
-        if filled:
-            data = np.sort(np.concatenate(filled, axis=1), axis=1)
-            out.lanes[:, : data.shape[1]] = data
-            out.size = data.shape[1]
-        return out
-
-
-# =====================================================================
 # per-kind scorer states
 # =====================================================================
 class _ScorerState:
-    """Cache interface every kind implements (refit kinds no-op)."""
-
-    #: Whether scores read maintained caches (a fact of the kind and p).
-    incremental = False
-    #: Whether shard scores combine additively (:meth:`partials` /
-    #: :meth:`combine`) instead of needing the merged reference state.
-    additive = False
+    """Scorer interface every kind implements; only FUNTA keeps a cache."""
 
     def ingest(self, window: ReferenceWindow, items: np.ndarray) -> None:
         """Offer ``items`` to ``window`` in arrival order, keeping the cache
@@ -226,21 +96,12 @@ class _ScorerState:
     def reset(self) -> None:
         pass
 
-    def absorb(self, states, windows) -> None:
-        """Take over the union of shard caches (merged-state scoring)."""
-        raise NotImplementedError
-
     def score(self, items: np.ndarray, window: ReferenceWindow) -> np.ndarray:
         raise NotImplementedError
-
-    def _reference_mfd(self, window: ReferenceWindow, grid: np.ndarray) -> MFDataGrid:
-        return MFDataGrid(window.values, grid)
 
 
 class _FuntaState(_ScorerState):
     """FUNTA with an incrementally maintained tangent-angle ring."""
-
-    incremental = True
 
     def __init__(self, grid, capacity, trim, block_bytes, context):
         self.grid = grid
@@ -276,34 +137,6 @@ class _FuntaState(_ScorerState):
     def reset(self) -> None:
         self._theta = None
 
-    @property
-    def additive(self) -> bool:
-        return self.trim == 0
-
-    def absorb(self, states, windows) -> None:
-        """Union of shard tangent-angle rings, in merged-window row order.
-
-        Rows align with :func:`_union_window` of the same shard windows —
-        for sliding shards the item with global index ``g`` sits at slot
-        ``g mod C``, otherwise shards are concatenated — so scoring
-        against the merged reference reuses the shard-computed angles
-        bit for bit instead of recomputing them.
-        """
-        filled = [(s, w) for s, w in zip(states, windows) if w.size]
-        if not filled:
-            self._theta = None
-            return
-        if not isinstance(windows[0], SlidingWindow):
-            self._theta = np.concatenate([s._theta[: w.size] for s, w in filled])
-            return
-        n = len(states)
-        capacity = sum(w.capacity for w in windows)
-        theta = np.empty((sum(w.size for w in windows), *filled[0][0]._theta.shape[1:]))
-        for i, (state, window) in enumerate(zip(states, windows)):
-            for j in range(window.n_seen - window.size, window.n_seen):
-                theta[(j * n + i) % capacity] = state._theta[j % window.capacity]
-        self._theta = theta
-
     def partials(self, items: np.ndarray, window: ReferenceWindow):
         """Per-query ``(count, angle-sum)`` totals vs this shard's window.
 
@@ -329,7 +162,7 @@ class _FuntaState(_ScorerState):
         return counts, sums
 
     @staticmethod
-    def combine(parts, n_reference: int) -> np.ndarray:
+    def combine(parts) -> np.ndarray:
         """FUNTA outlyingness from the summed shard partials."""
         counts = np.sum([part[0] for part in parts], axis=0)  # (p, b)
         sums = np.sum([part[1] for part in parts], axis=0)
@@ -359,58 +192,22 @@ class _FuntaState(_ScorerState):
         return 1.0 - np.mean(per_param, axis=0)
 
 
-class _LaneState(_ScorerState):
-    """Cross-sectional order statistics kept in sorted lanes (p = 1).
+class _DiroutState(_ScorerState):
+    """Dir.out from the window contents: a closed form at p = 1, the
+    seeded batch kernel at p > 1."""
 
-    Shared by Dir.out and halfspace; multivariate data (p > 1) keep no
-    lanes and score with the seeded batch kernel instead.
-    """
-
-    def __init__(self, grid, capacity, n_directions, random_state, block_bytes,
-                 context, p):
+    def __init__(self, grid, n_directions, random_state, block_bytes, context):
         self.grid = grid
         self.n_directions = n_directions
         self.random_state = random_state
         self.block_bytes = block_bytes
         self.context = context
-        self.incremental = p == 1
-        self._lanes = SortedLanes(grid.shape[0], capacity) if self.incremental else None
-
-    def ingest(self, window: ReferenceWindow, items: np.ndarray) -> None:
-        if not self.incremental:
-            window.extend(items)
-            return
-        # The lanes follow every insert and eviction in arrival order.
-        for item in items:
-            update = window.observe(item)
-            if update.skipped:
-                continue
-            if update.evicted is None:
-                self._lanes.insert(update.inserted[:, 0])
-            else:
-                self._lanes.replace(update.evicted[:, 0], update.inserted[:, 0])
-
-    def sync(self, window: ReferenceWindow) -> None:
-        if self.incremental:
-            for item in window.values:
-                self._lanes.insert(item[:, 0])
-
-    def reset(self) -> None:
-        if self._lanes is not None:
-            self._lanes.reset()
-
-    def absorb(self, states, windows) -> None:
-        self._lanes = SortedLanes.merged([state._lanes for state in states])
-
-
-class _DiroutState(_LaneState):
-    """Dir.out with maintained cross-sectional order statistics (p=1)."""
 
     def score(self, items: np.ndarray, window: ReferenceWindow) -> np.ndarray:
-        if not self.incremental:
+        if items.shape[2] > 1:
             return dirout_scores(
                 MFDataGrid(items, self.grid),
-                reference=self._reference_mfd(window, self.grid),
+                reference=MFDataGrid(window.values, self.grid),
                 method="total",
                 n_directions=self.n_directions,
                 random_state=self.random_state,
@@ -418,7 +215,7 @@ class _DiroutState(_LaneState):
                 context=self.context,
             )
         ref = window.values[:, :, 0]  # (r, m)
-        med = self._lanes.median()  # == np.median(ref, axis=0), bit for bit
+        med = np.median(ref, axis=0)
         mad = MAD_SCALE * np.median(np.abs(ref - med), axis=0)
         degenerate = mad < 1e-12
         if degenerate.any():
@@ -432,54 +229,30 @@ class _DiroutState(_LaneState):
         return summarize_outlyingness(sdo[:, :, None] * units, self.grid).total
 
 
-class _HalfspaceState(_LaneState):
-    """Integrated halfspace depth via binary searches in sorted lanes."""
+class _HalfspaceState(_ScorerState):
+    """Integrated halfspace depth of the arrivals within the window."""
 
-    def __init__(self, grid, capacity, aggregation, n_directions, random_state,
-                 block_bytes, context, p):
-        super().__init__(grid, capacity, n_directions, random_state, block_bytes,
-                         context, p)
+    def __init__(self, grid, aggregation, n_directions, random_state, block_bytes,
+                 context):
+        self.grid = grid
         self.aggregation = aggregation
-
-    @property
-    def additive(self) -> bool:
-        return self.incremental
-
-    def partials(self, items: np.ndarray, window: ReferenceWindow):
-        """``(<=, <)`` rank counts of the queries in this window's lanes.
-
-        ``(m, n_items)`` int64 each: exact integers, so counts summed
-        over shard windows equal the union window's counts bit for bit.
-        """
-        if window.size == 0:
-            zero = np.zeros((items.shape[1], items.shape[0]), dtype=np.int64)
-            return zero, zero
-        return self._lanes.rank_counts(items[:, :, 0])
-
-    def combine(self, parts, n_reference: int) -> np.ndarray:
-        """Halfspace outlyingness from the summed rank counts."""
-        le = np.sum([part[0] for part in parts], axis=0)
-        lt = np.sum([part[1] for part in parts], axis=0)
-        # Transposing the lane-major counts reproduces the batch
-        # kernel's memory layout, so the aggregation reduces in the
-        # identical order (bit-identical scores, not just close ones).
-        profile = (np.minimum(le, n_reference - lt) / n_reference).T
-        return 1.0 - aggregate_depth(profile, self.grid, self.aggregation)
+        self.n_directions = n_directions
+        self.random_state = random_state
+        self.block_bytes = block_bytes
+        self.context = context
 
     def score(self, items: np.ndarray, window: ReferenceWindow) -> np.ndarray:
-        if not self.incremental:
-            depth = functional_depth(
-                MFDataGrid(items, self.grid),
-                self._reference_mfd(window, self.grid),
-                notion="halfspace",
-                aggregation=self.aggregation,
-                block_bytes=self.block_bytes,
-                context=self.context,
-                n_directions=self.n_directions,
-                random_state=self.random_state,
-            )
-            return 1.0 - depth
-        return self.combine([self.partials(items, window)], window.size)
+        depth = functional_depth(
+            MFDataGrid(items, self.grid),
+            MFDataGrid(window.values, self.grid),
+            notion="halfspace",
+            aggregation=self.aggregation,
+            block_bytes=self.block_bytes,
+            context=self.context,
+            n_directions=self.n_directions,
+            random_state=self.random_state,
+        )
+        return 1.0 - depth
 
 
 class _PipelineState(_ScorerState):
@@ -560,8 +333,9 @@ class StreamingDetector:
         reference sample (curves, or feature vectors for
         ``kind="pipeline"``).
     shards:
-        Number of shard windows the reference is dealt across (see
-        *Sharding* below).  ``1`` (default) is the single stream.
+        Number of shard windows the reference is dealt across (untrimmed
+        FUNTA only; see *Sharding* below).  ``1`` (default) is the
+        single stream.
     pipeline:
         Fitted :class:`~repro.core.pipeline.GeometricOutlierPipeline`
         providing the smooth→map feature path (``kind="pipeline"``
@@ -603,34 +377,32 @@ class StreamingDetector:
         deterministic); ``ridge_eps`` > 0 (pipeline).
 
     Each kind has one scoring rule, fixed by the kind and the data's
-    dimension p (see :attr:`effective_incremental`): FUNTA reads its
-    tangent-angle ring, Dir.out and halfspace read sorted lanes at
-    p = 1 and run the seeded batch kernel at p > 1, and ``pipeline``
-    refits its moments on every score.
+    dimension p: FUNTA reads its tangent-angle ring, Dir.out scores from
+    the window with a closed form at p = 1 and the seeded batch kernel
+    at p > 1, halfspace runs the batch profile on the window, and
+    ``pipeline`` refits its moments on every score.
 
     Sharding
     --------
-    With ``shards=N > 1`` the window is split into N round-robin shard
-    windows (``window.split(N)``; its capacity must divide evenly), each
-    with its own cache, and arrival ``g`` goes to shard
-    ``g mod N``.  Scores are still computed against the union of the
-    shard windows, which for sliding windows *is* the single-stream
-    window (shard reservoirs each sample their own share of the stream):
+    ``shards=N > 1`` is accepted for untrimmed FUNTA only: its
+    per-shard partials (crossing counts and angle sums) add up to the
+    single-stream score.  Every other kind needs the whole window at
+    once (medians, rank profiles, trimmed means, moments), so shards
+    would only split the window to merge it back; they raise
+    :class:`~repro.exceptions.ValidationError`.
 
-    * untrimmed FUNTA and univariate halfspace sum per-shard partials
-      (crossing counts/angle sums, rank counts);
-    * every other configuration scores against the merged state
-      (:func:`_union_window`, merged tangent-angle rings, merged sorted
-      lanes) with the single-stream scorer code.
-
-    The threshold and drift monitor are the ordinary single-stream
-    trackers, fed each whole score chunk in the coordinator, so on
-    sliding windows flags, drift events and re-references are those of
-    ``shards=1`` (scores agree to ``rtol=1e-12`` for FUNTA partials,
-    bit for bit otherwise).
-    Per-shard ingest and partial scoring fan out over one persistent
-    thread pool, released by :meth:`close` (or a ``with`` block).  The
-    ``pipeline`` kind is single-stream only.
+    The window is split into N round-robin shard windows
+    (``window.split(N)``; its capacity must divide evenly), each with its
+    own tangent-angle ring, and arrival ``g`` goes to shard ``g mod N``.
+    Scores sum the partials against every shard window, whose union for
+    sliding windows *is* the single-stream window (shard reservoirs each
+    sample their own share of the stream).  The threshold and drift
+    monitor are the ordinary single-stream trackers, fed each whole
+    score chunk in the coordinator, so on sliding windows flags, drift
+    events and re-references are those of ``shards=1`` (scores agree to
+    ``rtol=1e-12``; only the summation order differs).  Per-shard ingest
+    and partial scoring fan out over one persistent thread pool,
+    released by :meth:`close` (or a ``with`` block).
     """
 
     _ALLOWED_OPTIONS = {
@@ -706,8 +478,9 @@ class StreamingDetector:
             )
         self.n_shards = check_int(shards, "shards", minimum=1)
         if self.n_shards > 1:
-            if kind == "pipeline":
-                raise ValidationError("kind='pipeline' is single-stream only (shards=1)")
+            reason = _unshardable(kind, options.get("trim", 0.0))
+            if reason is not None:
+                raise ValidationError(reason)
             if not isinstance(window, (SlidingWindow, ReservoirWindow)):
                 raise ValidationError(
                     "shards > 1 needs a SlidingWindow or ReservoirWindow, got "
@@ -753,8 +526,8 @@ class StreamingDetector:
         monitor (if any) is re-bound alongside, labelled by this
         detector's kind.  Sharded detectors add per-shard window-fill
         gauges (``streaming_shard_window_fill{shard}``) and the
-        partial/merged scoring latency histograms
-        (``streaming_merge_seconds{stage}``).
+        partial-sum scoring latency histogram
+        (``streaming_merge_seconds{stage="partials"}``).
         """
         telemetry = resolve_telemetry(None, telemetry)
         self.telemetry = telemetry
@@ -768,10 +541,9 @@ class StreamingDetector:
             "streaming_process_seconds", kind=self.kind
         )
         if self.n_shards > 1:
-            self._m_merge = {
-                stage: telemetry.histogram("streaming_merge_seconds", stage=stage)
-                for stage in ("partials", "merged")
-            }
+            self._m_partials = telemetry.histogram(
+                "streaming_merge_seconds", stage="partials"
+            )
             self._m_shard_fill = [
                 telemetry.gauge("streaming_shard_window_fill", shard=str(i))
                 for i in range(self.n_shards)
@@ -811,17 +583,12 @@ class StreamingDetector:
 
     @property
     def effective_incremental(self) -> bool:
-        """Whether scoring runs on maintained caches — a report, not a switch.
+        """Whether scoring runs on a maintained cache — a report, not a switch.
 
-        True for FUNTA and for ``dirout``/``halfspace`` at p = 1; those
-        two use the seeded batch kernel at p > 1 (their random-direction
-        statistics cannot be cached within reasonable memory), and
-        ``pipeline`` refits its moments per score.  Until the first
-        batch fixes p, p = 1 is assumed.
+        True for FUNTA (its tangent-angle ring); every other kind scores
+        from the window contents on each call.
         """
-        if self._scorers is None:
-            return self.kind != "pipeline"
-        return self._scorers[0].incremental
+        return self.kind == "funta"
 
     @property
     def _scorer(self) -> _ScorerState | None:
@@ -854,17 +621,17 @@ class StreamingDetector:
             )
         if self.kind == "dirout":
             return _DiroutState(
-                self.grid, capacity,
+                self.grid,
                 self.options.get("n_directions", 200),
                 self.options.get("random_state", 0),
-                self.block_bytes, self.context, self.n_parameters,
+                self.block_bytes, self.context,
             )
         if self.kind == "halfspace":
             return _HalfspaceState(
-                self.grid, capacity, self.aggregation,
+                self.grid, self.aggregation,
                 self.options.get("n_directions", 500),
                 self.options.get("random_state", 0),
-                self.block_bytes, self.context, self.n_parameters,
+                self.block_bytes, self.context,
             )
         return _PipelineState(self.options.get("ridge_eps", 1e-9))
 
@@ -920,18 +687,10 @@ class StreamingDetector:
         if self.n_shards == 1:
             return scorers[0].score(items, self._windows[0])
         start = time.perf_counter() if self.telemetry.enabled else 0.0
-        if scorers[0].additive:
-            stage = "partials"
-            parts = self._map(lambda i: scorers[i].partials(items, self._windows[i]))
-            scores = scorers[0].combine(parts, self.n_reference)
-        else:
-            stage = "merged"
-            merged = self._make_scorer(self.capacity)
-            if merged.incremental:
-                merged.absorb(scorers, self._windows)
-            scores = merged.score(items, self.window)
+        parts = self._map(lambda i: scorers[i].partials(items, self._windows[i]))
+        scores = _FuntaState.combine(parts)
         if self.telemetry.enabled:
-            self._m_merge[stage].observe(time.perf_counter() - start)
+            self._m_partials.observe(time.perf_counter() - start)
         return scores
 
     def _rereference(self) -> None:
@@ -1057,6 +816,18 @@ class StreamingDetector:
             f"StreamingDetector({self.kind!r}, window={self.window!r}, "
             f"shards={self.n_shards}, scored={self.n_scored})"
         )
+
+
+def _unshardable(kind: str, trim) -> str | None:
+    """Why ``kind`` (with FUNTA's ``trim``) cannot run on shards, else ``None``."""
+    if kind == "funta" and not trim:
+        return None
+    what = f"trimmed FUNTA (trim={trim})" if kind == "funta" else f"kind={kind!r}"
+    return (
+        "shards > 1 needs untrimmed FUNTA: only its per-shard partials add up "
+        f"to the single-stream score, while {what} needs the whole window at "
+        "once; use shards=1"
+    )
 
 
 def _union_window(windows) -> ReferenceWindow:

@@ -16,14 +16,13 @@ the two canonical maintenance policies as preallocated ring buffers:
   drift monitor that triggers :meth:`~ReferenceWindow.reset`.
 
 Both policies write in place into one preallocated ``(capacity, ...)``
-buffer.  :meth:`~ReferenceWindow.observe` reports every mutation as a
-:class:`WindowUpdate` — the slot touched, the inserted item and a copy
-of the evicted one — which is the exact signal the sorted-lane caches
-of :mod:`repro.streaming.online` need to refresh their order statistics
-without a rebuild.  :meth:`~ReferenceWindow.extend` takes a whole chunk
-and returns only the slots it wrote, which is all a per-slot cache (the
-FUNTA tangent-angle ring) needs; the sliding window writes the chunk in
-one step.  Reservoir eviction is seeded and
+buffer.  :meth:`~ReferenceWindow.observe` offers one item and reports
+the mutation as a :class:`WindowUpdate` — the slot touched, the
+inserted item and a copy of the evicted one.
+:meth:`~ReferenceWindow.extend` takes a whole chunk and returns only
+the slots it wrote, which is all a per-slot cache (the FUNTA
+tangent-angle ring of :mod:`repro.streaming.online`) needs; the sliding
+window writes the chunk in one step.  Reservoir eviction is seeded and
 reproducible: an integer ``random_state`` (optionally spawned through a
 shared :class:`~repro.engine.ExecutionContext` master seed) always
 replays the same eviction schedule.
@@ -44,7 +43,7 @@ __all__ = ["WindowUpdate", "ReferenceWindow", "SlidingWindow", "ReservoirWindow"
 
 @dataclass(frozen=True)
 class WindowUpdate:
-    """One window mutation (the unit the scorer caches consume).
+    """One window mutation, as reported by :meth:`ReferenceWindow.observe`.
 
     Attributes
     ----------

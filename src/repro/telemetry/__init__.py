@@ -42,8 +42,9 @@ name                                  unit       meaning
                                                  by ``kind``
 ``streaming_shard_window_fill``       curves     gauge: per-shard reference-window fill,
                                                  by ``shard``
-``streaming_merge_seconds``           seconds    histogram: sharded scoring stages, by
-                                                 ``stage`` (partials/merged)
+``streaming_merge_seconds``           seconds    histogram: sharded scoring latency, by
+                                                 ``stage`` (partials: the shard partial
+                                                 sums of a FUNTA stream)
 ``serving_queue_depth_curves``        curves     gauge: curves in the micro-batch queue —
                                                  the single queue-depth definition the
                                                  flush loop and backpressure both read

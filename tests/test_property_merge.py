@@ -7,16 +7,14 @@ union on the underlying observations.  Hypothesis-driven pins:
 * ``SlidingWindow.split`` → ``SlidingWindow.merged`` round-trips the
   window **bit-exactly** (values, slot order, ``n_seen``) across shard
   counts and fill levels, and permuting equally-filled shards leaves
-  the merged value multiset unchanged;
-* :meth:`SortedLanes.merged` is insensitive to how rows were dealt to
-  the parts, bitwise.
+  the merged value multiset unchanged.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.streaming import SlidingWindow, SortedLanes
+from repro.streaming import SlidingWindow
 
 COMMON = settings(max_examples=20, deadline=None)
 
@@ -64,36 +62,4 @@ class TestSlidingWindowMerge:
         np.testing.assert_array_equal(
             np.sort(forward.values, axis=None),
             np.sort(backward.values, axis=None),
-        )
-
-
-class TestSortedLanesMerge:
-    @COMMON
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        n_parts=st.integers(1, 4),
-        rows_each=st.integers(1, 10),
-        m=st.integers(2, 8),
-    )
-    def test_merged_deal_insensitive(self, seed, n_parts, rows_each, m):
-        rng = np.random.default_rng(seed)
-        rows = rng.standard_normal((n_parts * rows_each, m))
-
-        def lanes_for(block):
-            lanes = SortedLanes(m, block.shape[0])
-            for row in block:
-                lanes.insert(row)
-            return lanes
-
-        dealt = [rows[i::n_parts] for i in range(n_parts)]  # round-robin deal
-        contiguous = np.array_split(rows, n_parts)  # contiguous deal
-        merged_a = SortedLanes.merged([lanes_for(b) for b in dealt])
-        merged_b = SortedLanes.merged([lanes_for(b) for b in contiguous])
-        single = lanes_for(rows)
-        assert merged_a.size == merged_b.size == single.size
-        np.testing.assert_array_equal(
-            merged_a.lanes[:, : single.size], single.lanes[:, : single.size]
-        )
-        np.testing.assert_array_equal(
-            merged_b.lanes[:, : single.size], single.lanes[:, : single.size]
         )

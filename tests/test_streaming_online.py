@@ -1,4 +1,4 @@
-"""Unit tests for StreamingDetector and its incremental scorer caches."""
+"""Unit tests for StreamingDetector and its FUNTA tangent-angle cache."""
 
 import numpy as np
 import pytest
@@ -20,7 +20,6 @@ from repro.streaming import (
     StreamingDetector,
     StreamingQuantileThreshold,
 )
-from repro.streaming.online import SortedLanes
 
 GRID = np.linspace(0.0, 1.0, 36)
 M = GRID.shape[0]
@@ -60,51 +59,6 @@ def _batch_per_arrival(kind, stream, capacity, min_reference):
         )
         window.observe(curve)
     return scores
-
-
-class TestSortedLanes:
-    def test_insert_and_replace_track_full_sort(self):
-        rng = np.random.default_rng(0)
-        lanes = SortedLanes(6, 12)
-        rows = []
-        for _ in range(12):
-            row = rng.standard_normal(6).round(1)  # rounding forces ties
-            lanes.insert(row)
-            rows.append(row)
-        reference = np.array(rows)
-        np.testing.assert_array_equal(
-            lanes.lanes[:, :12], np.sort(reference.T, axis=1)
-        )
-        for _ in range(100):
-            victim = rng.integers(0, 12)
-            replacement = rng.standard_normal(6).round(1)
-            lanes.replace(reference[victim].copy(), replacement)
-            reference[victim] = replacement
-            np.testing.assert_array_equal(
-                lanes.lanes[:, :12], np.sort(reference.T, axis=1)
-            )
-
-    def test_median_is_bit_identical_to_numpy(self):
-        rng = np.random.default_rng(1)
-        for n in (3, 4, 11, 12):
-            lanes = SortedLanes(5, n)
-            rows = rng.standard_normal((n, 5))
-            for row in rows:
-                lanes.insert(row)
-            np.testing.assert_array_equal(lanes.median(), np.median(rows, axis=0))
-
-    def test_rank_counts_match_boolean_comparisons(self):
-        rng = np.random.default_rng(2)
-        lanes = SortedLanes(4, 9)
-        rows = rng.standard_normal((9, 4)).round(1)
-        for row in rows:
-            lanes.insert(row)
-        queries = np.concatenate([rng.standard_normal((5, 4)).round(1), rows[:2]])
-        le, lt = lanes.rank_counts(queries)
-        expected_le = (rows[None, :, :] <= queries[:, None, :]).sum(axis=1).T
-        expected_lt = (rows[None, :, :] < queries[:, None, :]).sum(axis=1).T
-        np.testing.assert_array_equal(le, expected_le)
-        np.testing.assert_array_equal(lt, expected_lt)
 
 
 class TestStreamingEqualsBatch:
@@ -387,6 +341,15 @@ class TestProcessFlow:
             StreamingDetector("funta", SlidingWindow(8), threshold=object())
         with pytest.raises(ValidationError, match="DepthRankDrift"):
             StreamingDetector("funta", SlidingWindow(8), drift=object())
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_only_funta_reports_a_cache(self, p):
+        for kind in ("funta", "dirout", "halfspace"):
+            detector = StreamingDetector(kind, SlidingWindow(16), min_reference=4)
+            detector.prime(_mfd(_curves(8, p=p, seed=39)))
+            detector.process(_mfd(_curves(4, p=p, seed=40)))
+            assert detector.effective_incremental is (kind == "funta")
+            assert detector.stats()["incremental"] is (kind == "funta")
 
     def test_stats_surface(self):
         detector = StreamingDetector("funta", SlidingWindow(16), min_reference=8)

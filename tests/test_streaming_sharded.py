@@ -2,16 +2,18 @@
 
 The acceptance pins for sharding:
 
-* on :func:`repro.data.make_drifting_stream`, the sharded detector must
-  reproduce the single-stream scores (``rtol=1e-12`` for FUNTA — the
-  only difference is floating summation order over shard partials —
-  bit-exact for Dir.out and halfspace), the exact flag sequence, and the
-  exact drift/re-reference chunk indices, for every shard count in
-  {1, 2, 3, 7} **through a re-reference barrier**.  Two geometries:
-  checks landing on chunk boundaries (window 84 = 2²·3·7, chunk 21,
-  ``min_gap`` 21) and checks landing inside chunks (the streaming
-  benchmark's chunk 64 with ``min_gap`` 16 and a 128-score drift
-  baseline);
+* on :func:`repro.data.make_drifting_stream`, the sharded FUNTA
+  detector must reproduce the single-stream scores (``rtol=1e-12`` —
+  the only difference is floating summation order over shard
+  partials), the exact flag sequence, and the exact drift/re-reference
+  chunk indices, for every shard count in {1, 2, 3, 7} **through a
+  re-reference barrier**.  Two geometries: checks landing on chunk
+  boundaries (window 84 = 2²·3·7, chunk 21, ``min_gap`` 21) and checks
+  landing inside chunks (the streaming benchmark's chunk 64 with
+  ``min_gap`` 16 and a 128-score drift baseline);
+* shards are accepted only for untrimmed FUNTA, whose shard partials
+  add up: Dir.out, halfspace and trimmed FUNTA are rejected by the
+  detector, the spec and the CLI;
 * the shard window capacity must divide evenly;
 * the plan layer compiles ``StreamSpec(shards=N)`` and still loads
   legacy ``shard_backend`` documents;
@@ -23,8 +25,10 @@ import functools
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.data import make_drifting_stream
 from repro.depth.funta import funta_outlyingness
+from repro.engine import ExecutionContext
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.fda.fdata import MFDataGrid
 from repro.plan import StreamSpec, compile_plan, spec_from_dict
@@ -36,6 +40,7 @@ from repro.streaming import (
     StreamingDetector,
     make_threshold,
 )
+from repro.telemetry import Telemetry
 
 RTOL = 1e-12
 
@@ -46,11 +51,13 @@ CONTAMINATION = 0.1
 ALPHA = 0.05
 SHARD_COUNTS = (1, 2, 3, 7)
 
-# name -> (chunk, min_gap, drift baseline, drift recent, n_directions)
+# name -> (chunk, min_gap, drift baseline, drift recent)
 GEOMETRIES = {
-    "chunk_aligned": (21, 21, WINDOW, WINDOW, None),
-    "min_gap_below_chunk": (64, 16, 128, 64, 50),
+    "chunk_aligned": (21, 21, WINDOW, WINDOW),
+    "min_gap_below_chunk": (64, 16, 128, 64),
 }
+#: The configurations whose scores need the whole window (rejected).
+UNSHARDABLE = [("dirout", {}), ("halfspace", {}), ("funta", {"trim": 0.1})]
 
 
 def _stream(chunk):
@@ -61,19 +68,16 @@ def _stream(chunk):
 
 
 @functools.lru_cache(maxsize=None)
-def _run(kind, n_shards, geometry):
-    chunk, min_gap, baseline, recent, n_directions = GEOMETRIES[geometry]
-    options = {}
-    if kind != "funta" and n_directions is not None:
-        options["n_directions"] = n_directions
+def _run(n_shards, geometry):
+    chunk, min_gap, baseline, recent = GEOMETRIES[geometry]
     detector = StreamingDetector(
-        kind, SlidingWindow(WINDOW), shards=n_shards, min_reference=2,
+        "funta", SlidingWindow(WINDOW), shards=n_shards, min_reference=2,
         threshold=make_threshold(CONTAMINATION, "window", capacity=WINDOW),
         drift=DepthRankDrift(
             baseline_size=baseline, recent_size=recent, alpha=ALPHA,
             patience=1, min_gap=min_gap,
         ),
-        on_drift="rereference", **options,
+        on_drift="rereference",
     )
     scores, flags, events = [], [], []
     with detector:
@@ -93,15 +97,12 @@ def _run(kind, n_shards, geometry):
     )
 
 
-def _assert_matches_single(kind, n_shards, geometry):
-    scores, flags, events, rereferences = _run(kind, 1, geometry)
+def _assert_matches_single(n_shards, geometry):
+    scores, flags, events, rereferences = _run(1, geometry)
     assert events, "stream parameters must provoke a drift event"
     assert rereferences >= 1, "re-reference barrier must actually fire"
-    sh_scores, sh_flags, sh_events, sh_rereferences = _run(kind, n_shards, geometry)
-    if kind == "funta":
-        np.testing.assert_allclose(sh_scores, scores, rtol=RTOL, atol=0.0)
-    else:
-        np.testing.assert_array_equal(sh_scores, scores)
+    sh_scores, sh_flags, sh_events, sh_rereferences = _run(n_shards, geometry)
+    np.testing.assert_allclose(sh_scores, scores, rtol=RTOL, atol=0.0)
     np.testing.assert_array_equal(sh_flags, flags)
     assert sh_events == events
     assert sh_rereferences == rereferences
@@ -110,40 +111,13 @@ def _assert_matches_single(kind, n_shards, geometry):
 class TestShardedEqualsSingleStream:
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_funta_scores_flags_and_rereference_match(self, n_shards):
-        _assert_matches_single("funta", n_shards, "chunk_aligned")
-
-    @pytest.mark.parametrize("kind", ["dirout", "halfspace"])
-    def test_other_kinds_match_bitwise(self, kind):
-        _assert_matches_single(kind, 3, "chunk_aligned")
+        _assert_matches_single(n_shards, "chunk_aligned")
 
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-    @pytest.mark.parametrize("kind", ["funta", "dirout", "halfspace"])
-    def test_drift_matches_when_min_gap_below_chunk(self, kind, n_shards):
+    def test_drift_matches_when_min_gap_below_chunk(self, n_shards):
         # Drift checks fall inside chunks here; the coordinator's single
         # monitor must still take exactly the single stream's decisions.
-        _assert_matches_single(kind, n_shards, "min_gap_below_chunk")
-
-    def test_univariate_incremental_kinds_match(self):
-        # p = 1 exercises the incremental caches: halfspace sums shard
-        # rank counts, Dir.out and trimmed FUNTA score merged state.
-        rng = np.random.default_rng(5)
-        grid = np.linspace(0.0, 1.0, 24)
-        batches = [
-            MFDataGrid(rng.standard_normal((12, 24, 1)).cumsum(axis=1), grid)
-            for _ in range(12)
-        ]
-        for kind, options in [("halfspace", {}), ("dirout", {}), ("funta", {"trim": 0.1})]:
-            runs = []
-            for n_shards in (1, 4):
-                with StreamingDetector(
-                    kind, SlidingWindow(WINDOW), shards=n_shards,
-                    min_reference=2, **options,
-                ) as detector:
-                    runs.append(np.concatenate([
-                        s for s in (detector.process(b).scores for b in batches)
-                        if s is not None
-                    ]))
-            np.testing.assert_allclose(runs[1], runs[0], rtol=RTOL, atol=0.0)
+        _assert_matches_single(n_shards, "min_gap_below_chunk")
 
 
 class TestShardedReservoir:
@@ -152,7 +126,7 @@ class TestShardedReservoir:
         grid = np.linspace(0.0, 1.0, 20)
         window = ReservoirWindow(16, random_state=4)
         with StreamingDetector(
-            "funta", window, shards=2, min_reference=4, trim=0.1
+            "funta", window, shards=2, min_reference=4, trim=0
         ) as detector:
             for _ in range(5):
                 detector.process(MFDataGrid(rng.standard_normal((8, 20, 1)), grid))
@@ -160,7 +134,7 @@ class TestShardedReservoir:
             union = detector.window
             assert union.size == 16
             expected = funta_outlyingness(
-                queries, reference=MFDataGrid(union.values, grid), trim=0.1
+                queries, reference=MFDataGrid(union.values, grid), trim=0
             )
             np.testing.assert_allclose(
                 detector.score(queries), expected, rtol=RTOL, atol=0.0
@@ -168,6 +142,30 @@ class TestShardedReservoir:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("kind, options", UNSHARDABLE)
+    def test_detector_rejects_kinds_needing_the_whole_window(self, kind, options):
+        with pytest.raises(ValidationError, match="untrimmed FUNTA"):
+            StreamingDetector(kind, SlidingWindow(16), shards=2, **options)
+        # The same configurations stay valid on one stream.
+        StreamingDetector(kind, SlidingWindow(16), shards=1, **options)
+
+    @pytest.mark.parametrize("kind, options", UNSHARDABLE)
+    def test_spec_rejects_kinds_needing_the_whole_window(self, kind, options):
+        with pytest.raises(ConfigurationError, match="untrimmed FUNTA"):
+            StreamSpec(kind=kind, window=WINDOW, shards=2, params=options)
+        StreamSpec(kind=kind, window=WINDOW, shards=1, params=options)
+
+    def test_cli_rejects_sharded_dirout(self, tmp_path, capsys):
+        path = tmp_path / "stream.npz"
+        rng = np.random.default_rng(3)
+        np.savez(path, values=rng.standard_normal((40, 16)).cumsum(axis=1),
+                 grid=np.linspace(0.0, 1.0, 16))
+        rc = main(["stream-score", "--data", str(path), "--kind", "dirout",
+                   "--window", "32", "--shards", "2"])
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert "untrimmed FUNTA" in err and "kind='dirout'" in err
+
     def test_capacity_must_divide_across_shards(self):
         with pytest.raises(ValidationError, match="divide"):
             StreamingDetector("funta", SlidingWindow(16), shards=3)
@@ -242,3 +240,18 @@ class TestServingIntegration:
             assert scored and all(b.scores.ndim == 1 for b in scored)
             with pytest.raises(ValidationError, match="streaming"):
                 service.submit("sharded", data)
+
+
+class TestTelemetry:
+    def test_sharded_scoring_times_the_partials_stage_only(self):
+        telemetry = Telemetry()
+        rng = np.random.default_rng(4)
+        grid = np.linspace(0.0, 1.0, 16)
+        with StreamingDetector(
+            "funta", SlidingWindow(16), shards=2, min_reference=4,
+            context=ExecutionContext(telemetry=telemetry),
+        ) as detector:
+            for _ in range(3):
+                detector.process(MFDataGrid(rng.standard_normal((8, 16, 1)), grid))
+        assert telemetry.histogram("streaming_merge_seconds", stage="partials").count == 2
+        assert 'stage="merged"' not in telemetry.to_prometheus()
