@@ -5,7 +5,7 @@ library into an online detector: each arriving curve (or micro-batch)
 is scored against the *current* contents of a
 :class:`~repro.streaming.window.ReferenceWindow`, the adaptive
 threshold and drift monitor fold the scores in, and the window then
-absorbs the arrivals — so the reference population evolves with the
+takes in the arrivals — so the reference population evolves with the
 stream instead of being fixed at fit time.
 
 Each kind has exactly one scoring rule.  FUNTA keeps the one streaming
