@@ -16,7 +16,9 @@ interval of the median ratio lies wholly above the gate's bound:
 * 0.8 for the front door's orjson request parse vs the json-only parse
   oracle, so a tie fails;
 * 0.9 for the tie-free FUNTA crossing mask vs the same call with one
-  planted query/reference tie, so a tie fails.
+  planted query/reference tie, so a tie fails;
+* 0.85 for the Isolation Forest fit vs its full min/max grower oracle on
+  a Fig. 3 curvature training matrix with 200 trees, so a tie fails.
 
 The HTTP front door's sustained rate is gated the same way against an
 absolute floor: it fails only when the interval of the median curves/s
@@ -61,6 +63,7 @@ from benchmarks.conftest import print_table
 from tests.http_client import post_json
 from tests.oracles import directional_outlyingness as dirout_oracle
 from tests.oracles import funta_depth as funta_oracle
+from tests.oracles import iforest_node_table as iforest_oracle
 from tests.oracles import parse_scoring_request as parse_oracle
 from tests.oracles import pointwise_depth_profile as profile_oracle
 
@@ -435,6 +438,24 @@ def test_warm_prepare_beats_cold():
     }
     failed = check_gates("warm / cold factorization cache", cases, 1.0)
     assert not failed, "a warm cache does not speed up preparation"
+
+
+# --------------------------------------------------------------------------- detectors
+def test_iforest_fit_beats_oracle():
+    """200 trees on a Fig. 3 curvature training matrix (103 x 85, two
+    features repeat a value), as the Fig. 3 experiment fits them."""
+    golden = Path(__file__).resolve().parents[1] / "tests" / "data" / "iforest_grow_golden.npz"
+    with np.load(golden, allow_pickle=False) as bundle:
+        X = bundle["fig3_curvature__X"]
+    cases = {
+        "fig3 curvature, 200 trees": paired_ratios(
+            lambda: iforest_oracle(X, 200, 256, 0),
+            lambda: IsolationForest(n_estimators=200, random_state=0).fit(X),
+            pairs=15,
+        )
+    }
+    failed = check_gates("IsolationForest fit / full min-max grower oracle", cases, 0.85)
+    assert not failed, "the Isolation Forest fit is not clearly faster than its oracle"
 
 
 # --------------------------------------------------------------------------- HTTP

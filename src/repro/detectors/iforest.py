@@ -21,6 +21,21 @@ tree's nodes; ``feature < 0`` marks a leaf; children are tree-local).  Fit
 grows each tree depth-first into it, scoring walks all (tree x curve)
 lanes at once for ``ceil(log2 psi)`` steps, and loading validates the
 table and keeps it as-is, so memory-mapped manifests stay zero-copy.
+
+A node's draws are those of the full min/max rule: a feature uniform
+over the features not constant on its rows, in ascending order, then a
+threshold uniform between that feature's min and max.  Growth reads
+only the drawn feature.  Each tree keeps its sample feature-major,
+``(d, psi)``, so that feature's values on a node's rows are one gather,
+and sorting them gives the min, the max and, by a binary search for the
+threshold, the split.  A feature can be constant on ``r`` rows only if
+the value of the node's first row repeats at least ``r`` times in the
+training matrix; one sort per fit counts those repeats, and a node with
+more rows than any of them draws from all ``d`` features directly.  Only
+the other nodes compare every feature with their first row.  The order
+of a node's rows changes no draw and no stored value, since min, max and
+split counts do not depend on it, so a split leaves its rows sorted by
+the drawn feature.
 """
 
 from __future__ import annotations
@@ -58,30 +73,79 @@ _NODE_KEYS = ("node_offsets", "node_feature", "node_split", "node_left", "node_r
 _LANE_BLOCK = 1 << 14
 
 
-def _grow(sample, rows, level, height_limit, rng, ints, split, node=0) -> int:
-    """Grow the subtree on ``rows`` depth-first from index ``node``; return the next free one.
+def _value_reach(X: np.ndarray) -> np.ndarray:
+    """Per row of ``X``: the most rows that share one of its values in one feature.
 
-    ``ints`` rows are feature, left, right (preset to -1), size and depth;
-    ``split`` is preset to 0.  A left child always directly follows its parent.
+    1 for a row whose value is unique in every feature.  A node of ``r``
+    rows can only be constant in a feature if every one of its rows, the
+    first included, shares that feature's value with ``r - 1`` others.
     """
-    ints[3, node], ints[4, node] = rows.size, level
-    if level >= height_limit or rows.size <= 1:
-        return node + 1
-    sub = sample[rows]
-    lo = sub.min(axis=0)
-    hi = sub.max(axis=0)
-    candidates = np.nonzero(hi > lo)[0]
-    if candidates.size == 0:
-        return node + 1  # all points identical
-    feat = candidates[rng.integers(candidates.size)]
-    threshold = rng.uniform(lo[feat], hi[feat])
-    mask = sub[:, feat] < threshold
-    if not 0 < np.count_nonzero(mask) < rows.size:
-        return node + 1  # degenerate draw at the boundary
-    right = _grow(sample, rows[mask], level + 1, height_limit, rng, ints, split, node + 1)
-    ints[:3, node] = feat, node + 1, right
-    split[node] = threshold
-    return _grow(sample, rows[~mask], level + 1, height_limit, rng, ints, split, right)
+    n, d = X.shape
+    order = X.argsort(axis=0)
+    ranked = np.take_along_axis(X, order, axis=0)
+    starts = np.ones((n, d), dtype=bool)
+    starts[1:] = ranked[1:] != ranked[:-1]
+    run = np.cumsum(starts, axis=0) + np.arange(d) * n  # one id per (feature, value)
+    shared = np.empty((n, d), dtype=np.int64)
+    np.put_along_axis(shared, order, np.bincount(run.ravel())[run], axis=0)
+    return shared.max(axis=1)
+
+
+def _grow(columns, rows_major, reach, height_limit, rng) -> list[list]:
+    """Grow one tree depth-first; return its feature, split, left, right, size and depth.
+
+    ``columns`` is the tree's sample as ``(d, psi)``, ``rows_major`` the
+    same sample as ``(psi, d)`` and ``reach`` its rows' entries of
+    :func:`_value_reach`.  A node with more rows than the reach of its
+    first row has no constant feature and draws from all ``d``; the others
+    keep the features on which some row differs from the first.  Nodes
+    are numbered in depth-first order, a left child directly after its
+    parent; a split writes its leaf children itself.
+    """
+    d, psi = columns.shape
+    cap = 2 * psi - 1
+    feature, split, left, right = [-1] * cap, [0.0] * cap, [-1] * cap, [-1] * cap
+    size, depth = [0] * cap, [0] * cap
+    used = 0
+    stack = [(np.arange(psi), 0, -1)]  # rows, depth, parent of a right child
+    while stack:
+        rows, level, parent = stack.pop()
+        node, used, r = used, used + 1, rows.size
+        size[node], depth[node] = r, level
+        if parent >= 0:
+            right[parent] = node
+        if level >= height_limit or r == 1:
+            continue
+        if r > reach[rows[0]]:
+            feat = rng.integers(d)
+            values = columns[feat].take(rows)
+        else:
+            sub = rows_major.take(rows, axis=0)
+            candidates = np.nonzero((sub != sub[0]).any(axis=0))[0]
+            if candidates.size == 0:
+                continue  # all points identical
+            feat = candidates[rng.integers(candidates.size)]
+            values = sub[:, feat]
+        order = values.argsort()
+        values = values.take(order)
+        threshold = rng.uniform(values[0], values[-1])
+        k = values.searchsorted(threshold)  # rows below the threshold go left
+        if not 0 < k < r:
+            continue  # degenerate draw at the boundary
+        feature[node], split[node], left[node] = feat, threshold, used
+        rows, level = rows.take(order), level + 1
+        if level < height_limit and k > 1:
+            stack.append((rows[k:], level, node))
+            stack.append((rows[:k], level, -1))
+            continue
+        size[used], depth[used] = k, level  # a leaf on the left: the right child follows it
+        used += 1
+        if level < height_limit and r - k > 1:
+            stack.append((rows[k:], level, node))
+        else:
+            right[node], size[used], depth[used] = used, r - k, level
+            used += 1
+    return [column[:used] for column in (feature, split, left, right, size, depth)]
 
 
 def _check_node_table(table: dict, psi: int, n_features: int | None) -> None:
@@ -153,18 +217,21 @@ class IsolationForest(OutlierDetector):
         if psi < 2:
             raise ValidationError("IsolationForest needs at least 2 training rows")
         height_limit = int(np.ceil(np.log2(psi)))
-        ints, split = np.empty((5, 2 * psi - 1), dtype=np.int64), np.empty(2 * psi - 1)
-        trees = []
+        reach, columns = _value_reach(X), np.ascontiguousarray(X.T)
+        table, counts = [[], [], [], [], [], []], []
         for _ in range(self.n_estimators):
-            ints[:3], split[:] = -1, 0.0
-            sample = X[rng.choice(n, size=psi, replace=False)]
-            used = _grow(sample, np.arange(psi), 0, height_limit, rng, ints, split)
-            trees.append((ints[:, :used].copy(), split[:used].copy()))
-        feature, left, right, size, depth = np.concatenate([t[0] for t in trees], axis=1)
-        offsets = np.cumsum([0] + [t[1].size for t in trees], dtype=np.int64)
+            rows = rng.choice(n, size=psi, replace=False)
+            tree = _grow(columns.take(rows, axis=1), X.take(rows, axis=0), reach.take(rows),
+                         height_limit, rng)
+            for column, values in zip(table, tree):
+                column += values
+            counts.append(len(tree[0]))
+        feature, left, right, size, depth = (
+            np.array(column, dtype=np.int64) for column in table[:1] + table[2:])
         self._psi = psi
         self._table = dict(zip(_NODE_KEYS, (
-            offsets, feature, np.concatenate([t[1] for t in trees]), left, right, size, depth)))
+            np.cumsum([0] + counts, dtype=np.int64), feature,
+            np.array(table[1], dtype=np.float64), left, right, size, depth)))
 
     def _score(self, X: np.ndarray) -> np.ndarray:
         # A lane that reaches a leaf (feature < 0) stays there.  Trees are

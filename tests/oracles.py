@@ -12,6 +12,11 @@ The oracles draw random directions through the same
 as the kernels; they reuse the production p = 1 Stahel–Donoho helper
 and the package's input checks; and they always compute in float64.
 
+The Isolation Forest section holds the depth-first grower that took a
+min and max over every feature at each node to find the features it may
+draw; a property test pins the production grower's node table, and the
+draws it consumes, to it.
+
 The serving section holds the stdlib-``json`` parse of a scoring
 request body, which the HTTP front door used before it parsed with
 orjson; a property test pins the production parse to it bit for bit.
@@ -34,10 +39,12 @@ from repro.depth.multivariate import (
     _directional_outlyingness_1d,
     mahalanobis_depth,
 )
+from repro.detectors.iforest import _NODE_KEYS
 from repro.exceptions import ValidationError
 from repro.fda.fdata import FDataGrid
 from repro.serving.app import _parse_batch
-from repro.utils.validation import check_in_range, check_int
+from repro.utils.random import check_random_state
+from repro.utils.validation import check_in_range, check_int, check_matrix
 
 _HALF_PI = np.pi / 2.0
 
@@ -299,6 +306,57 @@ def directional_outlyingness(data, reference=None, n_directions: int = 200, rand
         units = np.divide(diffs, norms, out=np.zeros_like(diffs), where=norms > 1e-12)
         out_vectors[:, j, :] = sdo[:, None] * units
     return summarize_outlyingness(out_vectors, data.grid)
+
+
+# --------------------------------------------------------------------------- Isolation Forest
+def _grow(sample, rows, level, height_limit, rng, ints, split, node=0) -> int:
+    """Grow the subtree on ``rows`` depth-first from index ``node``; return the next free one.
+
+    ``ints`` rows are feature, left, right (preset to -1), size and depth;
+    ``split`` is preset to 0.  A left child always directly follows its parent.
+    """
+    ints[3, node], ints[4, node] = rows.size, level
+    if level >= height_limit or rows.size <= 1:
+        return node + 1
+    sub = sample[rows]
+    lo = sub.min(axis=0)
+    hi = sub.max(axis=0)
+    candidates = np.nonzero(hi > lo)[0]
+    if candidates.size == 0:
+        return node + 1  # all points identical
+    feat = candidates[rng.integers(candidates.size)]
+    threshold = rng.uniform(lo[feat], hi[feat])
+    mask = sub[:, feat] < threshold
+    if not 0 < np.count_nonzero(mask) < rows.size:
+        return node + 1  # degenerate draw at the boundary
+    right = _grow(sample, rows[mask], level + 1, height_limit, rng, ints, split, node + 1)
+    ints[:3, node] = feat, node + 1, right
+    split[node] = threshold
+    return _grow(sample, rows[~mask], level + 1, height_limit, rng, ints, split, right)
+
+
+def iforest_node_table(X, n_estimators, max_samples, random_state):
+    """The node table ``IsolationForest(n_estimators, max_samples,
+    random_state=random_state).fit(X)`` grows, as its exported ``fitted``
+    dict: ``psi`` and the seven ``node_*`` arrays."""
+    X = check_matrix(X, "X")
+    rng = check_random_state(random_state)
+    n = X.shape[0]
+    psi = min(max_samples, n)
+    if psi < 2:
+        raise ValidationError("IsolationForest needs at least 2 training rows")
+    height_limit = int(np.ceil(np.log2(psi)))
+    ints, split = np.empty((5, 2 * psi - 1), dtype=np.int64), np.empty(2 * psi - 1)
+    trees = []
+    for _ in range(n_estimators):
+        ints[:3], split[:] = -1, 0.0
+        sample = X[rng.choice(n, size=psi, replace=False)]
+        used = _grow(sample, np.arange(psi), 0, height_limit, rng, ints, split)
+        trees.append((ints[:, :used].copy(), split[:used].copy()))
+    feature, left, right, size, depth = np.concatenate([t[0] for t in trees], axis=1)
+    offsets = np.cumsum([0] + [t[1].size for t in trees], dtype=np.int64)
+    return {"psi": psi, **dict(zip(_NODE_KEYS, (
+        offsets, feature, np.concatenate([t[1] for t in trees]), left, right, size, depth)))}
 
 
 # --------------------------------------------------------------------------- serving
