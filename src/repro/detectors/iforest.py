@@ -226,12 +226,10 @@ class IsolationForest(OutlierDetector):
             for column, values in zip(table, tree):
                 column += values
             counts.append(len(tree[0]))
-        feature, left, right, size, depth = (
-            np.array(column, dtype=np.int64) for column in table[:1] + table[2:])
+        dtypes = (np.int64, np.float64, np.int64, np.int64, np.int64, np.int64)
+        arrays = [np.array(column, dtype=dtype) for column, dtype in zip(table, dtypes)]
         self._psi = psi
-        self._table = dict(zip(_NODE_KEYS, (
-            np.cumsum([0] + counts, dtype=np.int64), feature,
-            np.array(table[1], dtype=np.float64), left, right, size, depth)))
+        self._table = dict(zip(_NODE_KEYS, [np.cumsum([0] + counts, dtype=np.int64)] + arrays))
 
     def _score(self, X: np.ndarray) -> np.ndarray:
         # A lane that reaches a leaf (feature < 0) stays there.  Trees are

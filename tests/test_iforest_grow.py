@@ -15,8 +15,8 @@ constant on its rows):
 * ``fig3_curvature``: a Fig. 3 curvature training matrix (103 x 85) in
   which features 49 and 57 repeat the value 10.0;
 * ``psi<p>_n<n>``: ``max_samples`` p in {2, 3, 16, 256} with n rows
-  below (``psi`` capped at n) and above it, on three features with values
-  in {0, 1, 2} and two normals rounded to one decimal.
+  above p and at most p (``psi`` capped at n; n = 2 for p = 2), on three
+  features with values in {0, 1, 2} and two normals rounded to one decimal.
 
 The file is never regenerated: a mismatch means the fitted forest changed.
 
