@@ -30,7 +30,7 @@ from repro.detectors.ocsvm import OneClassSVM
 from repro.evaluation.tuning import tune_nu
 from repro.exceptions import ValidationError
 from repro.fda.basis.bspline import BSplineBasis
-from repro.fda.fdata import FDataGrid, MFDataGrid
+from repro.fda.fdata import MFDataGrid, as_mfd
 from repro.fda.smoothing import BasisSmoother
 from repro.geometry.base import MappingFunction
 from repro.geometry.mappings import CompositeMapping, CurvatureMapping
@@ -75,14 +75,6 @@ class Method(abc.ABC):
         return self.fit_score(state, train_idx, test_idx, random_state=random_state)
 
 
-def _as_mfd(data) -> MFDataGrid:
-    if isinstance(data, FDataGrid):
-        return data.to_multivariate()
-    if isinstance(data, MFDataGrid):
-        return data
-    raise ValidationError(f"data must be (M)FDataGrid, got {type(data).__name__}")
-
-
 def _robust_standardize(
     train: np.ndarray, test: np.ndarray, clip: float = 10.0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +111,7 @@ def smooth_dataset(
     count, a conservative default for denoising.  ``cache`` optionally
     shares a :class:`~repro.engine.FactorizationCache` across calls.
     """
-    data = _as_mfd(data)
+    data = as_mfd(data)
     if n_basis is None:
         n_basis = max(spline_order + 2, min(30, data.n_points // 3))
     smoothers = [
@@ -218,7 +210,7 @@ class MappedDetectorMethod(Method):
         return OneClassSVM(**kwargs)
 
     def prepare(self, data, random_state=None, context=None):
-        data = _as_mfd(data)
+        data = as_mfd(data)
         # The split-independent part: basis selection + smoothing + mapping
         # for every sample (per-sample operations, as in the paper).  The
         # shared context's cache guarantees one factorization per distinct
@@ -260,8 +252,8 @@ class FuntaMethod(Method):
     baseline's authors intended.
 
     Scoring runs through the blocked vectorized kernel layer
-    (:mod:`repro.depth._kernels`); ``block_bytes`` tunes the kernel
-    scratch budget.  The original pair loop is the equivalence oracle in
+    (:mod:`repro.depth._kernels`), which owns the scratch budget.  The
+    original pair loop is the equivalence oracle in
     ``tests/oracles.py``.
     """
 
@@ -270,17 +262,15 @@ class FuntaMethod(Method):
         trim: float = 0.0,
         smooth: bool = True,
         name: str = "FUNTA",
-        block_bytes: int | None = None,
         dtype=None,
     ):
         self.trim = check_trim(trim)
         self.smooth = bool(smooth)
         self.name = name
-        self.block_bytes = block_bytes
         self.dtype = dtype
 
     def prepare(self, data, random_state=None, context=None):
-        data = _as_mfd(data)
+        data = as_mfd(data)
         if self.smooth:
             cache = context.cache if isinstance(context, ExecutionContext) else None
             data = smooth_dataset(data, cache=cache)
@@ -290,18 +280,16 @@ class FuntaMethod(Method):
         data = state["data"]
         train = data[np.asarray(train_idx)]
         test = data[np.asarray(test_idx)]
-        return funta_outlyingness(
-            test, reference=train, trim=self.trim,
-            block_bytes=self.block_bytes, dtype=self.dtype,
-        )
+        return funta_outlyingness(test, reference=train, trim=self.trim, dtype=self.dtype)
 
 
 class DirOutMethod(Method):
     """Directional outlyingness baseline (Dai & Genton 2019).
 
-    Scoring runs through the batched Dir.out kernels; ``block_bytes``
-    tunes the kernel scratch budget.  The original per-grid-point loop
-    is the equivalence oracle in ``tests/oracles.py``.
+    Scoring runs through the batched Dir.out kernels of
+    :mod:`repro.depth._kernels`, which owns the scratch budget.  The
+    original per-grid-point loop is the equivalence oracle in
+    ``tests/oracles.py``.
     """
 
     def __init__(
@@ -310,18 +298,16 @@ class DirOutMethod(Method):
         n_directions: int = 200,
         smooth: bool = True,
         name: str = "Dir.out",
-        block_bytes: int | None = None,
         dtype=None,
     ):
         self.method = check_dirout_method(method)
         self.n_directions = check_int(n_directions, "n_directions", minimum=1)
         self.smooth = bool(smooth)
         self.name = name
-        self.block_bytes = block_bytes
         self.dtype = dtype
 
     def prepare(self, data, random_state=None, context=None):
-        data = _as_mfd(data)
+        data = as_mfd(data)
         if self.smooth:
             cache = context.cache if isinstance(context, ExecutionContext) else None
             data = smooth_dataset(data, cache=cache)
@@ -337,7 +323,6 @@ class DirOutMethod(Method):
             method=self.method,
             n_directions=self.n_directions,
             random_state=random_state,
-            block_bytes=self.block_bytes,
             dtype=self.dtype,
         )
 

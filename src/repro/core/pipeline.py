@@ -23,7 +23,7 @@ from repro.detectors.base import OutlierDetector
 from repro.engine import ExecutionContext
 from repro.exceptions import NotFittedError, ValidationError
 from repro.fda.basis.bspline import BSplineBasis
-from repro.fda.fdata import FDataGrid, MFDataGrid, MultivariateBasisFData
+from repro.fda.fdata import MFDataGrid, MultivariateBasisFData, as_mfd
 from repro.fda.fdata import BasisFData
 from repro.fda.selection import select_n_basis
 from repro.fda.smoothing import BasisSmoother
@@ -183,19 +183,10 @@ class GeometricOutlierPipeline:
         ]
         return MultivariateBasisFData(components)
 
-    def _check_input(self, data) -> MFDataGrid:
-        if isinstance(data, FDataGrid):
-            data = data.to_multivariate()
-        if not isinstance(data, MFDataGrid):
-            raise ValidationError(
-                f"data must be MFDataGrid or FDataGrid, got {type(data).__name__}"
-            )
-        return data
-
     # ------------------------------------------------------------------ API
     def transform(self, data) -> np.ndarray:
         """Smooth + map ``data`` and return the feature matrix ``(n, m)``."""
-        data = self._check_input(data)
+        data = as_mfd(data)
         if not self._fitted:
             raise NotFittedError("pipeline is not fitted")
         fdata = self._smooth(data)
@@ -212,7 +203,7 @@ class GeometricOutlierPipeline:
         come out of the batched selection already fitted, so no curve
         is smoothed twice.
         """
-        data = self._check_input(data)
+        data = as_mfd(data)
         sizes, smoothers, components = self._select_and_fit(data)
         self.selected_n_basis_ = sizes
         self.smoothers_ = smoothers

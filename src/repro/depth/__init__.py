@@ -1,7 +1,7 @@
 """Statistical depth functions and the paper's depth-based baselines.
 
 Every depth notion runs on the blocked, vectorized kernel layer of
-:mod:`repro.depth._kernels` (scratch bounded by a ``block_bytes``
+:mod:`repro.depth._kernels` (scratch bounded by that module's constant
 budget, optional ``context`` worker-pool fan-out).  The original loop
 implementations live in ``tests/oracles.py``: the equivalence oracles
 the property tests pin the kernels against.

@@ -22,13 +22,15 @@ memory-bounded blocks:
   triangles becomes blocked orientation-sign counting over
   ``(query-block × triangle-block)`` slabs.
 
-Scratch memory is governed by ``block_bytes`` (default
-:data:`DEFAULT_BLOCK_BYTES`, ~64 MB): work is cut into contiguous
-blocks whose temporaries fit the budget, so huge inputs stream through
-a bounded footprint.  Blocks are independent, so an optional
-:class:`~repro.engine.ExecutionContext` fans whole blocks out across
-an in-process thread pool (``context.run_blocks``) with results
-*bit-identical* to the serial order.
+Scratch memory is bounded by :data:`DEFAULT_BLOCK_BYTES` (~64 MB),
+a module constant read at call time, not a parameter: work is cut
+into contiguous blocks whose temporaries fit the budget, so huge
+inputs stream through a bounded footprint (FUNTA blocks use the
+smaller, cache-sized :data:`_FUNTA_BLOCK_CAP`).  Blocks are
+independent, so an optional :class:`~repro.engine.ExecutionContext`
+fans whole blocks out across an in-process thread pool
+(``context.run_blocks``) with results *bit-identical* to the serial
+order.
 
 The original loop implementations live in ``tests/oracles.py``: they
 are the equivalence oracle the property tests pin these kernels
@@ -49,7 +51,6 @@ from repro.utils.random import check_random_state
 __all__ = [
     "DEFAULT_BLOCK_BYTES",
     "MAD_SCALE",
-    "resolve_block_bytes",
     "resolve_dtype",
     "draw_directions",
     "rank_counts",
@@ -64,7 +65,8 @@ __all__ = [
     "halfspace_depth_cloud",
 ]
 
-#: Default scratch budget per block (~64 MB), tunable per call.
+#: Scratch budget per block (~64 MB).  Block size changes no output;
+#: tests patch this constant to force the multi-block paths.
 DEFAULT_BLOCK_BYTES = 64 * 1024 * 1024
 
 #: Consistency factor of the MAD for the normal distribution.
@@ -73,22 +75,11 @@ MAD_SCALE = 1.4826
 _HALF_PI = np.pi / 2.0
 
 #: Numeric backends the kernels compute in.  float64 is the reference
-#: (and the oracle); float32 is the fast path gated by the plan layer's
-#: ``WorkloadSpec.dtype`` — half the memory traffic on the slab-shaped
+#: (and the oracle); float32 is the fast path a method selects with its
+#: ``dtype`` parameter — half the memory traffic on the slab-shaped
 #: temporaries, scores within a pinned ULP distance of the float64
 #: oracle (see ``tests/test_float32_path.py``).
 SUPPORTED_DTYPES = ("float64", "float32")
-
-
-def resolve_block_bytes(block_bytes) -> int:
-    """Validate ``block_bytes`` (``None`` → :data:`DEFAULT_BLOCK_BYTES`)."""
-    if block_bytes is None:
-        return DEFAULT_BLOCK_BYTES
-    if not isinstance(block_bytes, (int, np.integer)) or isinstance(block_bytes, bool):
-        raise ValidationError(f"block_bytes must be a positive int, got {block_bytes!r}")
-    if block_bytes <= 0:
-        raise ValidationError(f"block_bytes must be a positive int, got {block_bytes!r}")
-    return int(block_bytes)
 
 
 def resolve_dtype(dtype) -> np.dtype:
@@ -302,11 +293,12 @@ def _rank_counts_tied(
 
 
 # --------------------------------------------------------------------------- FUNTA
-#: Scratch cap of one FUNTA row block, whatever ``block_bytes`` allows.
-#: The crossing detection allocates four boolean ``(rows, n_ref, m)``
-#: slabs; under this cap one slab stays at or below 96 KB (a dozen
-#: query rows against a 128-curve, 64-point reference), so a block's
-#: temporaries stay in a core's L2 cache instead of spilling to memory.
+#: Scratch budget of one FUNTA row block, in place of
+#: :data:`DEFAULT_BLOCK_BYTES`.  The crossing detection allocates four
+#: boolean ``(rows, n_ref, m)`` slabs; under this cap one slab stays at
+#: or below 96 KB (a dozen query rows against a 128-curve, 64-point
+#: reference), so a block's temporaries stay in a core's L2 cache
+#: instead of spilling to memory.
 _FUNTA_BLOCK_CAP = 4 * 96 * 1024
 
 
@@ -319,10 +311,9 @@ def _funta_row_bytes(n_ref: int, m: int) -> int:
     return 4 * max(n_ref, 1) * m
 
 
-def _funta_blocks(n: int, n_ref: int, m: int, block_bytes: int) -> list[tuple[int, int]]:
-    """Cache-sized row blocks of one FUNTA call (``block_bytes`` can only
-    shrink them below :data:`_FUNTA_BLOCK_CAP`)."""
-    return row_blocks(n, _funta_row_bytes(n_ref, m), min(block_bytes, _FUNTA_BLOCK_CAP))
+def _funta_blocks(n: int, n_ref: int, m: int) -> list[tuple[int, int]]:
+    """Cache-sized row blocks of one FUNTA call."""
+    return row_blocks(n, _funta_row_bytes(n_ref, m), _FUNTA_BLOCK_CAP)
 
 
 def _funta_inputs(values, ref_values, grid, theta_pts, theta_ref, dtype):
@@ -526,7 +517,6 @@ def funta_univariate(
     grid: np.ndarray,
     trim: float,
     same: bool,
-    block_bytes: int | None = None,
     context=None,
     theta_pts: np.ndarray | None = None,
     theta_ref: np.ndarray | None = None,
@@ -536,8 +526,7 @@ def funta_univariate(
 
     Tangent angles are ``arctan``-ed once per curve — O((n + n_ref)·m)
     — and the crossing detection runs as one broadcast comparison over
-    cache-sized ``(block × n_ref × m)`` boolean slabs, further bounded
-    by ``block_bytes``.
+    cache-sized ``(block × n_ref × m)`` boolean slabs.
 
     ``theta_pts`` / ``theta_ref`` optionally inject precomputed tangent
     angles (``arctan(diff(curves) / diff(grid))``, per curve).  The
@@ -550,12 +539,11 @@ def funta_univariate(
     ``dtype`` selects the compute precision of the curves and angles;
     counts and the final aggregation stay float64 either way.
     """
-    block_bytes = resolve_block_bytes(block_bytes)
     values, ref_values, theta_pts, theta_ref = _funta_inputs(
         values, ref_values, grid, theta_pts, theta_ref, dtype
     )
     n, m = values.shape
-    blocks = _funta_blocks(n, ref_values.shape[0], m, block_bytes)
+    blocks = _funta_blocks(n, ref_values.shape[0], m)
     tied = _funta_tied(values, ref_values, same)
     worker = functools.partial(_funta_block, trim=trim, same=same, tied=tied)
     arrays = {
@@ -573,7 +561,6 @@ def funta_partials(
     grid: np.ndarray,
     theta_pts: np.ndarray | None = None,
     theta_ref: np.ndarray | None = None,
-    block_bytes: int | None = None,
     dtype=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Additive FUNTA accumulators of ``values`` against one reference shard.
@@ -587,7 +574,6 @@ def funta_partials(
     totals reproduces the single-reference :func:`funta_univariate`
     depth up to floating-point summation order.
     """
-    block_bytes = resolve_block_bytes(block_bytes)
     values, ref_values, theta_pts, theta_ref = _funta_inputs(
         values, ref_values, grid, theta_pts, theta_ref, dtype
     )
@@ -595,7 +581,7 @@ def funta_partials(
     counts = np.empty(n, dtype=np.int64)
     sums = np.empty(n)
     tied = _funta_tied(values, ref_values, same=False)
-    for block in _funta_blocks(n, ref_values.shape[0], m, block_bytes):
+    for block in _funta_blocks(n, ref_values.shape[0], m):
         c, s = _funta_pair_totals(
             block, values, ref_values, theta_pts, theta_ref, same=False, tied=tied
         )
@@ -703,7 +689,6 @@ def batched_stahel_donoho(
     ref_values: np.ndarray,
     n_directions: int = 200,
     random_state=None,
-    block_bytes: int | None = None,
     context=None,
     dtype=None,
 ) -> np.ndarray:
@@ -715,7 +700,6 @@ def batched_stahel_donoho(
     ``tests/oracles.py``, so a seeded run matches it to floating-point
     roundoff.
     """
-    block_bytes = resolve_block_bytes(block_bytes)
     compute_dtype = resolve_dtype(dtype)
     values, ref_values = _as_dtype_pair(values, ref_values, compute_dtype)
     n, m, p = values.shape
@@ -729,7 +713,7 @@ def batched_stahel_donoho(
     )
     n_dir = directions.shape[1]
     bytes_per_col = (n + ref_values.shape[0]) * n_dir * compute_dtype.itemsize * 3.2
-    blocks = row_blocks(m, bytes_per_col, block_bytes)
+    blocks = row_blocks(m, bytes_per_col, DEFAULT_BLOCK_BYTES)
     arrays = {"values": values, "ref_values": ref_values, "directions": directions}
     return np.concatenate(
         _run_blocks(_sdo_block, blocks, context, arrays, label="sdo"), axis=1
@@ -785,11 +769,9 @@ def _halfspace_profile(
     ref_values: np.ndarray,
     n_directions: int = 500,
     random_state=None,
-    block_bytes: int | None = None,
     context=None,
     dtype=None,
 ) -> np.ndarray:
-    block_bytes = resolve_block_bytes(block_bytes)
     compute_dtype = resolve_dtype(dtype)
     values, ref_values = _as_dtype_pair(values, ref_values, compute_dtype)
     n, m, p = values.shape
@@ -802,7 +784,7 @@ def _halfspace_profile(
     )
     n_dir = directions.shape[1]
     bytes_per_col = (n + ref_values.shape[0]) * n_dir * compute_dtype.itemsize * 5.0
-    blocks = row_blocks(m, bytes_per_col, block_bytes)
+    blocks = row_blocks(m, bytes_per_col, DEFAULT_BLOCK_BYTES)
     arrays = {"values": values, "ref_values": ref_values, "directions": directions}
     return np.concatenate(
         _run_blocks(_halfspace_block, blocks, context, arrays, label="halfspace"), axis=1
@@ -813,19 +795,17 @@ def halfspace_depth_cloud(
     points: np.ndarray,
     reference: np.ndarray,
     directions: np.ndarray,
-    block_bytes: int | None = None,
 ) -> np.ndarray:
     """Random-direction halfspace depth of one cloud, all directions at
     once (the caller draws ``directions`` so generator consumption
     matches the loop oracle in ``tests/oracles.py``)."""
-    block_bytes = resolve_block_bytes(block_bytes)
     n_ref = reference.shape[0]
     n = points.shape[0]
     ref_lanes = np.ascontiguousarray((reference @ directions.T).T)  # (D, r)
     pts_lanes = np.ascontiguousarray((points @ directions.T).T)     # (D, n)
     depth = np.full(n, np.inf)
     bytes_per_dir = (n + n_ref) * 8 * 5.0
-    for d0, d1 in row_blocks(directions.shape[0], bytes_per_dir, block_bytes):
+    for d0, d1 in row_blocks(directions.shape[0], bytes_per_dir, DEFAULT_BLOCK_BYTES):
         le, lt = rank_counts(ref_lanes[d0:d1], pts_lanes[d0:d1])
         tail = (n_ref - lt) / n_ref
         other = le / n_ref
@@ -868,31 +848,26 @@ def _spatial_block(block, values: np.ndarray, ref_values: np.ndarray) -> np.ndar
 def _spatial_profile(
     values: np.ndarray,
     ref_values: np.ndarray,
-    block_bytes: int | None = None,
     context=None,
     dtype=None,
 ) -> np.ndarray:
-    block_bytes = resolve_block_bytes(block_bytes)
     compute_dtype = resolve_dtype(dtype)
     values, ref_values = _as_dtype_pair(values, ref_values, compute_dtype)
     n, m, p = values.shape
     bytes_per_col = n * ref_values.shape[0] * (p + 2) * compute_dtype.itemsize * 1.6
-    blocks = row_blocks(m, bytes_per_col, block_bytes)
+    blocks = row_blocks(m, bytes_per_col, DEFAULT_BLOCK_BYTES)
     arrays = {"values": values, "ref_values": ref_values}
     return np.concatenate(
         _run_blocks(_spatial_block, blocks, context, arrays, label="spatial"), axis=1
     )
 
 
-def spatial_depth_cloud(
-    points: np.ndarray, reference: np.ndarray, block_bytes: int | None = None
-) -> np.ndarray:
+def spatial_depth_cloud(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Spatial depth of one cloud, vectorized over all query points."""
-    block_bytes = resolve_block_bytes(block_bytes)
     n, p = points.shape
     depth = np.empty(n)
     bytes_per_row = reference.shape[0] * (p + 2) * 8 * 1.6
-    for i0, i1 in row_blocks(n, bytes_per_row, block_bytes):
+    for i0, i1 in row_blocks(n, bytes_per_row, DEFAULT_BLOCK_BYTES):
         diffs = points[i0:i1, None, :] - reference[None, :, :]  # (b, r, p)
         units_sum, count = _unit_vector_stats(diffs)
         mean_units = units_sum / np.maximum(count, 1)[:, None]
@@ -902,9 +877,7 @@ def spatial_depth_cloud(
 
 
 # --------------------------------------------------------------------------- simplicial
-def simplicial_depth_cloud(
-    points: np.ndarray, reference: np.ndarray, block_bytes: int | None = None
-) -> np.ndarray:
+def simplicial_depth_cloud(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Simplicial depth (p = 2) by blocked orientation-sign counting.
 
     All C(n, 3) reference triangles are tested against blocks of query
@@ -915,7 +888,6 @@ def simplicial_depth_cloud(
     """
     from itertools import combinations
 
-    block_bytes = resolve_block_bytes(block_bytes)
     n_ref = reference.shape[0]
     triangles = np.array(list(combinations(range(n_ref), 3)))
     a = reference[triangles[:, 0]]
@@ -925,11 +897,11 @@ def simplicial_depth_cloud(
     n = points.shape[0]
     inside_counts = np.zeros(n, dtype=np.int64)
     # ~8 float64 temporaries of shape (point-block, triangle-block).
-    tri_blocks = row_blocks(n_tri, 8.0, max(block_bytes // 8, 1))
+    tri_blocks = row_blocks(n_tri, 8.0, max(DEFAULT_BLOCK_BYTES // 8, 1))
     for t0, t1 in tri_blocks:
         at, bt, ct = a[t0:t1], b[t0:t1], c[t0:t1]
         bytes_per_row = (t1 - t0) * 8 * 8.0
-        for i0, i1 in row_blocks(n, bytes_per_row, block_bytes):
+        for i0, i1 in row_blocks(n, bytes_per_row, DEFAULT_BLOCK_BYTES):
             x = points[i0:i1, 0][:, None]
             y = points[i0:i1, 1][:, None]
             d1 = (x - bt[None, :, 0]) * (at[None, :, 1] - bt[None, :, 1]) - (
@@ -947,13 +919,10 @@ def simplicial_depth_cloud(
     return inside_counts / n_tri
 
 
-def _simplicial_block(block, values: np.ndarray, ref_values: np.ndarray, block_bytes: int):
+def _simplicial_block(block, values: np.ndarray, ref_values: np.ndarray):
     j0, j1 = block
     return np.stack(
-        [
-            simplicial_depth_cloud(values[:, j, :], ref_values[:, j, :], block_bytes)
-            for j in range(j0, j1)
-        ],
+        [simplicial_depth_cloud(values[:, j, :], ref_values[:, j, :]) for j in range(j0, j1)],
         axis=1,
     )
 
@@ -961,20 +930,17 @@ def _simplicial_block(block, values: np.ndarray, ref_values: np.ndarray, block_b
 def _simplicial_profile(
     values: np.ndarray,
     ref_values: np.ndarray,
-    block_bytes: int | None = None,
     context=None,
 ) -> np.ndarray:
-    block_bytes = resolve_block_bytes(block_bytes)
     m = values.shape[1]
     # Grid points are the fan-out unit; the triangle blocking inside
     # each point already bounds memory.
     width = getattr(context, "n_jobs", 1) if context is not None else 1
     per = max(m // max(width, 1), 1)
     blocks = [(j, min(j + per, m)) for j in range(0, m, per)]
-    worker = functools.partial(_simplicial_block, block_bytes=block_bytes)
     arrays = {"values": values, "ref_values": ref_values}
     return np.concatenate(
-        _run_blocks(worker, blocks, context, arrays, label="simplicial"), axis=1
+        _run_blocks(_simplicial_block, blocks, context, arrays, label="simplicial"), axis=1
     )
 
 
@@ -1003,7 +969,6 @@ def pointwise_profile(
     values: np.ndarray,
     ref_values: np.ndarray,
     notion: str,
-    block_bytes: int | None = None,
     context=None,
     dtype=None,
     **depth_kwargs,
@@ -1021,7 +986,6 @@ def pointwise_profile(
         sdo = batched_stahel_donoho(
             values,
             ref_values,
-            block_bytes=block_bytes,
             context=context,
             dtype=dtype,
             **depth_kwargs,
@@ -1031,7 +995,6 @@ def pointwise_profile(
         return _halfspace_profile(
             values,
             ref_values,
-            block_bytes=block_bytes,
             context=context,
             dtype=dtype,
             **depth_kwargs,
@@ -1042,7 +1005,6 @@ def pointwise_profile(
         return _spatial_profile(
             values,
             ref_values,
-            block_bytes=block_bytes,
             context=context,
             dtype=dtype,
             **depth_kwargs,
@@ -1052,9 +1014,7 @@ def pointwise_profile(
             raise ValidationError("simplicial_depth is implemented for p = 2 only")
         if ref_values.shape[0] < 3:
             raise ValidationError("simplicial_depth needs at least 3 reference points")
-        return _simplicial_profile(
-            values, ref_values, block_bytes=block_bytes, context=context, **depth_kwargs
-        )
+        return _simplicial_profile(values, ref_values, context=context, **depth_kwargs)
     raise ValidationError(f"unknown depth notion {notion!r}")
 
 
@@ -1126,7 +1086,6 @@ def batched_outlyingness_vectors(
     ref_values: np.ndarray,
     n_directions: int = 200,
     random_state=None,
-    block_bytes: int | None = None,
     context=None,
     max_iter: int = 128,
     tol: float = 1e-9,
@@ -1146,7 +1105,6 @@ def batched_outlyingness_vectors(
         ref_values,
         n_directions=n_directions,
         random_state=random_state,
-        block_bytes=block_bytes,
         context=context,
         dtype=dtype,
     )

@@ -88,7 +88,6 @@ def directional_outlyingness(
     reference: MFDataGrid | FDataGrid | None = None,
     n_directions: int = 200,
     random_state=None,
-    block_bytes: int | None = None,
     context=None,
     dtype=None,
 ) -> DirectionalOutlyingness:
@@ -105,8 +104,8 @@ def directional_outlyingness(
         Cross-sectional clouds defining "typical" (default: the data).
     n_directions, random_state:
         Controls for the projection-depth approximation (exact when p=1).
-    block_bytes, context:
-        Kernel scratch budget and optional worker-pool fan-out (see
+    context:
+        Optional worker-pool fan-out of the kernel blocks (see
         :mod:`repro.depth._kernels`).
     dtype:
         Kernel compute precision (float64 default, float32 fast path).
@@ -135,7 +134,6 @@ def directional_outlyingness(
         reference.values,
         n_directions=n_directions,
         random_state=random_state,
-        block_bytes=block_bytes,
         context=context,
         dtype=dtype,
     )
@@ -155,7 +153,6 @@ def dirout_scores(
     method: str = "total",
     n_directions: int = 200,
     random_state=None,
-    block_bytes: int | None = None,
     context=None,
     dtype=None,
 ) -> np.ndarray:
@@ -169,7 +166,7 @@ def dirout_scores(
     check_dirout_method(method)
     decomposition = directional_outlyingness(
         data, reference, n_directions=n_directions, random_state=random_state,
-        block_bytes=block_bytes, context=context, dtype=dtype,
+        context=context, dtype=dtype,
     )
     if method == "total":
         return decomposition.total

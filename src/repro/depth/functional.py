@@ -39,7 +39,6 @@ def pointwise_depth_profile(
     data: MFDataGrid,
     reference: MFDataGrid | None = None,
     notion: str = "projection",
-    block_bytes: int | None = None,
     context=None,
     dtype=None,
     **depth_kwargs,
@@ -50,10 +49,10 @@ def pointwise_depth_profile(
     (default: the data themselves) forms a cloud in R^p and the chosen
     pointwise depth is evaluated on it.  The whole
     ``(n_samples × n_points)`` computation runs on the blocked kernels
-    of :mod:`repro.depth._kernels` (scratch bounded by ``block_bytes``;
-    ``context`` optionally fans blocks out across its worker pool with
-    bit-identical results; ``dtype`` selects the kernel compute
-    precision — float64 default, float32 fast path).
+    of :mod:`repro.depth._kernels` (``context`` optionally fans blocks
+    out across its worker pool with bit-identical results; ``dtype``
+    selects the kernel compute precision — float64 default, float32
+    fast path).
     """
     if not isinstance(data, MFDataGrid):
         raise ValidationError(f"data must be MFDataGrid, got {type(data).__name__}")
@@ -78,7 +77,6 @@ def pointwise_depth_profile(
         data.values,
         reference.values,
         notion,
-        block_bytes=block_bytes,
         context=context,
         dtype=dtype,
         **depth_kwargs,
@@ -113,14 +111,12 @@ def functional_depth(
     reference: MFDataGrid | None = None,
     notion: str = "projection",
     aggregation: str = "integral",
-    block_bytes: int | None = None,
     context=None,
     **depth_kwargs,
 ) -> np.ndarray:
     """Sample-level functional depth of MFD (higher = more central)."""
     profile = pointwise_depth_profile(
-        data, reference, notion, block_bytes=block_bytes,
-        context=context, **depth_kwargs,
+        data, reference, notion, context=context, **depth_kwargs
     )
     ref = data if reference is None else reference
     return aggregate_depth(profile, ref.grid, aggregation)
@@ -130,7 +126,6 @@ def univariate_integrated_depth(
     data: FDataGrid,
     reference: FDataGrid | None = None,
     aggregation: str = "integral",
-    block_bytes: int | None = None,
     context=None,
 ) -> np.ndarray:
     """Fraiman–Muniz depth of UFD: integrated univariate halfspace depth."""
@@ -139,8 +134,7 @@ def univariate_integrated_depth(
     mfd = data.to_multivariate()
     ref = reference.to_multivariate() if reference is not None else None
     return functional_depth(
-        mfd, ref, notion="halfspace", aggregation=aggregation,
-        block_bytes=block_bytes, context=context,
+        mfd, ref, notion="halfspace", aggregation=aggregation, context=context
     )
 
 

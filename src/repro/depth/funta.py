@@ -65,7 +65,6 @@ def funta_depth(
     data,
     reference=None,
     trim: float = 0.0,
-    block_bytes: int | None = None,
     context=None,
     dtype=None,
 ) -> np.ndarray:
@@ -82,8 +81,6 @@ def funta_depth(
     trim:
         Robustification: fraction of the *largest* angles discarded per
         sample before averaging (0 = original FUNTA).
-    block_bytes:
-        Scratch budget per kernel block (default ~64 MB).
     context:
         Optional :class:`~repro.engine.ExecutionContext` whose worker
         pool fans out sample blocks (bit-identical to serial).
@@ -95,7 +92,7 @@ def funta_depth(
     def univariate(values, ref_values, grid, same):
         return _kernels.funta_univariate(
             values, ref_values, grid, trim, same,
-            block_bytes=block_bytes, context=context, dtype=dtype,
+            context=context, dtype=dtype,
         )
 
     if isinstance(data, FDataGrid):
@@ -121,12 +118,10 @@ def funta_outlyingness(
     data,
     reference=None,
     trim: float = 0.0,
-    block_bytes: int | None = None,
     context=None,
     dtype=None,
 ) -> np.ndarray:
     """Outlyingness score ``1 - FUNTA`` (higher = more anomalous)."""
     return 1.0 - funta_depth(
-        data, reference=reference, trim=trim,
-        block_bytes=block_bytes, context=context, dtype=dtype,
+        data, reference=reference, trim=trim, context=context, dtype=dtype
     )

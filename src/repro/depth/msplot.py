@@ -68,7 +68,6 @@ def ms_plot(
     alpha: float = 0.993,
     n_directions: int = 200,
     random_state=None,
-    block_bytes: int | None = None,
     context=None,
 ) -> MSPlotResult:
     """Compute MS-plot coordinates, outlier flags and type labels.
@@ -82,13 +81,13 @@ def ms_plot(
         high coverage, e.g. 99.3%).
     n_directions, random_state:
         Projection-depth approximation controls.
-    block_bytes, context:
+    context:
         Passed through to the batched Dir.out kernels.
     """
     alpha = check_in_range(alpha, 0.5, 1.0, "alpha", inclusive=(False, False))
     decomposition = directional_outlyingness(
         data, reference, n_directions=n_directions, random_state=random_state,
-        block_bytes=block_bytes, context=context,
+        context=context,
     )
     features = np.column_stack([decomposition.mean, decomposition.variation])
     n, d = features.shape

@@ -112,15 +112,14 @@ def halfspace_depth(
     reference,
     n_directions: int = 500,
     random_state=None,
-    block_bytes: int | None = None,
 ) -> np.ndarray:
     """Tukey halfspace depth, normalized to [0, 1/2].
 
     Exact in one dimension (minimum of the two empirical tail
     fractions); approximated by minimizing over random directions for
     p > 1 (the approximation can only overestimate the true depth),
-    all directions at once via exact rank counting in
-    ``block_bytes``-bounded blocks.
+    all directions at once via exact rank counting in memory-bounded
+    blocks.
     """
     points, reference = _check_cloud(points, reference)
     n_ref, p = reference.shape
@@ -130,21 +129,19 @@ def halfspace_depth(
         return np.minimum(below, above)
     n_directions = check_int(n_directions, "n_directions", minimum=1)
     directions = _kernels.draw_directions(random_state, n_directions, p)
-    return _kernels.halfspace_depth_cloud(
-        points, reference, directions, block_bytes=block_bytes
-    )
+    return _kernels.halfspace_depth_cloud(points, reference, directions)
 
 
-def spatial_depth(points, reference, block_bytes: int | None = None) -> np.ndarray:
+def spatial_depth(points, reference) -> np.ndarray:
     """Spatial (L1) depth: ``1 - |E[(x - X)/|x - X|]|``.
 
-    Vectorized over all query points in ``block_bytes``-bounded blocks.
+    Vectorized over all query points in memory-bounded blocks.
     """
     points, reference = _check_cloud(points, reference)
-    return _kernels.spatial_depth_cloud(points, reference, block_bytes=block_bytes)
+    return _kernels.spatial_depth_cloud(points, reference)
 
 
-def simplicial_depth(points, reference, block_bytes: int | None = None) -> np.ndarray:
+def simplicial_depth(points, reference) -> np.ndarray:
     """Simplicial depth for p = 2: fraction of triangles containing the point.
 
     Exact enumeration over all ``C(n, 3)`` reference triangles via a
@@ -157,4 +154,4 @@ def simplicial_depth(points, reference, block_bytes: int | None = None) -> np.nd
         raise ValidationError("simplicial_depth is implemented for p = 2 only")
     if reference.shape[0] < 3:
         raise ValidationError("simplicial_depth needs at least 3 reference points")
-    return _kernels.simplicial_depth_cloud(points, reference, block_bytes=block_bytes)
+    return _kernels.simplicial_depth_cloud(points, reference)

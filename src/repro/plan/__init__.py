@@ -13,7 +13,7 @@ This package replaces them with a compiler-shaped pipeline::
   alternatives (:class:`~repro.exceptions.ConfigurationError`);
 * :mod:`repro.plan.compile` — ``compile_plan`` lowers a spec plus a
   :class:`WorkloadSpec` (batch / micro-batch / stream, ``n_jobs``,
-  ``block_bytes``, dtype) into an executable :class:`ScoringPlan`
+  ``chunk_size``) into an executable :class:`ScoringPlan`
   holding the resolved objects and an
   :class:`~repro.engine.ExecutionContext`;
 * :mod:`repro.plan.executor` — the single chunked execution path

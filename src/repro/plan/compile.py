@@ -172,10 +172,6 @@ class MethodPlan(ScoringPlan):
 
         params = dict(self.spec.params)
         if self.spec.kind in ("funta", "dirout"):
-            if self.workload.block_bytes is not None:
-                params.setdefault("block_bytes", self.workload.block_bytes)
-            if self.workload.dtype != "float64":
-                params.setdefault("dtype", self.workload.dtype)
             cls = (
                 core_methods.FuntaMethod
                 if self.spec.kind == "funta"
@@ -226,9 +222,6 @@ class StreamPlan(ScoringPlan):
         )
 
         spec = self.spec
-        block_bytes = spec.block_bytes
-        if block_bytes is None:
-            block_bytes = self.workload.block_bytes
         if spec.policy == "sliding":
             window = SlidingWindow(spec.window)
         else:
@@ -250,7 +243,6 @@ class StreamPlan(ScoringPlan):
             min_reference=spec.min_reference,
             update_policy=spec.update_policy,
             on_drift=spec.effective_on_drift,
-            block_bytes=block_bytes,
             context=self.context,
             **spec.params,
         )

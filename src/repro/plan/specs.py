@@ -554,7 +554,6 @@ class StreamSpec:
     seed: int = 7
     update_policy: str = "all"
     on_drift: str | None = None
-    block_bytes: int | None = None
     shards: int = 1
     params: dict = field(default_factory=dict)
 
@@ -611,8 +610,6 @@ class StreamSpec:
         _check_choice(self.update_policy, ("all", "inliers", "none"), "stream update_policy")
         if self.on_drift is not None:
             _check_choice(self.on_drift, ("adapt", "rereference"), "stream on_drift")
-        if self.block_bytes is not None:
-            _check_type(self.block_bytes, int, "stream block_bytes")
         _check_type(self.shards, int, "stream shards")
         if self.shards < 1:
             raise ConfigurationError(f"stream shards must be >= 1, got {self.shards}")
@@ -674,31 +671,34 @@ class StreamSpec:
                 "one scoring rule, so the refit switch was removed (drop the "
                 f"key), got {legacy_incremental!r}"
             )
+        # Legacy documents carry the kernel scratch budget, now a
+        # constant of repro.depth._kernels; null was the only value in use.
+        legacy_budget = doc.pop("block_bytes", None)
+        if legacy_budget is not None:
+            raise ConfigurationError(
+                "stream block_bytes was removed; the depth kernels own their "
+                f"scratch budget (drop the key), got {legacy_budget!r}"
+            )
         _doc_keys(doc, {f.name for f in fields(cls)}, "stream spec")
         return cls(**{k: v for k, v in doc.items() if k != "spec"})
 
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """How a spec will be executed: traffic shape + resource knobs.
+    """How a spec will be executed: traffic shape + pool size.
 
     ``mode`` is the traffic shape (``"batch"`` one-shot matrices,
     ``"microbatch"`` the submit/flush queue, ``"stream"`` bounded-memory
-    chunking); ``chunk_size``/``max_pending`` bound those paths;
-    ``n_jobs`` sizes the :class:`~repro.engine.ExecutionContext` pool;
-    ``block_bytes`` caps depth-kernel scratch; ``dtype`` pins the
-    numeric backend — ``float64`` (the reference) or ``float32`` (the
-    kernel fast path: half the slab memory traffic, scores within a
-    pinned ULP tolerance of the float64 oracle and rank-order preserved
-    on the paper's workloads; see ``tests/test_float32_path.py``).
+    chunking); ``chunk_size`` bounds the chunked paths; ``n_jobs`` sizes
+    the :class:`~repro.engine.ExecutionContext` pool.  The depth
+    kernels' scratch budget is a constant of
+    :mod:`repro.depth._kernels`, and a depth method's compute dtype is
+    its own ``dtype`` parameter (``MethodSpec(params={"dtype": ...})``).
     """
 
     mode: str = "batch"
     n_jobs: int = 1
     chunk_size: int = 256
-    block_bytes: int | None = None
-    dtype: str = "float64"
-    max_pending: int = 1024
 
     def __post_init__(self):
         _check_choice(self.mode, ("batch", "microbatch", "stream"), "workload mode")
@@ -711,18 +711,6 @@ class WorkloadSpec:
         if self.chunk_size < 1:
             raise ConfigurationError(
                 f"workload chunk_size must be >= 1, got {self.chunk_size}"
-            )
-        if self.block_bytes is not None:
-            _check_type(self.block_bytes, int, "workload block_bytes")
-            if self.block_bytes < 1:
-                raise ConfigurationError(
-                    f"workload block_bytes must be >= 1, got {self.block_bytes}"
-                )
-        _check_choice(self.dtype, ("float64", "float32"), "workload dtype")
-        _check_type(self.max_pending, int, "workload max_pending")
-        if self.max_pending < 1:
-            raise ConfigurationError(
-                f"workload max_pending must be >= 1, got {self.max_pending}"
             )
 
     def to_dict(self) -> dict:

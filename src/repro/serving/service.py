@@ -99,8 +99,6 @@ class DepthScorer:
         ``"funta"`` or ``"dirout"``.
     reference:
         (M)FDataGrid of reference curves ("typical" traffic).
-    block_bytes:
-        Kernel scratch budget per block (default ~64 MB).
     context:
         Optional execution context; inherited from the owning service
         when omitted.
@@ -115,8 +113,8 @@ class DepthScorer:
         "dirout": frozenset({"method", "n_directions", "random_state"}),
     }
 
-    def __init__(self, kind: str, reference, block_bytes: int | None = None,
-                 context: ExecutionContext | None = None, **options):
+    def __init__(self, kind: str, reference, context: ExecutionContext | None = None,
+                 **options):
         if kind not in self._KINDS:
             raise ValidationError(f"kind must be one of {self._KINDS}, got {kind!r}")
         if context is not None and not isinstance(context, ExecutionContext):
@@ -144,7 +142,6 @@ class DepthScorer:
         self.reference = as_mfd(reference)
         if self.reference.n_samples < 2:
             raise ValidationError("DepthScorer needs at least 2 reference curves")
-        self.block_bytes = block_bytes
         self.context = context
         self.options = options
 
@@ -156,7 +153,6 @@ class DepthScorer:
                 mfd,
                 reference=self.reference,
                 trim=self.options.get("trim", 0.0),
-                block_bytes=self.block_bytes,
                 context=self.context,
             )
         return dirout_scores(
@@ -165,7 +161,6 @@ class DepthScorer:
             method=self.options.get("method", "total"),
             n_directions=self.options.get("n_directions", 200),
             random_state=self.options.get("random_state", 0),
-            block_bytes=self.block_bytes,
             context=self.context,
         )
 

@@ -103,10 +103,9 @@ class _ScorerState:
 class _FuntaState(_ScorerState):
     """FUNTA with an incrementally maintained tangent-angle ring."""
 
-    def __init__(self, grid, capacity, trim, block_bytes, context):
+    def __init__(self, grid, capacity, trim, context):
         self.grid = grid
         self.trim = trim
-        self.block_bytes = block_bytes
         self.context = context
         self.capacity = capacity
         self._dt = np.diff(grid)
@@ -157,7 +156,6 @@ class _FuntaState(_ScorerState):
                 self.grid,
                 theta_pts=np.ascontiguousarray(theta_pts[:, :, k]),
                 theta_ref=np.ascontiguousarray(theta_ref[:, :, k]),
-                block_bytes=self.block_bytes,
             )
         return counts, sums
 
@@ -182,7 +180,6 @@ class _FuntaState(_ScorerState):
                 self.grid,
                 self.trim,
                 same=False,
-                block_bytes=self.block_bytes,
                 context=self.context,
                 theta_pts=np.ascontiguousarray(theta_pts[:, :, k]),
                 theta_ref=np.ascontiguousarray(theta_ref[:, :, k]),
@@ -196,11 +193,10 @@ class _DiroutState(_ScorerState):
     """Dir.out from the window contents: a closed form at p = 1, the
     seeded batch kernel at p > 1."""
 
-    def __init__(self, grid, n_directions, random_state, block_bytes, context):
+    def __init__(self, grid, n_directions, random_state, context):
         self.grid = grid
         self.n_directions = n_directions
         self.random_state = random_state
-        self.block_bytes = block_bytes
         self.context = context
 
     def score(self, items: np.ndarray, window: ReferenceWindow) -> np.ndarray:
@@ -211,7 +207,6 @@ class _DiroutState(_ScorerState):
                 method="total",
                 n_directions=self.n_directions,
                 random_state=self.random_state,
-                block_bytes=self.block_bytes,
                 context=self.context,
             )
         ref = window.values[:, :, 0]  # (r, m)
@@ -232,13 +227,11 @@ class _DiroutState(_ScorerState):
 class _HalfspaceState(_ScorerState):
     """Integrated halfspace depth of the arrivals within the window."""
 
-    def __init__(self, grid, aggregation, n_directions, random_state, block_bytes,
-                 context):
+    def __init__(self, grid, aggregation, n_directions, random_state, context):
         self.grid = grid
         self.aggregation = aggregation
         self.n_directions = n_directions
         self.random_state = random_state
-        self.block_bytes = block_bytes
         self.context = context
 
     def score(self, items: np.ndarray, window: ReferenceWindow) -> np.ndarray:
@@ -247,7 +240,6 @@ class _HalfspaceState(_ScorerState):
             MFDataGrid(window.values, self.grid),
             notion="halfspace",
             aggregation=self.aggregation,
-            block_bytes=self.block_bytes,
             context=self.context,
             n_directions=self.n_directions,
             random_state=self.random_state,
@@ -366,9 +358,9 @@ class StreamingDetector:
     aggregation:
         Profile aggregation for ``kind="halfspace"`` (``"integral"`` or
         ``"infimum"``).
-    block_bytes, context:
-        Kernel scratch budget / optional worker-pool fan-out, passed
-        through to the depth kernels.
+    context:
+        Optional worker-pool fan-out, passed through to the depth
+        kernels.
     options:
         Kind-specific scoring options, checked here as the batch
         functions check them: ``trim`` in [0, 0.5) (funta);
@@ -425,7 +417,6 @@ class StreamingDetector:
         update_policy: str = "all",
         on_drift: str = "adapt",
         aggregation: str = "integral",
-        block_bytes: int | None = None,
         context=None,
         **options,
     ):
@@ -504,7 +495,6 @@ class StreamingDetector:
         self.update_policy = update_policy
         self.on_drift = on_drift
         self.aggregation = aggregation
-        self.block_bytes = block_bytes
         self.context = context
         self.options = options
         self.grid: np.ndarray | None = None
@@ -616,22 +606,21 @@ class StreamingDetector:
     def _make_scorer(self, capacity: int) -> _ScorerState:
         if self.kind == "funta":
             return _FuntaState(
-                self.grid, capacity, self.options.get("trim", 0.0),
-                self.block_bytes, self.context,
+                self.grid, capacity, self.options.get("trim", 0.0), self.context
             )
         if self.kind == "dirout":
             return _DiroutState(
                 self.grid,
                 self.options.get("n_directions", 200),
                 self.options.get("random_state", 0),
-                self.block_bytes, self.context,
+                self.context,
             )
         if self.kind == "halfspace":
             return _HalfspaceState(
                 self.grid, self.aggregation,
                 self.options.get("n_directions", 500),
                 self.options.get("random_state", 0),
-                self.block_bytes, self.context,
+                self.context,
             )
         return _PipelineState(self.options.get("ridge_eps", 1e-9))
 

@@ -53,17 +53,6 @@ class TestBlockPlumbing:
         with pytest.raises(ValidationError):
             row_blocks(5, 10.0, 0)
 
-    def test_resolve_block_bytes(self):
-        assert _kernels.resolve_block_bytes(None) == _kernels.DEFAULT_BLOCK_BYTES
-        assert _kernels.resolve_block_bytes(1024) == 1024
-        for bad in (0, -5, 1.5, True, "64MB"):
-            with pytest.raises(ValidationError):
-                _kernels.resolve_block_bytes(bad)
-
-    def test_invalid_block_bytes_surfaces_from_public_api(self, curves):
-        with pytest.raises(ValidationError):
-            funta_depth(curves, block_bytes=-1)
-
     def test_profile_rejects_parameter_mismatch(self, cube2):
         bad_ref = MFDataGrid(np.zeros((5, cube2.n_points, 3)), cube2.grid)
         with pytest.raises(ValidationError):
@@ -90,30 +79,27 @@ class TestContextFanOut:
         assert [x for g in groups for x in g] == list(range(7))
         assert len(groups) <= 3
 
-    def test_funta_pool_bit_identical(self, curves):
-        serial = funta_depth(curves, block_bytes=20_000)
-        pooled = funta_depth(
-            curves, block_bytes=20_000, context=ExecutionContext(n_jobs=2)
-        )
+    def test_funta_pool_bit_identical(self, curves, monkeypatch):
+        monkeypatch.setattr(_kernels, "_FUNTA_BLOCK_CAP", 20_000)
+        serial = funta_depth(curves)
+        pooled = funta_depth(curves, context=ExecutionContext(n_jobs=2))
         np.testing.assert_array_equal(pooled, serial)
 
     @pytest.mark.parametrize("notion", ["halfspace", "spatial", "projection"])
-    def test_profile_pool_bit_identical(self, cube2, notion):
+    def test_profile_pool_bit_identical(self, cube2, notion, monkeypatch):
+        monkeypatch.setattr(_kernels, "DEFAULT_BLOCK_BYTES", 50_000)
         kwargs = {"random_state": 0} if notion in ("halfspace", "projection") else {}
-        serial = pointwise_depth_profile(
-            cube2, notion=notion, block_bytes=50_000, **kwargs
-        )
+        serial = pointwise_depth_profile(cube2, notion=notion, **kwargs)
         pooled = pointwise_depth_profile(
-            cube2, notion=notion, block_bytes=50_000,
-            context=ExecutionContext(n_jobs=2), **kwargs,
+            cube2, notion=notion, context=ExecutionContext(n_jobs=2), **kwargs
         )
         np.testing.assert_array_equal(pooled, serial)
 
-    def test_dirout_pool_bit_identical(self, cube2):
-        serial = dirout_scores(cube2, random_state=0, block_bytes=20_000)
+    def test_dirout_pool_bit_identical(self, cube2, monkeypatch):
+        monkeypatch.setattr(_kernels, "DEFAULT_BLOCK_BYTES", 20_000)
+        serial = dirout_scores(cube2, random_state=0)
         pooled = dirout_scores(
-            cube2, random_state=0, block_bytes=20_000,
-            context=ExecutionContext(n_jobs=2),
+            cube2, random_state=0, context=ExecutionContext(n_jobs=2)
         )
         np.testing.assert_array_equal(pooled, serial)
 

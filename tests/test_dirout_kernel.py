@@ -12,8 +12,9 @@ took its medians with ``np.median`` partitions:
   more than half of the reference tied with the rest spread out (the
   guard falls back to the lane's standard deviation).  Cases ``odd`` use
   all 21 reference curves and ``even`` the first 20.  Every call used
-  ``n_directions=7``, ``random_state=11`` and ``block_bytes=30_000``,
-  so each call ran several grid-point blocks.
+  ``n_directions=7``, ``random_state=11`` and a 30 000-byte scratch
+  budget, so each call ran several grid-point blocks; the replay patches
+  ``_kernels.DEFAULT_BLOCK_BYTES`` to that budget.
 * ``fig_Q`` (12 × 16 × 2) and ``fig_R`` (140 × 16 × 2) on ``fig_grid``:
   the Fig. 3 reference width (140 curves, even lanes), built the same
   way and run at the default block budget.
@@ -49,7 +50,8 @@ def golden():
 
 
 def _case(golden, case):
-    """``(queries, reference, grid, block_bytes)`` of one golden case."""
+    """``(queries, reference, grid, scratch budget)`` of one golden case
+    (``None``: the default budget)."""
     if case == "fig":
         return golden["fig_Q"], golden["fig_R"], golden["fig_grid"], None
     p, parity = case.split("_")
@@ -62,11 +64,13 @@ def _case(golden, case):
 @pytest.mark.parametrize("mode", ["ref", "self"])
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("case", CASES)
-def test_kernels_match_golden(golden, case, dtype, mode):
-    queries, ref, _, block_bytes = _case(golden, case)
+def test_kernels_match_golden(golden, monkeypatch, case, dtype, mode):
+    queries, ref, _, budget = _case(golden, case)
+    if budget is not None:
+        monkeypatch.setattr(_kernels, "DEFAULT_BLOCK_BYTES", budget)
     values = ref if mode == "self" else queries
     key = f"{case}_{dtype}_{mode}"
-    options = dict(OPTIONS, block_bytes=block_bytes, dtype=dtype)
+    options = dict(OPTIONS, dtype=dtype)
     sdo = _kernels.batched_stahel_donoho(values, ref, **options)
     vectors = _kernels.batched_outlyingness_vectors(values, ref, **options)
     assert sdo.dtype == golden[f"{key}_sdo"].dtype
@@ -78,13 +82,15 @@ def test_kernels_match_golden(golden, case, dtype, mode):
 @pytest.mark.parametrize("mode", ["ref", "self"])
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("case", CASES)
-def test_scores_match_golden(golden, case, dtype, mode, method):
-    queries, ref, grid, block_bytes = _case(golden, case)
+def test_scores_match_golden(golden, monkeypatch, case, dtype, mode, method):
+    queries, ref, grid, budget = _case(golden, case)
+    if budget is not None:
+        monkeypatch.setattr(_kernels, "DEFAULT_BLOCK_BYTES", budget)
     reference = MFDataGrid(ref, grid)
     data = reference if mode == "self" else MFDataGrid(queries, grid)
     scores = dirout_scores(
         data, reference=None if mode == "self" else reference, method=method,
-        block_bytes=block_bytes, dtype=dtype, **OPTIONS,
+        dtype=dtype, **OPTIONS,
     )
     assert np.array_equal(scores, golden[f"{case}_{dtype}_{mode}_scores_{method}"])
 

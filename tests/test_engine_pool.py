@@ -97,6 +97,7 @@ class TestInProcessPool:
         script = (
             "import signal\n"
             "import numpy as np\n"
+            "from repro.depth import _kernels\n"
             "from repro.depth.funta import funta_outlyingness\n"
             "from repro.engine import ExecutionContext\n"
             "from repro.fda.fdata import FDataGrid\n"
@@ -104,8 +105,8 @@ class TestInProcessPool:
             "rng = np.random.default_rng(0)\n"
             "curves = FDataGrid(rng.standard_normal((40, 16)).cumsum(axis=1),\n"
             "                   np.linspace(0.0, 1.0, 16))\n"
-            "funta_outlyingness(curves, block_bytes=512,\n"
-            "                   context=ExecutionContext(n_jobs=2))\n"
+            "_kernels._FUNTA_BLOCK_CAP = 512\n"
+            "funta_outlyingness(curves, context=ExecutionContext(n_jobs=2))\n"
             "print(signal.getsignal(signal.SIGTERM) is before)\n"
         )
         env = dict(os.environ)

@@ -1,7 +1,8 @@
 """Float32 fast-path accuracy: pinned ULP tolerances + rank preservation.
 
-The vectorized kernels accept ``dtype="float32"`` (threaded from
-``WorkloadSpec.dtype`` through the plan compiler); the loop oracles in
+The vectorized kernels accept ``dtype="float32"`` (a depth method's
+``dtype`` parameter, ``MethodSpec(params={"dtype": ...})`` in the plan
+layer); the loop oracles in
 ``tests/oracles.py`` are float64 only.  These tests pin how far the
 float32 path may drift from the float64 result, measured in units of
 float32 machine epsilon (one "ULP" here = ``eps32 * max(|x|, 1)``), and
@@ -130,20 +131,12 @@ class TestDtypePlumbing:
         with pytest.raises(ValidationError, match="dtype"):
             resolve_dtype("float16")
 
-    def test_workload_dtype_reaches_method(self):
-        method = compile_plan(
-            MethodSpec("funta"), WorkloadSpec(dtype="float32")
-        ).build()
-        assert method.dtype == "float32"
-
     def test_default_workload_leaves_dtype_unset(self):
         method = compile_plan(MethodSpec("funta"), WorkloadSpec()).build()
         assert method.dtype is None
 
     def test_explicit_method_dtype_wins_over_workload(self):
-        method = compile_plan(
-            MethodSpec("funta", {"dtype": "float32"}), WorkloadSpec()
-        ).build()
+        method = compile_plan(MethodSpec("funta", {"dtype": "float32"})).build()
         assert method.dtype == "float32"
 
     def test_method_scores_with_dtype(self, fig3_workload):

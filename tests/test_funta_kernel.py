@@ -299,7 +299,7 @@ def test_ties_within_one_group_keep_the_fast_path(untied, mask_paths):
 
 
 def _rows_budget(rows, n_ref, m):
-    """A ``block_bytes`` that cuts FUNTA calls into ``rows``-row blocks."""
+    """A FUNTA block cap that cuts calls into ``rows``-row blocks."""
     return rows * _kernels._funta_row_bytes(n_ref, m)
 
 
@@ -313,19 +313,18 @@ def test_funta_block_invariance(golden, monkeypatch, rows, trim):
     n_ref, m = window.shape
     if rows is None:  # one block holding every row
         monkeypatch.setattr(_kernels, "_FUNTA_BLOCK_CAP", _kernels.DEFAULT_BLOCK_BYTES)
-        budget = None
-        assert len(_kernels._funta_blocks(n_ref, n_ref, m, _kernels.DEFAULT_BLOCK_BYTES)) == 1
+        assert len(_kernels._funta_blocks(n_ref, n_ref, m)) == 1
     else:
-        budget = _rows_budget(rows, n_ref, m)
-        blocks = _kernels._funta_blocks(n_ref, n_ref, m, budget)
+        monkeypatch.setattr(_kernels, "_FUNTA_BLOCK_CAP", _rows_budget(rows, n_ref, m))
+        blocks = _kernels._funta_blocks(n_ref, n_ref, m)
         assert {stop - start for start, stop in blocks[:-1]} == {rows}
 
-    depth = _kernels.funta_univariate(items, window, grid, trim, False, block_bytes=budget)
+    depth = _kernels.funta_univariate(items, window, grid, trim, False)
     assert np.array_equal(depth, golden[f"stream_trim{trim}_p0"])
-    self_depth = _kernels.funta_univariate(window, window, grid, trim, True, block_bytes=budget)
+    self_depth = _kernels.funta_univariate(window, window, grid, trim, True)
     assert np.array_equal(self_depth, golden[f"stream_self_trim{trim}_p0"])
     if trim == 0.0:
-        counts, sums = _kernels.funta_partials(items, window, grid, block_bytes=budget)
+        counts, sums = _kernels.funta_partials(items, window, grid)
         assert np.array_equal(counts, golden["stream_partials_counts_p0"])
         assert np.array_equal(sums, golden["stream_partials_sums_p0"])
 

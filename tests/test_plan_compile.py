@@ -129,18 +129,6 @@ class TestMethodPlan:
         ]
         assert names == ["Dir.out", "FUNTA", "iFor(Curvmap)", "OCSVM(Curvmap)"]
 
-    def test_workload_block_bytes_threads_into_depth_methods(self):
-        plan = compile_plan(
-            MethodSpec("funta"), WorkloadSpec(block_bytes=1 << 20)
-        )
-        assert plan.build().block_bytes == 1 << 20
-        # Explicit spec params win over the workload default.
-        plan = compile_plan(
-            MethodSpec("funta", {"block_bytes": 123}),
-            WorkloadSpec(block_bytes=1 << 20),
-        )
-        assert plan.build().block_bytes == 123
-
     def test_json_mapping_param_resolves(self, dataset):
         data, _ = dataset
         spec = MethodSpec(

@@ -1,9 +1,13 @@
 """Unit tests for the declarative spec layer (`repro.plan.specs`)."""
 
+import ast
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.data.synthetic import make_drifting_stream
 from repro.detectors import DETECTOR_REGISTRY
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.geometry.mappings import MAPPING_REGISTRY
@@ -24,6 +28,19 @@ from repro.plan import (
     spec_to_json,
 )
 
+PERFBENCH_STREAM = Path(__file__).resolve().parent.parent / "perfbench" / "stream.py"
+
+
+def _perfbench_stream_spec() -> dict:
+    """The ``SPEC`` literal of the benchmark's ``stream`` workload, read
+    without importing the benchmark (its import pins the BLAS threads)."""
+    for node in ast.parse(PERFBENCH_STREAM.read_text()).body:
+        if isinstance(node, ast.Assign) and [
+            target.id for target in node.targets if isinstance(target, ast.Name)
+        ] == ["SPEC"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no SPEC literal in {PERFBENCH_STREAM}")
+
 
 class TestJsonRoundTrips:
     @pytest.mark.parametrize("spec", [
@@ -42,7 +59,7 @@ class TestJsonRoundTrips:
         MethodSpec("ocsvm", {"gamma": 0.05, "tune": False}),
         StreamSpec(kind="dirout", policy="reservoir", window=64,
                    params={"n_directions": 50}),
-        WorkloadSpec(mode="microbatch", n_jobs=2, chunk_size=64, max_pending=16),
+        WorkloadSpec(mode="microbatch", n_jobs=2, chunk_size=64),
     ])
     def test_spec_json_identity(self, spec):
         assert spec_from_json(spec_to_json(spec)) == spec
@@ -168,6 +185,33 @@ class TestValidationErrors:
         with pytest.raises(ConfigurationError, match="one scoring rule"):
             spec_from_dict({**doc, "incremental": False})
 
+    def test_stream_legacy_block_bytes_key(self):
+        """The benchmark's stream document still carries the removed
+        kernel budget as null: it loads, and scores like the document
+        without its legacy keys."""
+        doc = _perfbench_stream_spec()
+        assert doc["block_bytes"] is None
+        spec = StreamSpec.from_dict(doc)
+        bare = {k: v for k, v in doc.items() if k not in ("block_bytes", "incremental")}
+        assert spec == StreamSpec.from_dict(bare)
+        assert "block_bytes" not in spec.to_dict()
+
+        chunks = [c for c, _ in make_drifting_stream(
+            n_chunks=3, chunk_size=16, n_points=24, random_state=5
+        )]
+        results = []
+        for source in (doc, bare):
+            detector = compile_plan(StreamSpec.from_dict(source)).build()
+            detector.prime(chunks[0])
+            results.append([detector.process(chunk) for chunk in chunks[1:]])
+        for legacy, plain in zip(*results):
+            assert np.array_equal(legacy.scores, plain.scores)
+            assert np.array_equal(legacy.flags, plain.flags)
+            assert legacy.threshold == plain.threshold
+
+        with pytest.raises(ConfigurationError, match="block_bytes was removed"):
+            StreamSpec.from_dict({**doc, "block_bytes": 4096})
+
     def test_stream_min_reference_bounded_by_window(self):
         with pytest.raises(ConfigurationError, match="min_reference"):
             StreamSpec(window=8, min_reference=9)
@@ -206,11 +250,6 @@ class TestValidationErrors:
             StreamSpec(drift_recent=4)
         with pytest.raises(ConfigurationError, match="drift_baseline"):
             StreamSpec(drift_baseline=4)
-
-    def test_workload_accepts_float32_rejects_unknown_dtype(self):
-        assert WorkloadSpec(dtype="float32").dtype == "float32"
-        with pytest.raises(ConfigurationError, match="dtype"):
-            WorkloadSpec(dtype="float16")
 
     def test_workload_rejects_unknown_mode(self):
         with pytest.raises(ConfigurationError, match="mode"):

@@ -8,10 +8,14 @@ count), and degenerate inputs (ties, duplicated curves, constant
 curves, curves that never cross).
 """
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.depth import _kernels
 from repro.depth import multivariate as mvdepth
 from repro.depth._kernels import rank_counts
 from repro.depth.dirout import directional_outlyingness
@@ -29,6 +33,15 @@ ATOL = 1e-12
 #: Tiny scratch budgets force several blocks even on tiny inputs
 #: (including blocks smaller than the sample count).
 BLOCK_SIZES = (None, 40_000, 3_000)
+
+
+def _budget(name: str, budget):
+    """Patch the kernels' scratch budget ``name`` (``DEFAULT_BLOCK_BYTES``
+    or FUNTA's ``_FUNTA_BLOCK_CAP``) to ``budget``; ``None`` keeps it.
+    A context manager, since hypothesis bodies cannot use ``monkeypatch``."""
+    if budget is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(_kernels, name, budget)
 
 
 def _cube(seed: int, n: int, m: int, p: int, degenerate: int) -> np.ndarray:
@@ -95,8 +108,9 @@ class TestFuntaEquivalence:
         values = _cube(seed, n, m, 1, degenerate)[:, :, 0]
         data = FDataGrid(values, np.linspace(0.0, 1.0, m))
         expected = oracles.funta_depth(data, trim=trim)
-        for block_bytes in BLOCK_SIZES:
-            got = funta_depth(data, trim=trim, block_bytes=block_bytes)
+        for budget in BLOCK_SIZES:
+            with _budget("_FUNTA_BLOCK_CAP", budget):
+                got = funta_depth(data, trim=trim)
             np.testing.assert_allclose(got, expected, rtol=RTOL, atol=ATOL)
 
     @COMMON
@@ -110,7 +124,8 @@ class TestFuntaEquivalence:
         data = MFDataGrid(_cube(seed, 6, 20, p, degenerate), grid)
         ref = MFDataGrid(_cube(seed + 1, 8, 20, p, degenerate), grid)
         expected = oracles.funta_depth(data, reference=ref)
-        got = funta_depth(data, reference=ref, block_bytes=2_000)
+        with _budget("_FUNTA_BLOCK_CAP", 2_000):
+            got = funta_depth(data, reference=ref)
         np.testing.assert_allclose(got, expected, rtol=RTOL, atol=ATOL)
 
     def test_never_crossing_curves(self):
@@ -150,11 +165,11 @@ class TestProfileEquivalence:
         expected = oracles.pointwise_depth_profile(
             data, reference=reference, notion=notion, **kwargs
         )
-        for block_bytes in BLOCK_SIZES:
-            got = pointwise_depth_profile(
-                data, reference=reference, notion=notion,
-                block_bytes=block_bytes, **kwargs,
-            )
+        for budget in BLOCK_SIZES:
+            with _budget("DEFAULT_BLOCK_BYTES", budget):
+                got = pointwise_depth_profile(
+                    data, reference=reference, notion=notion, **kwargs
+                )
             np.testing.assert_allclose(got, expected, rtol=RTOL, atol=ATOL)
 
     @COMMON
@@ -166,7 +181,8 @@ class TestProfileEquivalence:
         grid = np.linspace(0.0, 1.0, 6)
         data = MFDataGrid(_cube(seed, 9, 6, 2, degenerate), grid)
         expected = oracles.pointwise_depth_profile(data, notion="simplicial")
-        got = pointwise_depth_profile(data, notion="simplicial", block_bytes=3_000)
+        with _budget("DEFAULT_BLOCK_BYTES", 3_000):
+            got = pointwise_depth_profile(data, notion="simplicial")
         np.testing.assert_allclose(got, expected, rtol=RTOL, atol=ATOL)
 
 
@@ -186,8 +202,10 @@ class TestCloudEquivalence:
             oracles.halfspace_depth(points, reference, random_state=seed % 50),
             rtol=RTOL, atol=ATOL,
         )
+        with _budget("DEFAULT_BLOCK_BYTES", 2_000):
+            spatial = mvdepth.spatial_depth(points, reference)
         np.testing.assert_allclose(
-            mvdepth.spatial_depth(points, reference, block_bytes=2_000),
+            spatial,
             oracles.spatial_depth(points, reference),
             rtol=RTOL, atol=ATOL,
         )
@@ -200,8 +218,10 @@ class TestCloudEquivalence:
         reference[3] = reference[0]  # duplicate → degenerate triangles
         reference[4] = 0.5 * (reference[0] + reference[1])  # collinear
         points = np.vstack([reference[:4], np.round(rng.standard_normal((4, 2)), 1)])
+        with _budget("DEFAULT_BLOCK_BYTES", 1_000):
+            simplicial = mvdepth.simplicial_depth(points, reference)
         np.testing.assert_allclose(
-            mvdepth.simplicial_depth(points, reference, block_bytes=1_000),
+            simplicial,
             oracles.simplicial_depth(points, reference),
             rtol=RTOL, atol=ATOL,
         )

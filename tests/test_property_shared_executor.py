@@ -5,13 +5,16 @@ For arbitrary block splits and worker counts, fanning blocks out over
 bit-identical to the serial loop — the blocks run identical code on
 identical float64 inputs and are concatenated in input order, so there
 is no legitimate source of drift.  The same holds one level up, through
-a real depth kernel driven by a tiny ``block_bytes`` governor.
+a real depth kernel driven by a tiny patched scratch budget.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.depth import _kernels
 from repro.depth.funta import funta_outlyingness
 from repro.engine import ExecutionContext
 from repro.fda.fdata import FDataGrid
@@ -70,11 +73,10 @@ def test_arbitrary_splits_bit_identical_to_serial(case):
 def test_kernel_through_pool_bit_identical(n, m, n_jobs, seed):
     rng = np.random.default_rng(seed)
     curves = FDataGrid(rng.standard_normal((n, m)).cumsum(axis=1), np.linspace(0, 1, m))
-    # A tiny governor forces many row blocks regardless of n.
-    serial = funta_outlyingness(curves, block_bytes=512)
-    pooled = funta_outlyingness(
-        curves, block_bytes=512, context=ExecutionContext(n_jobs=n_jobs)
-    )
+    # A tiny budget forces many row blocks regardless of n.
+    with mock.patch.object(_kernels, "_FUNTA_BLOCK_CAP", 512):
+        serial = funta_outlyingness(curves)
+        pooled = funta_outlyingness(curves, context=ExecutionContext(n_jobs=n_jobs))
     np.testing.assert_array_equal(serial, pooled)
 
 
@@ -89,13 +91,12 @@ def test_fewer_blocks_than_workers():
         np.testing.assert_array_equal(s, p)
 
 
-def test_single_curve_workload():
+def test_single_curve_workload(monkeypatch):
+    monkeypatch.setattr(_kernels, "_FUNTA_BLOCK_CAP", 256)
     grid = np.linspace(0.0, 1.0, 8)
     one = FDataGrid(np.random.default_rng(8).standard_normal((1, 8)), grid)
     ref = FDataGrid(np.random.default_rng(9).standard_normal((12, 8)), grid)
-    serial = funta_outlyingness(one, reference=ref, block_bytes=256)
-    pooled = funta_outlyingness(
-        one, reference=ref, block_bytes=256, context=ExecutionContext(n_jobs=3)
-    )
+    serial = funta_outlyingness(one, reference=ref)
+    pooled = funta_outlyingness(one, reference=ref, context=ExecutionContext(n_jobs=3))
     assert serial.shape == (1,)
     np.testing.assert_array_equal(serial, pooled)

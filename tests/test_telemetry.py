@@ -204,22 +204,21 @@ class TestConcurrency:
         assert reg.counter("hammer_total", kind="shared").value == n_threads * per_thread
         assert reg.histogram("hammer_seconds").count == n_threads * per_thread
 
-    def test_pool_counters_survive_worker_fanout(self):
+    def test_pool_counters_survive_worker_fanout(self, monkeypatch):
         """A kernel fanned out over 2 workers counts one invocation and
         every one of its blocks, and returns the serial scores."""
+        monkeypatch.setattr(_kernels, "_FUNTA_BLOCK_CAP", 4096)
         telemetry = Telemetry()
         context = ExecutionContext(n_jobs=2, telemetry=telemetry)
         rng = np.random.default_rng(0)
         curves = FDataGrid(
             rng.standard_normal((64, 32)).cumsum(axis=1), np.linspace(0.0, 1.0, 32)
         )
-        blocks = _kernels._funta_blocks(64, 64, 32, 4096)
+        blocks = _kernels._funta_blocks(64, 64, 32)
         assert len(blocks) > 2
 
-        pooled = funta_outlyingness(curves, block_bytes=4096, context=context)
-        np.testing.assert_array_equal(
-            pooled, funta_outlyingness(curves, block_bytes=4096)
-        )
+        pooled = funta_outlyingness(curves, context=context)
+        np.testing.assert_array_equal(pooled, funta_outlyingness(curves))
         assert telemetry.counter(
             "depth_kernel_invocations_total", kernel="funta").value == 1
         assert telemetry.counter(
