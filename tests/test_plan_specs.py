@@ -25,6 +25,7 @@ from repro.plan import (
     load_spec,
     spec_from_dict,
     spec_from_json,
+    spec_hash,
     spec_to_json,
 )
 
@@ -77,6 +78,101 @@ class TestJsonRoundTrips:
     def test_default_method_specs_round_trip(self):
         for spec in DEFAULT_METHOD_SPECS:
             assert spec_from_json(spec_to_json(spec)) == spec
+
+
+EXAMPLE_SPECS = Path(__file__).resolve().parent.parent / "examples" / "specs"
+IFOREST_V2 = Path(__file__).resolve().parent / "data" / "iforest_v2"
+
+
+class TestPinnedHashes:
+    """The serving tier routes deployed pipelines by ``spec_hash``: the
+    canonical documents and digests of every committed spec are pinned
+    literally, so no refactor of the spec layer can move a route."""
+
+    STREAM_DOC = {
+        "alpha": 0.01, "contamination": 0.05, "drift_baseline": 128, "drift_recent": 64,
+        "kind": "funta", "min_reference": 16, "on_drift": None, "policy": "sliding",
+        "seed": 7, "shards": 1, "spec": "stream", "threshold_mode": "window",
+        "update_policy": "all", "window": 128,
+    }
+
+    EXAMPLES = {
+        "method_funta.json": (
+            "60119509d87ff70e870b4c9af9081ee4955eaf00a9efcba3035854a09b87122b",
+            {"kind": "funta", "params": {"trim": 0.1}, "spec": "method"}),
+        "pipeline_iforest.json": (
+            "45e6ac93a6393e334a897b46a4078e26cfd6f4dbe6958e4bcf300502b69ce544",
+            {"detector": {"name": "iforest",
+                          "params": {"n_estimators": 200, "random_state": 0}},
+             "eval_points": None, "mapping": {"type": "CurvatureMapping"},
+             "smoother": {"n_basis": None, "penalty_order": 2, "smoothing": 0.0001,
+                          "spline_order": 4},
+             "spec": "pipeline"}),
+        "pipeline_ocsvm_composite.json": (
+            "c4607a5fc9db85b925bdb575f3f90ffda8d562aa5f40ed6746478635d82bad49",
+            {"detector": {"name": "ocsvm",
+                          "params": {"gamma": 0.05, "kernel": "rbf", "nu": 0.1}},
+             "eval_points": None,
+             "mapping": {"mappings": [{"type": "CurvatureMapping"}, {"type": "SpeedMapping"}],
+                         "type": "CompositeMapping"},
+             "smoother": {"n_basis": [8, 12, 16, 20], "penalty_order": 2,
+                          "smoothing": 0.0001, "spline_order": 4},
+             "spec": "pipeline"}),
+        "stream_funta_sliding.json": (
+            "9302b290b348342a7765a74113c29813a61503d2f25665a7b4b1da3a76fe97d7",
+            STREAM_DOC),
+        "workload_serving.json": (
+            "bc1eb0ce8a33d52069db0c410081d4e37f0488c45a9cdde200706d7c6de9908f",
+            {"chunk_size": 256, "mode": "microbatch", "n_jobs": 1, "spec": "workload"}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
+    def test_example_specs(self, name):
+        digest, doc = self.EXAMPLES[name]
+        spec = load_spec(EXAMPLE_SPECS / name)
+        assert spec.to_dict() == doc
+        assert spec_hash(spec) == digest
+
+    def test_every_example_is_pinned(self):
+        assert set(self.EXAMPLES) == {p.name for p in EXAMPLE_SPECS.glob("*.json")}
+
+    @pytest.mark.parametrize("shards, digest", [
+        (1, "9302b290b348342a7765a74113c29813a61503d2f25665a7b4b1da3a76fe97d7"),
+        (2, "ecae7580c38e70fcbebb7cdeaf459c7ab90e3b76240c7b8caffdf61548046b55"),
+    ])
+    def test_benchmark_stream_spec(self, shards, digest):
+        # The document exactly as the benchmark's stream workload parses it.
+        spec = spec_from_dict(
+            {**_perfbench_stream_spec(), "shards": shards, "shard_backend": "thread"}
+        )
+        assert spec.to_dict() == {**self.STREAM_DOC, "shards": shards}
+        assert spec_hash(spec) == digest
+
+    def test_committed_v2_manifest_spec(self):
+        from repro.serving.persist import read_spec
+
+        spec = read_spec(IFOREST_V2)
+        assert spec.to_dict() == {
+            "detector": {"name": "iforest", "params": {
+                "contamination": None, "max_samples": 256, "n_estimators": 25,
+                "random_state": 0}},
+            "eval_points": None,
+            "mapping": {"params": {"regularization": 0.1}, "type": "CurvatureMapping"},
+            "smoother": {"n_basis": 12, "penalty_order": 2, "smoothing": 0.0001,
+                         "spline_order": 4},
+            "spec": "pipeline",
+        }
+        assert spec_hash(spec) == (
+            "c400eec9aab0cab4694478b3efe5b50446d96528afdde9e28d647a377fc3ccb9"
+        )
+
+    def test_default_method_specs(self):
+        assert [spec_hash(spec) for spec in DEFAULT_METHOD_SPECS] == [
+            "1605e4881d31966fa7c00fe43e5fc8a72a0fc523680eaa6371faec11a4037d89",
+            "dfb0a41cb8e3604fcdf3f4e3b55f7361b754afb10d0ee83a9e704f49fa42c883",
+            "1f093bd57589f488b0bdd99082f9dfa4f86e8e427b18a6b50bf55cac24f07a79",
+            "e8b434b8d269d41b536a59b6ce96d61bf87ed0eacc04a436736a2d3d3ec3f180",
+        ]
 
 
 class TestAliases:
