@@ -397,9 +397,10 @@ def run_plan_validate(args) -> None:
     Accepts spec ``.json`` files (tagged documents — see
     :mod:`repro.plan.specs`) and saved-pipeline directories or
     ``manifest.json`` files (their embedded spec section is validated,
-    including v1 manifests via the translation reader).  Exits non-zero
-    on the first invalid spec, printing the actionable validation
-    message.
+    including v1 manifests via the translation reader).  Parsing a spec
+    builds its unfitted object, so every constructor bound is checked.
+    Exits non-zero on the first invalid spec, printing the actionable
+    validation message.
     """
     from pathlib import Path
 
@@ -418,12 +419,7 @@ def run_plan_validate(args) -> None:
         if isinstance(spec, WorkloadSpec):
             summary = {"kind": "workload", "mode": spec.mode}
         else:
-            # Compile AND build: building proves the spec lowers into
-            # live objects (registries resolve, cross-constructor
-            # invariants hold), not just that the JSON parses.
-            plan = compile_plan(spec)
-            plan.build()
-            summary = plan.describe()
+            summary = compile_plan(spec).describe()
         rows.append([str(raw), summary.pop("kind"),
                      " ".join(f"{k}={v}" for k, v in sorted(summary.items())), "ok"])
     _print_table("plan validate", ["spec", "kind", "summary", "status"], rows)

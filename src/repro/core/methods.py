@@ -187,6 +187,9 @@ class MappedDetectorMethod(Method):
             )
         self.feature_transform = feature_transform
         self.detector_kwargs = detector_kwargs
+        # fit_score builds one detector per split; building one here
+        # checks the keyword values before the first prepare().
+        (IsolationForest if detector_name == "iforest" else OneClassSVM)(**detector_kwargs)
         if name is not None:
             self.name = name
         else:

@@ -98,22 +98,29 @@ class GeometricOutlierPipeline:
             raise ValidationError(
                 f"mapping must be a MappingFunction, got {type(mapping).__name__}"
             )
+        self.spline_order = check_int(spline_order, "spline_order", minimum=2)
         if n_basis is None:
             self.n_basis = tuple(DEFAULT_BASIS_CANDIDATES)
         elif isinstance(n_basis, (int, np.integer)):
-            self.n_basis = check_int(int(n_basis), "n_basis", minimum=spline_order)
+            self.n_basis = check_int(int(n_basis), "n_basis")
         else:
-            self.n_basis = tuple(check_int(int(v), "n_basis candidate", minimum=spline_order) for v in n_basis)
+            self.n_basis = tuple(check_int(int(v), "n_basis candidate") for v in n_basis)
             if not self.n_basis:
                 raise ValidationError("n_basis candidate list must not be empty")
+        # A spline of order k needs at least k basis functions.
+        sizes = self.n_basis if isinstance(self.n_basis, tuple) else (self.n_basis,)
+        if min(sizes) < self.spline_order:
+            raise ValidationError(
+                f"n_basis must be >= spline_order={self.spline_order}, got {n_basis!r}"
+            )
         self.smoothing = check_positive(smoothing, "smoothing", strict=False)
         self.penalty_order = check_int(penalty_order, "penalty_order", minimum=0)
-        self.spline_order = check_int(spline_order, "spline_order", minimum=2)
         min_deriv = getattr(self.mapping, "required_derivatives", 2)
         if self.spline_order - 1 < min_deriv:
             raise ValidationError(
                 f"spline_order={self.spline_order} supports derivatives up to "
-                f"{self.spline_order - 1} but the mapping needs {min_deriv}"
+                f"{self.spline_order - 1} but the mapping needs {min_deriv}; "
+                f"set spline_order >= {min_deriv + 1}"
             )
         self.eval_points = None if eval_points is None else check_int(eval_points, "eval_points", minimum=4)
         # Fitted state.

@@ -19,7 +19,7 @@ import abc
 import numpy as np
 
 from repro.exceptions import NotFittedError, ValidationError
-from repro.utils.validation import check_matrix
+from repro.utils.validation import check_in_range, check_matrix
 
 __all__ = ["OutlierDetector"]
 
@@ -29,10 +29,9 @@ class OutlierDetector(abc.ABC):
 
     def __init__(self, contamination: float | None = None):
         if contamination is not None:
-            if not 0.0 < contamination < 0.5:
-                raise ValidationError(
-                    f"contamination must be in (0, 0.5), got {contamination!r}"
-                )
+            contamination = check_in_range(
+                contamination, 0.0, 0.5, "contamination", inclusive=(False, False)
+            )
         self.contamination = contamination
         self._fitted = False
         self.threshold_: float | None = None

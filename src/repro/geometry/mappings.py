@@ -16,7 +16,7 @@ from repro.fda.fdata import FDataGrid, MultivariateBasisFData
 from repro.geometry import differential
 from repro.geometry.base import MappingFunction
 from repro.geometry.frenet import generalized_curvature
-from repro.utils.validation import check_grid, check_int
+from repro.utils.validation import check_grid, check_int, check_positive
 
 __all__ = [
     "CurvatureMapping",
@@ -56,9 +56,7 @@ class CurvatureMapping(MappingFunction):
     required_derivatives = 2
 
     def __init__(self, regularization: float = 0.1):
-        if regularization < 0:
-            raise ValidationError(f"regularization must be >= 0, got {regularization}")
-        self.regularization = float(regularization)
+        self.regularization = check_positive(regularization, "regularization", strict=False)
 
     def _map(self, derivatives, grid):
         return differential.curvature(

@@ -3,9 +3,11 @@
 ``compile_plan(spec, workload, context)`` is the single construction
 path of the library: every entry point — ``make_method``, the
 ``GeometricOutlierPipeline`` spec constructors, the serving manifests,
-the streaming CLI, the experiment harness — funnels through it, so
-resolving a spec into live smoother/mapping/detector objects happens in
-exactly one place.
+the streaming CLI, the experiment harness — funnels through it.
+Resolving a spec into live smoother/mapping/detector objects happens in
+one lowering per spec, which the spec also runs on construction to
+validate itself (see :mod:`repro.plan.specs`); a plan's ``build`` runs
+the same lowering against the plan's context.
 
 A :class:`ScoringPlan` bundles the spec, the
 :class:`~repro.plan.specs.WorkloadSpec` describing how it will run, and
@@ -28,10 +30,9 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping
 
-from repro.detectors import DETECTOR_REGISTRY, make_detector
+from repro.detectors import DETECTOR_REGISTRY
 from repro.engine import ExecutionContext
 from repro.exceptions import ConfigurationError, NotFittedError
-from repro.geometry.mappings import mapping_from_config
 from repro.plan.executor import run_chunked
 from repro.plan.specs import (
     DetectorSpec,
@@ -94,19 +95,7 @@ class PipelinePlan(ScoringPlan):
 
     def build(self):
         """A fresh (unfitted) pipeline resolved from the spec."""
-        from repro.core.pipeline import GeometricOutlierPipeline
-
-        smoother = self.spec.smoother
-        return GeometricOutlierPipeline(
-            detector=make_detector(self.spec.detector.name, **self.spec.detector.params),
-            mapping=mapping_from_config(self.spec.mapping.to_config()),
-            n_basis=smoother.n_basis,
-            smoothing=smoother.smoothing,
-            penalty_order=smoother.penalty_order,
-            spline_order=smoother.spline_order,
-            eval_points=self.spec.eval_points,
-            context=self.context,
-        )
+        return self.spec._build(self.context)
 
     # ------------------------------------------------------------------ execution
     @property
@@ -168,23 +157,7 @@ class MethodPlan(ScoringPlan):
 
     def build(self):
         """Resolve the method object (the old ``make_method`` dispatch)."""
-        from repro.core import methods as core_methods
-
-        params = dict(self.spec.params)
-        if self.spec.kind in ("funta", "dirout"):
-            cls = (
-                core_methods.FuntaMethod
-                if self.spec.kind == "funta"
-                else core_methods.DirOutMethod
-            )
-            return cls(**params)
-        mapping = params.get("mapping")
-        if isinstance(mapping, Mapping):
-            # JSON-authored specs carry the mapping as a config dict.
-            params["mapping"] = mapping_from_config(
-                MappingSpec.from_dict(mapping).to_config()
-            )
-        return core_methods.MappedDetectorMethod(self.spec.kind, **params)
+        return self.spec._build()
 
     @property
     def method(self):
@@ -213,39 +186,7 @@ class StreamPlan(ScoringPlan):
 
     def build(self):
         """Window + threshold + drift monitor + detector, from the spec."""
-        from repro.streaming import (
-            DepthRankDrift,
-            ReservoirWindow,
-            SlidingWindow,
-            StreamingDetector,
-            make_threshold,
-        )
-
-        spec = self.spec
-        if spec.policy == "sliding":
-            window = SlidingWindow(spec.window)
-        else:
-            window = ReservoirWindow(spec.window, random_state=spec.seed)
-        threshold = make_threshold(
-            spec.contamination, mode=spec.threshold_mode, capacity=max(spec.window, 2)
-        )
-        drift = DepthRankDrift(
-            baseline_size=spec.drift_baseline,
-            recent_size=spec.drift_recent,
-            alpha=spec.alpha,
-        )
-        return StreamingDetector(
-            spec.kind,
-            window,
-            shards=spec.shards,
-            threshold=threshold,
-            drift=drift,
-            min_reference=spec.min_reference,
-            update_policy=spec.update_policy,
-            on_drift=spec.effective_on_drift,
-            context=self.context,
-            **spec.params,
-        )
+        return self.spec._build(self.context)
 
     @property
     def detector(self):
@@ -315,7 +256,7 @@ def compile_plan(
                 f"workload must be a WorkloadSpec or dict, got {type(workload).__name__}"
             )
     if context is None:
-        context = ExecutionContext(n_jobs=workload.n_jobs, telemetry=telemetry)
+        context = workload._build(telemetry)
     elif not isinstance(context, ExecutionContext):
         raise ConfigurationError(
             f"context must be an ExecutionContext, got {type(context).__name__}"

@@ -4,10 +4,21 @@ A *spec* is a frozen dataclass describing **what** to score with —
 which smoother, mapping, detector, Figure-3 method or streaming setup —
 with no reference to **how** it will run (that is the
 :class:`WorkloadSpec`) and no live objects inside.  Specs are pure
-data: they validate on construction with actionable errors
-(:class:`~repro.exceptions.ConfigurationError` naming the unknown key
-*and* the valid alternatives), round-trip losslessly through JSON, and
-are lowered into executable objects by :mod:`repro.plan.compile`.
+data: they round-trip losslessly through JSON and are lowered into
+executable objects by :mod:`repro.plan.compile`.
+
+Specs validate by building.  A spec checks only what a document alone
+has — JSON field types, known keys (an unknown one fails with the
+valid-key list), canonical names and aliases, the structure of
+composite mappings, the legacy readers — and then builds its unfitted
+object through the same lowering :mod:`repro.plan.compile` runs.  Each
+bound on a value is checked once, by the constructor that owns it; a
+:class:`~repro.exceptions.ValidationError` from that build surfaces as
+a :class:`~repro.exceptions.ConfigurationError` prefixed with the
+spec's name.  Building needs no data and no fit, starts no thread and
+emits no telemetry.  :class:`SmootherSpec` has no detector, so it
+cannot build alone: its values are checked by the
+:class:`PipelineSpec` that holds it.
 
 The flow mirrors a compiler front end::
 
@@ -40,9 +51,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.detectors import DETECTOR_REGISTRY
-from repro.exceptions import ConfigurationError
-from repro.geometry.mappings import MAPPING_REGISTRY
+from repro.detectors import DETECTOR_REGISTRY, make_detector
+from repro.exceptions import ConfigurationError, ValidationError
+from repro.geometry.mappings import MAPPING_REGISTRY, mapping_from_config
 
 __all__ = [
     "DEFAULT_METHOD_SPECS",
@@ -89,12 +100,10 @@ def _check_keys(given, valid: set[str], what: str) -> None:
 
 
 def _check_type(value, types, what: str):
-    if not isinstance(value, types):
-        names = (
-            "/".join(t.__name__ for t in types)
-            if isinstance(types, tuple)
-            else types.__name__
-        )
+    types = types if isinstance(types, tuple) else (types,)
+    # JSON booleans are not numbers, though bool subclasses int.
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        names = "/".join(t.__name__ for t in types)
         raise ConfigurationError(
             f"{what} must be {names}, got {type(value).__name__} ({value!r})"
         )
@@ -107,6 +116,14 @@ def _check_choice(value, choices: Sequence, what: str):
             f"{what} must be one of {sorted(str(c) for c in choices)}, got {value!r}"
         )
     return value
+
+
+def _check_built(spec, what: str) -> None:
+    """Validate ``spec`` by building its unfitted object."""
+    try:
+        spec._build()
+    except ValidationError as exc:
+        raise ConfigurationError(f"{what}: {exc}") from exc
 
 
 def _as_params(value, what: str) -> dict:
@@ -162,7 +179,9 @@ class SmootherSpec:
 
     ``n_basis`` follows the pipeline convention: an ``int`` fixes the
     basis size, a sequence gives the LOO-CV candidate sweep, ``None``
-    uses the default candidate sweep.
+    uses the default candidate sweep.  The values are checked by the
+    pipeline constructor, when the :class:`PipelineSpec` holding this
+    spec builds.
     """
 
     n_basis: int | tuple | None = None
@@ -171,52 +190,21 @@ class SmootherSpec:
     spline_order: int = 4
 
     def __post_init__(self):
-        _check_type(self.spline_order, int, "smoother spline_order")
-        if self.n_basis is not None:
-            # Mirror the pipeline's constructor bound (a spline of order
-            # k needs at least k basis functions) so a bad size fails
-            # here, at spec construction, not inside build().
-            if isinstance(self.n_basis, (int, np.integer)) and not isinstance(self.n_basis, bool):
-                object.__setattr__(self, "n_basis", int(self.n_basis))
-                if self.n_basis < self.spline_order:
-                    raise ConfigurationError(
-                        f"smoother n_basis must be >= spline_order="
-                        f"{self.spline_order}, got {self.n_basis}"
-                    )
-            elif isinstance(self.n_basis, (list, tuple)):
-                candidates = tuple(
-                    int(_check_type(v, (int, np.integer), "smoother n_basis candidate"))
-                    for v in self.n_basis
-                )
-                if not candidates:
-                    raise ConfigurationError(
-                        "smoother n_basis candidate list must not be empty"
-                    )
-                bad = [c for c in candidates if c < self.spline_order]
-                if bad:
-                    raise ConfigurationError(
-                        f"smoother n_basis candidates {bad} are below "
-                        f"spline_order={self.spline_order}"
-                    )
-                object.__setattr__(self, "n_basis", candidates)
-            else:
-                raise ConfigurationError(
-                    "smoother n_basis must be an int, a list of candidate ints "
-                    f"or null, got {type(self.n_basis).__name__}"
-                )
+        n_basis = self.n_basis
+        if isinstance(n_basis, (list, tuple)):
+            n_basis = tuple(
+                int(_check_type(v, (int, np.integer), "smoother n_basis candidate"))
+                for v in n_basis
+            )
+        elif n_basis is not None:
+            n_basis = int(_check_type(
+                n_basis, (int, np.integer), "smoother n_basis (an int, a list or null)"
+            ))
+        object.__setattr__(self, "n_basis", n_basis)
         smoothing = _check_type(self.smoothing, (int, float), "smoother smoothing")
-        if smoothing < 0:
-            raise ConfigurationError(f"smoother smoothing must be >= 0, got {smoothing}")
         object.__setattr__(self, "smoothing", float(smoothing))
         _check_type(self.penalty_order, int, "smoother penalty_order")
-        if self.penalty_order < 0:
-            raise ConfigurationError(
-                f"smoother penalty_order must be >= 0, got {self.penalty_order}"
-            )
-        if self.spline_order < 2:
-            raise ConfigurationError(
-                f"smoother spline_order must be >= 2, got {self.spline_order}"
-            )
+        _check_type(self.spline_order, int, "smoother spline_order")
 
     def to_dict(self) -> dict:
         return {
@@ -264,16 +252,20 @@ class MappingSpec:
                 _check_type(sub, MappingSpec, "composite sub-mapping")
                 if sub.type == "CompositeMapping":
                     raise ConfigurationError("composite mappings do not nest")
-            return
-        if self.mappings:
+        elif self.mappings:
             raise ConfigurationError(
                 f"'mappings' is only valid for CompositeMapping, not {self.type}"
             )
-        _check_keys(
-            self.params,
-            _callable_params(MAPPING_REGISTRY[self.type].__init__),
-            f"mapping {self.type!r}",
-        )
+        else:
+            _check_keys(
+                self.params,
+                _callable_params(MAPPING_REGISTRY[self.type].__init__),
+                f"mapping {self.type!r}",
+            )
+        _check_built(self, f"mapping spec {self.type!r}")
+
+    def _build(self):
+        return mapping_from_config(self.to_config())
 
     @staticmethod
     def _canonical_type(name) -> str:
@@ -354,6 +346,10 @@ class DetectorSpec:
             _callable_params(DETECTOR_REGISTRY[self.name].__init__),
             f"detector {self.name!r}",
         )
+        _check_built(self, f"detector spec {self.name!r}")
+
+    def _build(self):
+        return make_detector(self.name, **self.params)
 
     @staticmethod
     def _canonical_name(name) -> str:
@@ -388,16 +384,6 @@ class DetectorSpec:
 # =====================================================================
 # top-level specs
 # =====================================================================
-def _mapping_required_derivatives(spec: MappingSpec) -> int:
-    """Derivative order the mapping will consume, from the spec alone."""
-    if spec.type == "CompositeMapping":
-        return max(_mapping_required_derivatives(sub) for sub in spec.mappings)
-    if spec.type == "GeneralizedCurvatureMapping":
-        # Instance-dependent: chi_j needs j + 1 derivatives.
-        return int(spec.params.get("order", 1)) + 1
-    return int(MAPPING_REGISTRY[spec.type].required_derivatives)
-
-
 @dataclass(frozen=True)
 class PipelineSpec:
     """The paper's smooth → map → detect pipeline, declaratively."""
@@ -411,23 +397,25 @@ class PipelineSpec:
         _check_type(self.detector, DetectorSpec, "pipeline detector")
         _check_type(self.mapping, MappingSpec, "pipeline mapping")
         _check_type(self.smoother, SmootherSpec, "pipeline smoother")
-        # Cross-field: the spline must support the derivatives the
-        # mapping consumes (the pipeline constructor's invariant,
-        # surfaced at spec construction with the fix spelled out).
-        required = _mapping_required_derivatives(self.mapping)
-        if self.smoother.spline_order - 1 < required:
-            raise ConfigurationError(
-                f"smoother spline_order={self.smoother.spline_order} supports "
-                f"derivatives up to {self.smoother.spline_order - 1} but "
-                f"mapping {self.mapping.type!r} needs {required}; set "
-                f"spline_order >= {required + 1}"
-            )
         if self.eval_points is not None:
             _check_type(self.eval_points, int, "pipeline eval_points")
-            if self.eval_points < 4:
-                raise ConfigurationError(
-                    f"pipeline eval_points must be >= 4, got {self.eval_points}"
-                )
+        _check_built(self, "pipeline spec")
+
+    def _build(self, context=None):
+        """The unfitted pipeline (``context`` as in the constructor)."""
+        from repro.core.pipeline import GeometricOutlierPipeline
+
+        smoother = self.smoother
+        return GeometricOutlierPipeline(
+            detector=self.detector._build(),
+            mapping=self.mapping._build(),
+            n_basis=smoother.n_basis,
+            smoothing=smoother.smoothing,
+            penalty_order=smoother.penalty_order,
+            spline_order=smoother.spline_order,
+            eval_points=self.eval_points,
+            context=context,
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -489,7 +477,8 @@ class MethodSpec:
     (``"Dir.out"``, ``"iFor(Curvmap)"``, ...).  ``params`` is validated
     against the method constructor *and* — for the detector-backed
     kinds — the detector constructor, so a typo'd keyword fails here
-    with the valid-key list instead of deep inside ``prepare``.
+    with the valid-key list instead of deep inside ``prepare``; its
+    values are checked by building the method.
     """
 
     kind: str = "iforest"
@@ -507,6 +496,22 @@ class MethodSpec:
         object.__setattr__(self, "kind", canonical)
         object.__setattr__(self, "params", _as_params(self.params, "method"))
         _check_keys(self.params, _method_valid_keys(canonical), f"method {canonical!r}")
+        _check_built(self, f"method spec {canonical!r}")
+
+    def _build(self):
+        """The method object (the old ``make_method`` dispatch)."""
+        from repro.core import methods as core_methods
+
+        params = dict(self.params)
+        if self.kind == "funta":
+            return core_methods.FuntaMethod(**params)
+        if self.kind == "dirout":
+            return core_methods.DirOutMethod(**params)
+        mapping = params.get("mapping")
+        if isinstance(mapping, Mapping):
+            # JSON-authored specs carry the mapping as a config dict.
+            params["mapping"] = MappingSpec.from_dict(mapping)._build()
+        return core_methods.MappedDetectorMethod(self.kind, **params)
 
     def to_dict(self) -> dict:
         doc: dict = {"spec": "method", "kind": self.kind}
@@ -558,82 +563,59 @@ class StreamSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        from repro.streaming.calibrate import THRESHOLD_MODES
-        from repro.streaming.online import STREAM_KINDS, StreamingDetector, _unshardable
-
         _check_type(self.kind, str, "stream kind")
         if self.kind == "pipeline":
+            from repro.streaming.online import STREAM_KINDS
+
             raise ConfigurationError(
                 "stream kind 'pipeline' needs an in-memory fitted pipeline; "
                 "construct StreamingDetector(pipeline=...) directly (specs "
                 "cover the self-contained kinds "
                 f"{sorted(set(STREAM_KINDS) - {'pipeline'})})"
             )
-        _check_choice(self.kind, tuple(k for k in STREAM_KINDS if k != "pipeline"),
-                      "stream kind")
-        _check_type(self.window, int, "stream window")
-        if self.window < 2:
-            raise ConfigurationError(f"stream window must be >= 2, got {self.window}")
+        for name in ("window", "min_reference", "drift_baseline", "drift_recent",
+                     "seed", "shards"):
+            _check_type(getattr(self, name), int, f"stream {name}")
+        for name in ("contamination", "alpha"):
+            value = _check_type(getattr(self, name), (int, float), f"stream {name}")
+            object.__setattr__(self, name, float(value))
         _check_choice(self.policy, ("sliding", "reservoir"), "stream policy")
-        _check_type(self.min_reference, int, "stream min_reference")
-        # StreamingDetector's floor: reference-based scoring needs at
-        # least two curves in the window.
-        if not 2 <= self.min_reference <= self.window:
-            raise ConfigurationError(
-                f"stream min_reference must be in [2, window={self.window}], "
-                f"got {self.min_reference}"
-            )
-        contamination = _check_type(self.contamination, (int, float), "stream contamination")
-        if not 0.0 < contamination < 1.0:
-            raise ConfigurationError(
-                f"stream contamination must be in (0, 1), got {contamination}"
-            )
-        object.__setattr__(self, "contamination", float(contamination))
-        _check_choice(self.threshold_mode, THRESHOLD_MODES, "stream threshold_mode")
-        _check_type(self.drift_baseline, int, "stream drift_baseline")
-        _check_type(self.drift_recent, int, "stream drift_recent")
-        # DepthRankDrift's floors: a KS test on fewer than 8 scores per
-        # sample is meaningless and the monitor rejects it at build time.
-        if self.drift_baseline < 8:
-            raise ConfigurationError(
-                f"stream drift_baseline must be >= 8, got {self.drift_baseline}"
-            )
-        if self.drift_recent < 8:
-            raise ConfigurationError(
-                f"stream drift_recent must be >= 8, got {self.drift_recent}"
-            )
-        alpha = _check_type(self.alpha, (int, float), "stream alpha")
-        if not 0.0 < alpha < 1.0:
-            raise ConfigurationError(f"stream alpha must be in (0, 1), got {alpha}")
-        object.__setattr__(self, "alpha", float(alpha))
-        _check_type(self.seed, int, "stream seed")
-        _check_choice(self.update_policy, ("all", "inliers", "none"), "stream update_policy")
-        if self.on_drift is not None:
-            _check_choice(self.on_drift, ("adapt", "rereference"), "stream on_drift")
-        _check_type(self.shards, int, "stream shards")
-        if self.shards < 1:
-            raise ConfigurationError(f"stream shards must be >= 1, got {self.shards}")
-        if self.shards > 1:
-            if self.window % self.shards:
-                raise ConfigurationError(
-                    f"stream window={self.window} must divide evenly across "
-                    f"shards={self.shards}"
-                )
-            if self.window // self.shards < 2:
-                raise ConfigurationError(
-                    f"stream window={self.window} leaves fewer than 2 slots "
-                    f"per shard across shards={self.shards}"
-                )
         object.__setattr__(self, "params", _as_params(self.params, "stream"))
-        _check_keys(
-            self.params,
-            set(StreamingDetector._ALLOWED_OPTIONS[self.kind]),
-            f"stream kind {self.kind!r}",
+        _check_built(self, "stream spec")
+
+    def _build(self, context=None):
+        """Window + threshold + drift monitor + detector (``context`` as
+        in :class:`~repro.streaming.StreamingDetector`)."""
+        from repro.streaming import (
+            DepthRankDrift,
+            ReservoirWindow,
+            SlidingWindow,
+            StreamingDetector,
+            make_threshold,
         )
-        if self.shards > 1:
-            reason = _unshardable(self.kind, self.params.get("trim", 0.0))
-            if reason is not None:
-                raise ConfigurationError(f"stream {reason}")
+
+        if self.policy == "sliding":
+            window = SlidingWindow(self.window)
+        else:
+            window = ReservoirWindow(self.window, random_state=self.seed)
+        return StreamingDetector(
+            self.kind,
+            window,
+            shards=self.shards,
+            threshold=make_threshold(
+                self.contamination, mode=self.threshold_mode, capacity=self.window
+            ),
+            drift=DepthRankDrift(
+                baseline_size=self.drift_baseline,
+                recent_size=self.drift_recent,
+                alpha=self.alpha,
+            ),
+            min_reference=self.min_reference,
+            update_policy=self.update_policy,
+            on_drift=self.effective_on_drift,
+            context=context,
+            **self.params,
+        )
 
     @property
     def effective_on_drift(self) -> str:
@@ -703,15 +685,18 @@ class WorkloadSpec:
     def __post_init__(self):
         _check_choice(self.mode, ("batch", "microbatch", "stream"), "workload mode")
         _check_type(self.n_jobs, int, "workload n_jobs")
-        if self.n_jobs != -1 and self.n_jobs < 1:
-            raise ConfigurationError(
-                f"workload n_jobs must be a positive int or -1, got {self.n_jobs}"
-            )
         _check_type(self.chunk_size, int, "workload chunk_size")
         if self.chunk_size < 1:
             raise ConfigurationError(
                 f"workload chunk_size must be >= 1, got {self.chunk_size}"
             )
+        _check_built(self, "workload spec")
+
+    def _build(self, telemetry=None):
+        """The execution context this workload runs in."""
+        from repro.engine import ExecutionContext
+
+        return ExecutionContext(n_jobs=self.n_jobs, telemetry=telemetry)
 
     def to_dict(self) -> dict:
         return {"spec": "workload", **{f.name: getattr(self, f.name) for f in fields(self)}}

@@ -79,7 +79,7 @@ class ReferenceWindow:
     """
 
     def __init__(self, capacity: int):
-        self.capacity = check_int(capacity, "capacity", minimum=2)
+        self.capacity = check_int(capacity, "window capacity", minimum=2)
         self._values: np.ndarray | None = None
         self.size = 0
         self.n_seen = 0

@@ -102,12 +102,20 @@ def check_grid(values, name: str = "grid", min_length: int = 2) -> np.ndarray:
     return array
 
 
-def check_positive(value: float, name: str = "value", strict: bool = True) -> float:
-    """Validate a positive (or non-negative when ``strict=False``) scalar."""
+def _real(value, name: str) -> float:
+    """``value`` as a float; booleans are flags, not numbers (JSON ``true``
+    would otherwise pass as ``1.0``)."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
     try:
-        number = float(value)
+        return float(value)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} must be a real number, got {value!r}") from exc
+
+
+def check_positive(value: float, name: str = "value", strict: bool = True) -> float:
+    """Validate a positive (or non-negative when ``strict=False``) scalar."""
+    number = _real(value, name)
     if not np.isfinite(number):
         raise ValidationError(f"{name} must be finite, got {number!r}")
     if strict and number <= 0:
@@ -125,10 +133,7 @@ def check_in_range(
     inclusive: tuple[bool, bool] = (True, True),
 ) -> float:
     """Validate that a scalar lies in the interval [low, high] (bounds per ``inclusive``)."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be a real number, got {value!r}") from exc
+    number = _real(value, name)
     low_ok = number >= low if inclusive[0] else number > low
     high_ok = number <= high if inclusive[1] else number < high
     if not (low_ok and high_ok):

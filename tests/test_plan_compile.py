@@ -329,15 +329,14 @@ class TestPlanValidateCli:
         assert out.count(" ok") >= 4
 
     def test_unbuildable_spec_exits_nonzero(self, tmp_path, capsys):
-        """validate builds the plan, so value errors the signature check
-        cannot see (nu outside (0, 1]) still fail the gate."""
+        """The spec builds its pipeline on parsing, so value errors the
+        signature check cannot see (nu outside (0, 1]) fail the gate."""
         from repro.cli import main
-        from repro.plan import dump_spec
 
-        spec_path = dump_spec(
-            PipelineSpec(detector=DetectorSpec("ocsvm", {"nu": 1.5})),
-            tmp_path / "bad_nu.json",
-        )
+        spec_path = tmp_path / "bad_nu.json"
+        spec_path.write_text(json.dumps({
+            "spec": "pipeline", "detector": {"name": "ocsvm", "params": {"nu": 1.5}},
+        }), encoding="utf-8")
         assert main(["plan", "validate", str(spec_path)]) == 2
         assert "nu" in capsys.readouterr().err
 

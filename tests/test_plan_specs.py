@@ -267,10 +267,10 @@ class TestValidationErrors:
         ("halfspace", {"n_directions": 0}, "n_directions"),
     ])
     def test_stream_option_values_rejected_at_build(self, kind, params, match):
-        # What `repro plan validate` does: compile AND build.
-        plan = compile_plan({"spec": "stream", "kind": kind, "params": params})
-        with pytest.raises(ValidationError, match=match):
-            plan.build()
+        # The spec builds its detector on construction, so the
+        # detector's own option check rejects the document there.
+        with pytest.raises(ConfigurationError, match=match):
+            spec_from_dict({"spec": "stream", "kind": kind, "params": params})
 
     def test_stream_legacy_incremental_key(self):
         doc = {"spec": "stream", "kind": "funta", "window": 64}
@@ -314,9 +314,9 @@ class TestValidationErrors:
 
     def test_n_basis_below_spline_order_rejected(self):
         with pytest.raises(ConfigurationError, match="spline_order"):
-            SmootherSpec(n_basis=3)
+            PipelineSpec(smoother=SmootherSpec(n_basis=3))
         with pytest.raises(ConfigurationError, match="spline_order"):
-            SmootherSpec(n_basis=[8, 3], spline_order=4)
+            PipelineSpec(smoother=SmootherSpec(n_basis=[8, 3], spline_order=4))
 
     def test_spline_order_must_support_mapping_derivatives(self):
         # Curvature consumes two derivatives: a quadratic spline cannot.
@@ -342,10 +342,75 @@ class TestValidationErrors:
             StreamSpec(min_reference=1)
 
     def test_stream_drift_window_floors(self):
-        with pytest.raises(ConfigurationError, match="drift_recent"):
+        with pytest.raises(ConfigurationError, match="recent_size"):
             StreamSpec(drift_recent=4)
-        with pytest.raises(ConfigurationError, match="drift_baseline"):
+        with pytest.raises(ConfigurationError, match="baseline_size"):
             StreamSpec(drift_baseline=4)
+
+    @pytest.mark.parametrize("doc, match", [
+        ({"spec": "pipeline", "smoother": {"smoothing": float("nan")}}, "smoothing"),
+        ({"spec": "stream", "kind": "funta", "params": {"trim": 0.7}}, "trim"),
+        ({"spec": "pipeline", "detector": {"name": "iforest", "params": {"n_estimators": 0}}},
+         "n_estimators"),
+        ({"spec": "pipeline", "mapping": {"type": "curvature",
+                                          "params": {"regularization": -1}}},
+         "regularization"),
+        ({"spec": "method", "kind": "dirout", "params": {"n_directions": 0}}, "n_directions"),
+        ({"spec": "method", "kind": "iforest", "params": {"n_estimators": 0}}, "n_estimators"),
+        ({"spec": "stream", "contamination": 0.7}, "contamination"),
+        ({"spec": "workload", "n_jobs": 0}, "n_jobs"),
+    ], ids=["nan-smoothing", "stream-trim", "iforest-estimators", "negative-regularization",
+            "dirout-directions", "method-estimators", "stream-contamination", "workload-jobs"])
+    def test_constructor_bounds_reject_at_spec_construction(self, doc, match):
+        """Each value is checked once, by the constructor that owns it; the
+        spec builds that constructor, so the document fails on parsing,
+        before it can be hashed, persisted or routed."""
+        with pytest.raises(ConfigurationError, match=match) as err:
+            spec_from_dict(doc)
+        # Prefixed with the spec that built (a component fails first).
+        assert str(err.value).split(":")[0].split()[1] == "spec"
+        assert isinstance(err.value.__cause__, ValidationError)
+
+    def test_nan_smoothing_from_json_text(self):
+        with pytest.raises(ConfigurationError, match="smoothing must be finite"):
+            spec_from_json('{"spec": "pipeline", "smoother": {"smoothing": NaN}}')
+
+    def test_standalone_component_specs_build(self):
+        with pytest.raises(ConfigurationError, match="detector spec 'iforest'"):
+            DetectorSpec("iforest", {"n_estimators": 0})
+        with pytest.raises(ConfigurationError, match="mapping spec 'CurvatureMapping'"):
+            MappingSpec("curvature", {"regularization": -1})
+        with pytest.raises(ConfigurationError, match="order"):
+            MappingSpec("GeneralizedCurvatureMapping", {"order": 0})
+
+    @pytest.mark.parametrize("doc, match", [
+        ({"spec": "pipeline", "smoother": {"smoothing": True}}, "smoother smoothing"),
+        ({"spec": "pipeline", "smoother": {"spline_order": True}}, "spline_order"),
+        ({"spec": "pipeline", "detector": {"name": "ocsvm", "params": {"nu": True}}}, "nu"),
+        ({"spec": "stream", "seed": True}, "stream seed"),
+        ({"spec": "stream", "alpha": False}, "stream alpha"),
+        ({"spec": "workload", "chunk_size": True}, "chunk_size"),
+    ], ids=["smoothing", "spline-order", "detector-nu", "stream-seed", "stream-alpha",
+            "workload-chunk"])
+    def test_json_booleans_are_not_numbers(self, doc, match):
+        with pytest.raises(ConfigurationError, match=match):
+            spec_from_dict(doc)
+
+    def test_validation_starts_no_thread_and_emits_nothing(self):
+        import threading
+
+        from repro.telemetry import Telemetry
+
+        doc = {"spec": "stream", "kind": "funta", "window": 64, "shards": 2,
+               "drift_baseline": 64, "drift_recent": 64}
+        telemetry = Telemetry()
+        with compile_plan(spec_from_dict(doc), telemetry=telemetry).build():
+            pass
+        threads, series = threading.active_count(), telemetry.snapshot()
+        spec_from_dict(doc)
+        StreamSpec(kind="funta", window=64, shards=2, policy="reservoir")
+        assert threading.active_count() == threads
+        assert telemetry.snapshot() == series
 
     def test_workload_rejects_unknown_mode(self):
         with pytest.raises(ConfigurationError, match="mode"):

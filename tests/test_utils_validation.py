@@ -127,6 +127,14 @@ class TestScalarChecks:
         with pytest.raises(ValidationError):
             check_positive(float("nan"))
 
+    @pytest.mark.parametrize("flag", [True, False, np.True_])
+    def test_booleans_are_not_numbers(self, flag):
+        # JSON `true` must not pass as 1.0 (nor `false` as 0.0).
+        with pytest.raises(ValidationError, match="real number"):
+            check_positive(flag, strict=False)
+        with pytest.raises(ValidationError, match="real number"):
+            check_in_range(flag, 0.0, 1.0)
+
     def test_check_in_range_inclusive(self):
         assert check_in_range(0.0, 0.0, 1.0) == 0.0
         assert check_in_range(1.0, 0.0, 1.0) == 1.0
