@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.pipeline import GeometricOutlierPipeline
+from repro.depth._kernels import resolve_dtype
 from repro.depth.dirout import check_dirout_method, dirout_scores
 from repro.engine import ExecutionContext
 from repro.depth.funta import check_trim, funta_outlyingness
@@ -270,6 +271,7 @@ class FuntaMethod(Method):
         self.trim = check_trim(trim)
         self.smooth = bool(smooth)
         self.name = name
+        resolve_dtype(dtype)
         self.dtype = dtype
 
     def prepare(self, data, random_state=None, context=None):
@@ -307,6 +309,7 @@ class DirOutMethod(Method):
         self.n_directions = check_int(n_directions, "n_directions", minimum=1)
         self.smooth = bool(smooth)
         self.name = name
+        resolve_dtype(dtype)
         self.dtype = dtype
 
     def prepare(self, data, random_state=None, context=None):

@@ -86,8 +86,11 @@ def resolve_dtype(dtype) -> np.dtype:
     """Validate a kernel compute dtype (``None`` → float64)."""
     if dtype is None:
         return np.dtype(np.float64)
-    resolved = np.dtype(dtype)
-    if resolved.name not in SUPPORTED_DTYPES:
+    try:
+        resolved = np.dtype(dtype)
+    except TypeError:
+        resolved = None
+    if resolved is None or resolved.name not in SUPPORTED_DTYPES:
         raise ValidationError(
             f"kernel dtype must be one of {list(SUPPORTED_DTYPES)}, got {dtype!r}"
         )

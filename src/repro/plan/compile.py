@@ -256,7 +256,7 @@ def compile_plan(
                 f"workload must be a WorkloadSpec or dict, got {type(workload).__name__}"
             )
     if context is None:
-        context = workload._build(telemetry)
+        context = ExecutionContext(n_jobs=workload.n_jobs, telemetry=telemetry)
     elif not isinstance(context, ExecutionContext):
         raise ConfigurationError(
             f"context must be an ExecutionContext, got {type(context).__name__}"

@@ -46,12 +46,14 @@ import hashlib
 import inspect
 import json
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.detectors import DETECTOR_REGISTRY, make_detector
+from repro.engine.context import _resolve_n_jobs
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.geometry.mappings import MAPPING_REGISTRY, mapping_from_config
 
@@ -118,10 +120,11 @@ def _check_choice(value, choices: Sequence, what: str):
     return value
 
 
-def _check_built(spec, what: str) -> None:
-    """Validate ``spec`` by building its unfitted object."""
+def _check_built(build, what: str) -> None:
+    """Validate a spec by running ``build``: its lowering to the unfitted
+    object, or the one check the object's constructor runs."""
     try:
-        spec._build()
+        build()
     except ValidationError as exc:
         raise ConfigurationError(f"{what}: {exc}") from exc
 
@@ -262,7 +265,7 @@ class MappingSpec:
                 _callable_params(MAPPING_REGISTRY[self.type].__init__),
                 f"mapping {self.type!r}",
             )
-        _check_built(self, f"mapping spec {self.type!r}")
+        _check_built(self._build, f"mapping spec {self.type!r}")
 
     def _build(self):
         return mapping_from_config(self.to_config())
@@ -346,7 +349,7 @@ class DetectorSpec:
             _callable_params(DETECTOR_REGISTRY[self.name].__init__),
             f"detector {self.name!r}",
         )
-        _check_built(self, f"detector spec {self.name!r}")
+        _check_built(self._build, f"detector spec {self.name!r}")
 
     def _build(self):
         return make_detector(self.name, **self.params)
@@ -399,7 +402,7 @@ class PipelineSpec:
         _check_type(self.smoother, SmootherSpec, "pipeline smoother")
         if self.eval_points is not None:
             _check_type(self.eval_points, int, "pipeline eval_points")
-        _check_built(self, "pipeline spec")
+        _check_built(self._build, "pipeline spec")
 
     def _build(self, context=None):
         """The unfitted pipeline (``context`` as in the constructor)."""
@@ -496,7 +499,7 @@ class MethodSpec:
         object.__setattr__(self, "kind", canonical)
         object.__setattr__(self, "params", _as_params(self.params, "method"))
         _check_keys(self.params, _method_valid_keys(canonical), f"method {canonical!r}")
-        _check_built(self, f"method spec {canonical!r}")
+        _check_built(self._build, f"method spec {canonical!r}")
 
     def _build(self):
         """The method object (the old ``make_method`` dispatch)."""
@@ -581,7 +584,7 @@ class StreamSpec:
             object.__setattr__(self, name, float(value))
         _check_choice(self.policy, ("sliding", "reservoir"), "stream policy")
         object.__setattr__(self, "params", _as_params(self.params, "stream"))
-        _check_built(self, "stream spec")
+        _check_built(self._build, "stream spec")
 
     def _build(self, context=None):
         """Window + threshold + drift monitor + detector (``context`` as
@@ -690,13 +693,8 @@ class WorkloadSpec:
             raise ConfigurationError(
                 f"workload chunk_size must be >= 1, got {self.chunk_size}"
             )
-        _check_built(self, "workload spec")
-
-    def _build(self, telemetry=None):
-        """The execution context this workload runs in."""
-        from repro.engine import ExecutionContext
-
-        return ExecutionContext(n_jobs=self.n_jobs, telemetry=telemetry)
+        # ExecutionContext's own bound, without building its cache.
+        _check_built(partial(_resolve_n_jobs, self.n_jobs), "workload spec")
 
     def to_dict(self) -> dict:
         return {"spec": "workload", **{f.name: getattr(self, f.name) for f in fields(self)}}
