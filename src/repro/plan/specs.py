@@ -502,7 +502,7 @@ class MethodSpec:
         _check_built(self._build, f"method spec {canonical!r}")
 
     def _build(self):
-        """The method object (the old ``make_method`` dispatch)."""
+        """The method object (the ``make_method`` dispatch)."""
         from repro.core import methods as core_methods
 
         params = dict(self.params)
