@@ -10,7 +10,8 @@ the mapping functions:
 
       kappa = sqrt(|v|^2 |a|^2 - (v . a)^2) / |v|^3
 
-  which equals ``|D(v/|v|)| / |v|`` wherever ``|v| > 0`` — exactly the
+  (evaluated as ``|v| |a_perp| / |v|^3`` with ``a_perp`` the part of
+  ``a`` normal to ``v``, which avoids the subtraction), which equals ``|D(v/|v|)| / |v|`` wherever ``|v| > 0`` — exactly the
   paper's definition — while avoiding differentiating a quotient
   numerically,
 * **torsion** (p = 3) from the scalar triple product with the jerk,
@@ -119,9 +120,13 @@ def curvature(velocity, acceleration, regularization: float = 0.0) -> np.ndarray
 
     Notes
     -----
-    Uses the identity ``|v|^2 |a|^2 - (v.a)^2 = |v ∧ a|^2`` (Lagrange),
-    valid in any dimension ``p >= 1``; for ``p = 1`` the wedge vanishes
-    so straight-line motion correctly has zero curvature.
+    Uses ``|v ∧ a| = |v| |a_perp|`` with ``a_perp = a - (v.a / |v|^2) v``
+    the acceleration's component normal to the velocity, valid in any
+    dimension ``p >= 1``; for ``p = 1`` ``a_perp`` vanishes so
+    straight-line motion correctly has zero curvature.  The equivalent
+    Lagrange form ``|v|^2 |a|^2 - (v.a)^2`` subtracts two nearly equal
+    squares where the path is almost straight, losing about half the
+    significant digits of a small curvature; the projection keeps them.
     """
     velocity = _check_path_array(velocity, "velocity")
     acceleration = _check_path_array(acceleration, "acceleration")
@@ -132,9 +137,10 @@ def curvature(velocity, acceleration, regularization: float = 0.0) -> np.ndarray
     if regularization < 0:
         raise ValidationError(f"regularization must be >= 0, got {regularization}")
     v_sq = np.sum(velocity**2, axis=2)
-    a_sq = np.sum(acceleration**2, axis=2)
     va = np.sum(velocity * acceleration, axis=2)
-    wedge_sq = np.maximum(v_sq * a_sq - va**2, 0.0)
+    along = np.divide(va, v_sq, out=np.zeros_like(va), where=v_sq > 0)
+    normal = acceleration - along[:, :, None] * velocity
+    wedge_sq = v_sq * np.sum(normal**2, axis=2)
     if regularization > 0:
         rms_speed_sq = np.mean(v_sq, axis=1, keepdims=True)
         damping = (regularization**2) * rms_speed_sq
