@@ -17,8 +17,10 @@ interval of the median ratio lies wholly above the gate's bound:
   oracle, so a tie fails;
 * 0.9 for the tie-free FUNTA crossing mask vs the same call with one
   planted query/reference tie, so a tie fails;
-* 0.85 for the Isolation Forest fit vs its full min/max grower oracle on
-  a Fig. 3 curvature training matrix with 200 trees, so a tie fails.
+* 0.4 for the Isolation Forest fit vs its full min/max grower oracle on
+  a Fig. 3 curvature training matrix with 200 trees, so a tie fails, and
+  so does the grower that drew through ``Generator.integers`` and
+  ``Generator.uniform`` at every node (it read 0.53).
 
 The HTTP front door's sustained rate is gated the same way against an
 absolute floor: it fails only when the interval of the median curves/s
@@ -454,7 +456,7 @@ def test_iforest_fit_beats_oracle():
             pairs=15,
         )
     }
-    failed = check_gates("IsolationForest fit / full min-max grower oracle", cases, 0.85)
+    failed = check_gates("IsolationForest fit / full min-max grower oracle", cases, 0.4)
     assert not failed, "the Isolation Forest fit is not clearly faster than its oracle"
 
 

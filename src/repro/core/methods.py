@@ -187,6 +187,12 @@ class MappedDetectorMethod(Method):
                 f"feature_transform must be None or 'log1p', got {feature_transform!r}"
             )
         self.feature_transform = feature_transform
+        if "random_state" in detector_kwargs:
+            raise ValidationError(
+                "random_state is not a detector keyword of a method: the method "
+                "seeds each split's detector from the random_state given to "
+                "prepare() / fit_score()"
+            )
         self.detector_kwargs = detector_kwargs
         # fit_score builds one detector per split; building one here
         # checks the keyword values before the first prepare().

@@ -25,20 +25,44 @@ table and keeps it as-is, so memory-mapped manifests stay zero-copy.
 A node's draws are those of the full min/max rule: a feature uniform
 over the features not constant on its rows, in ascending order, then a
 threshold uniform between that feature's min and max.  Growth reads
-only the drawn feature.  Each tree keeps its sample feature-major,
-``(d, psi)``, so that feature's values on a node's rows are one gather,
-and sorting them gives the min, the max and, by a binary search for the
-threshold, the split.  A feature can be constant on ``r`` rows only if
-the value of the node's first row repeats at least ``r`` times in the
-training matrix; one sort per fit counts those repeats, and a node with
-more rows than any of them draws from all ``d`` features directly.  Only
-the other nodes compare every feature with their first row.  The order
-of a node's rows changes no draw and no stored value, since min, max and
-split counts do not depend on it, so a split leaves its rows sorted by
-the drawn feature.
+only the drawn feature.  A tree's rows are a list of row indices into
+the feature columns, held as Python lists of floats: a node sorts its
+rows by the drawn feature's value, reads the min and the max off the
+ends, and splits where a binary search places the threshold.  A feature
+can be constant on ``r`` rows only if the value of the node's first row
+repeats at least ``r`` times in the training matrix; one sort per fit
+counts those repeats, and a node with more rows than any of them draws
+from all ``d`` features directly.  Only the other nodes compare every
+feature with their first row.  The order of a node's rows changes no
+draw and no stored value, since min, max and split counts do not depend
+on it.
+
+The list columns take about four times the memory of ``X``.  The fit
+converts the whole matrix once while it has at most ``n_estimators *
+psi`` rows, so the copy is no larger than the trees' samples together;
+beyond that it converts each tree's sample.
+
+The draws are those of ``Generator.integers(c)`` for the feature and
+``Generator.uniform(lo, hi)`` for the threshold, bit for bit.
+``uniform`` is ``lo + (hi - lo) * u`` for the generator's next double
+``u``, which is ``Generator.random()``; a range that is not finite
+raises ``OverflowError``, as ``uniform`` does.  With NumPy's default bit
+generator, PCG64, the calls are not made: each tree takes one block of
+raw 64-bit outputs after its sample and replays what the generator does
+with them: a double is the top 53 bits of a word times ``2**-53``, and
+``integers(c)`` is Lemire's bounded draw, with its rejection loop, on
+the 32-bit halves of words, low half first, the high half kept for the
+next draw (``c == 1`` draws nothing).  At the end of the tree the
+generator is moved back over the words it did not use and its buffered
+half-word is restored, so it stands exactly where the calls would have
+left it.  Any other bit generator is drawn through ``integers`` and
+``random`` themselves; the grower is the same.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
+from math import isfinite
 
 import numpy as np
 
@@ -91,49 +115,111 @@ def _value_reach(X: np.ndarray) -> np.ndarray:
     return shared.max(axis=1)
 
 
-def _grow(columns, rows_major, reach, height_limit, rng) -> list[list]:
+#: ``Generator.random()``: the top 53 bits of a raw word times ``2**-53``.
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0
+
+
+def _draw_source(rng: np.random.Generator, block: int):
+    """``integers(c)``, ``random()`` and ``settle()`` for one tree's draws.
+
+    ``integers(c)`` (``1 <= c <= 2**32``) and ``random()`` return what
+    ``rng.integers(c)`` and ``rng.random()`` would, in the same order;
+    ``settle()`` leaves ``rng`` where those calls would have.  On PCG64
+    they replay raw words fetched ``block`` at a time (module docstring);
+    on any other bit generator they are the generator's own methods.
+    """
+    bit_generator = rng.bit_generator
+    if type(bit_generator) is not np.random.PCG64:
+        return rng.integers, rng.random, lambda: None
+    state = bit_generator.state
+    has_half, half = state["has_uint32"], state["uinteger"]
+    words = bit_generator.random_raw(block).tolist()
+    used = 0
+
+    def word():
+        nonlocal used
+        if used == len(words):
+            words.extend(bit_generator.random_raw(block).tolist())
+        used += 1
+        return words[used - 1]
+
+    def uint32():
+        nonlocal has_half, half
+        if has_half:
+            has_half = 0
+            return half
+        value = word()
+        has_half, half = 1, value >> 32
+        return value & 0xFFFFFFFF
+
+    def integers(c):
+        if c == 1:
+            return 0
+        m = uint32() * c
+        if m & 0xFFFFFFFF < c:
+            floor = (0x100000000 - c) % c
+            while m & 0xFFFFFFFF < floor:
+                m = uint32() * c
+        return m >> 32
+
+    def random():
+        return (word() >> 11) * _DOUBLE_UNIT
+
+    def settle():
+        bit_generator.advance(used - len(words))
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = has_half, half
+        bit_generator.state = state
+
+    return integers, random, settle
+
+
+def _grow(columns, X, reach, rows, height_limit, integers, random) -> list[list]:
     """Grow one tree depth-first; return its feature, split, left, right, size and depth.
 
-    ``columns`` is the tree's sample as ``(d, psi)``, ``rows_major`` the
-    same sample as ``(psi, d)`` and ``reach`` its rows' entries of
-    :func:`_value_reach`.  A node with more rows than the reach of its
-    first row has no constant feature and draws from all ``d``; the others
-    keep the features on which some row differs from the first.  Nodes
-    are numbered in depth-first order, a left child directly after its
-    parent; a split writes its leaf children itself.
+    ``rows`` lists the tree's sample as indices into ``columns`` (the
+    feature columns as lists), ``X`` (the same values as rows) and
+    ``reach`` (:func:`_value_reach`).  A node with more rows than the
+    reach of its first row has no constant feature and draws from all
+    ``d``; the others keep the features on which some row differs from
+    the first.  Nodes are numbered in depth-first order, a left child
+    directly after its parent; a split writes its leaf children itself.
+    ``integers`` and ``random`` come from :func:`_draw_source`.
     """
-    d, psi = columns.shape
+    d, psi = len(columns), len(rows)
     cap = 2 * psi - 1
     feature, split, left, right = [-1] * cap, [0.0] * cap, [-1] * cap, [-1] * cap
     size, depth = [0] * cap, [0] * cap
     used = 0
-    stack = [(np.arange(psi), 0, -1)]  # rows, depth, parent of a right child
+    stack = [(rows, 0, -1)]  # rows, depth, parent of a right child
     while stack:
         rows, level, parent = stack.pop()
-        node, used, r = used, used + 1, rows.size
+        node, used, r = used, used + 1, len(rows)
         size[node], depth[node] = r, level
         if parent >= 0:
             right[parent] = node
         if level >= height_limit or r == 1:
             continue
         if r > reach[rows[0]]:
-            feat = rng.integers(d)
-            values = columns[feat].take(rows)
+            feat = integers(d)
         else:
-            sub = rows_major.take(rows, axis=0)
-            candidates = np.nonzero((sub != sub[0]).any(axis=0))[0]
+            sub = X.take(rows, axis=0)
+            candidates = np.flatnonzero((sub != sub[0]).any(axis=0))
             if candidates.size == 0:
                 continue  # all points identical
-            feat = candidates[rng.integers(candidates.size)]
-            values = sub[:, feat]
-        order = values.argsort()
-        values = values.take(order)
-        threshold = rng.uniform(values[0], values[-1])
-        k = values.searchsorted(threshold)  # rows below the threshold go left
+            feat = int(candidates[integers(candidates.size)])
+        value = columns[feat].__getitem__
+        rows = sorted(rows, key=value)
+        low = value(rows[0])
+        span = value(rows[-1]) - low
+        if not isfinite(span):
+            raise OverflowError("high - low range exceeds valid bounds")
+        threshold = low + span * random()  # Generator.uniform(low, high)
+        k = bisect_left(rows, threshold, key=value)  # rows below the threshold go left
         if not 0 < k < r:
             continue  # degenerate draw at the boundary
         feature[node], split[node], left[node] = feat, threshold, used
-        rows, level = rows.take(order), level + 1
+        level += 1
         if level < height_limit and k > 1:
             stack.append((rows[k:], level, node))
             stack.append((rows[:k], level, -1))
@@ -217,12 +303,26 @@ class IsolationForest(OutlierDetector):
         if psi < 2:
             raise ValidationError("IsolationForest needs at least 2 training rows")
         height_limit = int(np.ceil(np.log2(psi)))
-        reach, columns = _value_reach(X), np.ascontiguousarray(X.T)
+        reach = _value_reach(X)
+        # The list copy of X is made once only while it is no larger than
+        # the trees' samples together (module docstring).
+        whole = n <= self.n_estimators * psi
+        if whole:
+            columns, reach_of = X.T.tolist(), reach.tolist()
         table, counts = [[], [], [], [], [], []], []
         for _ in range(self.n_estimators):
             rows = rng.choice(n, size=psi, replace=False)
-            tree = _grow(columns.take(rows, axis=1), X.take(rows, axis=0), reach.take(rows),
-                         height_limit, rng)
+            if whole:
+                sample = (columns, X, reach_of, rows.tolist())
+            else:
+                sub = X.take(rows, axis=0)
+                sample = (sub.T.tolist(), sub, reach.take(rows).tolist(), list(range(psi)))
+            # At most psi - 1 splits of 1.5 words each, barring rejections.
+            integers, random, settle = _draw_source(rng, 2 * psi + 2)
+            try:
+                tree = _grow(*sample, height_limit, integers, random)
+            finally:
+                settle()
             for column, values in zip(table, tree):
                 column += values
             counts.append(len(tree[0]))

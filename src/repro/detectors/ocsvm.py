@@ -66,8 +66,10 @@ def smo_solve(
     gradients of the working-set selection up to date instead of
     rebuilding them, re-checks the box only at the two multipliers that
     moved, reads the update's Gram columns as contiguous rows of
-    ``Q.T``, and does the step arithmetic in Python floats.  Each of
-    these leaves every selected pair, step and output bit unchanged.
+    ``Q.T``, adds the update to the gradient and both masked copies as
+    one ``(3, n)`` array, and keeps the multipliers, their eligibility
+    and ``diag(Q)`` in Python lists and floats.  Each of these leaves
+    every selected pair, step and output bit unchanged.
     """
     n = Q.shape[0]
     if Q.shape != (n, n):
@@ -91,17 +93,20 @@ def smo_solve(
     grad = Q @ alpha
     eps = 1e-12
     below_bound = C - eps
-    # Row k of Q_cols is column k of Q, contiguous for the gradient update.
-    Q_cols = np.ascontiguousarray(Q.T)
+    diag = Q.diagonal().tolist()
+    # Row k of Q.T is column k of Q, contiguous for the gradient update.
+    Q_cols = list(np.ascontiguousarray(Q.T))
     delta = np.empty(n)
-    can_up = alpha < below_bound
-    can_down = alpha > eps
-    n_up, n_down = int(np.count_nonzero(can_up)), int(np.count_nonzero(can_down))
-    # The gradient with ineligible entries at -/+inf: each update adds the
-    # same delta as to ``grad`` (inf stays inf), so it equals the masked
-    # copy of ``grad`` bit for bit without rebuilding it every iteration.
-    grad_up = np.where(can_up, grad, np.inf)
-    grad_down = np.where(can_down, grad, -np.inf)
+    can_up = (alpha < below_bound).tolist()
+    can_down = (alpha > eps).tolist()
+    n_up, n_down = sum(can_up), sum(can_down)
+    # The gradient and its two masked copies, ineligible entries at -/+inf,
+    # as the rows of one array: each update adds the same delta to all
+    # three (inf stays inf), so the masked rows equal masked copies of
+    # ``grad`` bit for bit without rebuilding them every iteration.
+    G = np.stack((grad, np.where(can_up, grad, np.inf), np.where(can_down, grad, -np.inf)))
+    grad, grad_up, grad_down = G
+    alpha = alpha.tolist()
     iteration = 0
     for iteration in range(1, max_iter + 1):
         if not n_up or not n_down:
@@ -113,8 +118,8 @@ def smo_solve(
         violation = grad.item(j) - grad.item(i)
         if violation <= tol:
             break
-        a_i, a_j = alpha.item(i), alpha.item(j)
-        curvature = Q.item(i, i) + Q.item(j, j) - 2.0 * Q.item(i, j)
+        a_i, a_j = alpha[i], alpha[j]
+        curvature = diag[i] + diag[j] - 2.0 * Q.item(i, j)
         if curvature <= eps:
             # Flat direction: move as far as the box allows.
             step = min(C - a_i, a_j)
@@ -127,23 +132,26 @@ def smo_solve(
         alpha[i], alpha[j] = a_i, a_j
         np.subtract(Q_cols[i], Q_cols[j], out=delta)
         delta *= step
-        grad += delta
-        grad_up += delta
-        grad_down += delta
-        # Only alpha_i and alpha_j moved: update their eligibility.
+        G += delta
+        # Only alpha_i and alpha_j moved: update their eligibility.  An
+        # entry that stays eligible already equals ``grad`` in its row.
         for k, a_k in ((i, a_i), (j, a_j)):
             up, down = a_k < below_bound, a_k > eps
-            n_up += up - bool(can_up[k])
-            n_down += down - bool(can_down[k])
-            can_up[k], can_down[k] = up, down
-            grad_up[k] = grad[k] if up else np.inf
-            grad_down[k] = grad[k] if down else -np.inf
+            if up != can_up[k]:
+                can_up[k] = up
+                n_up += 1 if up else -1
+                grad_up[k] = grad.item(k) if up else np.inf
+            if down != can_down[k]:
+                can_down[k] = down
+                n_down += 1 if down else -1
+                grad_down[k] = grad.item(k) if down else -np.inf
     else:
         raise ConvergenceError(
             f"SMO did not converge within {max_iter} iterations "
             f"(violation {violation:.3g} > tol {tol:.3g})"
         )
 
+    alpha = np.array(alpha)
     # Offset rho: average gradient over free support vectors; if none are
     # free, take the midpoint of the bounding gradients (LIBSVM rule).
     free = (alpha > eps) & (alpha < C - eps)

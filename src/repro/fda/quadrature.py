@@ -9,6 +9,7 @@ the same, tested numerics.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -93,12 +94,28 @@ def integrate_sampled(values: np.ndarray, grid: np.ndarray, rule: str = "trapezo
     return result
 
 
+@lru_cache(maxsize=8)
+def _leggauss(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n_nodes``-point rule on [-1, 1], computed once and read-only.
+
+    Every penalty matrix integrates piecewise over each knot interval
+    with the same rule, and ``leggauss`` solves an eigenproblem per call.
+    """
+    rule = np.polynomial.legendre.leggauss(n_nodes)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
 def gauss_legendre_nodes(low: float, high: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss–Legendre nodes and weights mapped to the interval [low, high]."""
+    """Gauss–Legendre nodes and weights mapped to the interval [low, high].
+
+    The arrays are new on every call; the caller may modify them.
+    """
     n_nodes = check_int(n_nodes, "n_nodes", minimum=1)
     if not (np.isfinite(low) and np.isfinite(high)) or high <= low:
         raise ValidationError(f"invalid interval [{low}, {high}]")
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights = _leggauss(n_nodes)
     half = 0.5 * (high - low)
     mid = 0.5 * (high + low)
     return mid + half * nodes, half * weights

@@ -46,7 +46,7 @@ import hashlib
 import inspect
 import json
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -80,18 +80,19 @@ __all__ = [
 # =====================================================================
 # validation helpers
 # =====================================================================
-def _callable_params(fn) -> set[str]:
+@cache
+def _callable_params(fn) -> frozenset[str]:
     """Named parameters accepted by ``fn`` (excluding self / *args / **kwargs)."""
     sig = inspect.signature(fn)
-    return {
+    return frozenset(
         name
         for name, p in sig.parameters.items()
         if name != "self"
         and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-    }
+    )
 
 
-def _check_keys(given, valid: set[str], what: str) -> None:
+def _check_keys(given, valid: frozenset[str], what: str) -> None:
     """Reject unknown keys with the full valid-key list in the message."""
     unknown = sorted(set(given) - valid)
     if unknown:
@@ -457,7 +458,7 @@ _METHOD_ALIASES = {
 }
 
 
-def _method_valid_keys(kind: str) -> set[str]:
+def _method_valid_keys(kind: str) -> frozenset[str]:
     # Lazy import: repro.core.methods imports back into the evaluation
     # stack; signatures are only needed at validation time.
     from repro.core import methods as core_methods
@@ -467,8 +468,10 @@ def _method_valid_keys(kind: str) -> set[str]:
     if kind == "dirout":
         return _callable_params(core_methods.DirOutMethod.__init__)
     wrapper = _callable_params(core_methods.MappedDetectorMethod.__init__)
-    wrapper.discard("detector_name")
-    return wrapper | _callable_params(DETECTOR_REGISTRY[kind].__init__)
+    # The method seeds its detector per split from the harness's
+    # random_state, so the detector's own seed is not a method parameter.
+    detector = _callable_params(DETECTOR_REGISTRY[kind].__init__) - {"random_state"}
+    return (wrapper - {"detector_name"}) | detector
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,12 @@ class TestMappedDetectorMethod:
         with pytest.raises(ValidationError):
             MappedDetectorMethod("iforest", feature_transform="sqrt")
 
+    def test_detector_seed_rejected_at_construction(self):
+        # Each split's forest is seeded from prepare()/fit_score()'s
+        # random_state; a second seed used to fail only at prepare().
+        with pytest.raises(ValidationError, match="random_state"):
+            MappedDetectorMethod("iforest", random_state=0)
+
     def test_prepare_returns_features(self, ecg_mfd):
         data, _ = ecg_mfd
         state = MappedDetectorMethod("iforest", n_basis=12).prepare(data, random_state=0)

@@ -134,7 +134,7 @@ class TestMethodPlan:
         spec = MethodSpec(
             "iforest",
             {"mapping": {"type": "SpeedMapping"}, "n_basis": 8,
-             "n_estimators": 10, "random_state": 0},
+             "n_estimators": 10, "max_samples": 32},
         )
         method = compile_plan(spec).build()
         from repro.geometry.mappings import SpeedMapping

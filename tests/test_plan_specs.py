@@ -252,6 +252,15 @@ class TestValidationErrors:
         spec = MethodSpec("iforest", {"n_estimators": 50, "standardize": False})
         assert spec.params["n_estimators"] == 50
 
+    def test_iforest_method_seed_is_not_a_param(self):
+        # The method seeds each split's forest itself; a detector seed
+        # would collide with it at the first prepare().
+        with pytest.raises(ConfigurationError) as err:
+            MethodSpec("iforest", {"random_state": 0})
+        assert "random_state" in str(err.value)
+        assert "valid:" in str(err.value)
+        assert "n_estimators" in str(err.value)
+
     def test_stream_pipeline_kind_rejected_with_hint(self):
         with pytest.raises(ConfigurationError, match="fitted pipeline"):
             StreamSpec(kind="pipeline")

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.pipeline import DEFAULT_BASIS_CANDIDATES
 from repro.exceptions import ValidationError
+from repro.fda import quadrature
+from repro.fda.basis import BSplineBasis
+from repro.fda.penalty import penalty_matrix
 from repro.fda.quadrature import (
     gauss_legendre_nodes,
     integrate_function,
@@ -88,6 +92,33 @@ class TestGaussLegendre:
     def test_invalid_interval(self):
         with pytest.raises(ValidationError):
             gauss_legendre_nodes(1.0, 0.0, 4)
+
+    def test_returned_arrays_are_the_callers(self):
+        # The [-1, 1] rule is cached: writing into one call's arrays must
+        # not reach the next call.
+        nodes, weights = gauss_legendre_nodes(0.0, 1.0, 32)
+        expected = (nodes.copy(), weights.copy())
+        nodes[:] = -7.0
+        weights *= 3.0
+        again = gauss_legendre_nodes(0.0, 1.0, 32)
+        assert np.array_equal(again[0], expected[0])
+        assert np.array_equal(again[1], expected[1])
+
+    def test_cached_rule_is_read_only(self):
+        for array in quadrature._leggauss(32):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+
+@pytest.mark.parametrize("derivative", [0, 2])
+@pytest.mark.parametrize("n_basis", DEFAULT_BASIS_CANDIDATES)
+def test_penalty_matrix_same_bits_as_uncached_rule(monkeypatch, n_basis, derivative):
+    """Every basis size the pipeline's LOO-CV sweep tries: the cached rule
+    gives the penalty matrix that a fresh ``leggauss`` per interval gives."""
+    basis = BSplineBasis((0.0, 1.0), n_basis, order=4)
+    cached = penalty_matrix(basis, derivative=derivative)
+    monkeypatch.setattr(quadrature, "_leggauss", np.polynomial.legendre.leggauss)
+    assert np.array_equal(cached, penalty_matrix(basis, derivative=derivative))
 
 
 class TestIntegrateFunction:
