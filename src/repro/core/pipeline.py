@@ -184,6 +184,11 @@ class GeometricOutlierPipeline:
     def _smooth(self, data: MFDataGrid) -> MultivariateBasisFData:
         if self.smoothers_ is None:
             raise NotFittedError("pipeline is not fitted")
+        if data.n_parameters != len(self.smoothers_):
+            raise ValidationError(
+                f"pipeline was fitted on {len(self.smoothers_)} parameters, "
+                f"got curves with {data.n_parameters}"
+            )
         components = [
             smoother.fit_grid(data.parameter(k))
             for k, smoother in enumerate(self.smoothers_)

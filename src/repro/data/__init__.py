@@ -1,6 +1,6 @@
 """Data generators: ECG substitute, outlier-taxonomy MFD, augmentation, noise."""
 
-from repro.data.augment import derivative_augment, power_augment, square_augment
+from repro.data.augment import power_augment, square_augment
 from repro.data.ecg import ECGGenerator, ECGWave, make_ecg_dataset
 from repro.data.noise import smooth_gaussian_process, white_noise
 from repro.data.synthetic import (
@@ -16,7 +16,6 @@ __all__ = [
     "ECGWave",
     "OUTLIER_CLASSES",
     "SyntheticMFD",
-    "derivative_augment",
     "make_drifting_stream",
     "make_ecg_dataset",
     "make_fig1_dataset",

@@ -2,10 +2,7 @@
 
 The paper turns the univariate ECG series into bivariate MFD by adding
 the square of each series as a second parameter — a cheap way to study
-the multivariate method on univariate benchmarks.  (Derivative-based
-augmentation is also provided for comparison, though the paper points
-out it is redundant with the curvature mapping, which already consumes
-derivatives.)
+the multivariate method on univariate benchmarks.
 """
 
 from __future__ import annotations
@@ -16,7 +13,7 @@ from repro.exceptions import ValidationError
 from repro.fda.fdata import FDataGrid, MFDataGrid
 from repro.utils.validation import check_int
 
-__all__ = ["square_augment", "power_augment", "derivative_augment"]
+__all__ = ["square_augment", "power_augment"]
 
 
 def square_augment(data: FDataGrid) -> MFDataGrid:
@@ -39,16 +36,3 @@ def power_augment(data: FDataGrid, powers=(1, 2)) -> MFDataGrid:
         power = check_int(power, "power", minimum=1)
         layers.append(data.values**power)
     return MFDataGrid(np.stack(layers, axis=2), data.grid)
-
-
-def derivative_augment(data: FDataGrid) -> MFDataGrid:
-    """Augment UFD with its finite-difference derivative as parameter 2.
-
-    Provided for the ablation discussed in the paper (Sec. 1.2, issue
-    (1)): augmenting with derivatives is the depth-based community's
-    workaround for persistent outliers, at the cost of extra parameters.
-    """
-    if not isinstance(data, FDataGrid):
-        raise ValidationError(f"data must be FDataGrid, got {type(data).__name__}")
-    derivative = np.gradient(data.values, data.grid, axis=1)
-    return MFDataGrid(np.stack([data.values, derivative], axis=2), data.grid)

@@ -8,46 +8,18 @@ the property tests pin the kernels against.
 """
 
 from repro.depth._kernels import DEFAULT_BLOCK_BYTES
-from repro.depth.boxplot import FunctionalBoxplot, functional_boxplot
 from repro.depth.dirout import DirectionalOutlyingness, directional_outlyingness, dirout_scores
-from repro.depth.msplot import MSPlotResult, ms_plot
-from repro.depth.functional import (
-    aggregate_depth,
-    functional_depth,
-    modified_band_depth,
-    pointwise_depth_profile,
-    univariate_integrated_depth,
-)
+from repro.depth.functional import aggregate_depth, functional_depth, pointwise_depth_profile
 from repro.depth.funta import funta_depth, funta_outlyingness
-from repro.depth.multivariate import (
-    halfspace_depth,
-    mahalanobis_depth,
-    projection_depth,
-    simplicial_depth,
-    spatial_depth,
-    stahel_donoho_outlyingness,
-)
 
 __all__ = [
     "DEFAULT_BLOCK_BYTES",
     "DirectionalOutlyingness",
-    "FunctionalBoxplot",
-    "MSPlotResult",
-    "ms_plot",
-    "functional_boxplot",
     "aggregate_depth",
     "directional_outlyingness",
     "dirout_scores",
     "functional_depth",
     "funta_depth",
     "funta_outlyingness",
-    "halfspace_depth",
-    "mahalanobis_depth",
-    "modified_band_depth",
     "pointwise_depth_profile",
-    "projection_depth",
-    "simplicial_depth",
-    "spatial_depth",
-    "stahel_donoho_outlyingness",
-    "univariate_integrated_depth",
 ]

@@ -9,18 +9,15 @@ memory-bounded blocks:
   over cache-sized ``(block × n_ref × m)`` boolean slabs, with tangent
   angles ``arctan``-ed once per curve instead of once per pair and
   gathered only at the (sparse) crossings;
-* **pointwise profiles** — projection / halfspace / mahalanobis /
-  spatial / simplicial depth of every sample at every grid point is
-  dispatched as whole ``(n_samples × n_points)`` cross-sections;
-  halfspace counts come from an exact double-argsort rank trick rather
-  than O(n·n_ref) boolean comparisons per point;
+* **pointwise profiles** — projection / halfspace / spatial depth of
+  every sample at every grid point is dispatched as whole
+  ``(n_samples × n_points)`` cross-sections; halfspace counts come
+  from an exact double-argsort rank trick rather than O(n·n_ref)
+  boolean comparisons per point;
 * **Dir.out** — the per-grid-point Stahel–Donoho and Weiszfeld loops
   become batched matrix ops (projection medians and MADs read off
   in-place sorted lanes; the geometric median iterates all grid points
-  simultaneously, freezing columns as they converge);
-* **simplicial depth** — the per-query-point Python loop over C(n,3)
-  triangles becomes blocked orientation-sign counting over
-  ``(query-block × triangle-block)`` slabs.
+  simultaneously, freezing columns as they converge).
 
 Scratch memory is bounded by :data:`DEFAULT_BLOCK_BYTES` (~64 MB),
 a module constant read at call time, not a parameter: work is cut
@@ -60,9 +57,6 @@ __all__ = [
     "batched_stahel_donoho",
     "batched_spatial_median",
     "batched_outlyingness_vectors",
-    "spatial_depth_cloud",
-    "simplicial_depth_cloud",
-    "halfspace_depth_cloud",
 ]
 
 #: Scratch budget per block (~64 MB).  Block size changes no output;
@@ -794,37 +788,15 @@ def _halfspace_profile(
     )
 
 
-def halfspace_depth_cloud(
-    points: np.ndarray,
-    reference: np.ndarray,
-    directions: np.ndarray,
-) -> np.ndarray:
-    """Random-direction halfspace depth of one cloud, all directions at
-    once (the caller draws ``directions`` so generator consumption
-    matches the loop oracle in ``tests/oracles.py``)."""
-    n_ref = reference.shape[0]
-    n = points.shape[0]
-    ref_lanes = np.ascontiguousarray((reference @ directions.T).T)  # (D, r)
-    pts_lanes = np.ascontiguousarray((points @ directions.T).T)     # (D, n)
-    depth = np.full(n, np.inf)
-    bytes_per_dir = (n + n_ref) * 8 * 5.0
-    for d0, d1 in row_blocks(directions.shape[0], bytes_per_dir, DEFAULT_BLOCK_BYTES):
-        le, lt = rank_counts(ref_lanes[d0:d1], pts_lanes[d0:d1])
-        tail = (n_ref - lt) / n_ref
-        other = le / n_ref
-        depth = np.minimum(depth, np.minimum(tail, other).min(axis=0))
-    return depth
-
-
 # --------------------------------------------------------------------------- spatial
-def _unit_vector_stats(diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum of unit vectors and contributing count over the reference axis.
+def _spatial_block(block, values: np.ndarray, ref_values: np.ndarray) -> np.ndarray:
+    """Spatial depth for one grid-point block, all samples at once.
 
-    ``diffs`` has the reference on axis 1: ``(..., n_ref, ..., p)`` with
-    shape ``(n, r, J, p)`` (or ``(b, r, p)`` for a single cloud).
     Zero-distance pairs are dropped, exactly like the ``norms > 1e-12``
     filter of the loop oracle in ``tests/oracles.py``.
     """
+    j0, j1 = block
+    diffs = values[:, None, j0:j1, :] - ref_values[None, :, j0:j1, :]  # (n, r, J, p)
     sq = diffs[..., 0] ** 2
     for k in range(1, diffs.shape[-1]):
         sq += diffs[..., k] ** 2
@@ -834,14 +806,6 @@ def _unit_vector_stats(diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.divide(1.0, norms, out=inv, where=keep)
     units_sum = np.einsum("nr...,nr...p->n...p", inv, diffs)
     count = keep.sum(axis=1)
-    return units_sum, count
-
-
-def _spatial_block(block, values: np.ndarray, ref_values: np.ndarray) -> np.ndarray:
-    """Spatial depth for one grid-point block, all samples at once."""
-    j0, j1 = block
-    diffs = values[:, None, j0:j1, :] - ref_values[None, :, j0:j1, :]  # (n, r, J, p)
-    units_sum, count = _unit_vector_stats(diffs)
     mean_units = units_sum / np.maximum(count, 1)[:, :, None]
     depth = 1.0 - np.sqrt(np.sum(mean_units * mean_units, axis=2))
     depth = np.where(count == 0, 1.0, depth)
@@ -863,108 +827,6 @@ def _spatial_profile(
     return np.concatenate(
         _run_blocks(_spatial_block, blocks, context, arrays, label="spatial"), axis=1
     )
-
-
-def spatial_depth_cloud(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Spatial depth of one cloud, vectorized over all query points."""
-    n, p = points.shape
-    depth = np.empty(n)
-    bytes_per_row = reference.shape[0] * (p + 2) * 8 * 1.6
-    for i0, i1 in row_blocks(n, bytes_per_row, DEFAULT_BLOCK_BYTES):
-        diffs = points[i0:i1, None, :] - reference[None, :, :]  # (b, r, p)
-        units_sum, count = _unit_vector_stats(diffs)
-        mean_units = units_sum / np.maximum(count, 1)[:, None]
-        block_depth = 1.0 - np.sqrt(np.sum(mean_units * mean_units, axis=1))
-        depth[i0:i1] = np.where(count == 0, 1.0, block_depth)
-    return np.clip(depth, 0.0, 1.0)
-
-
-# --------------------------------------------------------------------------- simplicial
-def simplicial_depth_cloud(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Simplicial depth (p = 2) by blocked orientation-sign counting.
-
-    All C(n, 3) reference triangles are tested against blocks of query
-    points in one broadcast per ``(query-block × triangle-block)`` slab —
-    the same sign test as the loop oracle in ``tests/oracles.py``,
-    element for element, so results are identical including boundary and
-    degenerate triangles.
-    """
-    from itertools import combinations
-
-    n_ref = reference.shape[0]
-    triangles = np.array(list(combinations(range(n_ref), 3)))
-    a = reference[triangles[:, 0]]
-    b = reference[triangles[:, 1]]
-    c = reference[triangles[:, 2]]
-    n_tri = triangles.shape[0]
-    n = points.shape[0]
-    inside_counts = np.zeros(n, dtype=np.int64)
-    # ~8 float64 temporaries of shape (point-block, triangle-block).
-    tri_blocks = row_blocks(n_tri, 8.0, max(DEFAULT_BLOCK_BYTES // 8, 1))
-    for t0, t1 in tri_blocks:
-        at, bt, ct = a[t0:t1], b[t0:t1], c[t0:t1]
-        bytes_per_row = (t1 - t0) * 8 * 8.0
-        for i0, i1 in row_blocks(n, bytes_per_row, DEFAULT_BLOCK_BYTES):
-            x = points[i0:i1, 0][:, None]
-            y = points[i0:i1, 1][:, None]
-            d1 = (x - bt[None, :, 0]) * (at[None, :, 1] - bt[None, :, 1]) - (
-                at[None, :, 0] - bt[None, :, 0]
-            ) * (y - bt[None, :, 1])
-            d2 = (x - ct[None, :, 0]) * (bt[None, :, 1] - ct[None, :, 1]) - (
-                bt[None, :, 0] - ct[None, :, 0]
-            ) * (y - ct[None, :, 1])
-            d3 = (x - at[None, :, 0]) * (ct[None, :, 1] - at[None, :, 1]) - (
-                ct[None, :, 0] - at[None, :, 0]
-            ) * (y - at[None, :, 1])
-            neg = (d1 < 0) | (d2 < 0) | (d3 < 0)
-            pos = (d1 > 0) | (d2 > 0) | (d3 > 0)
-            inside_counts[i0:i1] += (~(neg & pos)).sum(axis=1)
-    return inside_counts / n_tri
-
-
-def _simplicial_block(block, values: np.ndarray, ref_values: np.ndarray):
-    j0, j1 = block
-    return np.stack(
-        [simplicial_depth_cloud(values[:, j, :], ref_values[:, j, :]) for j in range(j0, j1)],
-        axis=1,
-    )
-
-
-def _simplicial_profile(
-    values: np.ndarray,
-    ref_values: np.ndarray,
-    context=None,
-) -> np.ndarray:
-    m = values.shape[1]
-    # Grid points are the fan-out unit; the triangle blocking inside
-    # each point already bounds memory.
-    width = getattr(context, "n_jobs", 1) if context is not None else 1
-    per = max(m // max(width, 1), 1)
-    blocks = [(j, min(j + per, m)) for j in range(0, m, per)]
-    arrays = {"values": values, "ref_values": ref_values}
-    return np.concatenate(
-        _run_blocks(_simplicial_block, blocks, context, arrays, label="simplicial"), axis=1
-    )
-
-
-# --------------------------------------------------------------------------- mahalanobis
-def _mahalanobis_profile(values: np.ndarray, ref_values: np.ndarray) -> np.ndarray:
-    """Mahalanobis depth profile, computed per grid point exactly as the
-    loop oracle in ``tests/oracles.py`` computes it.  The per-point pseudo-inverse dominates the
-    cost, and on a near-singular covariance the precision entries are
-    ~1e10, so any other summation order for the quadratic form (e.g. one
-    batched einsum) drifts from the oracle by ~1e-10."""
-    n, m, p = values.shape
-    d_sq = np.empty((n, m))
-    for j in range(m):
-        cloud = ref_values[:, j, :]
-        cov = np.atleast_2d(np.cov(cloud, rowvar=False))
-        cov = cov + 1e-10 * np.trace(cov) / cov.shape[0] * np.eye(cov.shape[0])
-        precision = np.linalg.pinv(cov)
-        location = np.asarray(cloud.mean(axis=0), dtype=np.float64)
-        centered = values[:, j, :] - location
-        d_sq[:, j] = np.sum((centered @ precision) * centered, axis=1)
-    return 1.0 / (1.0 + np.maximum(d_sq, 0.0))
 
 
 # --------------------------------------------------------------------------- dispatch
@@ -1002,8 +864,6 @@ def pointwise_profile(
             dtype=dtype,
             **depth_kwargs,
         )
-    if notion == "mahalanobis":
-        return _mahalanobis_profile(values, ref_values, **depth_kwargs)
     if notion == "spatial":
         return _spatial_profile(
             values,
@@ -1012,12 +872,6 @@ def pointwise_profile(
             dtype=dtype,
             **depth_kwargs,
         )
-    if notion == "simplicial":
-        if values.shape[2] != 2:
-            raise ValidationError("simplicial_depth is implemented for p = 2 only")
-        if ref_values.shape[0] < 3:
-            raise ValidationError("simplicial_depth needs at least 3 reference points")
-        return _simplicial_profile(values, ref_values, context=context, **depth_kwargs)
     raise ValidationError(f"unknown depth notion {notion!r}")
 
 

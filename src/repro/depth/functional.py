@@ -9,9 +9,10 @@ geometric alternative:
   the pointwise depth — an *average* that can mask isolated outliers
   (issue (2));
 * the **infimum** aggregation, the remedy the paper mentions for
-  issue (2);
-* the **modified band depth** (López-Pintado & Romo 2009), a popular
-  UFD depth included for completeness and for the taxonomy benches.
+  issue (2).
+
+The pointwise notions are ``projection`` (the depth inside Dir.out),
+``halfspace`` (the streaming halfspace scorer) and ``spatial``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from repro.depth import _kernels
 from repro.exceptions import ValidationError
-from repro.fda.fdata import FDataGrid, MFDataGrid
+from repro.fda.fdata import MFDataGrid
 from repro.fda.quadrature import trapezoid_weights
 from repro.utils.validation import check_grid, check_int
 
@@ -28,11 +29,9 @@ __all__ = [
     "pointwise_depth_profile",
     "aggregate_depth",
     "functional_depth",
-    "univariate_integrated_depth",
-    "modified_band_depth",
 ]
 
-_NOTIONS = ("projection", "halfspace", "mahalanobis", "spatial", "simplicial")
+_NOTIONS = ("projection", "halfspace", "spatial")
 
 
 def pointwise_depth_profile(
@@ -120,64 +119,3 @@ def functional_depth(
     )
     ref = data if reference is None else reference
     return aggregate_depth(profile, ref.grid, aggregation)
-
-
-def univariate_integrated_depth(
-    data: FDataGrid,
-    reference: FDataGrid | None = None,
-    aggregation: str = "integral",
-    context=None,
-) -> np.ndarray:
-    """Fraiman–Muniz depth of UFD: integrated univariate halfspace depth."""
-    if not isinstance(data, FDataGrid):
-        raise ValidationError(f"data must be FDataGrid, got {type(data).__name__}")
-    mfd = data.to_multivariate()
-    ref = reference.to_multivariate() if reference is not None else None
-    return functional_depth(
-        mfd, ref, notion="halfspace", aggregation=aggregation, context=context
-    )
-
-
-def _check_mbd_inputs(data: FDataGrid, reference: FDataGrid | None) -> np.ndarray:
-    if not isinstance(data, FDataGrid):
-        raise ValidationError(f"data must be FDataGrid, got {type(data).__name__}")
-    if reference is None:
-        reference = data
-    if reference.n_points != data.n_points or not np.allclose(reference.grid, data.grid):
-        raise ValidationError("data and reference must share a grid")
-    ref = reference.values
-    if ref.shape[0] < 2:
-        raise ValidationError("modified_band_depth needs at least 2 reference curves")
-    return ref
-
-
-def modified_band_depth(data: FDataGrid, reference: FDataGrid | None = None) -> np.ndarray:
-    """Modified band depth (J = 2) of univariate functional data.
-
-    ``MBD_i`` is the average, over reference-curve pairs ``{j, k}`` and
-    grid points ``t``, of the indicator that ``x_i(t)`` lies inside the
-    band ``[min(x_j, x_k)(t), max(x_j, x_k)(t)]``.
-
-    Computed by the rank-count identity rather than the explicit pair
-    loop: at each ``t`` the pairs whose band *misses* ``x`` are exactly
-    those drawn entirely from the references strictly below ``x`` or
-    entirely from those strictly above, so with ``b`` references below
-    and ``a`` above the covering count is
-    ``C(n,2) - C(b,2) - C(a,2)`` — an O(n·m·log n) computation instead
-    of the O(n²·m) pair sweep.
-    """
-    ref = _check_mbd_inputs(data, reference)
-    n_ref = ref.shape[0]
-    values = data.values
-    sorted_ref = np.sort(ref, axis=0)
-    below = np.empty(values.shape, dtype=np.int64)
-    above = np.empty(values.shape, dtype=np.int64)
-    for j in range(values.shape[1]):
-        column = np.ascontiguousarray(sorted_ref[:, j])
-        below[:, j] = np.searchsorted(column, values[:, j], side="left")
-        above[:, j] = n_ref - np.searchsorted(column, values[:, j], side="right")
-    n_pairs = n_ref * (n_ref - 1) // 2
-    missing = below * (below - 1) // 2 + above * (above - 1) // 2
-    covering = n_pairs - missing
-    return covering.mean(axis=1) / n_pairs
-

@@ -20,12 +20,7 @@ from repro.detectors.knn import KNNDetector
 from repro.detectors.lof import LocalOutlierFactor
 from repro.detectors.mahalanobis import MahalanobisDetector
 from repro.detectors.ocsvm import OneClassSVM, smo_solve
-from repro.detectors.threshold import (
-    LearnedThreshold,
-    threshold_from_quantile,
-    threshold_from_roc,
-    threshold_max_f1,
-)
+from repro.detectors.threshold import LearnedThreshold, threshold_from_quantile
 
 #: Concrete detector classes addressable by short name (CLI, serving
 #: manifests) or by class name (the ``"type"`` field of
@@ -79,8 +74,6 @@ __all__ = [
     "IsolationForest",
     "LearnedThreshold",
     "threshold_from_quantile",
-    "threshold_from_roc",
-    "threshold_max_f1",
     "KNNDetector",
     "LocalOutlierFactor",
     "MahalanobisDetector",

@@ -1,21 +1,8 @@
-"""Learning an outlyingness threshold from labelled scores (paper Sec. 4.2).
+"""Turning outlyingness scores into decisions (paper Sec. 4.2).
 
 The detection methods output a *score* per sample; deployment needs a
-*decision*.  The paper notes that when some labels are available, "the
-labels can be combined with their corresponding outlyingness scores to
-learn an outlyingness threshold that can best discriminate outliers
-from inliers.  Such a threshold can be learned from the ROC as well as
-an imbalanced classification algorithm … in a one dimensional manner."
-
-This module implements both routes:
-
-* :func:`threshold_from_roc` — the ROC route: pick the threshold
-  maximizing Youden's J statistic (TPR − FPR), the standard optimal
-  operating point of the ROC curve;
-* :func:`threshold_max_f1` — maximize F1 over all score cut points
-  (the imbalanced-classification view where precision/recall matter);
-* :func:`threshold_from_quantile` — the unsupervised fallback: flag the
-  top ``contamination`` fraction of *unlabelled* scores.
+*decision*.  :func:`threshold_from_quantile` is the unsupervised route:
+flag the top ``contamination`` fraction of *unlabelled* scores.
 
 For unbounded score streams, :class:`StreamingQuantileThreshold` keeps
 the quantile route online: it holds the last ``capacity`` scores in a
@@ -32,15 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.evaluation.metrics import f1_at_threshold, roc_curve
 from repro.exceptions import ValidationError
 from repro.utils.validation import as_float_array, check_in_range, check_int
 
 __all__ = [
     "LearnedThreshold",
     "StreamingQuantileThreshold",
-    "threshold_from_roc",
-    "threshold_max_f1",
     "threshold_from_quantile",
 ]
 
@@ -54,9 +38,10 @@ class LearnedThreshold:
     value:
         The cut point: samples with ``score > value`` are flagged.
     criterion:
-        Name of the selection criterion.
+        Name of the selection criterion (``"quantile"`` or
+        ``"quantile-sketch"``).
     objective:
-        The criterion's value at the chosen threshold (e.g. Youden's J).
+        The criterion's parameter (the contamination level).
     """
 
     value: float
@@ -67,52 +52,6 @@ class LearnedThreshold:
         """Label scores: ``-1`` outlier (score above threshold), ``+1`` inlier."""
         scores = as_float_array(scores, "scores")
         return np.where(scores > self.value, -1, 1)
-
-
-def _midpoint_thresholds(scores: np.ndarray) -> np.ndarray:
-    """Candidate cut points: midpoints between consecutive distinct scores."""
-    distinct = np.unique(scores)
-    if distinct.shape[0] < 2:
-        return distinct
-    return 0.5 * (distinct[:-1] + distinct[1:])
-
-
-def threshold_from_roc(scores, labels) -> LearnedThreshold:
-    """Threshold at the ROC's Youden-optimal operating point.
-
-    Maximizes ``J = TPR - FPR``; the returned threshold is placed at the
-    midpoint between the boundary scores so that unseen scores equal to
-    a training score are classified consistently.
-    """
-    fpr, tpr, thresholds = roc_curve(scores, labels)
-    j_statistic = tpr - fpr
-    best = int(np.argmax(j_statistic))
-    if best == 0:
-        # Degenerate: the empty-positive corner is optimal; fall back to
-        # the largest finite threshold.
-        best = 1
-    # thresholds[best] is the lowest score still flagged; nudge just below.
-    cut = float(thresholds[best])
-    scores = as_float_array(scores, "scores")
-    lower = scores[scores < cut]
-    value = 0.5 * (cut + float(lower.max())) if lower.size else cut - 1e-12
-    return LearnedThreshold(
-        value=value, criterion="youden", objective=float(j_statistic[best])
-    )
-
-
-def threshold_max_f1(scores, labels) -> LearnedThreshold:
-    """Threshold maximizing F1 over all midpoint cut candidates."""
-    scores = as_float_array(scores, "scores")
-    if np.unique(scores).size < 2:
-        raise ValidationError("cannot learn a threshold from a single distinct score")
-    candidates = _midpoint_thresholds(scores)
-    best_value, best_f1 = None, -1.0
-    for candidate in candidates:
-        f1 = f1_at_threshold(scores, labels, candidate)
-        if f1 > best_f1:
-            best_value, best_f1 = float(candidate), f1
-    return LearnedThreshold(value=best_value, criterion="f1", objective=best_f1)
 
 
 class StreamingQuantileThreshold:

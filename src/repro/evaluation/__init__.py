@@ -1,16 +1,10 @@
 """Evaluation: metrics, contaminated splits, tuning, experiment harness."""
 
 from repro.evaluation.experiment import PAPER_CONTAMINATION_LEVELS, run_contamination_experiment
-from repro.evaluation.metrics import (
-    average_precision,
-    f1_at_threshold,
-    precision_at_k,
-    roc_auc,
-    roc_curve,
-)
+from repro.evaluation.metrics import roc_auc
 from repro.evaluation.results import ResultRecord, ResultTable
 from repro.evaluation.splits import Split, contaminated_split, kfold_indices
-from repro.evaluation.tuning import TuningResult, grid_search, tune_nu
+from repro.evaluation.tuning import TuningResult, tune_nu
 
 __all__ = [
     "PAPER_CONTAMINATION_LEVELS",
@@ -18,14 +12,9 @@ __all__ = [
     "ResultTable",
     "Split",
     "TuningResult",
-    "average_precision",
     "contaminated_split",
-    "f1_at_threshold",
-    "grid_search",
     "kfold_indices",
-    "precision_at_k",
     "roc_auc",
-    "roc_curve",
     "run_contamination_experiment",
     "tune_nu",
 ]

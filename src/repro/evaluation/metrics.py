@@ -1,8 +1,8 @@
-"""Binary ranking metrics computed from outlyingness scores.
+"""The ranking metric computed from outlyingness scores.
 
 The paper's evaluation metric is the area under the ROC curve of the
-outlyingness scores against the ground-truth labels (Sec. 4.1).  All
-metrics take scores oriented "higher = more anomalous" and labels with
+outlyingness scores against the ground-truth labels (Sec. 4.1).  It
+takes scores oriented "higher = more anomalous" and labels with
 1 = outlier (positive class).
 """
 
@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.utils.validation import as_float_array, check_int
+from repro.utils.validation import as_float_array
 
-__all__ = ["roc_curve", "roc_auc", "average_precision", "precision_at_k", "f1_at_threshold"]
+__all__ = ["roc_auc"]
 
 
 def _check_scores_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -31,30 +31,6 @@ def _check_scores_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     if unique.shape[0] < 2:
         raise ValidationError("labels must contain both classes for ranking metrics")
     return scores, labels.astype(int)
-
-
-def roc_curve(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ROC curve points.
-
-    Returns ``(fpr, tpr, thresholds)`` where thresholds are the distinct
-    score values in decreasing order; the curve starts at (0, 0) with an
-    infinite threshold and ends at (1, 1).
-    """
-    scores, labels = _check_scores_labels(scores, labels)
-    order = np.argsort(-scores, kind="mergesort")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    # Collapse ties: evaluate the curve only where the score changes.
-    distinct = np.nonzero(np.diff(sorted_scores))[0]
-    cut = np.r_[distinct, sorted_labels.shape[0] - 1]
-    tps = np.cumsum(sorted_labels)[cut]
-    fps = (cut + 1) - tps
-    n_pos = labels.sum()
-    n_neg = labels.shape[0] - n_pos
-    tpr = np.r_[0.0, tps / n_pos]
-    fpr = np.r_[0.0, fps / n_neg]
-    thresholds = np.r_[np.inf, sorted_scores[cut]]
-    return fpr, tpr, thresholds
 
 
 def roc_auc(scores, labels) -> float:
@@ -84,37 +60,3 @@ def roc_auc(scores, labels) -> float:
     n_neg = n - n_pos
     u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
-
-
-def average_precision(scores, labels) -> float:
-    """Average precision (area under the precision–recall curve)."""
-    scores, labels = _check_scores_labels(scores, labels)
-    order = np.argsort(-scores, kind="mergesort")
-    sorted_labels = labels[order]
-    tps = np.cumsum(sorted_labels)
-    precision = tps / np.arange(1, len(sorted_labels) + 1)
-    return float(np.sum(precision * sorted_labels) / labels.sum())
-
-
-def precision_at_k(scores, labels, k: int) -> float:
-    """Fraction of true outliers among the top-k scored samples."""
-    scores, labels = _check_scores_labels(scores, labels)
-    k = check_int(k, "k", minimum=1)
-    if k > scores.shape[0]:
-        raise ValidationError(f"k = {k} exceeds the number of samples {scores.shape[0]}")
-    top = np.argsort(-scores, kind="mergesort")[:k]
-    return float(labels[top].mean())
-
-
-def f1_at_threshold(scores, labels, threshold: float) -> float:
-    """F1 of the decision ``score > threshold`` (outlier = positive)."""
-    scores, labels = _check_scores_labels(scores, labels)
-    predicted = scores > float(threshold)
-    tp = int(np.sum(predicted & (labels == 1)))
-    fp = int(np.sum(predicted & (labels == 0)))
-    fn = int(np.sum(~predicted & (labels == 1)))
-    if tp == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return float(2.0 * precision * recall / (precision + recall))

@@ -11,15 +11,12 @@ contamination level the ν-property makes the held-out rejection rate
 track ν closely; past it, the frontier tightens and the rejection rate
 overshoots — exactly the behaviour that makes ν "hard to tune as c
 increases" (the paper's explanation for OCSVM's degradation).
-
-A generic grid-search helper over any detector factory is also
-provided for the ablation benches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +26,7 @@ from repro.exceptions import ValidationError
 from repro.utils.random import check_random_state
 from repro.utils.validation import check_int, check_matrix
 
-__all__ = ["TuningResult", "tune_nu", "grid_search"]
+__all__ = ["TuningResult", "tune_nu"]
 
 
 @dataclass(frozen=True)
@@ -83,55 +80,3 @@ def tune_nu(
     scores = {model.nu: float(np.mean(model_gaps)) for model, model_gaps in zip(models, gaps)}
     best = min(scores, key=scores.get)
     return TuningResult(best=best, scores=scores)
-
-
-def grid_search(
-    X,
-    factory: Callable[..., object],
-    param_grid: dict[str, Sequence],
-    criterion: Callable[[object, np.ndarray, np.ndarray], float],
-    n_folds: int = 5,
-    random_state=None,
-) -> TuningResult:
-    """Generic unsupervised k-fold grid search.
-
-    Parameters
-    ----------
-    X:
-        Feature matrix.
-    factory:
-        ``factory(**params) -> detector`` (anything with ``fit``).
-    param_grid:
-        Mapping name → candidate values; the full Cartesian product is
-        evaluated.
-    criterion:
-        ``criterion(fitted_detector, X_train, X_valid) -> float`` —
-        *lower is better*.
-    """
-    X = check_matrix(X, "X")
-    if not param_grid:
-        raise ValidationError("param_grid must not be empty")
-    rng = check_random_state(random_state)
-    folds = kfold_indices(X.shape[0], n_folds=n_folds, random_state=rng)
-    names = sorted(param_grid)
-    grids = [list(param_grid[name]) for name in names]
-
-    def combinations(level: int, current: dict):
-        if level == len(names):
-            yield dict(current)
-            return
-        for value in grids[level]:
-            current[names[level]] = value
-            yield from combinations(level + 1, current)
-            del current[names[level]]
-
-    scores: dict[tuple, float] = {}
-    for params in combinations(0, {}):
-        fold_scores = []
-        for train_idx, valid_idx in folds:
-            detector = factory(**params)
-            detector.fit(X[train_idx])
-            fold_scores.append(float(criterion(detector, X[train_idx], X[valid_idx])))
-        scores[tuple(sorted(params.items()))] = float(np.mean(fold_scores))
-    best_key = min(scores, key=scores.get)
-    return TuningResult(best=dict(best_key), scores=scores)

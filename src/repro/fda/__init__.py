@@ -6,7 +6,7 @@ coefficients by penalized least squares (Eq. 3–4), and evaluating
 derivative functions by linearity (Eq. 2).
 """
 
-from repro.fda.basis import Basis, BSplineBasis, FourierBasis, LegendreBasis, MonomialBasis
+from repro.fda.basis import Basis, BSplineBasis
 from repro.fda.fdata import (
     BasisFData,
     FDataGrid,
@@ -15,14 +15,8 @@ from repro.fda.fdata import (
     MultivariateBasisFData,
 )
 from repro.fda.penalty import gram_matrix, penalty_matrix
-from repro.fda.registration import ShiftRegistrationResult, landmark_register, shift_register
-from repro.fda.quadrature import (
-    gauss_legendre_nodes,
-    integrate_function,
-    integrate_sampled,
-    simpson_weights,
-    trapezoid_weights,
-)
+from repro.fda.registration import ShiftRegistrationResult, shift_register
+from repro.fda.quadrature import gauss_legendre_nodes, integrate_function, trapezoid_weights
 from repro.fda.selection import (
     FittedSelection,
     SelectionResult,
@@ -40,11 +34,8 @@ __all__ = [
     "BSplineBasis",
     "FDataGrid",
     "FittedSelection",
-    "FourierBasis",
     "IrregularFData",
-    "LegendreBasis",
     "MFDataGrid",
-    "MonomialBasis",
     "MultivariateBasisFData",
     "SelectionResult",
     "ShiftRegistrationResult",
@@ -52,14 +43,11 @@ __all__ = [
     "gcv_score",
     "gram_matrix",
     "integrate_function",
-    "integrate_sampled",
-    "landmark_register",
     "loocv_score",
     "penalty_matrix",
     "select_n_basis",
     "select_smoothing",
     "shift_register",
-    "simpson_weights",
     "smooth_mfd",
     "trapezoid_weights",
 ]

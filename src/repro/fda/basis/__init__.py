@@ -3,24 +3,12 @@
 from repro.exceptions import BasisError
 from repro.fda.basis.base import Basis
 from repro.fda.basis.bspline import BSplineBasis
-from repro.fda.basis.fourier import FourierBasis
-from repro.fda.basis.polynomial import LegendreBasis, MonomialBasis
 
 __all__ = [
     "Basis",
     "BSplineBasis",
-    "FourierBasis",
-    "LegendreBasis",
-    "MonomialBasis",
-    "BASIS_REGISTRY",
     "basis_from_config",
 ]
-
-#: Concrete basis classes addressable from persisted configs, keyed by
-#: class name (the ``"type"`` field of :meth:`Basis.to_config`).
-BASIS_REGISTRY: dict[str, type[Basis]] = {
-    cls.__name__: cls for cls in (BSplineBasis, FourierBasis, LegendreBasis, MonomialBasis)
-}
 
 
 def basis_from_config(config: dict) -> Basis:
@@ -28,18 +16,16 @@ def basis_from_config(config: dict) -> Basis:
 
     The inverse of :meth:`Basis.to_config`: ``basis_from_config(b.to_config())``
     returns a basis with the same :attr:`~Basis.cache_key` as ``b`` (and
-    therefore bit-identical design matrices).
+    therefore bit-identical design matrices).  ``BSplineBasis`` is the
+    one basis a persisted config can name.
     """
     if not isinstance(config, dict) or "type" not in config:
         raise BasisError(f"basis config must be a dict with a 'type' key, got {config!r}")
     kwargs = dict(config)
     name = kwargs.pop("type")
-    cls = BASIS_REGISTRY.get(name)
-    if cls is None:
-        raise BasisError(
-            f"unknown basis type {name!r}; known: {sorted(BASIS_REGISTRY)}"
-        )
+    if name != "BSplineBasis":
+        raise BasisError(f"unknown basis type {name!r}; known: ['BSplineBasis']")
     domain = kwargs.pop("domain", None)
     if domain is None or len(domain) != 2:
         raise BasisError(f"basis config needs a 2-element 'domain', got {domain!r}")
-    return cls(tuple(float(v) for v in domain), **kwargs)
+    return BSplineBasis(tuple(float(v) for v in domain), **kwargs)

@@ -95,8 +95,7 @@ class Basis(abc.ABC):
     def interior_breakpoints(self) -> np.ndarray:
         """Points where derivatives may be discontinuous (used by quadrature).
 
-        Smooth bases (Fourier, polynomial) have none; B-splines return
-        their interior knots.
+        The default is none; B-splines return their interior knots.
         """
         return np.empty(0)
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.fda.basis.base import Basis
-from repro.fda.quadrature import integrate_sampled
 from repro.utils.validation import as_float_array, check_grid, check_int
 
 __all__ = [
@@ -96,10 +95,6 @@ class FDataGrid:
     def __getitem__(self, index) -> "FDataGrid":
         picked = np.atleast_2d(self.values[index])
         return FDataGrid(picked, self.grid)
-
-    def integrate(self) -> np.ndarray:
-        """Trapezoid integral of each sample over the grid."""
-        return np.asarray(integrate_sampled(self.values, self.grid))
 
     def to_multivariate(self) -> "MFDataGrid":
         """View as single-parameter MFD (p = 1)."""

@@ -19,8 +19,6 @@ from repro.utils.validation import check_grid, check_int, check_vector
 
 __all__ = [
     "trapezoid_weights",
-    "simpson_weights",
-    "integrate_sampled",
     "gauss_legendre_nodes",
     "integrate_function",
 ]
@@ -38,60 +36,6 @@ def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     weights[:-1] += steps / 2.0
     weights[1:] += steps / 2.0
     return weights
-
-
-def simpson_weights(grid: np.ndarray) -> np.ndarray:
-    """Composite Simpson weights on a *uniform* grid.
-
-    Requires an odd number of points (even number of sub-intervals).
-    For irregular grids use :func:`trapezoid_weights`.
-    """
-    grid = check_grid(grid, "grid", min_length=3)
-    steps = np.diff(grid)
-    if not np.allclose(steps, steps[0], rtol=1e-8, atol=1e-12):
-        raise ValidationError("simpson_weights requires a uniform grid")
-    if grid.shape[0] % 2 == 0:
-        raise ValidationError(
-            "simpson_weights requires an odd number of grid points, "
-            f"got {grid.shape[0]}"
-        )
-    h = steps[0]
-    weights = np.ones_like(grid)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return weights * h / 3.0
-
-
-def integrate_sampled(values: np.ndarray, grid: np.ndarray, rule: str = "trapezoid") -> float | np.ndarray:
-    """Integrate sampled values over their grid.
-
-    Parameters
-    ----------
-    values:
-        Array whose *last* axis indexes the grid; leading axes are
-        integrated independently (vectorized over samples).
-    grid:
-        Strictly increasing grid of the same length as the last axis.
-    rule:
-        ``"trapezoid"`` (default, any grid) or ``"simpson"`` (uniform
-        grid with an odd number of points).
-    """
-    grid = check_grid(grid, "grid")
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape[-1] != grid.shape[0]:
-        raise ValidationError(
-            f"last axis of values ({values.shape[-1]}) must match grid length ({grid.shape[0]})"
-        )
-    if rule == "trapezoid":
-        weights = trapezoid_weights(grid)
-    elif rule == "simpson":
-        weights = simpson_weights(grid)
-    else:
-        raise ValidationError(f"unknown quadrature rule {rule!r}")
-    result = values @ weights
-    if result.ndim == 0:
-        return float(result)
-    return result
 
 
 @lru_cache(maxsize=8)

@@ -4,18 +4,13 @@ Functional data often mix *amplitude* variation (what the curves do)
 with *phase* variation (when they do it).  Our ECG substitute has
 beat-to-beat phase jitter by construction, and the reproduction showed
 that phase variation is precisely what degrades pointwise methods.
-This module provides the two classical registration tools so that the
-interaction can be studied (ablation A4):
-
-* **shift registration** — find, per curve, the time shift maximizing
-  its inner product with a template (iterated Procrustes-style against
-  the cross-sectional mean); periodic and clamped boundary handling;
-* **landmark registration** — warp each curve so that user-supplied
-  landmarks (e.g. the R-peak location) map to common positions, using a
-  monotone piecewise-linear time warp.
-
-Both operate on :class:`~repro.fda.fdata.FDataGrid` and return aligned
-data on the same grid plus the estimated warps.
+This module provides the classical shift registration so that the
+interaction can be studied (ablation A4): find, per curve, the time
+shift maximizing its inner product with a template (iterated
+Procrustes-style against the cross-sectional mean), with periodic or
+clamped boundary handling.  It operates on
+:class:`~repro.fda.fdata.FDataGrid` and returns aligned data on the
+same grid plus the estimated shifts.
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ from repro.exceptions import ValidationError
 from repro.fda.fdata import FDataGrid
 from repro.utils.validation import as_float_array, check_int, check_positive
 
-__all__ = ["ShiftRegistrationResult", "shift_register", "landmark_register"]
+__all__ = ["ShiftRegistrationResult", "shift_register"]
 
 
 @dataclass(frozen=True)
@@ -121,62 +116,3 @@ def shift_register(
         if fixed_template is not None:
             break
     return ShiftRegistrationResult(aligned=FDataGrid(aligned, grid), shifts=shifts)
-
-
-def landmark_register(
-    data: FDataGrid,
-    landmarks: np.ndarray,
-    targets: np.ndarray | None = None,
-) -> FDataGrid:
-    """Warp curves so per-sample landmarks land on common target positions.
-
-    Parameters
-    ----------
-    data:
-        Curves on a common grid.
-    landmarks:
-        Array ``(n_samples, n_landmarks)`` of strictly increasing interior
-        time points per sample (e.g. detected R-peak locations).
-    targets:
-        Common positions ``(n_landmarks,)``; default: the cross-sample
-        mean of each landmark.
-
-    Returns
-    -------
-    FDataGrid
-        Curves warped by the monotone piecewise-linear maps sending the
-        grid endpoints to themselves and each landmark to its target.
-    """
-    if not isinstance(data, FDataGrid):
-        raise ValidationError(f"data must be FDataGrid, got {type(data).__name__}")
-    landmarks = as_float_array(landmarks, "landmarks")
-    if landmarks.ndim == 1:
-        landmarks = landmarks[:, None]
-    if landmarks.shape[0] != data.n_samples:
-        raise ValidationError(
-            f"need one landmark row per sample, got {landmarks.shape[0]} rows "
-            f"for {data.n_samples} samples"
-        )
-    grid = data.grid
-    low, high = float(grid[0]), float(grid[-1])
-    if np.any(landmarks <= low) or np.any(landmarks >= high):
-        raise ValidationError("landmarks must lie strictly inside the domain")
-    if np.any(np.diff(landmarks, axis=1) <= 0):
-        raise ValidationError("each sample's landmarks must be strictly increasing")
-    if targets is None:
-        targets = landmarks.mean(axis=0)
-    else:
-        targets = as_float_array(targets, "targets")
-        if targets.shape != (landmarks.shape[1],):
-            raise ValidationError("targets must have one entry per landmark")
-        if np.any(targets <= low) or np.any(targets >= high) or np.any(np.diff(targets) <= 0):
-            raise ValidationError("targets must be increasing interior points")
-
-    warped = np.empty_like(data.values)
-    target_knots = np.concatenate(([low], targets, [high]))
-    for i in range(data.n_samples):
-        source_knots = np.concatenate(([low], landmarks[i], [high]))
-        # h maps target time -> source time; sample the curve there.
-        source_times = np.interp(grid, target_knots, source_knots)
-        warped[i] = np.interp(source_times, grid, data.values[i])
-    return FDataGrid(warped, grid)

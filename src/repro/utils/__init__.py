@@ -1,6 +1,6 @@
 """Shared utilities: validation, RNG handling, linear algebra helpers."""
 
-from repro.utils.linalg import pairwise_sq_dists, safe_inverse_sqrt, solve_psd, symmetrize
+from repro.utils.linalg import pairwise_sq_dists, symmetrize
 from repro.utils.random import check_random_state, spawn_random_states
 from repro.utils.validation import (
     as_float_array,
@@ -9,8 +9,6 @@ from repro.utils.validation import (
     check_int,
     check_matrix,
     check_positive,
-    check_probability,
-    check_same_length,
     check_vector,
 )
 
@@ -21,13 +19,9 @@ __all__ = [
     "check_int",
     "check_matrix",
     "check_positive",
-    "check_probability",
     "check_random_state",
-    "check_same_length",
     "check_vector",
     "pairwise_sq_dists",
-    "safe_inverse_sqrt",
-    "solve_psd",
     "spawn_random_states",
     "symmetrize",
 ]

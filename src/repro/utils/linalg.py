@@ -9,9 +9,7 @@ from repro.exceptions import ValidationError
 
 __all__ = [
     "PSDSolver",
-    "solve_psd",
     "symmetrize",
-    "safe_inverse_sqrt",
     "pairwise_sq_dists",
     "row_blocks",
 ]
@@ -28,10 +26,13 @@ def symmetrize(matrix: np.ndarray) -> np.ndarray:
 class PSDSolver:
     """Reusable factorization of a (nearly) positive semi-definite matrix.
 
-    Performs the robust factorization of :func:`solve_psd` exactly once
-    — Cholesky with a geometrically escalating diagonal ridge, pseudo-
-    inverse as the last resort — and then solves any number of
-    right-hand sides by cheap triangular back-substitution.  The engine
+    Performs the robust factorization exactly once — Cholesky first; on
+    failure a diagonal ridge of ``jitter * trace/n`` (escalating
+    geometrically), and the pseudo-inverse as the last resort — and then
+    solves any number of right-hand sides by cheap triangular
+    back-substitution.  This is the standard robust path for penalized
+    least-squares normal equations whose penalty matrix is singular
+    (roughness penalties annihilate polynomials of low degree).  The engine
     cache (:mod:`repro.engine`) memoizes these objects so the smoothing
     stack pays for each normal-equation factorization at most once.
     """
@@ -59,25 +60,6 @@ class PSDSolver:
         if self._chol is not None:
             return sla.cho_solve(self._chol, rhs, check_finite=False)
         return self._pinv @ rhs
-
-
-def solve_psd(matrix: np.ndarray, rhs: np.ndarray, jitter: float = 1e-10) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` for a (nearly) positive semi-definite matrix.
-
-    Tries a Cholesky factorization first; on failure adds a small ridge
-    of ``jitter * trace/n`` to the diagonal (escalating geometrically) and
-    finally falls back to the pseudo-inverse.  This is the standard
-    robust path for penalized least-squares normal equations whose
-    penalty matrix is singular (e.g. roughness penalties annihilate
-    polynomials of low degree).
-    """
-    return PSDSolver(matrix, jitter=jitter).solve(rhs)
-
-
-def safe_inverse_sqrt(values: np.ndarray, floor: float = 1e-12) -> np.ndarray:
-    """Elementwise ``1/sqrt(values)`` with a floor guarding against division by zero."""
-    values = np.asarray(values, dtype=np.float64)
-    return 1.0 / np.sqrt(np.maximum(values, floor))
 
 
 def row_blocks(

@@ -16,6 +16,16 @@ from repro.exceptions import ValidationError
 __all__ = ["check_random_state", "spawn_random_states"]
 
 
+def _int_seed(random_state) -> int | None:
+    """``random_state`` as an int seed (NumPy takes only non-negative
+    ones), or ``None`` when it is not an integer."""
+    if isinstance(random_state, bool) or not isinstance(random_state, (int, np.integer)):
+        return None
+    if random_state < 0:
+        raise ValidationError(f"random seed must be a non-negative integer, got {random_state}")
+    return int(random_state)
+
+
 def check_random_state(random_state=None) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` for ``random_state``.
 
@@ -33,8 +43,8 @@ def check_random_state(random_state=None) -> np.random.Generator:
         return np.random.default_rng()
     if isinstance(random_state, np.random.Generator):
         return random_state
-    if isinstance(random_state, (int, np.integer)) and not isinstance(random_state, bool):
-        return np.random.default_rng(int(random_state))
+    if (seed := _int_seed(random_state)) is not None:
+        return np.random.default_rng(seed)
     if isinstance(random_state, np.random.SeedSequence):
         return np.random.default_rng(random_state)
     raise ValidationError(
@@ -53,8 +63,8 @@ def spawn_random_states(random_state, n: int) -> list[np.random.Generator]:
         raise ValidationError(f"n must be non-negative, got {n}")
     if isinstance(random_state, np.random.SeedSequence):
         seed_seq = random_state
-    elif isinstance(random_state, (int, np.integer)) and not isinstance(random_state, bool):
-        seed_seq = np.random.SeedSequence(int(random_state))
+    elif (seed := _int_seed(random_state)) is not None:
+        seed_seq = np.random.SeedSequence(seed)
     elif random_state is None:
         seed_seq = np.random.SeedSequence()
     elif isinstance(random_state, np.random.Generator):

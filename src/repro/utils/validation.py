@@ -9,8 +9,6 @@ algebra routines.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.exceptions import GridError, ValidationError
@@ -23,8 +21,6 @@ __all__ = [
     "check_positive",
     "check_in_range",
     "check_int",
-    "check_probability",
-    "check_same_length",
 ]
 
 
@@ -151,16 +147,3 @@ def check_int(value, name: str = "value", minimum: int | None = None) -> int:
     if minimum is not None and number < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {number}")
     return number
-
-
-def check_probability(value: float, name: str = "probability") -> float:
-    """Validate a scalar in the closed unit interval."""
-    return check_in_range(value, 0.0, 1.0, name=name)
-
-
-def check_same_length(a: Sequence, b: Sequence, name_a: str = "a", name_b: str = "b") -> None:
-    """Validate that two sequences have equal length."""
-    if len(a) != len(b):
-        raise ValidationError(
-            f"{name_a} and {name_b} must have the same length, got {len(a)} and {len(b)}"
-        )

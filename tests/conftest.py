@@ -61,3 +61,26 @@ def correlation_mfd():
         "correlation", n_inliers=40, n_outliers=6, random_state=11
     )
     return data, labels
+
+
+@pytest.fixture(scope="session")
+def cloud_depth():
+    """``cloud_depth(notion, points, reference, **kw)``: pointwise depth of
+    ``points`` in the R^p cloud ``reference``.
+
+    Both clouds sit at the two points of a two-point grid, so one column
+    of :func:`~repro.depth.functional.pointwise_depth_profile` is the
+    depth of the points in that cloud.
+    """
+    from repro.depth.functional import pointwise_depth_profile
+
+    grid = np.array([0.0, 1.0])
+
+    def cube(points):
+        points = np.asarray(points, dtype=np.float64)
+        return MFDataGrid(np.repeat(points[:, None, :], 2, axis=1), grid)
+
+    def depth(notion, points, reference, **kwargs):
+        return pointwise_depth_profile(cube(points), cube(reference), notion, **kwargs)[:, 0]
+
+    return depth

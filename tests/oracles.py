@@ -9,8 +9,9 @@ against them.
 
 The oracles draw random directions through the same
 :func:`repro.depth._kernels.draw_directions` calls, in the same order,
-as the kernels; they reuse the production p = 1 Stahel–Donoho helper
-and the package's input checks; and they always compute in float64.
+as the kernels; they always compute in float64.  The package scores
+no single point cloud, so the cloud input check and the p = 1
+Stahel–Donoho helper of the loops live here.
 
 The Isolation Forest section holds the depth-first grower that took a
 min and max over every feature at each node to find the features it may
@@ -26,19 +27,13 @@ on the path); the bench gates import ``tests.oracles``.
 """
 
 import json
-from itertools import combinations
 
 import numpy as np
 
 from repro.depth import _kernels
+from repro.depth._kernels import MAD_SCALE as _MAD_SCALE
 from repro.depth.dirout import summarize_outlyingness
-from repro.depth.functional import _check_mbd_inputs
 from repro.depth.funta import _resolve_pair
-from repro.depth.multivariate import (
-    _check_cloud,
-    _directional_outlyingness_1d,
-    mahalanobis_depth,
-)
 from repro.detectors.iforest import _NODE_KEYS
 from repro.exceptions import ValidationError
 from repro.fda.fdata import FDataGrid
@@ -114,6 +109,27 @@ def funta_depth(data, reference=None, trim: float = 0.0) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------- point clouds
+def _check_cloud(points, reference) -> tuple[np.ndarray, np.ndarray]:
+    points = check_matrix(points, "points")
+    reference = check_matrix(reference, "reference", min_rows=2)
+    if points.shape[1] != reference.shape[1]:
+        raise ValidationError(
+            f"points have {points.shape[1]} coordinates but reference has "
+            f"{reference.shape[1]}"
+        )
+    return points, reference
+
+
+def _directional_outlyingness_1d(proj_points: np.ndarray, proj_ref: np.ndarray) -> np.ndarray:
+    """|x - med| / MAD along one projection, with degenerate-MAD guard."""
+    med = np.median(proj_ref)
+    mad = _MAD_SCALE * np.median(np.abs(proj_ref - med))
+    if mad < 1e-12:
+        spread = np.std(proj_ref)
+        mad = spread if spread > 1e-12 else 1.0
+    return np.abs(proj_points - med) / mad
+
+
 def stahel_donoho_outlyingness(
     points, reference, n_directions: int = 200, random_state=None
 ) -> np.ndarray:
@@ -181,45 +197,11 @@ def spatial_depth(points, reference) -> np.ndarray:
     return np.clip(depth, 0.0, 1.0)
 
 
-def simplicial_depth(points, reference) -> np.ndarray:
-    """Simplicial depth for p = 2, one query point at a time against all
-    ``C(n, 3)`` reference triangles."""
-    points, reference = _check_cloud(points, reference)
-    if reference.shape[1] != 2:
-        raise ValidationError("simplicial_depth is implemented for p = 2 only")
-    n = reference.shape[0]
-    if n < 3:
-        raise ValidationError("simplicial_depth needs at least 3 reference points")
-    triangles = np.array(list(combinations(range(n), 3)))
-    a = reference[triangles[:, 0]]
-    b = reference[triangles[:, 1]]
-    c = reference[triangles[:, 2]]
-
-    def _sign(p1, p2, p3):
-        return (p1[:, 0] - p3[:, 0]) * (p2[:, 1] - p3[:, 1]) - (
-            p2[:, 0] - p3[:, 0]
-        ) * (p1[:, 1] - p3[:, 1])
-
-    depth = np.empty(points.shape[0])
-    for i, x in enumerate(points):
-        xx = np.broadcast_to(x, a.shape)
-        d1 = _sign(xx, a, b)
-        d2 = _sign(xx, b, c)
-        d3 = _sign(xx, c, a)
-        neg = (d1 < 0) | (d2 < 0) | (d3 < 0)
-        pos = (d1 > 0) | (d2 > 0) | (d3 > 0)
-        inside = ~(neg & pos)
-        depth[i] = inside.mean()
-    return depth
-
-
 # --------------------------------------------------------------------------- functional
 _POINTWISE = {
     "projection": projection_depth,
     "halfspace": halfspace_depth,
-    "mahalanobis": mahalanobis_depth,
     "spatial": spatial_depth,
-    "simplicial": simplicial_depth,
 }
 
 
@@ -236,25 +218,6 @@ def pointwise_depth_profile(
         pts = data.values[:, j, :]
         profile[:, j] = depth_fn(pts, cloud, **depth_kwargs)
     return profile
-
-
-def _modified_band_depth_pairwise(
-    data: FDataGrid, reference: FDataGrid | None = None
-) -> np.ndarray:
-    """Reference implementation: the explicit O(n²·m) pair loop.
-
-    Kept as the ground truth the vectorized rank-count version is
-    tested against.
-    """
-    ref = _check_mbd_inputs(data, reference)
-    pairs = list(combinations(range(ref.shape[0]), 2))
-    depth = np.zeros(data.n_samples)
-    for j, k in pairs:
-        lower = np.minimum(ref[j], ref[k])
-        upper = np.maximum(ref[j], ref[k])
-        inside = (data.values >= lower[None, :]) & (data.values <= upper[None, :])
-        depth += inside.mean(axis=1)
-    return depth / len(pairs)
 
 
 # --------------------------------------------------------------------------- Dir.out

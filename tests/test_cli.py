@@ -43,6 +43,10 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "circle r=2.0" in out
 
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["fig1", "--seed", "-1"]) == 2
+        assert "non-negative" in capsys.readouterr().err
+
     def test_fig3_small(self, capsys):
         assert main(["fig3", "--reps", "1"]) == 0
         out = capsys.readouterr().out
@@ -132,6 +136,19 @@ class TestServeScore:
         assert rc == 2
         assert "missing arrays" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_parameter_count_mismatch_exits_2(self, saved_pipeline, tmp_path, capsys, p):
+        model_dir, batch_path = saved_pipeline
+        with np.load(batch_path) as bundle:
+            values, grid = bundle["values"], bundle["grid"]
+        other = tmp_path / "other_p.npz"
+        np.savez(other, values=np.repeat(values[:, :, :1], p, axis=2), grid=grid)
+        rc = main(["serve-score", "--pipeline", str(model_dir), "--data", str(other)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"fitted on 2 parameters, got curves with {p}" in err
+        assert "Traceback" not in err
+
     def test_missing_required_options_exit_nonzero(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["serve-score"])
@@ -189,6 +206,14 @@ class TestStreamScore:
         ])
         assert rc == 2
         assert "sketch" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, stream_npz, capsys):
+        rc = main([
+            "stream-score", "--data", str(stream_npz), "--policy", "reservoir",
+            "--seed", "-1",
+        ])
+        assert rc == 2
+        assert "non-negative" in capsys.readouterr().err
 
     def test_missing_data_file_exits_2(self, tmp_path, capsys):
         rc = main(["stream-score", "--data", str(tmp_path / "nope.npz")])

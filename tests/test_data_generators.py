@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.augment import derivative_augment, power_augment, square_augment
+from repro.data.augment import power_augment, square_augment
 from repro.data.ecg import ECGGenerator, ECGWave, make_ecg_dataset
 from repro.data.noise import smooth_gaussian_process, white_noise
 from repro.data.synthetic import (
@@ -181,13 +181,6 @@ class TestAugmentation:
         mfd = power_augment(sine_curves, powers=(1, 2, 3))
         assert mfd.n_parameters == 3
         np.testing.assert_allclose(mfd.values[:, :, 2], sine_curves.values**3)
-
-    def test_derivative_augment(self, unit_grid):
-        clean = FDataGrid(np.sin(2 * np.pi * unit_grid)[None, :], unit_grid)
-        mfd = derivative_augment(clean)
-        assert mfd.n_parameters == 2
-        truth = 2 * np.pi * np.cos(2 * np.pi * unit_grid)
-        np.testing.assert_allclose(mfd.values[0, 2:-2, 1], truth[2:-2], atol=0.1)
 
     def test_rejects_mfd_input(self, circle_mfd):
         with pytest.raises(ValidationError):

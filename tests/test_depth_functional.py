@@ -3,17 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.depth.functional import (
-    aggregate_depth,
-    functional_depth,
-    modified_band_depth,
-    pointwise_depth_profile,
-    univariate_integrated_depth,
-)
+from repro.depth.functional import aggregate_depth, functional_depth, pointwise_depth_profile
 from repro.exceptions import ValidationError
 from repro.fda.fdata import FDataGrid, MFDataGrid
-
-from oracles import _modified_band_depth_pairwise
 
 
 @pytest.fixture
@@ -37,7 +29,7 @@ def fan_mfd(rng):
 
 class TestPointwiseProfile:
     def test_shape(self, fan_mfd):
-        profile = pointwise_depth_profile(fan_mfd, notion="mahalanobis")
+        profile = pointwise_depth_profile(fan_mfd, notion="spatial")
         assert profile.shape == (7, 30)
 
     def test_central_curve_deepest(self, fan_mfd):
@@ -104,7 +96,7 @@ class TestFunctionalDepth:
 
     def test_reference_based_scoring(self, fan_mfd):
         ref = fan_mfd[:5]
-        depth = functional_depth(fan_mfd, reference=ref, notion="mahalanobis")
+        depth = functional_depth(fan_mfd, reference=ref, notion="spatial")
         assert depth.shape == (7,)
 
     def test_rejects_raw_arrays(self):
@@ -113,61 +105,12 @@ class TestFunctionalDepth:
 
 
 class TestUnivariateIntegratedDepth:
+    """Fraiman–Muniz depth of UFD: the integrated halfspace depth at p = 1."""
+
     def test_median_curve_deepest(self, band_curves):
-        depth = univariate_integrated_depth(band_curves)
+        depth = functional_depth(band_curves.to_multivariate(), notion="halfspace")
         assert depth.argmax() == 4  # the middle level
 
     def test_extremes_shallowest(self, band_curves):
-        depth = univariate_integrated_depth(band_curves)
+        depth = functional_depth(band_curves.to_multivariate(), notion="halfspace")
         assert depth.argmin() in (0, 8)
-
-
-class TestModifiedBandDepth:
-    def test_middle_curve_deepest(self, band_curves):
-        depth = modified_band_depth(band_curves)
-        assert depth.argmax() == 4
-
-    def test_extreme_curves_shallowest(self, band_curves):
-        depth = modified_band_depth(band_curves)
-        assert set([depth.argmin()]) <= {0, 8}
-
-    def test_exact_small_case(self):
-        """Three constant curves at 0, 1, 2: middle one is inside the only
-        band not involving it; each curve is always inside its own bands."""
-        grid = np.linspace(0, 1, 5)
-        data = FDataGrid(np.tile(np.array([0.0, 1.0, 2.0])[:, None], (1, 5)), grid)
-        depth = modified_band_depth(data)
-        # Bands: {0,1}, {0,2}, {1,2}. Curve 1 inside all 3; curves 0 and 2
-        # inside the 2 bands containing them.
-        np.testing.assert_allclose(depth, [2 / 3, 1.0, 2 / 3])
-
-    def test_needs_two_reference_curves(self, band_curves):
-        with pytest.raises(ValidationError):
-            modified_band_depth(band_curves, reference=band_curves[0])
-
-    def test_out_of_sample(self, band_curves):
-        new = FDataGrid(np.full((1, 20), 4.2), band_curves.grid)
-        depth = modified_band_depth(new, reference=band_curves)
-        assert 0.0 < depth[0] <= 1.0
-
-    def test_rank_count_matches_pairwise(self, rng):
-        """The vectorized rank-count identity equals the explicit pair loop."""
-        grid = np.linspace(0, 1, 17)
-        data = FDataGrid(rng.standard_normal((12, 17)), grid)
-        np.testing.assert_allclose(
-            modified_band_depth(data),
-            _modified_band_depth_pairwise(data),
-            rtol=0, atol=1e-12,
-        )
-
-    def test_rank_count_matches_pairwise_with_ties_and_reference(self, rng):
-        grid = np.linspace(0, 1, 9)
-        # Quantized values force ties, the regime where strict/non-strict
-        # inequalities in the identity must line up exactly.
-        ref = FDataGrid(np.round(rng.standard_normal((15, 9)) * 2) / 2, grid)
-        new = FDataGrid(np.round(rng.standard_normal((6, 9)) * 2) / 2, grid)
-        np.testing.assert_allclose(
-            modified_band_depth(new, reference=ref),
-            _modified_band_depth_pairwise(new, reference=ref),
-            rtol=0, atol=1e-12,
-        )

@@ -13,7 +13,6 @@ from repro.depth import _kernels
 from repro.depth.dirout import dirout_scores
 from repro.depth.funta import funta_depth
 from repro.depth.functional import pointwise_depth_profile
-from repro.depth.msplot import ms_plot
 from repro.detectors.knn import KNNDetector
 from repro.detectors.lof import LocalOutlierFactor
 from repro.engine import ExecutionContext
@@ -58,7 +57,7 @@ class TestBlockPlumbing:
         with pytest.raises(ValidationError):
             pointwise_depth_profile(cube2, reference=bad_ref, notion="spatial")
 
-    @pytest.mark.parametrize("notion, n_ref", [("spatial", 1), ("simplicial", 2)])
+    @pytest.mark.parametrize("notion, n_ref", [("spatial", 1), ("halfspace", 1)])
     def test_profile_rejects_tiny_reference(self, cube2, notion, n_ref):
         tiny = cube2[np.arange(n_ref)]
         with pytest.raises(ValidationError):
@@ -153,16 +152,6 @@ class TestBatchedWeiszfeld:
             )
             assert alone_iters[0] == expected[j]
             np.testing.assert_array_equal(alone[0], median[j])
-
-
-class TestMsPlotTypes:
-    def test_vectorized_labels_match_reference_rule(self, cube2):
-        result = ms_plot(cube2, random_state=0)
-        assert len(result.types) == cube2.n_samples
-        assert set(result.types) <= {"inlier", "magnitude", "shape", "mixed"}
-        for i, label in enumerate(result.types):
-            if not result.outlier_mask[i]:
-                assert label == "inlier"
 
 
 class TestDepthScorerServing:

@@ -1,17 +1,21 @@
-"""Unit tests for pointwise multivariate depth functions."""
+"""Unit tests for the pointwise depth notions on R^p point clouds.
+
+The ``cloud_depth`` fixture (``conftest.py``) reads one column of
+:func:`~repro.depth.functional.pointwise_depth_profile`.
+"""
 
 import numpy as np
 import pytest
 
-from repro.depth.multivariate import (
-    halfspace_depth,
-    mahalanobis_depth,
-    projection_depth,
-    simplicial_depth,
-    spatial_depth,
-    stahel_donoho_outlyingness,
-)
-from repro.exceptions import ValidationError
+from repro.depth import _kernels
+
+
+def stahel_donoho_outlyingness(points, reference, **kwargs):
+    """The batched SDO kernel on ``points``/``reference`` at two grid points."""
+    def cube(cloud):
+        return np.repeat(np.asarray(cloud, dtype=np.float64)[:, None, :], 2, axis=1)
+
+    return _kernels.batched_stahel_donoho(cube(points), cube(reference), **kwargs)[:, 0]
 
 
 @pytest.fixture
@@ -19,34 +23,11 @@ def cloud(rng):
     return rng.standard_normal((200, 2))
 
 
-def _center_ranks_higher(depth_fn, cloud, **kwargs):
+def _center_ranks_higher(cloud_depth, notion, cloud, **kwargs):
     center = np.zeros((1, cloud.shape[1]))
     far = np.full((1, cloud.shape[1]), 5.0)
-    d = depth_fn(np.vstack([center, far]), cloud, **kwargs)
+    d = cloud_depth(notion, np.vstack([center, far]), cloud, **kwargs)
     return d[0], d[1]
-
-
-class TestMahalanobisDepth:
-    def test_center_deeper_than_tail(self, cloud):
-        d_center, d_far = _center_ranks_higher(mahalanobis_depth, cloud)
-        assert d_center > d_far
-
-    def test_range(self, cloud):
-        d = mahalanobis_depth(cloud, cloud)
-        assert (d > 0).all() and (d <= 1).all()
-
-    def test_affine_invariance(self, cloud, rng):
-        """Mahalanobis depth is exactly affine invariant."""
-        A = rng.standard_normal((2, 2)) + 2 * np.eye(2)
-        b = rng.standard_normal(2)
-        pts = rng.standard_normal((10, 2))
-        d1 = mahalanobis_depth(pts, cloud)
-        d2 = mahalanobis_depth(pts @ A.T + b, cloud @ A.T + b)
-        np.testing.assert_allclose(d1, d2, atol=1e-8)
-
-    def test_dimension_mismatch(self, cloud):
-        with pytest.raises(ValidationError):
-            mahalanobis_depth(np.zeros((1, 3)), cloud)
 
 
 class TestStahelDonoho:
@@ -70,67 +51,47 @@ class TestStahelDonoho:
 
 
 class TestProjectionDepth:
-    def test_reciprocal_relation(self, cloud):
+    def test_reciprocal_relation(self, cloud_depth, cloud):
         pts = cloud[:5]
         sdo = stahel_donoho_outlyingness(pts, cloud, random_state=1)
-        pd = projection_depth(pts, cloud, random_state=1)
+        pd = cloud_depth("projection", pts, cloud, random_state=1)
         np.testing.assert_allclose(pd, 1.0 / (1.0 + sdo))
 
-    def test_center_deeper(self, cloud):
-        d_center, d_far = _center_ranks_higher(projection_depth, cloud, random_state=0)
+    def test_center_deeper(self, cloud_depth, cloud):
+        d_center, d_far = _center_ranks_higher(cloud_depth, "projection", cloud, random_state=0)
         assert d_center > d_far
 
 
 class TestHalfspaceDepth:
-    def test_univariate_exact(self):
+    def test_univariate_exact(self, cloud_depth):
         ref = np.arange(10.0)[:, None]
-        d = halfspace_depth(np.array([[0.0], [4.5], [9.0]]), ref)
+        d = cloud_depth("halfspace", np.array([[0.0], [4.5], [9.0]]), ref)
         assert d[0] == pytest.approx(0.1)
         assert d[1] == pytest.approx(0.5)
         assert d[2] == pytest.approx(0.1)
 
-    def test_max_half(self, cloud):
-        d = halfspace_depth(cloud, cloud, random_state=0)
+    def test_max_half(self, cloud_depth, cloud):
+        d = cloud_depth("halfspace", cloud, cloud, random_state=0)
         assert d.max() <= 0.5 + 1e-12
 
-    def test_far_point_depth_zero(self, cloud):
-        d = halfspace_depth(np.array([[50.0, 50.0]]), cloud, random_state=0)
+    def test_far_point_depth_zero(self, cloud_depth, cloud):
+        d = cloud_depth("halfspace", np.array([[50.0, 50.0]]), cloud, random_state=0)
         assert d[0] == pytest.approx(0.0)
 
-    def test_center_deeper(self, cloud):
-        d_center, d_far = _center_ranks_higher(halfspace_depth, cloud, random_state=0)
+    def test_center_deeper(self, cloud_depth, cloud):
+        d_center, d_far = _center_ranks_higher(cloud_depth, "halfspace", cloud, random_state=0)
         assert d_center > d_far
 
 
 class TestSpatialDepth:
-    def test_center_near_one(self, cloud):
-        d = spatial_depth(np.zeros((1, 2)), cloud)
+    def test_center_near_one(self, cloud_depth, cloud):
+        d = cloud_depth("spatial", np.zeros((1, 2)), cloud)
         assert d[0] > 0.9
 
-    def test_far_point_near_zero(self, cloud):
-        d = spatial_depth(np.array([[100.0, 0.0]]), cloud)
+    def test_far_point_near_zero(self, cloud_depth, cloud):
+        d = cloud_depth("spatial", np.array([[100.0, 0.0]]), cloud)
         assert d[0] < 0.05
 
-    def test_point_in_reference_handled(self, cloud):
-        d = spatial_depth(cloud[:3], cloud)
+    def test_point_in_reference_handled(self, cloud_depth, cloud):
+        d = cloud_depth("spatial", cloud[:3], cloud)
         assert np.isfinite(d).all()
-
-
-class TestSimplicialDepth:
-    def test_center_of_triangle(self):
-        ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 0.4]])
-        d = simplicial_depth(np.array([[0.5, 0.3]]), ref)
-        assert d[0] > 0.4
-
-    def test_outside_point_zero(self):
-        ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])
-        d = simplicial_depth(np.array([[5.0, 5.0]]), ref)
-        assert d[0] == 0.0
-
-    def test_p2_only(self, rng):
-        with pytest.raises(ValidationError):
-            simplicial_depth(np.zeros((1, 3)), rng.standard_normal((10, 3)))
-
-    def test_needs_three_points(self):
-        with pytest.raises(ValidationError):
-            simplicial_depth(np.zeros((1, 2)), np.zeros((2, 2)))

@@ -14,7 +14,7 @@ from repro.evaluation.experiment import (
 )
 from repro.evaluation.splits import Split
 from repro.exceptions import ValidationError
-from repro.fda.basis import BSplineBasis, FourierBasis
+from repro.fda.basis import BSplineBasis
 from repro.fda.fdata import FDataGrid
 from repro.fda.selection import select_n_basis
 from repro.fda.smoothing import BasisSmoother
@@ -52,7 +52,7 @@ class TestFactorizationCache:
         cache.solver(BSplineBasis((0.0, 1.0), 12), grid, 1e-4, 2)
         cache.solver(BSplineBasis((0.0, 1.0), 10), grid, 1e-3, 2)
         cache.solver(BSplineBasis((0.0, 1.0), 10), grid[:-1], 1e-4, 2)
-        cache.solver(FourierBasis((0.0, 1.0), 10), grid, 1e-4, 2)
+        cache.solver(BSplineBasis((0.0, 1.0), 10, order=5), grid, 1e-4, 2)
         assert cache.stats.factorizations == 5
         assert cache.stats.factorization_hits == 0
 

@@ -39,11 +39,6 @@ class TestFDataGrid:
         sub = sine_curves[0]
         assert sub.n_samples == 1
 
-    def test_integrate(self):
-        grid = np.linspace(0, 1, 101)
-        data = FDataGrid(np.vstack([np.ones(101), grid]), grid)
-        np.testing.assert_allclose(data.integrate(), [1.0, 0.5], atol=1e-6)
-
     def test_to_multivariate(self, sine_curves):
         mfd = sine_curves.to_multivariate()
         assert mfd.n_parameters == 1

@@ -5,8 +5,8 @@ only the HTTP front door loads orjson.
 in) more than doubles the import time and adds about 40 MB of RSS to
 every process: each Fig. 3 child, ``repro serve`` and its workers, every
 CLI call, and pool workers under a spawn or forkserver start method.
-Optional heavy dependencies are therefore imported inside the function
-that uses them (see :func:`repro.depth.msplot.ms_plot`).  orjson parses
+An optional heavy dependency must therefore be imported inside the
+function that uses it.  orjson parses
 request bodies in :mod:`repro.serving.app`, so ``import repro``, the
 CLI, Fig. 3 children and streaming never load it.  Each entry point is
 imported once, in a fresh interpreter, since this test process has long

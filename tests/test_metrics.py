@@ -1,42 +1,20 @@
-"""Unit tests for ROC/AUC and ranking metrics."""
+"""Unit tests for the ROC AUC."""
 
 import numpy as np
 import pytest
 
-from repro.evaluation.metrics import (
-    average_precision,
-    f1_at_threshold,
-    precision_at_k,
-    roc_auc,
-    roc_curve,
-)
+from repro.evaluation.metrics import roc_auc
 from repro.exceptions import ValidationError
 
 
-class TestRocCurve:
-    def test_perfect_ranking(self):
-        scores = np.array([0.1, 0.2, 0.8, 0.9])
-        labels = np.array([0, 0, 1, 1])
-        fpr, tpr, thresholds = roc_curve(scores, labels)
-        assert fpr[0] == 0.0 and tpr[0] == 0.0
-        assert fpr[-1] == 1.0 and tpr[-1] == 1.0
-        # TPR reaches 1 before FPR leaves 0.
-        assert tpr[np.argmax(fpr > 0)] == 1.0
-
-    def test_thresholds_decreasing(self, rng):
-        scores = rng.standard_normal(50)
-        labels = (rng.uniform(size=50) < 0.3).astype(int)
-        if labels.sum() in (0, 50):
-            labels[0] = 1 - labels[0]
-        _, _, thresholds = roc_curve(scores, labels)
-        assert (np.diff(thresholds) <= 0).all()
-
-    def test_monotone_curve(self, rng):
-        scores = rng.standard_normal(100)
-        labels = np.r_[np.zeros(80, int), np.ones(20, int)]
-        fpr, tpr, _ = roc_curve(scores, labels)
-        assert (np.diff(fpr) >= 0).all()
-        assert (np.diff(tpr) >= 0).all()
+def _roc_points(scores, labels):
+    """Tie-collapsed ROC curve ``(fpr, tpr)``, from (0, 0) to (1, 1)."""
+    order = np.argsort(-scores, kind="mergesort")
+    sorted_labels = labels[order]
+    cut = np.r_[np.nonzero(np.diff(scores[order]))[0], labels.shape[0] - 1]
+    tps = np.cumsum(sorted_labels)[cut]
+    fps = (cut + 1) - tps
+    return np.r_[0.0, fps / (labels.shape[0] - labels.sum())], np.r_[0.0, tps / labels.sum()]
 
 
 class TestRocAuc:
@@ -60,7 +38,7 @@ class TestRocAuc:
         labels = (rng.uniform(size=200) < 0.25).astype(int)
         labels[0] = 1
         labels[1] = 0
-        fpr, tpr, _ = roc_curve(scores, labels)
+        fpr, tpr = _roc_points(scores, labels)
         trapezoid = np.trapezoid(tpr, fpr)
         assert roc_auc(scores, labels) == pytest.approx(trapezoid, abs=1e-10)
 
@@ -83,44 +61,3 @@ class TestRocAuc:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             roc_auc([0.1], [0, 1])
-
-
-class TestAveragePrecision:
-    def test_perfect(self):
-        assert average_precision([0.1, 0.9, 0.8], [0, 1, 1]) == 1.0
-
-    def test_worst_case(self):
-        # Outlier ranked last among 3: AP = 1/3.
-        assert average_precision([0.9, 0.8, 0.1], [0, 0, 1]) == pytest.approx(1 / 3)
-
-    def test_between_zero_one(self, rng):
-        scores = rng.uniform(size=50)
-        labels = (rng.uniform(size=50) < 0.2).astype(int)
-        labels[:2] = [0, 1]
-        ap = average_precision(scores, labels)
-        assert 0.0 < ap <= 1.0
-
-
-class TestPrecisionAtK:
-    def test_exact(self):
-        scores = [0.9, 0.8, 0.7, 0.1]
-        labels = [1, 0, 1, 0]
-        assert precision_at_k(scores, labels, 1) == 1.0
-        assert precision_at_k(scores, labels, 2) == 0.5
-        assert precision_at_k(scores, labels, 4) == 0.5
-
-    def test_k_too_large(self):
-        with pytest.raises(ValidationError):
-            precision_at_k([0.1, 0.9], [0, 1], 3)
-
-
-class TestF1AtThreshold:
-    def test_perfect_split(self):
-        assert f1_at_threshold([0.1, 0.2, 0.9, 0.8], [0, 0, 1, 1], 0.5) == 1.0
-
-    def test_no_predictions(self):
-        assert f1_at_threshold([0.1, 0.2], [0, 1], 0.5) == 0.0
-
-    def test_partial(self):
-        # threshold 0.5: predict [F, T, T]; tp=1, fp=1, fn=1 -> F1 = 0.5
-        assert f1_at_threshold([0.4, 0.6, 0.7], [1, 0, 1], 0.5) == pytest.approx(0.5)

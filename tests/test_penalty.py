@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import BasisError
-from repro.fda.basis import BSplineBasis, FourierBasis, MonomialBasis
+from repro.fda.basis import BSplineBasis
 from repro.fda.penalty import gram_matrix, penalty_matrix
 
 
@@ -26,22 +26,30 @@ class TestPenaltyMatrix:
         assert (np.abs(eigenvalues[:2]) < 1e-8 * scale).all()
         assert eigenvalues[2] > 1e-6 * scale
 
-    def test_monomial_closed_form(self):
-        """For monomials 1, s, s^2 on [-1, 1]: D^2 -> (0, 0, 2), so
-        R = [[0,0,0],[0,0,0],[0,0,8]] (integral of 2*2 over length 2)."""
-        basis = MonomialBasis((-1.0, 1.0), n_basis=3)
-        R = penalty_matrix(basis, derivative=2)
-        expected = np.zeros((3, 3))
-        expected[2, 2] = 8.0
-        np.testing.assert_allclose(R, expected, atol=1e-10)
+    @staticmethod
+    def _spline_coefficients(basis, func):
+        """Coefficients of ``func`` in ``basis`` (exact when it lies in the span)."""
+        t = np.linspace(*basis.domain, 41)
+        coeffs, *_ = np.linalg.lstsq(basis.evaluate(t), func(t), rcond=None)
+        return coeffs
 
-    def test_fourier_diagonal(self):
-        """Fourier D^q penalties are diagonal: derivative of a harmonic
-        stays in the same frequency pair."""
-        basis = FourierBasis((0.0, 1.0), n_basis=5)
-        R = penalty_matrix(basis, derivative=2, n_nodes=64)
-        off_diag = R - np.diag(np.diag(R))
-        np.testing.assert_allclose(off_diag, 0.0, atol=1e-6)
+    def test_quadratic_closed_form(self):
+        """t^2 lies in the cubic spline span; its q = 2 penalty is the
+        integral of D^2 t^2 = 2 squared over [0, 2]: 4 * 2 = 8."""
+        basis = BSplineBasis((0.0, 2.0), n_basis=8)
+        c = self._spline_coefficients(basis, lambda t: t**2)
+        R = penalty_matrix(basis, derivative=2)
+        assert c @ R @ c == pytest.approx(8.0, rel=1e-9)
+
+    def test_cubic_closed_form(self):
+        """t^3 has D^2 = 6t, so its q = 2 penalty over [0, 1] is
+        the integral of 36 t^2: 12.  A line's penalty is zero."""
+        basis = BSplineBasis((0.0, 1.0), n_basis=7)
+        R = penalty_matrix(basis, derivative=2)
+        cubic = self._spline_coefficients(basis, lambda t: t**3)
+        line = self._spline_coefficients(basis, lambda t: 3.0 * t - 1.0)
+        assert cubic @ R @ cubic == pytest.approx(12.0, rel=1e-9)
+        assert abs(line @ R @ line) < 1e-9
 
     def test_derivative_beyond_max_rejected(self):
         basis = BSplineBasis((0.0, 1.0), n_basis=5, order=3)

@@ -7,6 +7,7 @@ from repro.core.pipeline import GeometricOutlierPipeline
 from repro.detectors import IsolationForest, KNNDetector, OneClassSVM
 from repro.evaluation.metrics import roc_auc
 from repro.exceptions import NotFittedError, ValidationError
+from repro.fda.fdata import MFDataGrid
 from repro.geometry.mappings import CompositeMapping, CurvatureMapping, SpeedMapping
 
 
@@ -116,6 +117,14 @@ class TestScoring:
         uncached = mapping.transform(pipe._smooth(data), pipe.eval_grid_).values
         assert np.array_equal(first, uncached)
         assert np.array_equal(second, uncached)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_parameter_count_mismatch_rejected(self, correlation_mfd, pipeline, p):
+        data, _ = correlation_mfd
+        pipeline.fit(data)
+        values = np.repeat(data.values[:, :, :1], p, axis=2)
+        with pytest.raises(ValidationError, match=f"fitted on 2 parameters.*with {p}"):
+            pipeline.score_samples(MFDataGrid(values, data.grid))
 
     def test_composite_mapping_widens_features(self, correlation_mfd):
         data, _ = correlation_mfd

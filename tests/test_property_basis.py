@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fda.basis import BSplineBasis, FourierBasis
+from repro.fda.basis import BSplineBasis
 from repro.fda.smoothing import BasisSmoother
 
 # Keep hypothesis example counts moderate: each example does linear algebra.
@@ -59,19 +59,6 @@ class TestBSplineProperties:
         interior = np.linspace(domain[0], domain[1], 30)[1:-1]
         d1 = basis.evaluate(interior, derivative=1)
         np.testing.assert_allclose(d1.sum(axis=1), 0.0, atol=1e-8)
-
-
-class TestFourierProperties:
-    @COMMON
-    @given(
-        st.integers(min_value=1, max_value=15),
-        st.floats(min_value=0.5, max_value=8.0),
-    )
-    def test_periodic_boundaries(self, n_basis, length):
-        basis = FourierBasis((0.0, length), n_basis)
-        left = basis.evaluate(np.array([0.0]))
-        right = basis.evaluate(np.array([length]))
-        np.testing.assert_allclose(left, right, atol=1e-8)
 
 
 class TestSmootherProperties:

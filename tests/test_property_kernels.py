@@ -16,10 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.depth import _kernels
-from repro.depth import multivariate as mvdepth
 from repro.depth._kernels import rank_counts
 from repro.depth.dirout import directional_outlyingness
-from repro.depth.functional import modified_band_depth, pointwise_depth_profile
+from repro.depth.functional import pointwise_depth_profile
 from repro.depth.funta import funta_depth
 from repro.fda.fdata import FDataGrid, MFDataGrid
 
@@ -145,7 +144,7 @@ class TestProfileEquivalence:
     @given(
         st.integers(min_value=0, max_value=10_000),
         st.integers(min_value=1, max_value=3),
-        st.sampled_from(["projection", "halfspace", "mahalanobis", "spatial"]),
+        st.sampled_from(["projection", "halfspace", "spatial"]),
         st.integers(min_value=0, max_value=3),
         st.booleans(),
     )
@@ -172,60 +171,6 @@ class TestProfileEquivalence:
                 )
             np.testing.assert_allclose(got, expected, rtol=RTOL, atol=ATOL)
 
-    @COMMON
-    @given(
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=0, max_value=2),
-    )
-    def test_simplicial(self, seed, degenerate):
-        grid = np.linspace(0.0, 1.0, 6)
-        data = MFDataGrid(_cube(seed, 9, 6, 2, degenerate), grid)
-        expected = oracles.pointwise_depth_profile(data, notion="simplicial")
-        with _budget("DEFAULT_BLOCK_BYTES", 3_000):
-            got = pointwise_depth_profile(data, notion="simplicial")
-        np.testing.assert_allclose(got, expected, rtol=RTOL, atol=ATOL)
-
-
-class TestCloudEquivalence:
-    @COMMON
-    @given(
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=1, max_value=3),
-        st.integers(min_value=0, max_value=1),
-    )
-    def test_halfspace_and_spatial(self, seed, p, round_to):
-        rng = np.random.default_rng(seed)
-        points = np.round(rng.standard_normal((12, p)), round_to + 1)
-        reference = np.round(rng.standard_normal((15, p)), round_to + 1)
-        np.testing.assert_allclose(
-            mvdepth.halfspace_depth(points, reference, random_state=seed % 50),
-            oracles.halfspace_depth(points, reference, random_state=seed % 50),
-            rtol=RTOL, atol=ATOL,
-        )
-        with _budget("DEFAULT_BLOCK_BYTES", 2_000):
-            spatial = mvdepth.spatial_depth(points, reference)
-        np.testing.assert_allclose(
-            spatial,
-            oracles.spatial_depth(points, reference),
-            rtol=RTOL, atol=ATOL,
-        )
-
-    @COMMON
-    @given(st.integers(min_value=0, max_value=10_000))
-    def test_simplicial_with_collinear_points(self, seed):
-        rng = np.random.default_rng(seed)
-        reference = np.round(rng.standard_normal((10, 2)), 1)
-        reference[3] = reference[0]  # duplicate → degenerate triangles
-        reference[4] = 0.5 * (reference[0] + reference[1])  # collinear
-        points = np.vstack([reference[:4], np.round(rng.standard_normal((4, 2)), 1)])
-        with _budget("DEFAULT_BLOCK_BYTES", 1_000):
-            simplicial = mvdepth.simplicial_depth(points, reference)
-        np.testing.assert_allclose(
-            simplicial,
-            oracles.simplicial_depth(points, reference),
-            rtol=RTOL, atol=ATOL,
-        )
-
 
 class TestDiroutAndBandDepth:
     @COMMON
@@ -244,17 +189,3 @@ class TestDiroutAndBandDepth:
             batched.variation, oracle.variation, rtol=RTOL, atol=ATOL
         )
         np.testing.assert_allclose(batched.total, oracle.total, rtol=RTOL, atol=ATOL)
-
-    @COMMON
-    @given(
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=0, max_value=2),
-    )
-    def test_modified_band_depth_oracle(self, seed, degenerate):
-        values = _cube(seed, 8, 18, 1, degenerate)[:, :, 0]
-        data = FDataGrid(values, np.linspace(0.0, 1.0, 18))
-        np.testing.assert_allclose(
-            modified_band_depth(data),
-            oracles._modified_band_depth_pairwise(data),
-            rtol=RTOL, atol=ATOL,
-        )

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.evaluation.metrics import average_precision, precision_at_k, roc_auc
+from repro.evaluation.metrics import roc_auc
 from repro.evaluation.splits import contaminated_split
 
 COMMON = settings(max_examples=40, deadline=None)
@@ -64,25 +64,6 @@ class TestAucProperties:
         np.testing.assert_allclose(
             roc_auc(scores, 1 - labels), 1.0 - roc_auc(scores, labels), atol=1e-10
         )
-
-    @COMMON
-    @given(scores_and_labels())
-    def test_average_precision_bounds(self, data):
-        scores, labels = data
-        ap = average_precision(scores, labels)
-        base_rate = labels.mean()
-        # AP is at least the best single-precision floor 0 and at most 1;
-        # for a random ranking it concentrates near the base rate.
-        assert 0.0 <= ap <= 1.0
-        assert ap >= base_rate / len(labels)
-
-    @COMMON
-    @given(scores_and_labels(), st.integers(min_value=1, max_value=4))
-    def test_precision_at_k_bounds(self, data, k):
-        scores, labels = data
-        if k <= len(scores):
-            assert 0.0 <= precision_at_k(scores, labels, k) <= 1.0
-
 
 class TestSplitProperties:
     @COMMON

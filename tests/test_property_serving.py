@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.core.pipeline import GeometricOutlierPipeline
 from repro.data.synthetic import make_taxonomy_dataset
 from repro.detectors import DETECTOR_REGISTRY, make_detector
-from repro.fda.basis import BASIS_REGISTRY, BSplineBasis, basis_from_config
+from repro.fda.basis import BSplineBasis, basis_from_config
 from repro.fda.fdata import FDataGrid
 from repro.fda.smoothing import BasisSmoother
 from repro.geometry.mappings import (
@@ -62,15 +62,14 @@ def mfd_dataset():
 class TestBasisConfigRoundTrip:
     @COMMON
     @given(
-        st.sampled_from(sorted(BASIS_REGISTRY)),
         st.integers(min_value=5, max_value=20),
         st.integers(min_value=0, max_value=10_000),
     )
-    def test_design_matrices_bit_identical(self, basis_type, n_basis, seed):
+    def test_design_matrices_bit_identical(self, n_basis, seed):
         rng = np.random.default_rng(seed)
         low = float(rng.uniform(-2.0, 0.0))
         high = low + float(rng.uniform(0.5, 3.0))
-        basis = BASIS_REGISTRY[basis_type]((low, high), n_basis)
+        basis = BSplineBasis((low, high), n_basis)
         restored = basis_from_config(basis.to_config())
         assert restored.cache_key == basis.cache_key
         points = np.linspace(low, high, 40)
@@ -91,18 +90,17 @@ class TestBasisConfigRoundTrip:
 class TestSmootherConfigRoundTrip:
     @COMMON
     @given(
-        st.sampled_from(sorted(BASIS_REGISTRY)),
         st.integers(min_value=5, max_value=15),
         st.sampled_from([0.0, 1e-6, 1e-4, 1e-2]),
         st.integers(min_value=0, max_value=2),
         st.integers(min_value=0, max_value=10_000),
     )
-    def test_coefficients_bit_identical(self, basis_type, n_basis, lam, order, seed):
+    def test_coefficients_bit_identical(self, n_basis, lam, order, seed):
         rng = np.random.default_rng(seed)
         grid = np.linspace(0.0, 1.0, 40)
         data = FDataGrid(rng.standard_normal((6, 40)), grid)
         smoother = BasisSmoother(
-            BASIS_REGISTRY[basis_type]((0.0, 1.0), n_basis),
+            BSplineBasis((0.0, 1.0), n_basis),
             smoothing=lam,
             penalty_order=order,
         )

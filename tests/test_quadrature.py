@@ -8,13 +8,7 @@ from repro.exceptions import ValidationError
 from repro.fda import quadrature
 from repro.fda.basis import BSplineBasis
 from repro.fda.penalty import penalty_matrix
-from repro.fda.quadrature import (
-    gauss_legendre_nodes,
-    integrate_function,
-    integrate_sampled,
-    simpson_weights,
-    trapezoid_weights,
-)
+from repro.fda.quadrature import gauss_legendre_nodes, integrate_function, trapezoid_weights
 
 
 class TestTrapezoidWeights:
@@ -34,48 +28,6 @@ class TestTrapezoidWeights:
         grid[0], grid[-1] = 0.0, 1.0
         w = trapezoid_weights(grid)
         assert w @ (3 * grid + 2) == pytest.approx(3.5)
-
-
-class TestSimpsonWeights:
-    def test_cubic_exactness(self):
-        grid = np.linspace(0.0, 1.0, 11)
-        w = simpson_weights(grid)
-        # Simpson integrates cubics exactly.
-        assert w @ grid**3 == pytest.approx(0.25)
-
-    def test_rejects_even_point_count(self):
-        with pytest.raises(ValidationError, match="odd"):
-            simpson_weights(np.linspace(0, 1, 10))
-
-    def test_rejects_irregular(self):
-        with pytest.raises(ValidationError, match="uniform"):
-            simpson_weights(np.array([0.0, 0.1, 0.5, 0.7, 1.0]))
-
-
-class TestIntegrateSampled:
-    def test_scalar_result_for_vector(self):
-        grid = np.linspace(0, np.pi, 201)
-        value = integrate_sampled(np.sin(grid), grid)
-        assert value == pytest.approx(2.0, abs=1e-3)
-
-    def test_vectorized_over_samples(self):
-        grid = np.linspace(0, 1, 51)
-        values = np.vstack([grid, grid**2])
-        out = integrate_sampled(values, grid)
-        np.testing.assert_allclose(out, [0.5, 1 / 3], atol=1e-3)
-
-    def test_simpson_rule_option(self):
-        grid = np.linspace(0, 1, 51)
-        assert integrate_sampled(grid**3, grid, rule="simpson") == pytest.approx(0.25)
-
-    def test_unknown_rule(self):
-        grid = np.linspace(0, 1, 5)
-        with pytest.raises(ValidationError):
-            integrate_sampled(grid, grid, rule="midpoint")
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            integrate_sampled(np.ones(4), np.linspace(0, 1, 5))
 
 
 class TestGaussLegendre:

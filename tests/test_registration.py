@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.fda.fdata import FDataGrid
-from repro.fda.registration import landmark_register, shift_register
+from repro.fda.registration import shift_register
 
 
 @pytest.fixture
@@ -61,47 +61,3 @@ class TestShiftRegister:
     def test_rejects_arrays(self):
         with pytest.raises(ValidationError):
             shift_register(np.zeros((3, 10)))
-
-
-class TestLandmarkRegister:
-    def test_aligns_peaks(self, rng):
-        grid = np.linspace(0.0, 1.0, 200)
-        centers = np.array([0.35, 0.45, 0.55])
-        values = np.stack([np.exp(-((grid - c) ** 2) / 0.005) for c in centers])
-        data = FDataGrid(values, grid)
-        registered = landmark_register(data, centers[:, None])
-        peaks = grid[np.argmax(registered.values, axis=1)]
-        np.testing.assert_allclose(peaks, 0.45, atol=0.02)
-
-    def test_custom_targets(self):
-        grid = np.linspace(0.0, 1.0, 100)
-        values = np.stack([np.exp(-((grid - c) ** 2) / 0.01) for c in (0.4, 0.6)])
-        data = FDataGrid(values, grid)
-        registered = landmark_register(data, np.array([[0.4], [0.6]]), targets=np.array([0.5]))
-        peaks = grid[np.argmax(registered.values, axis=1)]
-        np.testing.assert_allclose(peaks, 0.5, atol=0.03)
-
-    def test_identity_when_landmarks_equal_targets(self):
-        grid = np.linspace(0.0, 1.0, 50)
-        values = np.sin(2 * np.pi * grid)[None, :]
-        data = FDataGrid(values, grid)
-        registered = landmark_register(data, np.array([[0.5]]), targets=np.array([0.5]))
-        np.testing.assert_allclose(registered.values, values, atol=1e-10)
-
-    def test_landmark_outside_domain(self):
-        grid = np.linspace(0.0, 1.0, 50)
-        data = FDataGrid(np.zeros((1, 50)), grid)
-        with pytest.raises(ValidationError):
-            landmark_register(data, np.array([[1.5]]))
-
-    def test_nonmonotone_landmarks(self):
-        grid = np.linspace(0.0, 1.0, 50)
-        data = FDataGrid(np.zeros((1, 50)), grid)
-        with pytest.raises(ValidationError):
-            landmark_register(data, np.array([[0.7, 0.3]]))
-
-    def test_row_count_mismatch(self):
-        grid = np.linspace(0.0, 1.0, 50)
-        data = FDataGrid(np.zeros((2, 50)), grid)
-        with pytest.raises(ValidationError):
-            landmark_register(data, np.array([[0.5]]))

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.detectors.threshold import (
-    LearnedThreshold,
-    threshold_from_quantile,
-    threshold_from_roc,
-    threshold_max_f1,
-)
+from repro.detectors.threshold import LearnedThreshold, threshold_from_quantile
 from repro.exceptions import ValidationError
 
 
@@ -26,44 +21,6 @@ def overlapping(rng):
     scores = np.concatenate([inlier_scores, outlier_scores])
     labels = np.r_[np.zeros(200, int), np.ones(40, int)]
     return scores, labels
-
-
-class TestThresholdFromRoc:
-    def test_perfect_separation(self, separable):
-        scores, labels = separable
-        learned = threshold_from_roc(scores, labels)
-        assert 0.4 < learned.value < 0.8
-        assert learned.objective == pytest.approx(1.0)  # J = 1 when separable
-        np.testing.assert_array_equal(
-            learned.predict(scores), np.r_[np.ones(4), -np.ones(2)]
-        )
-
-    def test_overlapping_reasonable(self, overlapping):
-        scores, labels = overlapping
-        learned = threshold_from_roc(scores, labels)
-        # Optimal J point lies between the two means.
-        assert 0.0 < learned.value < 2.5
-        assert learned.objective > 0.5
-
-    def test_criterion_name(self, separable):
-        assert threshold_from_roc(*separable).criterion == "youden"
-
-
-class TestThresholdMaxF1:
-    def test_perfect_separation(self, separable):
-        scores, labels = separable
-        learned = threshold_max_f1(scores, labels)
-        assert learned.objective == pytest.approx(1.0)
-        assert 0.4 < learned.value < 0.8
-
-    def test_overlapping_positive_f1(self, overlapping):
-        scores, labels = overlapping
-        learned = threshold_max_f1(scores, labels)
-        assert learned.objective > 0.6
-
-    def test_single_distinct_score_rejected(self):
-        with pytest.raises(ValidationError):
-            threshold_max_f1(np.ones(5), np.array([0, 0, 0, 1, 1]))
 
 
 class TestThresholdFromQuantile:

@@ -1,10 +1,8 @@
 """Unit tests for unsupervised hyper-parameter tuning."""
 
-import numpy as np
 import pytest
 
-from repro.detectors.knn import KNNDetector
-from repro.evaluation.tuning import TuningResult, grid_search, tune_nu
+from repro.evaluation.tuning import TuningResult, tune_nu
 from repro.exceptions import ValidationError
 
 
@@ -47,43 +45,3 @@ class TestTuneNu:
     def test_result_requires_scores(self):
         with pytest.raises(ValidationError):
             TuningResult(best=0.1, scores={})
-
-
-class TestGridSearch:
-    def test_finds_best_by_criterion(self, rng):
-        X = rng.standard_normal((60, 2))
-
-        def criterion(detector, X_train, X_valid):
-            # Prefer smaller mean validation score (denser fit).
-            return float(np.mean(detector.score_samples(X_valid)))
-
-        result = grid_search(
-            X,
-            lambda n_neighbors: KNNDetector(n_neighbors=n_neighbors),
-            {"n_neighbors": [1, 5, 15]},
-            criterion,
-            random_state=0,
-        )
-        assert result.best["n_neighbors"] in (1, 5, 15)
-        assert len(result.scores) == 3
-
-    def test_cartesian_product(self, rng):
-        X = rng.standard_normal((40, 2))
-
-        result = grid_search(
-            X,
-            lambda n_neighbors, aggregation: KNNDetector(n_neighbors, aggregation),
-            {"n_neighbors": [2, 4], "aggregation": ["kth", "mean"]},
-            lambda det, tr, va: 0.0,
-            random_state=0,
-        )
-        assert len(result.scores) == 4
-
-    def test_empty_grid(self, rng):
-        with pytest.raises(ValidationError):
-            grid_search(
-                rng.standard_normal((20, 2)),
-                lambda: None,
-                {},
-                lambda det, tr, va: 0.0,
-            )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.utils.linalg import pairwise_sq_dists, safe_inverse_sqrt, solve_psd, symmetrize
+from repro.utils.linalg import pairwise_sq_dists, symmetrize
 
 
 class TestSymmetrize:
@@ -17,39 +17,6 @@ class TestSymmetrize:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValidationError):
             symmetrize(np.ones((2, 3)))
-
-
-class TestSolvePsd:
-    def test_spd_exact(self, rng):
-        A = rng.standard_normal((6, 6))
-        M = A @ A.T + 6 * np.eye(6)
-        x_true = rng.standard_normal(6)
-        x = solve_psd(M, M @ x_true)
-        np.testing.assert_allclose(x, x_true, atol=1e-8)
-
-    def test_matrix_rhs(self, rng):
-        A = rng.standard_normal((5, 5))
-        M = A @ A.T + 5 * np.eye(5)
-        B = rng.standard_normal((5, 3))
-        X = solve_psd(M, B)
-        np.testing.assert_allclose(M @ X, B, atol=1e-8)
-
-    def test_singular_falls_back(self):
-        # Rank-deficient PSD matrix: should not raise.
-        M = np.outer([1.0, 1.0], [1.0, 1.0])
-        rhs = np.array([1.0, 1.0])
-        x = solve_psd(M, rhs)
-        np.testing.assert_allclose(M @ x, rhs, atol=1e-5)
-
-
-class TestSafeInverseSqrt:
-    def test_values(self):
-        out = safe_inverse_sqrt(np.array([4.0, 0.25]))
-        np.testing.assert_allclose(out, [0.5, 2.0])
-
-    def test_floor_prevents_inf(self):
-        out = safe_inverse_sqrt(np.array([0.0]))
-        assert np.isfinite(out).all()
 
 
 class TestPairwiseSqDists:

@@ -33,6 +33,11 @@ class TestCheckRandomState:
         with pytest.raises(ValidationError):
             check_random_state("seed")
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-5)], ids=["int", "numpy-int"])
+    def test_rejects_negative_seed(self, seed):
+        with pytest.raises(ValidationError, match="non-negative"):
+            check_random_state(seed)
+
 
 class TestSpawnRandomStates:
     def test_count(self):
@@ -56,6 +61,11 @@ class TestSpawnRandomStates:
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
             spawn_random_states(0, -1)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-5)], ids=["int", "numpy-int"])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="non-negative"):
+            spawn_random_states(seed, 2)
 
     def test_from_generator(self):
         children = spawn_random_states(np.random.default_rng(0), 2)

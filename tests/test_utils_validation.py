@@ -11,8 +11,6 @@ from repro.utils.validation import (
     check_int,
     check_matrix,
     check_positive,
-    check_probability,
-    check_same_length,
     check_vector,
 )
 
@@ -157,13 +155,3 @@ class TestScalarChecks:
     def test_check_int_minimum(self):
         with pytest.raises(ValidationError):
             check_int(0, minimum=1)
-
-    def test_check_probability(self):
-        assert check_probability(0.5) == 0.5
-        with pytest.raises(ValidationError):
-            check_probability(1.5)
-
-    def test_check_same_length(self):
-        check_same_length([1, 2], [3, 4])
-        with pytest.raises(ValidationError):
-            check_same_length([1], [2, 3])
