@@ -134,3 +134,54 @@ class TestLowerOrders:
         design = basis.evaluate(np.array([0.1, 0.3, 0.6, 0.9]))
         np.testing.assert_allclose(design.sum(axis=1), 1.0)
         assert set(np.unique(design)) == {0.0, 1.0}
+
+
+class TestIdentityPins:
+    """Literal pins of the basis identity.
+
+    ``cache_key`` keys the factorization cache and ``to_config()`` is
+    written into persisted manifests and hashed into spec identities, so
+    both must stay byte-for-byte (and key-order) stable across refactors.
+    """
+
+    def test_default_knots(self):
+        basis = BSplineBasis((0.0, 1.0), 8)
+        assert basis.cache_key == (
+            "BSplineBasis", (0.0, 1.0), 8, 4,
+            b"\x9a\x99\x99\x99\x99\x99\xc9?\x9a\x99\x99\x99\x99\x99\xd9?"
+            b"433333\xe3?\x9a\x99\x99\x99\x99\x99\xe9?",
+        )
+        config = basis.to_config()
+        assert config == {
+            "type": "BSplineBasis", "domain": [0.0, 1.0], "n_basis": 8,
+            "order": 4, "knots": [0.2, 0.4, 0.6000000000000001, 0.8],
+        }
+        assert list(config) == ["type", "domain", "n_basis", "order", "knots"]
+
+    def test_explicit_knots(self):
+        basis = BSplineBasis((0.0, 2.0), 6, knots=[0.5, 1.25])
+        assert basis.cache_key == (
+            "BSplineBasis", (0.0, 2.0), 6, 4,
+            b"\x00\x00\x00\x00\x00\x00\xe0?\x00\x00\x00\x00\x00\x00\xf4?",
+        )
+        config = basis.to_config()
+        assert config == {
+            "type": "BSplineBasis", "domain": [0.0, 2.0], "n_basis": 6,
+            "order": 4, "knots": [0.5, 1.25],
+        }
+        assert list(config) == ["type", "domain", "n_basis", "order", "knots"]
+
+    def test_order_six(self):
+        basis = BSplineBasis((-1.0, 1.0), 9, order=6)
+        assert basis.cache_key == (
+            "BSplineBasis", (-1.0, 1.0), 9, 6,
+            b"\x00\x00\x00\x00\x00\x00\xe0\xbf\x00\x00\x00\x00\x00\x00\x00\x00"
+            b"\x00\x00\x00\x00\x00\x00\xe0?",
+        )
+        config = basis.to_config()
+        assert config == {
+            "type": "BSplineBasis", "domain": [-1.0, 1.0], "n_basis": 9,
+            "order": 6, "knots": [-0.5, 0.0, 0.5],
+        }
+        assert list(config) == ["type", "domain", "n_basis", "order", "knots"]
+        assert all(type(v) is float for v in config["domain"] + config["knots"])
