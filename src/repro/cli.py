@@ -302,10 +302,9 @@ def run_stream_score(args) -> None:
         )
         return result.scores, chunk_flags
 
-    # run_chunked rather than plan.process_chunks: warm-up padding and
-    # flag back-fill need each chunk's size, which StreamBatchResult
-    # does not carry.  The chunk size is still threaded once, through
-    # the plan's workload.
+    # Warm-up padding and flag back-fill need each chunk's size, which
+    # StreamBatchResult does not carry; the chunk size is threaded once,
+    # through the plan's workload.
     scores = []
     flags = []
     with detector:
@@ -439,21 +438,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regenerate the figures of Lejeune et al., EDBT 2020, "
                     "and serve persisted pipelines.",
     )
-    figure_options = argparse.ArgumentParser(add_help=False)
-    figure_options.add_argument(
+    seed_option = argparse.ArgumentParser(add_help=False)
+    seed_option.add_argument("--seed", type=int, default=7, help="master random seed")
+    repetition_options = argparse.ArgumentParser(add_help=False)
+    repetition_options.add_argument(
         "--reps", type=int, default=15,
-        help="repetitions per contamination level (fig3; paper: 50)")
-    figure_options.add_argument("--seed", type=int, default=7, help="master random seed")
-    figure_options.add_argument(
+        help="repetitions per contamination level (paper: 50)")
+    repetition_options.add_argument(
         "--n-jobs", type=int, default=1,
         help="parallel workers for the repetition fan-out "
-             "(fig3; -1 = one per core; results are identical "
-             "to the serial run)")
-    figure_options.add_argument("--verbose", action="store_true",
-                                help="print per-repetition progress (fig3)")
+             "(-1 = one per core; results are identical to the serial run)")
+    repetition_options.add_argument("--verbose", action="store_true",
+                                    help="print per-repetition progress")
+    # Each figure command takes only the options its runner reads.
+    figure_parents = {
+        "fig1": [seed_option],
+        "fig2": [],
+        "fig3": [seed_option, repetition_options],
+        "taxonomy": [seed_option],
+        "all": [seed_option, repetition_options],
+    }
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in (*COMMANDS, "all"):
-        subparsers.add_parser(name, parents=[figure_options],
+    for name, parents in figure_parents.items():
+        subparsers.add_parser(name, parents=parents,
                               help=f"regenerate {name}" if name != "all"
                               else "regenerate every figure")
     stream = subparsers.add_parser(

@@ -29,7 +29,7 @@ from repro.fda.selection import select_n_basis
 from repro.fda.smoothing import BasisSmoother
 from repro.geometry.base import MappingFunction
 from repro.geometry.mappings import CompositeMapping, CurvatureMapping
-from repro.utils.validation import check_grid, check_int, check_positive
+from repro.utils.validation import check_int, check_positive
 
 __all__ = ["GeometricOutlierPipeline"]
 
@@ -161,9 +161,7 @@ class GeometricOutlierPipeline:
                 candidates,
                 smoothing=self.smoothing,
                 penalty_order=self.penalty_order,
-                criterion="loocv",
                 cache=self.context.cache,
-                return_fitted=True,
             )
             sizes.append(int(selection.best))
             smoothers.append(selection.smoother)
@@ -240,15 +238,6 @@ class GeometricOutlierPipeline:
         """Outlyingness score per sample (higher = more anomalous)."""
         features = self.transform(data)
         return self.detector.score_samples(features)
-
-    def predict(self, data) -> np.ndarray:
-        """Label samples ``+1`` (inlier) / ``-1`` (outlier)."""
-        features = self.transform(data)
-        return self.detector.predict(features)
-
-    def fit_score(self, train, test) -> np.ndarray:
-        """Convenience: fit on ``train`` and score ``test``."""
-        return self.fit(train).score_samples(test)
 
     # ------------------------------------------------------------------ specs
     @classmethod

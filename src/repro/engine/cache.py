@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.fda.basis.base import Basis
+from repro.fda.basis.bspline import BSplineBasis
 from repro.fda.penalty import penalty_matrix
 from repro.telemetry import NULL_TELEMETRY
 from repro.utils.linalg import PSDSolver
@@ -171,7 +171,9 @@ class FactorizationCache:
         }
 
     # ------------------------------------------------------------------ artifacts
-    def design(self, basis: Basis, points: np.ndarray, derivative: int = 0) -> np.ndarray:
+    def design(
+        self, basis: BSplineBasis, points: np.ndarray, derivative: int = 0
+    ) -> np.ndarray:
         """The design matrix ``D^q Phi`` of ``basis`` on ``points`` (``q = derivative``)."""
         key = (basis.cache_key, _grid_key(points), int(derivative))
         cached = self._designs.get(key)
@@ -185,7 +187,7 @@ class FactorizationCache:
         self._designs.put(key, design)
         return design
 
-    def penalty(self, basis: Basis, penalty_order: int) -> np.ndarray:
+    def penalty(self, basis: BSplineBasis, penalty_order: int) -> np.ndarray:
         """The roughness penalty matrix ``R`` for ``basis``."""
         key = (basis.cache_key, int(penalty_order))
         cached = self._penalties.get(key)
@@ -200,7 +202,7 @@ class FactorizationCache:
         return matrix
 
     def solver(
-        self, basis: Basis, points: np.ndarray, smoothing: float, penalty_order: int
+        self, basis: BSplineBasis, points: np.ndarray, smoothing: float, penalty_order: int
     ) -> PSDSolver:
         """Factorization of the normal matrix ``Phi'Phi + λ R`` (paper Eq. 4)."""
         key = (basis.cache_key, _grid_key(points), float(smoothing), int(penalty_order))
@@ -220,7 +222,7 @@ class FactorizationCache:
         return solver
 
     def hat(
-        self, basis: Basis, points: np.ndarray, smoothing: float, penalty_order: int
+        self, basis: BSplineBasis, points: np.ndarray, smoothing: float, penalty_order: int
     ) -> np.ndarray:
         """The hat matrix ``S = Phi (Phi'Phi + λR)^{-1} Phi'`` on ``points``."""
         key = (basis.cache_key, _grid_key(points), float(smoothing), int(penalty_order))

@@ -6,7 +6,7 @@ coefficients by penalized least squares (Eq. 3–4), and evaluating
 derivative functions by linearity (Eq. 2).
 """
 
-from repro.fda.basis import Basis, BSplineBasis
+from repro.fda.basis import BSplineBasis
 from repro.fda.fdata import (
     BasisFData,
     FDataGrid,
@@ -14,21 +14,13 @@ from repro.fda.fdata import (
     MFDataGrid,
     MultivariateBasisFData,
 )
-from repro.fda.penalty import gram_matrix, penalty_matrix
+from repro.fda.penalty import penalty_matrix
 from repro.fda.registration import ShiftRegistrationResult, shift_register
 from repro.fda.quadrature import gauss_legendre_nodes, integrate_function, trapezoid_weights
-from repro.fda.selection import (
-    FittedSelection,
-    SelectionResult,
-    gcv_score,
-    loocv_score,
-    select_n_basis,
-    select_smoothing,
-)
+from repro.fda.selection import FittedSelection, loocv_score, select_n_basis
 from repro.fda.smoothing import BasisSmoother, smooth_mfd
 
 __all__ = [
-    "Basis",
     "BasisFData",
     "BasisSmoother",
     "BSplineBasis",
@@ -37,16 +29,12 @@ __all__ = [
     "IrregularFData",
     "MFDataGrid",
     "MultivariateBasisFData",
-    "SelectionResult",
     "ShiftRegistrationResult",
     "gauss_legendre_nodes",
-    "gcv_score",
-    "gram_matrix",
     "integrate_function",
     "loocv_score",
     "penalty_matrix",
     "select_n_basis",
-    "select_smoothing",
     "shift_register",
     "smooth_mfd",
     "trapezoid_weights",

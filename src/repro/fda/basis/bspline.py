@@ -1,4 +1,10 @@
-"""B-spline basis implemented with the Cox–de Boor recursion.
+"""B-spline basis implemented with the Cox–de Boor recursion (paper Eq. 1).
+
+A basis system is a finite family of functions ``phi_1 .. phi_L`` on a
+closed interval ``T = [t_min, t_max]``.  A functional datum is
+represented by its coefficient vector ``alpha`` via
+``x~(t) = sum_l alpha_l * phi_l(t)`` and, by linearity (paper Eq. 2),
+its q-th derivative by applying ``D^q`` to each basis function.
 
 The paper (Sec. 2.1) represents smooth functional data in a B-spline
 basis — piecewise polynomials of a given order glued smoothly at knots.
@@ -19,13 +25,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import BasisError
-from repro.fda.basis.base import Basis
-from repro.utils.validation import check_int, check_vector
+from repro.utils.validation import as_float_array, check_int, check_vector
 
 __all__ = ["BSplineBasis"]
 
 
-class BSplineBasis(Basis):
+class BSplineBasis:
     """Clamped B-spline basis on a closed interval.
 
     Parameters
@@ -51,13 +56,16 @@ class BSplineBasis(Basis):
         order: int = 4,
         knots=None,
     ):
-        super().__init__(domain, n_basis)
+        low, high = float(domain[0]), float(domain[1])
+        if not (np.isfinite(low) and np.isfinite(high)) or high <= low:
+            raise BasisError(f"domain must be a finite interval (low < high), got {domain!r}")
+        self.domain = (low, high)
+        self.n_basis = check_int(n_basis, "n_basis", minimum=1)
         self.order = check_int(order, "order", minimum=1)
         if self.n_basis < self.order:
             raise BasisError(
                 f"n_basis ({self.n_basis}) must be >= order ({self.order})"
             )
-        low, high = self.domain
         n_interior = self.n_basis - self.order
         if knots is None:
             if n_interior > 0:
@@ -82,11 +90,32 @@ class BSplineBasis(Basis):
         )
 
     # ------------------------------------------------------------------ info
-    def _cache_key_extras(self) -> tuple:
-        return (self.order, self._interior.tobytes())
+    def to_config(self) -> dict:
+        """JSON-able description that reconstructs this basis exactly.
 
-    def _config_extras(self) -> dict:
-        return {"order": int(self.order), "knots": [float(t) for t in self._interior]}
+        The config contains only plain Python scalars/lists (no arrays,
+        no callables) so it can live in a persisted pipeline manifest;
+        :func:`repro.fda.basis.basis_from_config` inverts it.  Two bases
+        whose configs are equal have equal :attr:`cache_key`, hence
+        bit-identical design matrices.
+        """
+        return {
+            "type": "BSplineBasis",
+            "domain": [float(self.domain[0]), float(self.domain[1])],
+            "n_basis": int(self.n_basis),
+            "order": int(self.order),
+            "knots": [float(t) for t in self._interior],
+        }
+
+    @property
+    def cache_key(self) -> tuple:
+        """Hashable identity of the basis *functions* (not the instance).
+
+        Two basis objects with equal keys evaluate to bit-identical
+        design matrices, so engine caches may share artifacts between
+        them (:class:`repro.engine.FactorizationCache`).
+        """
+        return ("BSplineBasis", self.domain, self.n_basis, self.order, self._interior.tobytes())
 
     @property
     def degree(self) -> int:
@@ -95,10 +124,12 @@ class BSplineBasis(Basis):
 
     @property
     def max_derivative(self) -> int:
+        """Highest derivative order this basis can evaluate (the degree)."""
         return self.degree
 
     @property
     def interior_breakpoints(self) -> np.ndarray:
+        """Interior knots: where derivatives may jump (used by quadrature)."""
         return self._interior.copy()
 
     # ------------------------------------------------------------ evaluation
@@ -147,23 +178,53 @@ class BSplineBasis(Basis):
             design = self._raise_order(design, points, order)
         return design
 
-    def _evaluate(self, points: np.ndarray, derivative: int) -> np.ndarray:
-        if derivative > self.degree:
-            # Derivatives beyond the degree vanish identically.
-            return np.zeros((points.shape[0], self.n_basis))
+    def evaluate(self, points, derivative: int = 0) -> np.ndarray:
+        """Evaluate all basis functions (or a derivative) at the given points.
+
+        Parameters
+        ----------
+        points:
+            1-D array of evaluation points inside the closed domain.
+        derivative:
+            Derivative order ``0 <= q <= degree``.
+
+        Returns
+        -------
+        numpy.ndarray of shape ``(len(points), n_basis)``
+            The design matrix ``Phi`` with ``Phi[j, l] = D^q phi_l(points[j])``.
+        """
+        derivative = check_int(derivative, "derivative", minimum=0)
+        if derivative > self.max_derivative:
+            raise BasisError(
+                f"BSplineBasis supports derivatives up to order "
+                f"{self.max_derivative}, got {derivative}"
+            )
+        pts = as_float_array(points, "points")
+        if pts.ndim == 0:
+            pts = pts[None]
+        if pts.ndim != 1:
+            raise BasisError(f"points must be scalar or 1-D, got shape {pts.shape}")
+        low, high = self.domain
+        eps = 1e-10 * max(1.0, abs(high - low))
+        if pts.size and (pts.min() < low - eps or pts.max() > high + eps):
+            raise BasisError(
+                f"points must lie in the domain [{low}, {high}], "
+                f"got range [{pts.min()}, {pts.max()}]"
+            )
+        pts = np.clip(pts, low, high)
         if derivative == 0:
-            return self._evaluate_order(points, self.order)
+            return self._evaluate_order(pts, self.order)
         # Differentiate via the B-spline derivative recursion:
         # D B_{l,k}(t) = (k-1) * [ B_{l,k-1}/(u_{l+k-1}-u_l) - B_{l+1,k-1}/(u_{l+k}-u_{l+1}) ]
         # Implemented as a banded linear map applied `derivative` times.
         knots = self.knot_vector
-        lower = self._evaluate_order(points, self.order - derivative)
+        lower = self._evaluate_order(pts, self.order - derivative)
         # Build up the coefficient transformation from order k-q to order k.
         design = lower
         for step in range(derivative, 0, -1):
             k = self.order - step + 1  # target order of this step
             n_funcs_target = knots.shape[0] - k
-            new = np.zeros((points.shape[0], n_funcs_target))
+            new = np.zeros((pts.shape[0], n_funcs_target))
             for l in range(n_funcs_target):
                 left_den = knots[l + k - 1] - knots[l]
                 right_den = knots[l + k] - knots[l + 1]
@@ -175,3 +236,6 @@ class BSplineBasis(Basis):
                 new[:, l] = (k - 1) * term
             design = new
         return design
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"BSplineBasis(domain={self.domain}, n_basis={self.n_basis})"

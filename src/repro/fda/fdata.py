@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.fda.basis.base import Basis
+from repro.fda.basis.bspline import BSplineBasis
 from repro.utils.validation import as_float_array, check_grid, check_int
 
 __all__ = [
@@ -227,7 +227,7 @@ class BasisFData:
         paper's ``alpha_{ik}`` for one parameter ``k``.
     """
 
-    basis: Basis
+    basis: BSplineBasis
     coefficients: np.ndarray
 
     def __post_init__(self):

@@ -14,21 +14,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import BasisError
-from repro.fda.basis.base import Basis
+from repro.fda.basis.bspline import BSplineBasis
 from repro.fda.quadrature import integrate_function
 from repro.utils.linalg import symmetrize
 from repro.utils.validation import check_int
 
-__all__ = ["penalty_matrix", "gram_matrix"]
+__all__ = ["penalty_matrix"]
 
 
-def penalty_matrix(basis: Basis, derivative: int = 2, n_nodes: int = 32) -> np.ndarray:
+def penalty_matrix(basis: BSplineBasis, derivative: int = 2, n_nodes: int = 32) -> np.ndarray:
     """Compute the roughness penalty matrix for a basis.
 
     Parameters
     ----------
     basis:
-        Any :class:`~repro.fda.basis.Basis`.
+        A :class:`~repro.fda.basis.BSplineBasis`.
     derivative:
         Penalized derivative order ``q`` (paper recommends 1 or 2).
     n_nodes:
@@ -58,7 +58,3 @@ def penalty_matrix(basis: Basis, derivative: int = 2, n_nodes: int = 32) -> np.n
     )
     return symmetrize(np.asarray(matrix))
 
-
-def gram_matrix(basis: Basis, n_nodes: int = 32) -> np.ndarray:
-    """L2 Gram matrix of the basis itself (``derivative=0`` penalty matrix)."""
-    return penalty_matrix(basis, derivative=0, n_nodes=n_nodes)

@@ -1,16 +1,12 @@
-"""Model selection for the smoothing step.
+"""Basis-size selection for the smoothing step.
 
 The paper selects the basis sizes ``L_ik`` by leave-one-out
-cross-validation (Sec. 4.1) and the smoothing weight ``lambda_k`` by
-cross-validation (Sec. 2.2).  For a *linear* smoother with hat matrix
+cross-validation (Sec. 4.1).  For a *linear* smoother with hat matrix
 ``S`` the leave-one-out residuals have the closed form
 
     e_i^{loo} = (y_i - yhat_i) / (1 - S_ii)
 
-so LOO-CV costs one fit instead of ``m`` fits.  Generalized
-cross-validation (GCV) replaces ``S_ii`` by ``trace(S)/m``, trading a
-little statistical efficiency for numerical robustness when some
-``S_ii`` approach 1.
+so LOO-CV costs one fit instead of ``m`` fits.
 """
 
 from __future__ import annotations
@@ -21,30 +17,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.exceptions import ValidationError
+from repro.fda.basis.bspline import BSplineBasis
 from repro.fda.fdata import BasisFData, FDataGrid
 from repro.fda.smoothing import BasisSmoother
 from repro.utils.validation import as_float_array, check_grid
 
 __all__ = [
     "loocv_score",
-    "gcv_score",
-    "SelectionResult",
     "FittedSelection",
     "select_n_basis",
-    "select_smoothing",
 ]
-
-
-def _check_sample(points, values) -> tuple[np.ndarray, np.ndarray]:
-    points = check_grid(points, "points")
-    values = as_float_array(values, "values")
-    if values.ndim == 1:
-        values = values[None, :]
-    if values.shape[1] != points.shape[0]:
-        raise ValidationError(
-            f"values have {values.shape[1]} columns but points has {points.shape[0]} entries"
-        )
-    return points, values
 
 
 def loocv_score(smoother: BasisSmoother, points, values) -> float:
@@ -54,7 +36,14 @@ def loocv_score(smoother: BasisSmoother, points, values) -> float:
     curves and points, matching the paper's per-parameter selection in
     which all samples share the candidate basis.
     """
-    points, values = _check_sample(points, values)
+    points = check_grid(points, "points")
+    values = as_float_array(values, "values")
+    if values.ndim == 1:
+        values = values[None, :]
+    if values.shape[1] != points.shape[0]:
+        raise ValidationError(
+            f"values have {values.shape[1]} columns but points has {points.shape[0]} entries"
+        )
     hat = smoother.hat_matrix(points)
     leverage = np.clip(np.diag(hat), 0.0, 1.0 - 1e-8)
     residuals = values - values @ hat.T
@@ -62,36 +51,14 @@ def loocv_score(smoother: BasisSmoother, points, values) -> float:
     return float(np.mean(loo**2))
 
 
-def gcv_score(smoother: BasisSmoother, points, values) -> float:
-    """Generalized cross-validation score (Craven–Wahba)."""
-    points, values = _check_sample(points, values)
-    hat = smoother.hat_matrix(points)
-    m = points.shape[0]
-    denom = max(1.0 - np.trace(hat) / m, 1e-8)
-    residuals = values - values @ hat.T
-    return float(np.mean(residuals**2) / denom**2)
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    """Outcome of a 1-D model-selection sweep."""
-
-    best: float | int
-    scores: dict
-
-    def __post_init__(self):
-        if not self.scores:
-            raise ValidationError("SelectionResult needs at least one candidate score")
-
-
 @dataclass(frozen=True)
 class FittedSelection:
-    """A model-selection sweep that also carries the fitted winner.
+    """A basis-size sweep that also carries the fitted winner.
 
-    The batched selection path (``select_n_basis(..., return_fitted=True)``)
-    scores every candidate against cached factorizations and then fits
-    the winning smoother with one extra back-substitution — so callers
-    (the pipeline, the method registry) never refit from scratch.
+    :func:`select_n_basis` scores every candidate against cached
+    factorizations and then fits the winning smoother with one extra
+    back-substitution — so callers (the pipeline, the method registry)
+    never refit from scratch.
     """
 
     best: float | int
@@ -104,95 +71,51 @@ class FittedSelection:
             raise ValidationError("FittedSelection needs at least one candidate score")
 
 
-def _sweep(
-    candidates: Sequence,
-    make_smoother: Callable[[object], BasisSmoother],
-    points,
-    values,
-    criterion: str,
-) -> tuple[dict, dict]:
-    if criterion == "loocv":
-        scorer = loocv_score
-    elif criterion == "gcv":
-        scorer = gcv_score
-    else:
-        raise ValidationError(f"unknown criterion {criterion!r}; use 'loocv' or 'gcv'")
-    if len(candidates) == 0:
-        raise ValidationError("no candidates supplied")
-    scores = {}
-    smoothers = {}
-    for candidate in candidates:
-        smoother = make_smoother(candidate)
-        smoothers[candidate] = smoother
-        scores[candidate] = scorer(smoother, points, values)
-    return scores, smoothers
-
-
 def select_n_basis(
     data: FDataGrid,
-    basis_factory: Callable[[tuple[float, float], int], object],
+    basis_factory: Callable[[tuple[float, float], int], BSplineBasis],
     candidates: Sequence[int],
     smoothing: float = 0.0,
     penalty_order: int = 2,
-    criterion: str = "loocv",
     cache=None,
-    return_fitted: bool = False,
-) -> SelectionResult | FittedSelection:
-    """Choose the basis size by (leave-one-out) cross-validation.
+) -> FittedSelection:
+    """Choose the basis size by leave-one-out cross-validation.
 
     Parameters
     ----------
     data:
         UFD samples of one parameter on a common grid.
     basis_factory:
-        Callable ``(domain, n_basis) -> Basis``.
+        Callable ``(domain, n_basis) -> BSplineBasis``.
     candidates:
         Candidate basis sizes (the paper's ``L_ik`` sweep).
     smoothing, penalty_order:
         Passed through to the smoother for each candidate.
-    criterion:
-        ``"loocv"`` (paper's choice) or ``"gcv"``.
     cache:
         Optional shared :class:`~repro.engine.FactorizationCache`; each
         candidate's design matrix and normal-equation factorization are
         then computed at most once across the sweep, the winner's fit
         and any later pipeline work on the same configuration.
-    return_fitted:
-        When true, return a :class:`FittedSelection` carrying the
-        winning smoother *already fitted* to ``data`` (batched path:
-        the fit reuses the sweep's cached factorization, so it costs
-        one back-substitution instead of a refit).
-    """
 
-    def make(n_basis):
+    Returns
+    -------
+    FittedSelection
+        The LOO-CV score per candidate and the winning smoother, already
+        fitted to ``data`` (the fit reuses the sweep's cached
+        factorization, so it costs one back-substitution).
+    """
+    candidates = list(candidates)
+    if not candidates:
+        raise ValidationError("no candidates supplied")
+    scores = {}
+    smoothers = {}
+    for n_basis in candidates:
         basis = basis_factory(data.domain, int(n_basis))
-        return BasisSmoother(
+        smoother = BasisSmoother(
             basis, smoothing=smoothing, penalty_order=penalty_order, cache=cache
         )
-
-    scores, smoothers = _sweep(list(candidates), make, data.grid, data.values, criterion)
+        smoothers[n_basis] = smoother
+        scores[n_basis] = loocv_score(smoother, data.grid, data.values)
     best = min(scores, key=scores.get)
-    if not return_fitted:
-        return SelectionResult(best=best, scores=scores)
     winner = smoothers[best]
     return FittedSelection(best=best, scores=scores, smoother=winner, fit=winner.fit_grid(data))
-
-
-def select_smoothing(
-    data: FDataGrid,
-    basis,
-    candidates: Sequence[float],
-    penalty_order: int = 2,
-    criterion: str = "gcv",
-    cache=None,
-) -> SelectionResult:
-    """Choose the smoothing weight ``lambda`` by cross-validation."""
-
-    def make(lam):
-        return BasisSmoother(
-            basis, smoothing=float(lam), penalty_order=penalty_order, cache=cache
-        )
-
-    scores, _ = _sweep(list(candidates), make, data.grid, data.values, criterion)
-    best = min(scores, key=scores.get)
-    return SelectionResult(best=best, scores=scores)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.fda.basis.base import Basis
+from repro.fda.basis.bspline import BSplineBasis
 from repro.fda.fdata import BasisFData, FDataGrid, IrregularFData, MFDataGrid, MultivariateBasisFData
 from repro.utils.validation import as_float_array, check_grid, check_int, check_positive
 
@@ -49,13 +49,15 @@ class BasisSmoother:
 
     def __init__(
         self,
-        basis: Basis,
+        basis: BSplineBasis,
         smoothing: float = 0.0,
         penalty_order: int = 2,
         cache=None,
     ):
-        if not isinstance(basis, Basis):
-            raise ValidationError(f"basis must be a Basis instance, got {type(basis).__name__}")
+        if not isinstance(basis, BSplineBasis):
+            raise ValidationError(
+                f"basis must be a BSplineBasis instance, got {type(basis).__name__}"
+            )
         from repro.engine.cache import FactorizationCache
 
         if cache is not None and not isinstance(cache, FactorizationCache):
@@ -110,31 +112,6 @@ class BasisSmoother:
             coeffs[i] = self.fit_sample(points, values)
         return BasisFData(self.basis, coeffs)
 
-    def fit(self, data) -> BasisFData:
-        """Fit :class:`FDataGrid` or :class:`IrregularFData` (dispatching)."""
-        if isinstance(data, FDataGrid):
-            return self.fit_grid(data)
-        if isinstance(data, IrregularFData):
-            return self.fit_irregular(data)
-        raise ValidationError(
-            f"cannot smooth data of type {type(data).__name__}; "
-            "expected FDataGrid or IrregularFData"
-        )
-
-    # ---------------------------------------------------------------- inference
-    def transform(self, data) -> BasisFData:
-        """Project *new* curves onto the fixed basis — the inference path.
-
-        Smoothing is a per-curve linear projection: the "fitted state" of
-        a smoother is its configuration (basis, ``lambda``, penalty
-        order), not training coefficients, so transforming new curves
-        never refits anything.  When the curves arrive on a grid the
-        shared cache has seen before, the design matrix and the normal
-        equation factorization are reused and this costs two GEMMs plus
-        a triangular solve.
-        """
-        return self.fit(data)
-
     def to_config(self) -> dict:
         """JSON-able description reconstructing this smoother exactly.
 
@@ -174,23 +151,6 @@ class BasisSmoother:
         points = check_grid(points, "points")
         return self.cache.hat(self.basis, points, self.smoothing, self.penalty_order)
 
-    def effective_df(self, points) -> float:
-        """Effective degrees of freedom ``trace(S)`` of the smoother."""
-        return float(np.trace(self.hat_matrix(points)))
-
-
-class _FittedMFDSmoother:
-    """Bookkeeping result of :func:`smooth_mfd` (fit + chosen settings)."""
-
-    def __init__(self, fdata: MultivariateBasisFData, smoothers: list[BasisSmoother]):
-        self.fdata = fdata
-        self.smoothers = smoothers
-
-    def __iter__(self):
-        # Allow tuple-unpacking: fdata, smoothers = smooth_mfd(...)
-        yield self.fdata
-        yield self.smoothers
-
 
 def smooth_mfd(
     data: MFDataGrid,
@@ -198,7 +158,7 @@ def smooth_mfd(
     smoothing: float | list[float] = 0.0,
     penalty_order: int = 2,
     cache=None,
-) -> _FittedMFDSmoother:
+) -> tuple[MultivariateBasisFData, list[BasisSmoother]]:
     """Smooth every parameter of an MFD data set.
 
     Parameters
@@ -206,7 +166,7 @@ def smooth_mfd(
     data:
         The raw MFD measurements.
     basis_factory:
-        Callable ``(domain) -> Basis`` or a list of ``p`` such callables
+        Callable ``(domain) -> BSplineBasis`` or a list of ``p`` such callables
         (the paper selects a basis size per parameter).
     smoothing:
         A single ``lambda`` or one per parameter.
@@ -218,8 +178,9 @@ def smooth_mfd(
 
     Returns
     -------
-    _FittedMFDSmoother
-        Unpacks as ``(MultivariateBasisFData, list[BasisSmoother])``.
+    tuple
+        ``(MultivariateBasisFData, list[BasisSmoother])``: the fit and
+        the per-parameter smoothers.
     """
     if not isinstance(data, MFDataGrid):
         raise ValidationError(f"data must be MFDataGrid, got {type(data).__name__}")
@@ -239,4 +200,4 @@ def smooth_mfd(
         )
         components.append(smoother.fit_grid(data.parameter(k)))
         smoothers.append(smoother)
-    return _FittedMFDSmoother(MultivariateBasisFData(components), smoothers)
+    return MultivariateBasisFData(components), smoothers

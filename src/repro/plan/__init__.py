@@ -21,7 +21,7 @@ This package replaces them with a compiler-shaped pipeline::
   streaming and the CLI.
 
 Every public entry point (``make_method``, ``default_methods``, the
-serving manifests, ``ScoringService`` streaming routes, the experiment
+serving manifests, ``ScoringService.score_stream``, the experiment
 harness, the CLI) constructs through this layer; a new backend, dtype
 or workload shape lands here once instead of once per entry point.
 """

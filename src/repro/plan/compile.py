@@ -194,11 +194,6 @@ class StreamPlan(ScoringPlan):
             self._detector = self.build()
         return self._detector
 
-    def process_chunks(self, data, chunk_size: int | None = None) -> Iterator:
-        """Feed ``data`` through the detector's full online step, chunked."""
-        size = self.workload.chunk_size if chunk_size is None else chunk_size
-        return run_chunked(self.detector.process, data, chunk_size=size)
-
     def describe(self) -> dict:
         return {
             **super().describe(),

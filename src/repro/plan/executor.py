@@ -1,9 +1,8 @@
 """The single chunked execution path shared by every scoring surface.
 
-Before the plan layer, chunk bookkeeping over curve streams was
-re-implemented in three places (``score_stream``,
-``ScoringService.stream``, ``ScoringService.score_stream``).  This
-module owns it once:
+``ScoringService.score_stream``, ``PipelinePlan.score_chunks`` (behind
+``repro serve-score``) and ``repro stream-score`` all walk curve streams
+through this module:
 
 * :func:`iter_curve_chunks` normalizes any stream source — one
   (M)FDataGrid, or a lazy iterable of batches — into bounded-size
@@ -36,8 +35,8 @@ def iter_curve_chunks(data, chunk_size: int = 256) -> Iterator[MFDataGrid]:
     at a time) or any iterable/iterator/generator of (M)FDataGrid
     batches — true stream sources are consumed lazily, one batch at a
     time, never materialized.  The shared front door of every chunked
-    scoring path (:func:`repro.serving.score_stream`, the service
-    streaming routes, ``repro serve-score`` / ``repro stream-score``).
+    scoring path (:meth:`repro.serving.ScoringService.score_stream`,
+    ``repro serve-score`` / ``repro stream-score``).
     """
     chunk_size = check_int(chunk_size, "chunk_size", minimum=1)
     if isinstance(data, (FDataGrid, MFDataGrid)):

@@ -13,15 +13,16 @@ pieces of that inference path:
 * :mod:`repro.serving.service` — :class:`ScoringService`, a registry of
   named loaded pipelines with a thread-safe micro-batching queue that
   amortizes design-matrix and factorization work through the shared
-  :class:`~repro.engine.FactorizationCache`;
+  :class:`~repro.engine.FactorizationCache`, and chunked scoring of
+  large datasets in bounded memory
+  (:meth:`~repro.serving.service.ScoringService.score_stream`; the
+  same chunked path backs ``repro serve-score``);
 * :mod:`repro.serving.server` / :mod:`repro.serving.app` — the asyncio
   HTTP front door (``repro serve``): ``POST /score`` / ``POST /submit``
   routed by pipeline name or spec hash into the micro-batch queue, a
   background max-pending-or-deadline flush task, bounded-queue
   backpressure with 429 load-shedding, and ``SO_REUSEPORT``-style
-  multi-worker dispatch over one listening socket;
-* :func:`~repro.serving.service.score_stream` — chunked scoring of large
-  datasets in bounded memory (also exposed as ``repro serve-score``).
+  multi-worker dispatch over one listening socket.
 """
 
 from repro.serving.persist import (
@@ -34,16 +35,13 @@ from repro.serving.persist import (
     save_pipeline,
 )
 from repro.serving.service import (
-    DepthScorer,
     ScoreTicket,
     ScoringService,
     iter_curve_chunks,
-    score_stream,
 )
 
 __all__ = [
     "ARRAYS_NAME",
-    "DepthScorer",
     "FORMAT_VERSION",
     "MANIFEST_NAME",
     "SUPPORTED_VERSIONS",
@@ -56,7 +54,6 @@ __all__ = [
     "load_service",
     "read_spec",
     "save_pipeline",
-    "score_stream",
     "serve",
 ]
 

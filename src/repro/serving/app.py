@@ -155,18 +155,15 @@ class ServingApp:
     # ------------------------------------------------------------------ routing
     def routes(self) -> dict[str, str]:
         """Current routing table: name and spec-hash keys → pipeline name."""
-        from repro.core.pipeline import GeometricOutlierPipeline
         from repro.plan import pipeline_to_spec, spec_hash
 
         table: dict[str, str] = {}
         for name in self.service.names():
             table[name] = name
-            pipeline = self.service._pipeline(name)
-            if isinstance(pipeline, GeometricOutlierPipeline):
-                try:
-                    table[spec_hash(pipeline_to_spec(pipeline))] = name
-                except ReproError:  # pragma: no cover - unhashable config
-                    pass
+            try:
+                table[spec_hash(pipeline_to_spec(self.service._pipeline(name)))] = name
+            except ReproError:  # pragma: no cover - unhashable config
+                pass
         self._routes = table
         return table
 

@@ -18,15 +18,9 @@ Two traffic shapes are supported on top of direct :meth:`~ScoringService.score`:
   grid) requests into one batch so the per-batch fixed costs (solve
   setup, mapping evaluation, detector dispatch) are paid once per group
   instead of once per request;
-* **streaming** — :func:`score_stream` walks a large dataset in
-  bounded-size chunks, never materializing the full feature matrix.
-
-Beyond fixed-reference traffic, a registered
-:class:`~repro.streaming.StreamingDetector` serves *online* routes:
-:meth:`ScoringService.stream` feeds chunks through the detector's full
-process step (score → adaptive threshold → drift check → window
-update), so the same service hosts both batch pipelines and evolving-
-reference streams.
+* **chunked streaming** — :meth:`~ScoringService.score_stream` walks a
+  large dataset in bounded-size chunks, never materializing the full
+  feature matrix.
 """
 
 from __future__ import annotations
@@ -38,136 +32,20 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.pipeline import GeometricOutlierPipeline
-from repro.depth.dirout import dirout_scores
-from repro.depth.funta import funta_outlyingness
 from repro.engine import ExecutionContext
 from repro.engine.cache import _grid_key
 from repro.exceptions import NotFittedError, ValidationError
 from repro.fda.fdata import MFDataGrid, as_mfd
 from repro.plan.executor import iter_curve_chunks, run_chunked
 from repro.serving.persist import load_pipeline
-from repro.streaming.online import StreamBatchResult, StreamingDetector
 from repro.telemetry import DEFAULT_SIZE_BUCKETS, Telemetry, resolve_telemetry
 from repro.utils.validation import check_int
 
 __all__ = [
-    "DepthScorer",
     "ScoreTicket",
     "ScoringService",
     "iter_curve_chunks",
-    "score_stream",
 ]
-
-
-def score_stream(
-    pipeline: GeometricOutlierPipeline,
-    data,
-    chunk_size: int = 256,
-) -> Iterator[np.ndarray]:
-    """Yield outlyingness scores for ``data`` in bounded-memory chunks.
-
-    ``data`` is either a single (M)FDataGrid — scored ``chunk_size``
-    curves at a time — or an iterator/generator of (M)FDataGrid
-    batches, each scored as it arrives (lazily: a true stream source is
-    never materialized).  Peak memory is bounded by one chunk's feature
-    matrix regardless of the dataset size; concatenating the yielded
-    arrays reproduces ``pipeline.score_samples(data)`` exactly, because
-    both smoothing and detection are per-curve operations.  The chunk
-    bookkeeping is the plan executor's
-    :func:`~repro.plan.executor.run_chunked` — the single chunked
-    execution path shared with the service streaming routes.
-    """
-    return run_chunked(pipeline.score_samples, data, chunk_size=chunk_size)
-
-
-class DepthScorer:
-    """A reference-based depth baseline packaged for serving.
-
-    Wraps FUNTA or Dir.out with a fixed reference set so the depth
-    substrate serves traffic through the same :class:`ScoringService`
-    surface as the pipeline detectors: ``score_samples(batch)`` returns
-    outlyingness scores for each incoming curve against the stored
-    reference.  All scoring dispatches to the blocked vectorized
-    kernels of :mod:`repro.depth._kernels`; when the scorer is
-    registered with a service, it adopts the service's
-    :class:`~repro.engine.ExecutionContext`, so ``n_jobs > 1`` fans
-    kernel blocks across the worker pool (bit-identical results).
-
-    Parameters
-    ----------
-    kind:
-        ``"funta"`` or ``"dirout"``.
-    reference:
-        (M)FDataGrid of reference curves ("typical" traffic).
-    context:
-        Optional execution context; inherited from the owning service
-        when omitted.
-    options:
-        Extra scoring options (``trim`` for FUNTA; ``method``,
-        ``n_directions``, ``random_state`` for Dir.out).
-    """
-
-    _KINDS = ("funta", "dirout")
-    _ALLOWED_OPTIONS = {
-        "funta": frozenset({"trim"}),
-        "dirout": frozenset({"method", "n_directions", "random_state"}),
-    }
-
-    def __init__(self, kind: str, reference, context: ExecutionContext | None = None,
-                 **options):
-        if kind not in self._KINDS:
-            raise ValidationError(f"kind must be one of {self._KINDS}, got {kind!r}")
-        if context is not None and not isinstance(context, ExecutionContext):
-            raise ValidationError(
-                f"context must be an ExecutionContext, got {type(context).__name__}"
-            )
-        unknown = set(options) - self._ALLOWED_OPTIONS[kind]
-        if unknown:
-            raise ValidationError(
-                f"unknown options for kind {kind!r}: {sorted(unknown)}; "
-                f"allowed: {sorted(self._ALLOWED_OPTIONS[kind])}"
-            )
-        if kind == "dirout" and options.get("method", "total") != "total":
-            # The mahalanobis detection rule fits its location/scatter on
-            # the batch being scored, so a curve's score would depend on
-            # which other curves share a merged flush group — breaking
-            # the service's per-curve micro-batching invariant.  Only
-            # the per-curve "total" score is servable.
-            raise ValidationError(
-                "DepthScorer('dirout') supports method='total' only: "
-                f"got {options['method']!r} (batch-dependent scores cannot "
-                "be served through the micro-batching queue)"
-            )
-        self.kind = kind
-        self.reference = as_mfd(reference)
-        if self.reference.n_samples < 2:
-            raise ValidationError("DepthScorer needs at least 2 reference curves")
-        self.context = context
-        self.options = options
-
-    def score_samples(self, data) -> np.ndarray:
-        """Outlyingness of each curve in ``data`` w.r.t. the reference."""
-        mfd = as_mfd(data)
-        if self.kind == "funta":
-            return funta_outlyingness(
-                mfd,
-                reference=self.reference,
-                trim=self.options.get("trim", 0.0),
-                context=self.context,
-            )
-        return dirout_scores(
-            mfd,
-            reference=self.reference,
-            method=self.options.get("method", "total"),
-            n_directions=self.options.get("n_directions", 200),
-            random_state=self.options.get("random_state", 0),
-            context=self.context,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"DepthScorer({self.kind!r}, n_reference={self.reference.n_samples})"
-        )
 
 
 def _check_scores_shape(scores, n_samples: int, name: str) -> None:
@@ -337,38 +215,17 @@ class ScoringService:
 
     # ------------------------------------------------------------------ registry
     def register(self, name: str, pipeline) -> None:
-        """Attach an already-fitted in-memory scorer under ``name``.
-
-        Accepts a fitted :class:`GeometricOutlierPipeline`, a
-        :class:`DepthScorer` or a
-        :class:`~repro.streaming.StreamingDetector`; a scorer without
-        its own context adopts this service's, so its kernel fan-out
-        shares the service's worker pool.  Streaming detectors are
-        stateful: they serve through :meth:`stream` /
-        :meth:`score_stream` (and stateless :meth:`score`), never
-        through the micro-batching queue.
-        """
+        """Attach an already-fitted in-memory pipeline under ``name``."""
         if not isinstance(name, str) or not name:
             raise ValidationError(f"pipeline name must be a non-empty string, got {name!r}")
-        if isinstance(pipeline, (DepthScorer, StreamingDetector)):
-            if pipeline.context is None:
-                pipeline.context = self.context
-            elif not pipeline.context.telemetry.enabled:
-                pipeline.context.attach_telemetry(self.telemetry)
-            if hasattr(pipeline, "attach_telemetry"):
-                pipeline.attach_telemetry(self.telemetry)
-            self._pipelines[name] = pipeline
-            return
         if not isinstance(pipeline, GeometricOutlierPipeline):
             raise ValidationError(
-                "pipeline must be a GeometricOutlierPipeline, DepthScorer or "
-                f"StreamingDetector, got {type(pipeline).__name__}"
+                f"pipeline must be a GeometricOutlierPipeline, got {type(pipeline).__name__}"
             )
         if not pipeline._fitted:
             raise NotFittedError("cannot register an unfitted pipeline")
-        ctx = getattr(pipeline, "context", None)
-        if isinstance(ctx, ExecutionContext) and not ctx.telemetry.enabled:
-            ctx.attach_telemetry(self.telemetry)
+        if not pipeline.context.telemetry.enabled:
+            pipeline.context.attach_telemetry(self.telemetry)
         self._pipelines[name] = pipeline
 
     def load(self, name: str, path) -> GeometricOutlierPipeline:
@@ -412,13 +269,7 @@ class ScoringService:
         flush and can run it off-thread).
         """
         mfd = as_mfd(data)
-        pipeline = self._pipeline(name)  # fail fast on unknown names
-        if isinstance(pipeline, StreamingDetector):
-            raise ValidationError(
-                f"pipeline {name!r} is a streaming detector; its scoring is "
-                "stateful (window updates are order-dependent), so it cannot "
-                "join the micro-batching queue — use stream() or score()"
-            )
+        self._pipeline(name)  # fail fast on unknown names
         ticket = ScoreTicket(name, mfd.n_samples)
         group_key = (name, _grid_key(mfd.grid), mfd.n_parameters)
         with self._lock:
@@ -519,51 +370,16 @@ class ScoringService:
         self._c_served_curves.inc(chunk.n_samples)
         self._c_served_requests.inc()
 
-    def stream(self, name: str, data, chunk_size: int = 256) -> Iterator[StreamBatchResult]:
-        """Online route: feed chunks through streaming detector ``name``.
-
-        Each chunk runs the detector's full
-        :meth:`~repro.streaming.StreamingDetector.process` step — score
-        against the current reference, update the adaptive threshold,
-        check for drift, ingest into the window — and the per-chunk
-        :class:`~repro.streaming.StreamBatchResult` is yielded (warm-up
-        chunks come back with ``scores=None``).
-        """
-        detector = self._pipeline(name)
-        if not isinstance(detector, StreamingDetector):
-            raise ValidationError(
-                f"pipeline {name!r} is not a StreamingDetector; use "
-                "score_stream() for fixed-reference chunked scoring"
-            )
-        return run_chunked(
-            detector.process, data, chunk_size=chunk_size,
-            observe=self._count_traffic, telemetry=self.telemetry,
-        )
-
     def score_stream(self, name: str, data, chunk_size: int = 256) -> Iterator[np.ndarray]:
-        """Stream scores for a large dataset through pipeline ``name``.
+        """Yield scores for ``data`` through pipeline ``name`` in bounded chunks.
 
-        For a registered :class:`~repro.streaming.StreamingDetector`
-        this is the online route of :meth:`stream` reduced to its score
-        arrays; curves consumed during the detector's warm-up have no
-        score yet and come back as ``NaN`` so the concatenated output
-        still aligns one-to-one with the input curves.  Both routes run
-        on the plan executor's single chunked path.
+        ``data`` is either a single (M)FDataGrid — scored ``chunk_size``
+        curves at a time — or an iterable of (M)FDataGrid batches, each
+        scored as it arrives (lazily: a true stream source is never
+        materialized).  Each chunk counts as one served request.
         """
-        pipeline = self._pipeline(name)
-        if isinstance(pipeline, StreamingDetector):
-            def online_scores(chunk) -> np.ndarray:
-                result = pipeline.process(chunk)
-                if result.scores is None:
-                    return np.full(chunk.n_samples, np.nan)
-                return result.scores
-
-            return run_chunked(
-                online_scores, data, chunk_size=chunk_size,
-                observe=self._count_traffic, telemetry=self.telemetry,
-            )
         return run_chunked(
-            pipeline.score_samples, data, chunk_size=chunk_size,
+            self._pipeline(name).score_samples, data, chunk_size=chunk_size,
             observe=self._count_traffic, telemetry=self.telemetry,
         )
 

@@ -27,9 +27,7 @@ scores *unbounded* curve streams whose reference population evolves:
   monitor emitting re-reference events.
 
 ``repro stream-score`` exposes the subsystem from the CLI (``--shards``
-sets the shard count of a FUNTA stream), and
-:class:`~repro.serving.service.ScoringService` serves registered
-streaming detectors next to batch pipelines.
+sets the shard count of a FUNTA stream).
 """
 
 from repro.streaming.calibrate import (

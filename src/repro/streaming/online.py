@@ -510,9 +510,7 @@ class StreamingDetector:
     def attach_telemetry(self, telemetry) -> None:
         """Bind this detector's counters/histograms into ``telemetry``.
 
-        Called with the owning context's handle at construction and
-        again by :meth:`ScoringService.register`, so a detector served
-        through a service emits into the service's registry.  The drift
+        Called with the owning context's handle at construction.  The drift
         monitor (if any) is re-bound alongside, labelled by this
         detector's kind.  Sharded detectors add per-shard window-fill
         gauges (``streaming_shard_window_fill{shard}``) and the
@@ -729,11 +727,6 @@ class StreamingDetector:
                 f"min_reference={self.min_reference}; prime() or process() more data"
             )
         return self._score_items(self._featurize(mfd))
-
-    # Stateless scoring under the common scorer surface, so a streaming
-    # detector can be registered with a ScoringService and serve direct
-    # score() traffic next to pipelines and DepthScorers.
-    score_samples = score
 
     def process(self, data) -> StreamBatchResult:
         """One online step: score, threshold, drift-check, ingest."""

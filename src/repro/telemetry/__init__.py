@@ -222,9 +222,6 @@ class _NullHistogram:
     def percentile(self, q: float) -> float:
         return float("nan")
 
-    def merge(self, other) -> None:
-        pass
-
     def snapshot(self) -> dict:
         return {}
 

@@ -12,10 +12,7 @@ Histograms use fixed, pre-declared bucket upper bounds (Prometheus
 exact-sample reservoir: while the observation count stays within the
 reservoir, ``percentile`` is exact (NumPy linear interpolation
 semantics); past it, quantiles fall back to linear interpolation within
-the bucket — the standard ``histogram_quantile`` estimate.  Two
-histograms over the same bounds :meth:`~Histogram.merge` additively,
-which is what lets per-shard or per-repeat measurements federate into
-one distribution.
+the bucket — the standard ``histogram_quantile`` estimate.
 
 Export: :meth:`MetricsRegistry.to_prometheus` renders the text
 exposition format (``# HELP`` / ``# TYPE`` / samples, histograms as
@@ -50,7 +47,7 @@ DEFAULT_TIME_BUCKETS = (
 DEFAULT_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384)
 
 #: Observations kept verbatim before quantiles fall back to bucket
-#: interpolation; bounds both memory and merge cost.
+#: interpolation; bounds the reservoir's memory.
 _RESERVOIR = 4096
 
 
@@ -167,33 +164,6 @@ class Histogram:
     @property
     def max(self) -> float:
         return self._max if self._count else math.nan
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other``'s observations into this histogram (additive)."""
-        if not isinstance(other, Histogram):
-            raise ValidationError(f"cannot merge {type(other).__name__} into a Histogram")
-        if other.bounds != self.bounds:
-            raise ValidationError(
-                f"histogram {self.name}: merge needs identical bucket bounds "
-                f"({self.bounds} != {other.bounds})"
-            )
-        with other._lock:
-            counts = list(other._counts)
-            osum, ocount = other._sum, other._count
-            omin, omax = other._min, other._max
-            osamples, oexact = list(other._samples), other._exact
-        with self._lock:
-            for i, c in enumerate(counts):
-                self._counts[i] += c
-            self._sum += osum
-            self._count += ocount
-            self._min = min(self._min, omin)
-            self._max = max(self._max, omax)
-            if self._exact and oexact and len(self._samples) + len(osamples) <= _RESERVOIR:
-                self._samples.extend(osamples)
-            else:
-                self._exact = False
-                self._samples = []
 
     # ------------------------------------------------------------------ quantiles
     def percentile(self, q: float) -> float:

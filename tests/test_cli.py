@@ -30,6 +30,24 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig9"])
 
+    def test_fig2_takes_no_seed(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig2", "--seed", "1"])
+        assert exc.value.code == 2
+
+    def test_fig1_takes_no_reps(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig1", "--reps", "3"])
+        assert exc.value.code == 2
+
+    def test_repetition_options_on_fig3_and_all_only(self):
+        parser = build_parser()
+        for command in ("fig3", "all"):
+            args = parser.parse_args([command, "--n-jobs", "2", "--verbose"])
+            assert (args.n_jobs, args.verbose) == (2, True)
+        args = parser.parse_args(["taxonomy", "--seed", "3"])
+        assert args.seed == 3 and not hasattr(args, "reps")
+
 
 class TestCommands:
     def test_fig1_prints_table(self, capsys):

@@ -2,8 +2,7 @@
 
 Covers what the property suite doesn't: block/budget plumbing, the
 ExecutionContext fan-out (pooled results bit-identical to serial), the
-batched Weiszfeld early exit, the serving ``DepthScorer`` and the
-partition-select detectors.
+batched Weiszfeld early exit and the partition-select detectors.
 """
 
 import numpy as np
@@ -18,7 +17,6 @@ from repro.detectors.lof import LocalOutlierFactor
 from repro.engine import ExecutionContext
 from repro.exceptions import ValidationError
 from repro.fda.fdata import FDataGrid, MFDataGrid
-from repro.serving import DepthScorer, ScoringService
 from repro.utils.linalg import row_blocks
 
 from oracles import _spatial_median
@@ -152,60 +150,6 @@ class TestBatchedWeiszfeld:
             )
             assert alone_iters[0] == expected[j]
             np.testing.assert_array_equal(alone[0], median[j])
-
-
-class TestDepthScorerServing:
-    def test_funta_scorer_matches_direct_call(self, curves):
-        ref = curves[np.arange(12)]
-        batch = curves[np.arange(12, 20)]
-        scorer = DepthScorer("funta", ref)
-        direct = 1.0 - funta_depth(batch.to_multivariate(), reference=ref.to_multivariate())
-        np.testing.assert_allclose(scorer.score_samples(batch), direct, atol=1e-12)
-
-    def test_registered_scorer_serves_and_micro_batches(self, curves):
-        ref = curves[np.arange(12)]
-        service = ScoringService()
-        service.register("funta", DepthScorer("funta", ref))
-        assert service._pipelines["funta"].context is service.context
-        batch_a = curves[np.arange(12, 16)]
-        batch_b = curves[np.arange(16, 20)]
-        direct = np.concatenate(
-            [service.score("funta", batch_a), service.score("funta", batch_b)]
-        )
-        tickets = [service.submit("funta", batch_a), service.submit("funta", batch_b)]
-        service.flush()
-        micro = np.concatenate([t.result() for t in tickets])
-        np.testing.assert_allclose(micro, direct, atol=1e-12)
-
-    def test_dirout_scorer_deterministic(self, curves):
-        scorer = DepthScorer("dirout", curves, random_state=3)
-        a = scorer.score_samples(curves[np.arange(5)])
-        b = scorer.score_samples(curves[np.arange(5)])
-        np.testing.assert_array_equal(a, b)
-
-    def test_rejects_unknown_kind_and_tiny_reference(self, curves):
-        with pytest.raises(ValidationError):
-            DepthScorer("mbd", curves)
-        with pytest.raises(ValidationError):
-            DepthScorer("funta", curves[np.arange(1)])
-
-    def test_rejects_typoed_or_mismatched_options(self, curves):
-        with pytest.raises(ValidationError):
-            DepthScorer("funta", curves, trm=0.1)  # typo
-        with pytest.raises(ValidationError):
-            DepthScorer("funta", curves, n_directions=500)  # dirout-only
-        with pytest.raises(ValidationError):
-            DepthScorer("dirout", curves, method="totl")  # bad value
-        with pytest.raises(ValidationError):
-            # Batch-dependent rule: would break the micro-batching
-            # invariant (scores must not depend on flush grouping).
-            DepthScorer("dirout", curves, method="mahalanobis")
-        DepthScorer("dirout", curves, method="total")  # valid
-
-    def test_register_still_rejects_junk(self):
-        service = ScoringService()
-        with pytest.raises(ValidationError):
-            service.register("x", object())
 
 
 class TestPartitionSelectDetectors:

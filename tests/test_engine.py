@@ -112,8 +112,7 @@ class TestCachedSmoothingEquivalence:
         plain = select_n_basis(noisy_sines, factory, candidates, smoothing=1e-4)
         cache = FactorizationCache()
         fitted = select_n_basis(
-            noisy_sines, factory, candidates, smoothing=1e-4,
-            cache=cache, return_fitted=True,
+            noisy_sines, factory, candidates, smoothing=1e-4, cache=cache
         )
         assert fitted.best == plain.best
         for cand in candidates:

@@ -74,8 +74,8 @@ def test_irregular_and_grid_fits_agree(rng):
 
     from repro.fda import FDataGrid
 
-    grid_fit = smoother.fit(FDataGrid(truth[None, :], grid))
-    irregular_fit = smoother.fit(IrregularFData([grid], [truth]))
+    grid_fit = smoother.fit_grid(FDataGrid(truth[None, :], grid))
+    irregular_fit = smoother.fit_irregular(IrregularFData([grid], [truth]))
     probe = np.linspace(0.0, 1.0, 100)
     np.testing.assert_allclose(
         grid_fit.evaluate(probe), irregular_fit.evaluate(probe), atol=1e-8

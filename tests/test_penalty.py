@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import BasisError
 from repro.fda.basis import BSplineBasis
-from repro.fda.penalty import gram_matrix, penalty_matrix
+from repro.fda.penalty import penalty_matrix
 
 
 class TestPenaltyMatrix:
@@ -57,10 +57,16 @@ class TestPenaltyMatrix:
             penalty_matrix(basis, derivative=5)
 
     def test_q0_equals_gram(self):
+        """q = 0 gives the L2 Gram matrix, here summed span by span with
+        a 6-point Gauss rule (exact for the degree-6 products)."""
         basis = BSplineBasis((0.0, 1.0), n_basis=6)
-        np.testing.assert_allclose(
-            penalty_matrix(basis, derivative=0), gram_matrix(basis), atol=1e-12
-        )
+        nodes, weights = np.polynomial.legendre.leggauss(6)
+        breaks = np.concatenate(([0.0], basis.interior_breakpoints, [1.0]))
+        gram = np.zeros((6, 6))
+        for low, high in zip(breaks[:-1], breaks[1:]):
+            design = basis.evaluate(low + (high - low) * (nodes + 1.0) / 2.0)
+            gram += (high - low) / 2.0 * (design.T * weights) @ design
+        np.testing.assert_allclose(penalty_matrix(basis, derivative=0), gram, atol=1e-12)
 
 
 class TestGramMatrix:
@@ -68,10 +74,10 @@ class TestGramMatrix:
         """Row sums of the Gram matrix equal the integrals of each basis
         function (partition of unity integrates to the domain length)."""
         basis = BSplineBasis((0.0, 2.0), n_basis=7)
-        gram = gram_matrix(basis)
+        gram = penalty_matrix(basis, derivative=0)
         assert gram.sum() == pytest.approx(2.0, abs=1e-10)
 
     def test_positive_definite(self):
         basis = BSplineBasis((0.0, 1.0), n_basis=8)
-        eigenvalues = np.linalg.eigvalsh(gram_matrix(basis))
+        eigenvalues = np.linalg.eigvalsh(penalty_matrix(basis, derivative=0))
         assert eigenvalues.min() > 0

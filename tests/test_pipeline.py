@@ -148,20 +148,6 @@ class TestScoring:
         scores = pipe.score_samples(data[30:])
         assert scores.shape == (data.n_samples - 30,)
 
-    def test_predict_with_contamination(self, correlation_mfd):
-        data, labels = correlation_mfd
-        pipe = GeometricOutlierPipeline(
-            IsolationForest(random_state=0, contamination=0.15), n_basis=12
-        )
-        predictions = pipe.fit(data).predict(data)
-        assert set(np.unique(predictions)) <= {-1, 1}
-
-    def test_fit_score_convenience(self, correlation_mfd):
-        data, labels = correlation_mfd
-        pipe = GeometricOutlierPipeline(KNNDetector(5), n_basis=12)
-        scores = pipe.fit_score(data, data)
-        assert scores.shape == (data.n_samples,)
-
     def test_ocsvm_head(self, correlation_mfd):
         data, labels = correlation_mfd
         pipe = GeometricOutlierPipeline(OneClassSVM(nu=0.15), n_basis=16)

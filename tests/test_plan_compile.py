@@ -25,6 +25,7 @@ from repro.plan import (
     compile_plan,
     pipeline_to_spec,
     plan_for_pipeline,
+    run_chunked,
 )
 from repro.serving import MANIFEST_NAME, load_pipeline, save_pipeline
 from repro.streaming import ReservoirWindow, SlidingWindow, StreamingDetector
@@ -196,7 +197,9 @@ class TestStreamPlan:
             StreamSpec(kind="funta", window=16, min_reference=8),
             WorkloadSpec(mode="stream", chunk_size=8),
         )
-        results = list(plan.process_chunks(data))
+        results = list(run_chunked(
+            plan.detector.process, data, chunk_size=plan.workload.chunk_size
+        ))
         assert results[0].warmup  # first chunk fills the window
         assert any(r.scores is not None for r in results)
 
@@ -236,7 +239,7 @@ class TestV1ManifestReader:
 
 
 class TestServiceChunkDedup:
-    """The service streaming routes share the executor's chunk path."""
+    """The service's chunked route shares the executor's chunk path."""
 
     def test_score_stream_counts_traffic(self, dataset):
         from repro.serving import ScoringService
@@ -253,25 +256,6 @@ class TestServiceChunkDedup:
         )
         assert service.served_curves == data.n_samples
         assert service.served_requests == len(chunks)
-
-    def test_stream_route_counts_traffic_and_validates_eagerly(self, dataset):
-        from repro.exceptions import ValidationError
-        from repro.serving import ScoringService
-        from repro.streaming import SlidingWindow
-
-        data, _ = dataset
-        detector = StreamingDetector("funta", SlidingWindow(16), min_reference=8)
-        service = ScoringService()
-        service.register("s", detector)
-        results = list(service.stream("s", data, chunk_size=8))
-        assert service.served_curves == data.n_samples
-        assert len(results) == -(-data.n_samples // 8)
-        pipeline = GeometricOutlierPipeline(
-            IsolationForest(n_estimators=10, random_state=0), n_basis=8
-        ).fit(data)
-        service.register("m", pipeline)
-        with pytest.raises(ValidationError, match="not a StreamingDetector"):
-            service.stream("m", data)
 
 
 class TestExperimentSpecEntries:

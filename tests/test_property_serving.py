@@ -106,8 +106,8 @@ class TestSmootherConfigRoundTrip:
         )
         restored = BasisSmoother.from_config(smoother.to_config())
         assert np.array_equal(
-            restored.transform(data).coefficients,
-            smoother.fit(data).coefficients,
+            restored.fit_grid(data).coefficients,
+            smoother.fit_grid(data).coefficients,
         )
 
 

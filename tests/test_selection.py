@@ -1,17 +1,11 @@
-"""Unit tests for LOO-CV / GCV model selection."""
+"""Unit tests for LOO-CV basis-size selection."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
 from repro.fda.basis import BSplineBasis
-from repro.fda.fdata import FDataGrid
-from repro.fda.selection import (
-    gcv_score,
-    loocv_score,
-    select_n_basis,
-    select_smoothing,
-)
+from repro.fda.selection import loocv_score, select_n_basis
 from repro.fda.smoothing import BasisSmoother
 
 
@@ -47,14 +41,6 @@ class TestLoocvScore:
         assert all_curves != pytest.approx(first)
 
 
-class TestGcvScore:
-    def test_close_to_loocv_for_stable_fit(self, sine_curves):
-        smoother = BasisSmoother(BSplineBasis((0.0, 1.0), n_basis=10), smoothing=1e-4)
-        loo = loocv_score(smoother, sine_curves.grid, sine_curves.values)
-        gcv = gcv_score(smoother, sine_curves.grid, sine_curves.values)
-        assert gcv == pytest.approx(loo, rel=0.25)
-
-
 class TestSelectNBasis:
     def test_picks_reasonable_size(self, sine_curves):
         result = select_n_basis(
@@ -69,32 +55,3 @@ class TestSelectNBasis:
     def test_empty_candidates_rejected(self, sine_curves):
         with pytest.raises(ValidationError):
             select_n_basis(sine_curves, lambda dom, L: BSplineBasis(dom, L), [])
-
-    def test_unknown_criterion(self, sine_curves):
-        with pytest.raises(ValidationError):
-            select_n_basis(
-                sine_curves, lambda dom, L: BSplineBasis(dom, L), [5], criterion="aic"
-            )
-
-    def test_gcv_criterion(self, sine_curves):
-        result = select_n_basis(
-            sine_curves, lambda dom, L: BSplineBasis(dom, L), [6, 12], criterion="gcv"
-        )
-        assert result.best in (6, 12)
-
-
-class TestSelectSmoothing:
-    def test_prefers_moderate_lambda_on_noisy_data(self, rng):
-        grid = np.linspace(0, 1, 40)
-        truth = np.sin(2 * np.pi * grid)
-        noisy = truth[None, :] + 0.3 * rng.standard_normal((10, 40))
-        data = FDataGrid(noisy, grid)
-        basis = BSplineBasis((0.0, 1.0), n_basis=25)
-        result = select_smoothing(data, basis, candidates=[0.0, 1e-6, 1e-4, 1e-2, 1.0])
-        # With strong noise and a big basis, some penalty must win over none.
-        assert result.best != 0.0
-
-    def test_scores_recorded_per_candidate(self, sine_curves):
-        basis = BSplineBasis((0.0, 1.0), n_basis=12)
-        result = select_smoothing(sine_curves, basis, candidates=[1e-6, 1e-3])
-        assert len(result.scores) == 2

@@ -27,7 +27,6 @@ from repro.serving import (
     ScoringService,
     load_pipeline,
     save_pipeline,
-    score_stream,
 )
 
 #: Constructor kwargs keeping every registered detector happy on tiny data.
@@ -253,6 +252,11 @@ class TestScoringService:
         with pytest.raises(NotFittedError):
             service.register("main", GeometricOutlierPipeline(make_detector("iforest")))
 
+    def test_register_rejects_non_pipelines(self):
+        service = ScoringService()
+        with pytest.raises(ValidationError, match="got object"):
+            service.register("x", object())
+
     def test_unknown_pipeline_name(self, dataset):
         data, _ = dataset
         with pytest.raises(ValidationError, match="no pipeline named"):
@@ -413,11 +417,19 @@ class TestScoringService:
 
 
 class TestScoreStream:
+    """Chunked scoring through `ScoringService.score_stream`."""
+
+    @staticmethod
+    def _service(pipeline) -> ScoringService:
+        service = ScoringService()
+        service.register("main", pipeline)
+        return service
+
     def test_chunked_equals_full(self, dataset):
         data, _ = dataset
         pipeline = _fitted_pipeline(data)
         full = pipeline.score_samples(data)
-        chunks = list(score_stream(pipeline, data, chunk_size=7))
+        chunks = list(self._service(pipeline).score_stream("main", data, chunk_size=7))
         assert all(chunk.shape[0] <= 7 for chunk in chunks)
         np.testing.assert_allclose(np.concatenate(chunks), full, atol=1e-12)
 
@@ -425,7 +437,8 @@ class TestScoreStream:
         data, _ = dataset
         pipeline = _fitted_pipeline(data)
         batches = [data[np.arange(0, 10)], data[np.arange(10, 25)]]
-        chunks = list(score_stream(pipeline, iter(batches), chunk_size=100))
+        service = self._service(pipeline)
+        chunks = list(service.score_stream("main", iter(batches), chunk_size=100))
         np.testing.assert_allclose(
             np.concatenate(chunks),
             pipeline.score_samples(data[np.arange(25)]),
@@ -434,8 +447,7 @@ class TestScoreStream:
 
     def test_service_stream_counts(self, dataset):
         data, _ = dataset
-        service = ScoringService()
-        service.register("main", _fitted_pipeline(data))
+        service = self._service(_fitted_pipeline(data))
         list(service.score_stream("main", data, chunk_size=10))
         assert service.served_curves == data.n_samples
 
@@ -449,7 +461,7 @@ class TestScoreStream:
                 pulled.append(start)
                 yield data[np.arange(start, start + 10)]
 
-        stream = score_stream(pipeline, generate(), chunk_size=100)
+        stream = self._service(pipeline).score_stream("main", generate(), chunk_size=100)
         assert pulled == []  # nothing consumed before iteration
         first = next(stream)
         assert pulled == [0]  # one batch pulled per yielded score array
@@ -463,21 +475,21 @@ class TestScoreStream:
 
     def test_rejects_bad_input(self, dataset):
         data, _ = dataset
-        pipeline = _fitted_pipeline(data)
+        service = self._service(_fitted_pipeline(data))
         with pytest.raises(ValidationError):
-            list(score_stream(pipeline, 42))
+            list(service.score_stream("main", 42))
 
     def test_rejects_raw_arrays(self, dataset):
         data, _ = dataset
-        pipeline = _fitted_pipeline(data)
+        service = self._service(_fitted_pipeline(data))
         with pytest.raises(ValidationError, match="ambiguous"):
-            list(score_stream(pipeline, data.values))
+            list(service.score_stream("main", data.values))
 
     def test_rejects_bad_chunk_size(self, dataset):
         data, _ = dataset
-        pipeline = _fitted_pipeline(data)
+        service = self._service(_fitted_pipeline(data))
         with pytest.raises(ValidationError):
-            list(score_stream(pipeline, data, chunk_size=0))
+            list(service.score_stream("main", data, chunk_size=0))
 
 
 class TestFlushHardening:

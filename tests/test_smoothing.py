@@ -73,15 +73,6 @@ class TestFitGrid:
         single = smoother.fit_sample(sine_curves.grid, sine_curves.values[3])
         np.testing.assert_allclose(batch.coefficients[3], single, atol=1e-10)
 
-    def test_dispatch_fit(self, basis, sine_curves):
-        smoother = BasisSmoother(basis, smoothing=1e-5)
-        out = smoother.fit(sine_curves)
-        assert out.n_samples == sine_curves.n_samples
-
-    def test_fit_rejects_unknown_type(self, basis):
-        with pytest.raises(ValidationError):
-            BasisSmoother(basis).fit(np.zeros((3, 5)))
-
 
 class TestFitIrregular:
     def test_irregular_samples(self, basis, rng):
@@ -91,7 +82,7 @@ class TestFitIrregular:
         values = [np.sin(2 * np.pi * p) + 0.02 * rng.standard_normal(40) for p in points]
         data = IrregularFData(points, values)
         smoother = BasisSmoother(basis, smoothing=1e-5)
-        fit = smoother.fit(data)
+        fit = smoother.fit_irregular(data)
         grid = np.linspace(0, 1, 50)
         recon = fit.evaluate(grid)
         truth = np.sin(2 * np.pi * grid)
@@ -109,8 +100,8 @@ class TestHatMatrix:
         assert np.trace(hat) == pytest.approx(9.0, abs=1e-8)
 
     def test_penalty_shrinks_df(self, basis, unit_grid):
-        df_unpenalized = BasisSmoother(basis).effective_df(unit_grid)
-        df_penalized = BasisSmoother(basis, smoothing=1.0).effective_df(unit_grid)
+        df_unpenalized = np.trace(BasisSmoother(basis).hat_matrix(unit_grid))
+        df_penalized = np.trace(BasisSmoother(basis, smoothing=1.0).hat_matrix(unit_grid))
         assert df_penalized < df_unpenalized
         # The q=2 penalty never shrinks below its 2-dim nullspace.
         assert df_penalized >= 2.0 - 1e-6

@@ -16,8 +16,7 @@ The acceptance pins for sharding:
   detector, the spec and the CLI;
 * the shard window capacity must divide evenly;
 * the plan layer compiles ``StreamSpec(shards=N)`` and still loads
-  legacy ``shard_backend`` documents;
-* the serving layer streams through a registered sharded detector.
+  legacy ``shard_backend`` documents.
 """
 
 import functools
@@ -32,7 +31,6 @@ from repro.engine import ExecutionContext
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.fda.fdata import MFDataGrid
 from repro.plan import StreamSpec, compile_plan, spec_from_dict
-from repro.serving import ScoringService
 from repro.streaming import (
     DepthRankDrift,
     ReservoirWindow,
@@ -221,25 +219,6 @@ class TestPlanIntegration:
                 kind="funta", window=100, shards=3,
                 drift_baseline=84, drift_recent=84,
             )
-
-
-class TestServingIntegration:
-    def test_sharded_detector_streams_through_service(self):
-        rng = np.random.default_rng(21)
-        m = 32
-        grid = np.linspace(0.0, 1.0, m)
-        service = ScoringService()
-        with StreamingDetector(
-            "funta", SlidingWindow(16), shards=2, min_reference=4
-        ) as detector:
-            service.register("sharded", detector)
-            data = MFDataGrid(rng.standard_normal((24, m, 1)), grid)
-            batches = list(service.stream("sharded", data, chunk_size=8))
-            assert len(batches) == 3
-            scored = [b for b in batches if b.scores is not None]
-            assert scored and all(b.scores.ndim == 1 for b in scored)
-            with pytest.raises(ValidationError, match="streaming"):
-                service.submit("sharded", data)
 
 
 class TestTelemetry:

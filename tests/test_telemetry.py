@@ -3,8 +3,8 @@
 Covers the correctness claims the observability layer makes:
 
 * histogram bucket boundaries follow the Prometheus ``le`` (inclusive
-  upper bound) convention and :meth:`~repro.telemetry.Histogram.merge`
-  is exactly additive (property-based);
+  upper bound) convention and the snapshot matches the observations
+  (property-based);
 * exact-reservoir percentiles match NumPy's linear interpolation;
 * concurrent increments lose no updates — across threads on one
   counter, and around a depth kernel fanned out over a 2-worker pool;
@@ -116,36 +116,6 @@ class TestHistogram:
         assert math.isclose(snap["sum"], math.fsum(samples), abs_tol=1e-12)
         assert snap["min"] == min(samples)
         assert snap["max"] == max(samples)
-
-    @given(left=finite_samples, right=finite_samples)
-    @settings(max_examples=100, deadline=None)
-    def test_merge_is_additive(self, left, right):
-        """merge(a, b) is indistinguishable from observing a + b directly."""
-        ha = Histogram("h", {}, buckets=BOUNDS)
-        hb = Histogram("h", {}, buckets=BOUNDS)
-        combined = Histogram("h", {}, buckets=BOUNDS)
-        for v in left:
-            ha.observe(v)
-            combined.observe(v)
-        for v in right:
-            hb.observe(v)
-            combined.observe(v)
-        ha.merge(hb)
-        sa, sc = ha.snapshot(), combined.snapshot()
-        assert sa["buckets"] == sc["buckets"]
-        assert sa["count"] == sc["count"]
-        assert math.isclose(sa["sum"], sc["sum"], abs_tol=1e-12)
-        assert sa["min"] == sc["min"] and sa["max"] == sc["max"]
-        for q in (0, 50, 95, 99, 100):
-            assert math.isclose(
-                ha.percentile(q), combined.percentile(q), abs_tol=1e-12
-            )
-
-    def test_merge_rejects_mismatched_bounds(self):
-        ha = Histogram("h", {}, buckets=BOUNDS)
-        hb = Histogram("h", {}, buckets=(1.0, 2.0))
-        with pytest.raises(ValidationError, match="identical bucket bounds"):
-            ha.merge(hb)
 
     def test_exact_percentiles_match_numpy(self):
         rng = np.random.default_rng(0)
