@@ -74,8 +74,7 @@ def main() -> None:
     stats = detector.stats()
     print(f"stream: {N_CHUNKS} chunks x {CHUNK_SIZE} curves, drift ramps in "
           f"at chunk {DRIFT_AT}, bursts at {BURSTS}")
-    print(f"scored {stats['n_scored']} curves against a sliding reference "
-          f"(incremental caches: {stats['incremental']})")
+    print(f"scored {stats['n_scored']} curves against a sliding reference")
     print(f"flagged {flagged_true}/{n_outliers} injected burst outliers, "
           f"{flagged_false} false alarms among scored inliers")
     print(f"drift events at chunks: {drift_chunks or 'none'} "

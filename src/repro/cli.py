@@ -334,7 +334,6 @@ def run_stream_score(args) -> None:
             ["score min/mean/max",
              f"{scored.min():.4f} / {scored.mean():.4f} / {scored.max():.4f}"
              if scored.size else "(all warm-up)"],
-            ["incremental", str(stats["incremental"])],
             ["output", str(args.output) if args.output else "(stdout only)"],
         ],
     )
@@ -433,6 +432,8 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.streaming.online import STREAM_KINDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate the figures of Lejeune et al., EDBT 2020, "
@@ -471,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help=".npz with 'values' (n, m[, p]) and 'grid' (m,) arrays, "
                              "consumed in stream order")
     stream.add_argument("--kind", default="funta",
-                        choices=("funta", "dirout", "halfspace"),
+                        choices=STREAM_KINDS,
                         help="streaming scorer kind")
     stream.add_argument("--window", type=int, default=128,
                         help="reference window capacity")

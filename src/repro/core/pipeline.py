@@ -239,30 +239,6 @@ class GeometricOutlierPipeline:
         features = self.transform(data)
         return self.detector.score_samples(features)
 
-    # ------------------------------------------------------------------ specs
-    @classmethod
-    def from_spec(cls, spec, context: ExecutionContext | None = None) -> "GeometricOutlierPipeline":
-        """Construct an unfitted pipeline from a declarative spec.
-
-        ``spec`` is a :class:`~repro.plan.PipelineSpec` (or its tagged
-        dict form); construction delegates to the plan compiler — the
-        library's single spec→object lowering path.
-        """
-        from repro.plan import compile_plan
-
-        return compile_plan(spec, context=context).build()
-
-    def to_spec(self):
-        """The declarative :class:`~repro.plan.PipelineSpec` of this pipeline.
-
-        Round-trips through :meth:`from_spec` to an identically
-        configured pipeline; the serving layer persists it as the v2
-        manifest's ``spec`` section.
-        """
-        from repro.plan import pipeline_to_spec
-
-        return pipeline_to_spec(self)
-
     # ------------------------------------------------------------------ state
     def export_fitted_state(self) -> dict:
         """Everything a fresh process needs to score new batches.
@@ -270,9 +246,10 @@ class GeometricOutlierPipeline:
         Returns a nested dict of JSON-able scalars and NumPy arrays (no
         pickled code): the per-parameter smoother configs, the selected
         basis sizes, the evaluation grid, the mapping config and the
-        fitted detector state.  :meth:`from_fitted_state` inverts it with
-        bit-identical scoring; :func:`repro.serving.save_pipeline` writes
-        it to disk as ``.npz`` + JSON manifest.
+        fitted detector state.  :func:`repro.serving.save_pipeline`
+        writes it to disk as ``.npz`` + JSON manifest, and
+        :func:`repro.plan.restore_pipeline` inverts it with bit-identical
+        scoring.
         """
         if not self._fitted or self.smoothers_ is None:
             raise NotFittedError("pipeline is not fitted")
@@ -295,7 +272,7 @@ class GeometricOutlierPipeline:
         Restored smoothers attach to this pipeline's context cache, so
         scoring new curves on a grid the cache has seen skips design
         building and refactorization entirely.  The detector is restored
-        separately (see :meth:`from_fitted_state`).
+        separately (see :func:`repro.plan.restore_pipeline`).
         """
         if "eval_grid" not in state:
             raise ValidationError("fitted state has no 'eval_grid'")
@@ -309,36 +286,3 @@ class GeometricOutlierPipeline:
         self.selected_n_basis_ = [int(v) for v in state.get("selected_n_basis", [])]
         self.eval_grid_ = np.asarray(state["eval_grid"], dtype=np.float64)
         self._fitted = True
-
-    @classmethod
-    def from_fitted_state(
-        cls, state: dict, context: ExecutionContext | None = None
-    ) -> "GeometricOutlierPipeline":
-        """Rebuild a fitted pipeline from :meth:`export_fitted_state` output.
-
-        ``context`` optionally attaches the restored pipeline to a shared
-        serving context (cache + pool); a private context is created when
-        omitted.
-        """
-        from repro.detectors import detector_from_state
-        from repro.geometry.mappings import mapping_from_config
-
-        if not isinstance(state, dict):
-            raise ValidationError(
-                f"fitted state must be a dict, got {type(state).__name__}"
-            )
-        missing = [key for key in ("detector", "mapping", "smoothers", "eval_grid")
-                   if key not in state]
-        if missing:
-            raise ValidationError(f"fitted state is missing keys: {missing}")
-        config = state.get("config", {})
-        pipeline = cls(
-            detector=detector_from_state(state["detector"]),
-            mapping=mapping_from_config(state["mapping"]),
-            smoothing=float(config.get("smoothing", 1e-4)),
-            penalty_order=int(config.get("penalty_order", 2)),
-            spline_order=int(config.get("spline_order", 4)),
-            context=context,
-        )
-        pipeline.inject_fitted_state(state)
-        return pipeline

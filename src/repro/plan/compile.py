@@ -1,9 +1,9 @@
 """Lower validated specs into executable scoring plans.
 
 ``compile_plan(spec, workload, context)`` is the single construction
-path of the library: every entry point — ``make_method``, the
-``GeometricOutlierPipeline`` spec constructors, the serving manifests,
-the streaming CLI, the experiment harness — funnels through it.
+path of the library: every entry point — ``make_method``, the serving
+manifests, the streaming CLI, the experiment harness — funnels through
+it.
 Resolving a spec into live smoother/mapping/detector objects happens in
 one lowering per spec, which the spec also runs on construction to
 validate itself (see :mod:`repro.plan.specs`); a plan's ``build`` runs
@@ -151,25 +151,9 @@ class MethodPlan(ScoringPlan):
 
     kind = "method"
 
-    def __init__(self, spec: MethodSpec, workload, context):
-        super().__init__(spec, workload, context)
-        self._method = None
-
     def build(self):
         """Resolve the method object (the old ``make_method`` dispatch)."""
         return self.spec._build()
-
-    @property
-    def method(self):
-        if self._method is None:
-            self._method = self.build()
-        return self._method
-
-    def score_dataset(self, data, train_idx, test_idx, random_state=None):
-        """Prepare + fit_score through the plan's shared context."""
-        return self.method.score_dataset(
-            data, train_idx, test_idx, random_state=random_state, context=self.context
-        )
 
     def describe(self) -> dict:
         return {**super().describe(), "method": self.spec.kind}
@@ -265,8 +249,7 @@ def pipeline_to_spec(pipeline) -> PipelineSpec:
     """Derive the declarative spec of a (possibly fitted) pipeline.
 
     The inverse direction of :meth:`PipelinePlan.build`: used by the
-    serving layer to write the v2 manifest's ``spec`` section and by
-    ``GeometricOutlierPipeline.to_spec``.
+    serving layer to write the v2 manifest's ``spec`` section.
     """
     detector = pipeline.detector
     name = _DETECTOR_NAME_BY_CLASS.get(type(detector).__name__)

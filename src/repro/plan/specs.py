@@ -569,16 +569,10 @@ class StreamSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_type(self.kind, str, "stream kind")
-        if self.kind == "pipeline":
-            from repro.streaming.online import STREAM_KINDS
+        from repro.streaming.online import STREAM_KINDS
 
-            raise ConfigurationError(
-                "stream kind 'pipeline' needs an in-memory fitted pipeline; "
-                "construct StreamingDetector(pipeline=...) directly (specs "
-                "cover the self-contained kinds "
-                f"{sorted(set(STREAM_KINDS) - {'pipeline'})})"
-            )
+        _check_type(self.kind, str, "stream kind")
+        _check_choice(self.kind, STREAM_KINDS, "stream kind")
         for name in ("window", "min_reference", "drift_baseline", "drift_recent",
                      "seed", "shards"):
             _check_type(getattr(self, name), int, f"stream {name}")

@@ -6,15 +6,13 @@ scores *unbounded* curve streams whose reference population evolves:
 
 * :mod:`repro.streaming.window` — sliding-window and reservoir-sampling
   reference maintainers over one preallocated ring buffer, with seeded
-  reproducible eviction and round-robin ``split()`` (plus the sliding
-  window's inverse ``merged()``);
+  reproducible eviction and round-robin ``split()``;
 * :mod:`repro.streaming.online` — :class:`StreamingDetector`, scoring
   each arrival against the current window through the vectorized depth
-  kernels (FUNTA, Dir.out, halfspace profiles) or the fitted-pipeline
-  feature path, one scoring rule per kind: FUNTA refreshes its cached
-  tangent angles as chunks are ingested instead of refitting them;
-  Dir.out, halfspace and the pipeline kind score from the window
-  contents on every call.  For untrimmed FUNTA, ``shards=N`` deals the
+  kernels (FUNTA, Dir.out, halfspace profiles), one scoring rule per
+  kind: FUNTA refreshes its cached tangent angles as chunks are
+  ingested instead of refitting them; Dir.out and halfspace score from
+  the window contents on every call.  For untrimmed FUNTA, ``shards=N`` deals the
   reference across N shard windows whose ingest and partial scoring
   run on a thread pool, while the threshold and drift monitor stay the
   single-stream trackers in the coordinator, so the answers are those

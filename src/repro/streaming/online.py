@@ -26,10 +26,6 @@ kind           reference statistic and how it follows the window
 ``halfspace``  from the window: the batch
                :func:`~repro.depth.functional.functional_depth`
                profile for every p
-``pipeline``   the fitted-pipeline feature path from serving: refit
-               per score — mean, scatter and ridged Cholesky factor
-               of the windowed feature vectors, computed from the
-               window contents on every call
 =============  =======================================================
 
 Every kind reproduces the one-shot batch computation over the same
@@ -52,14 +48,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from repro.depth import _kernels
 from repro.depth._kernels import MAD_SCALE
 from repro.depth.dirout import dirout_scores, summarize_outlyingness
 from repro.depth.functional import functional_depth
 from repro.depth.funta import check_trim
-from repro.exceptions import NotFittedError, ValidationError
+from repro.exceptions import ValidationError
 from repro.fda.fdata import MFDataGrid, as_mfd
 from repro.streaming.drift import DepthRankDrift, DriftEvent
 from repro.streaming.window import (
@@ -68,7 +63,7 @@ from repro.streaming.window import (
     SlidingWindow,
 )
 from repro.telemetry import resolve_telemetry
-from repro.utils.validation import check_int, check_positive
+from repro.utils.validation import check_int
 
 __all__ = [
     "STREAM_KINDS",
@@ -76,7 +71,7 @@ __all__ = [
     "StreamingDetector",
 ]
 
-STREAM_KINDS = ("funta", "dirout", "halfspace", "pipeline")
+STREAM_KINDS = ("funta", "dirout", "halfspace")
 
 
 # =====================================================================
@@ -247,38 +242,6 @@ class _HalfspaceState(_ScorerState):
         return 1.0 - depth
 
 
-class _PipelineState(_ScorerState):
-    """Windowed Mahalanobis scoring over fitted-pipeline features.
-
-    Every score refits the mean, scatter ``S`` and ridged Cholesky
-    factor from the window contents; nothing is carried between calls.
-    Scores are robust distances ``sqrt((x-μ)ᵀ Σ⁻¹ (x-μ))`` with
-    ``Σ = (S + ridge·I) / (n-1)``, ``ridge = ridge_eps·tr(S)/d``.
-    """
-
-    def __init__(self, ridge_eps):
-        self.ridge_eps = ridge_eps
-
-    def score(self, items: np.ndarray, window: ReferenceWindow) -> np.ndarray:
-        n = window.size
-        if n < 3:
-            raise NotFittedError(
-                "pipeline streaming scoring needs at least 3 reference curves"
-            )
-        features = window.values
-        mean = features.mean(axis=0)
-        centered = features - mean
-        scatter = centered.T @ centered
-        d = scatter.shape[0]
-        ridge = self.ridge_eps * np.trace(scatter) / d
-        if ridge <= 0.0:
-            ridge = self.ridge_eps
-        chol = np.linalg.cholesky(scatter + ridge * np.eye(d))
-        z = sla.solve_triangular(chol, (items - mean).T, lower=True)
-        d_sq = (n - 1) * np.sum(z * z, axis=0)
-        return np.sqrt(np.maximum(d_sq, 0.0))
-
-
 # =====================================================================
 # the detector
 # =====================================================================
@@ -319,20 +282,14 @@ class StreamingDetector:
     Parameters
     ----------
     kind:
-        ``"funta"``, ``"dirout"``, ``"halfspace"`` or ``"pipeline"``.
+        ``"funta"``, ``"dirout"`` or ``"halfspace"``.
     window:
         The :class:`~repro.streaming.window.ReferenceWindow` holding the
-        reference sample (curves, or feature vectors for
-        ``kind="pipeline"``).
+        reference curves.
     shards:
         Number of shard windows the reference is dealt across (untrimmed
         FUNTA only; see *Sharding* below).  ``1`` (default) is the
         single stream.
-    pipeline:
-        Fitted :class:`~repro.core.pipeline.GeometricOutlierPipeline`
-        providing the smooth→map feature path (``kind="pipeline"``
-        only): arrivals are featurized once and both scored and stored
-        as feature vectors.
     threshold:
         Optional streaming threshold tracker (anything with
         ``update(scores) -> float | None`` / ``reset()`` — see
@@ -366,20 +323,19 @@ class StreamingDetector:
         functions check them: ``trim`` in [0, 0.5) (funta);
         ``n_directions`` >= 1, ``random_state`` (dirout / halfspace
         p > 1 — the seed is replayed per batch so scoring stays
-        deterministic); ``ridge_eps`` > 0 (pipeline).
+        deterministic).
 
     Each kind has one scoring rule, fixed by the kind and the data's
     dimension p: FUNTA reads its tangent-angle ring, Dir.out scores from
     the window with a closed form at p = 1 and the seeded batch kernel
-    at p > 1, halfspace runs the batch profile on the window, and
-    ``pipeline`` refits its moments on every score.
+    at p > 1, and halfspace runs the batch profile on the window.
 
     Sharding
     --------
     ``shards=N > 1`` is accepted for untrimmed FUNTA only: its
     per-shard partials (crossing counts and angle sums) add up to the
     single-stream score.  Every other kind needs the whole window at
-    once (medians, rank profiles, trimmed means, moments), so shards
+    once (medians, rank profiles, trimmed means), so shards
     would only split the window to merge it back; they raise
     :class:`~repro.exceptions.ValidationError`.
 
@@ -401,7 +357,6 @@ class StreamingDetector:
         "funta": frozenset({"trim"}),
         "dirout": frozenset({"n_directions", "random_state"}),
         "halfspace": frozenset({"n_directions", "random_state"}),
-        "pipeline": frozenset({"ridge_eps"}),
     }
 
     def __init__(
@@ -410,7 +365,6 @@ class StreamingDetector:
         window: ReferenceWindow,
         *,
         shards: int = 1,
-        pipeline=None,
         threshold=None,
         drift: DepthRankDrift | None = None,
         min_reference: int = 8,
@@ -448,17 +402,6 @@ class StreamingDetector:
             check_trim(options["trim"])
         if "n_directions" in options:
             check_int(options["n_directions"], "n_directions", minimum=1)
-        if "ridge_eps" in options:
-            check_positive(options["ridge_eps"], "ridge_eps")
-        if kind == "pipeline":
-            from repro.core.pipeline import GeometricOutlierPipeline
-
-            if not isinstance(pipeline, GeometricOutlierPipeline) or not pipeline._fitted:
-                raise ValidationError(
-                    "kind='pipeline' needs a fitted GeometricOutlierPipeline"
-                )
-        elif pipeline is not None:
-            raise ValidationError("pipeline is only accepted for kind='pipeline'")
         if drift is not None and not isinstance(drift, DepthRankDrift):
             raise ValidationError(
                 f"drift must be a DepthRankDrift, got {type(drift).__name__}"
@@ -480,13 +423,11 @@ class StreamingDetector:
             self._windows = window.split(self.n_shards)
         else:
             self._windows = [window]
-        floor = 3 if kind == "pipeline" else 2
         self.kind = kind
         self.capacity = window.capacity
-        self.pipeline = pipeline
         self.threshold = threshold
         self.drift = drift
-        self.min_reference = check_int(min_reference, "min_reference", minimum=floor)
+        self.min_reference = check_int(min_reference, "min_reference", minimum=2)
         if self.min_reference > window.capacity:
             raise ValidationError(
                 f"min_reference={self.min_reference} exceeds the window "
@@ -539,23 +480,10 @@ class StreamingDetector:
         if self.drift is not None:
             self.drift.attach_telemetry(telemetry, kind=self.kind)
 
-    # ------------------------------------------------------------------ specs
-    @classmethod
-    def from_spec(cls, spec, context=None) -> "StreamingDetector":
-        """Construct a detector (window + threshold + drift) from a spec.
-
-        ``spec`` is a :class:`~repro.plan.StreamSpec` (or its tagged
-        dict form); construction delegates to the plan compiler — the
-        same path ``repro stream-score`` uses.
-        """
-        from repro.plan import compile_plan
-
-        return compile_plan(spec, context=context).build()
-
     # ------------------------------------------------------------------ plumbing
     @property
     def window(self) -> ReferenceWindow:
-        """The reference window; with shards, a merged snapshot of the union."""
+        """The reference window; with shards, a snapshot of their union."""
         if self.n_shards == 1:
             return self._windows[0]
         return _union_window(self._windows)
@@ -568,19 +496,6 @@ class StreamingDetector:
     def ready(self) -> bool:
         """Whether the window is warm enough to score."""
         return self.n_reference >= self.min_reference
-
-    @property
-    def effective_incremental(self) -> bool:
-        """Whether scoring runs on a maintained cache — a report, not a switch.
-
-        True for FUNTA (its tangent-angle ring); every other kind scores
-        from the window contents on each call.
-        """
-        return self.kind == "funta"
-
-    @property
-    def _scorer(self) -> _ScorerState | None:
-        return None if self._scorers is None else self._scorers[0]
 
     @property
     def drift_events(self) -> list[DriftEvent]:
@@ -613,20 +528,12 @@ class StreamingDetector:
                 self.options.get("random_state", 0),
                 self.context,
             )
-        if self.kind == "halfspace":
-            return _HalfspaceState(
-                self.grid, self.aggregation,
-                self.options.get("n_directions", 500),
-                self.options.get("random_state", 0),
-                self.context,
-            )
-        return _PipelineState(self.options.get("ridge_eps", 1e-9))
-
-    def _featurize(self, mfd: MFDataGrid) -> np.ndarray:
-        """Batch → the items actually scored and stored (curves or features)."""
-        if self.kind == "pipeline":
-            return self.pipeline.transform(mfd)
-        return mfd.values
+        return _HalfspaceState(
+            self.grid, self.aggregation,
+            self.options.get("n_directions", 500),
+            self.options.get("random_state", 0),
+            self.context,
+        )
 
     def _ensure_scorers(self) -> list[_ScorerState]:
         if self._scorers is None:
@@ -709,30 +616,16 @@ class StreamingDetector:
     def prime(self, reference) -> "StreamingDetector":
         """Bulk-load an initial reference sample (no scoring, no drift)."""
         mfd = self._coerce(reference)
-        self._ingest(self._featurize(mfd))
+        self._ingest(mfd.values)
         self.n_seen += mfd.n_samples
         self._m_arrivals.inc(mfd.n_samples)
         return self
-
-    def score(self, data) -> np.ndarray:
-        """Score a batch against the current reference — stateless.
-
-        Neither the window nor the threshold/drift trackers are
-        touched; use :meth:`process` for the full online step.
-        """
-        mfd = self._coerce(data)
-        if not self.ready:
-            raise NotFittedError(
-                f"streaming reference holds {self.n_reference} curves but "
-                f"min_reference={self.min_reference}; prime() or process() more data"
-            )
-        return self._score_items(self._featurize(mfd))
 
     def process(self, data) -> StreamBatchResult:
         """One online step: score, threshold, drift-check, ingest."""
         start = time.perf_counter() if self.telemetry.enabled else 0.0
         mfd = self._coerce(data)
-        items = self._featurize(mfd)
+        items = mfd.values
         self.n_seen += mfd.n_samples
         self._m_arrivals.inc(mfd.n_samples)
         if not self.ready:
@@ -790,7 +683,6 @@ class StreamingDetector:
             "n_reference": self.n_reference,
             "n_rereferences": self.n_rereferences,
             "drift_events": len(self.drift_events),
-            "incremental": self.effective_incremental,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -813,14 +705,9 @@ def _unshardable(kind: str, trim) -> str | None:
 
 
 def _union_window(windows) -> ReferenceWindow:
-    """One window holding the union of round-robin shard windows.
-
-    Sliding shards merge into the single-stream ring, slot layout
-    included (:meth:`SlidingWindow.merged`); reservoir shards, which
-    keep no arrival order, are concatenated in shard order.
-    """
-    if isinstance(windows[0], SlidingWindow):
-        return SlidingWindow.merged(windows)
+    """A snapshot window holding the shard windows' contents, concatenated
+    in shard order (the slot layout of a single-stream window is not
+    kept)."""
     merged = ReferenceWindow(sum(w.capacity for w in windows))
     filled = [w.values for w in windows if w.size]
     if filled:

@@ -183,14 +183,10 @@ class SlidingWindow(ReferenceWindow):
     slot holding the oldest item — so the buffer is the true trailing
     window of the stream at every step.
 
-    Sliding windows are *mergeable under round-robin dispatch*: when a
-    global stream is dealt to N shard windows of capacity ``C/N``
-    (arrival ``g`` to shard ``g mod N``), the union of the shard
-    contents is exactly the last ``C`` global arrivals.  :meth:`merged`
-    reconstructs the single global window from such shards — including
-    its physical slot layout, so downstream consumers that read
-    ``values`` in slot order see bit-identical state — and
-    :meth:`split` is its inverse.
+    Sliding windows shard under round-robin dispatch: when a global
+    stream is dealt to N shard windows of capacity ``C/N`` (arrival
+    ``g`` to shard ``g mod N``, see :meth:`split`), the union of the
+    shard contents is exactly the last ``C`` global arrivals.
     """
 
     def _choose_slot(self) -> int:
@@ -225,57 +221,13 @@ class SlidingWindow(ReferenceWindow):
         return (head + np.arange(self.capacity)) % self.capacity
 
     # ------------------------------------------------------------------ sharding
-    @classmethod
-    def merged(cls, shards) -> "SlidingWindow":
-        """Recombine round-robin shard windows into the global window.
-
-        ``shards[i]`` must have received exactly the global arrivals
-        ``g`` with ``g mod N == i`` (equal capacities); the result is
-        state-identical — buffer layout included — to one
-        ``SlidingWindow(N * capacity)`` that saw the whole stream.
-        """
-        shards = list(shards)
-        if not shards:
-            raise ValidationError("merged() needs at least one shard window")
-        for shard in shards:
-            if not isinstance(shard, SlidingWindow):
-                raise ValidationError(
-                    f"merged() takes SlidingWindow shards, got {type(shard).__name__}"
-                )
-        n = len(shards)
-        cap = shards[0].capacity
-        if any(s.capacity != cap for s in shards):
-            raise ValidationError("shard windows must share one capacity")
-        total_seen = sum(s.n_seen for s in shards)
-        for i, shard in enumerate(shards):
-            expected = (total_seen - i + n - 1) // n
-            if shard.n_seen != expected:
-                raise ValidationError(
-                    f"shard {i} saw {shard.n_seen} arrivals but round-robin "
-                    f"dispatch of {total_seen} implies {expected}; merge only "
-                    "applies to round-robin shard windows"
-                )
-        merged = cls(cap * n)
-        merged.n_seen = total_seen
-        for i, shard in enumerate(shards):
-            if shard.size == 0:
-                continue
-            items = shard.ordered_values()  # oldest -> newest
-            first_local = shard.n_seen - shard.size
-            for j in range(shard.size):
-                item = merged._ensure_buffer(items[j])
-                g = (first_local + j) * n + i
-                merged._values[g % merged.capacity] = item
-                merged.size += 1
-        return merged
-
     def split(self, n_shards: int) -> "list[SlidingWindow]":
         """Deal this window into ``n_shards`` round-robin shard windows.
 
-        The inverse of :meth:`merged`: shard ``i`` ends up exactly as if
-        it had received the global arrivals ``g mod n_shards == i`` all
-        along (capacity ``capacity / n_shards``, which must divide and
-        leave at least 2 slots per shard).
+        Shard ``i`` ends up exactly as if it had received the global
+        arrivals ``g mod n_shards == i`` all along (capacity
+        ``capacity / n_shards``, which must divide and leave at least 2
+        slots per shard).
         """
         n_shards = check_int(n_shards, "n_shards", minimum=1)
         if self.capacity % n_shards:

@@ -1,5 +1,6 @@
 """Smoke tests for the command-line interface."""
 
+import argparse
 import json
 
 import numpy as np
@@ -217,6 +218,21 @@ class TestStreamScore:
         ])
         assert rc == 0
         assert "reservoir" in capsys.readouterr().out
+
+    def test_kind_choices_are_the_stream_kinds(self, stream_npz, capsys):
+        from repro.streaming import STREAM_KINDS
+
+        parser = build_parser()
+        commands = next(
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        kind = commands.choices["stream-score"]._option_string_actions["--kind"]
+        assert tuple(kind.choices) == STREAM_KINDS
+        with pytest.raises(SystemExit) as exc:
+            main(["stream-score", "--data", str(stream_npz), "--kind", "pipeline"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'pipeline'" in capsys.readouterr().err
 
     def test_removed_p2_threshold_exits_2(self, stream_npz, capsys):
         rc = main([

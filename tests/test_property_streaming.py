@@ -47,10 +47,12 @@ class TestStreamingEqualsBatch:
     def test_funta_full_window_online_equals_batch(self, seed, capacity, m, p, degenerate):
         curves = _stream(seed, capacity + 7, m, p, degenerate)
         grid = np.linspace(0.0, 1.0, m)
-        detector = StreamingDetector("funta", SlidingWindow(capacity), min_reference=2)
+        detector = StreamingDetector(
+            "funta", SlidingWindow(capacity), min_reference=2, update_policy="none"
+        )
         detector.prime(MFDataGrid(curves, grid))  # forces 7 evictions
         queries = MFDataGrid(_stream(seed + 1, 4, m, p, False), grid)
-        online = detector.score(queries)
+        online = detector.process(queries).scores
         physical = funta_outlyingness(
             queries, reference=MFDataGrid(detector.window.values.copy(), grid)
         )
@@ -70,10 +72,12 @@ class TestStreamingEqualsBatch:
     def test_dirout_p1_full_window_online_equals_batch(self, seed, capacity, m, degenerate):
         curves = _stream(seed, capacity + 5, m, 1, degenerate)
         grid = np.linspace(0.0, 1.0, m)
-        detector = StreamingDetector("dirout", SlidingWindow(capacity), min_reference=2)
+        detector = StreamingDetector(
+            "dirout", SlidingWindow(capacity), min_reference=2, update_policy="none"
+        )
         detector.prime(MFDataGrid(curves, grid))
         queries = MFDataGrid(_stream(seed + 1, 4, m, 1, False), grid)
-        online = detector.score(queries)
+        online = detector.process(queries).scores
         batch = dirout_scores(
             queries,
             reference=MFDataGrid(detector.window.values.copy(), grid),
@@ -97,13 +101,15 @@ class TestStreamingEqualsBatch:
     def test_halfspace_p1_full_window_online_equals_batch(self, seed, capacity, m, degenerate):
         curves = _stream(seed, capacity + 5, m, 1, degenerate)
         grid = np.linspace(0.0, 1.0, m)
-        detector = StreamingDetector("halfspace", SlidingWindow(capacity), min_reference=2)
+        detector = StreamingDetector(
+            "halfspace", SlidingWindow(capacity), min_reference=2, update_policy="none"
+        )
         detector.prime(MFDataGrid(curves, grid))
         # Mix fresh queries with exact members of the reference (ties).
         fresh = _stream(seed + 1, 3, m, 1, False)
         queries_values = np.concatenate([fresh, detector.window.values[:2].copy()])
         queries = MFDataGrid(queries_values, grid)
-        online = detector.score(queries)
+        online = detector.process(queries).scores
         depth = functional_depth(
             queries, MFDataGrid(detector.window.values.copy(), grid), notion="halfspace"
         )
@@ -143,7 +149,7 @@ class TestEvictInsertEqualsRebuild:
         curves = _stream(seed, capacity + churn, m, p, False)
         detector = StreamingDetector("funta", SlidingWindow(capacity), min_reference=2)
         detector.prime(MFDataGrid(curves, grid))
-        theta = detector._scorer._theta[: detector.window.size]
+        theta = detector._scorers[0]._theta[: detector.window.size]
         dt = np.diff(grid)
         recomputed = np.arctan(
             np.diff(detector.window.values, axis=1) / dt[:, None]

@@ -2,15 +2,12 @@
 
 import numpy as np
 import pytest
-from scipy import linalg as sla
 
-from repro.core.pipeline import GeometricOutlierPipeline
-from repro.data import make_drifting_stream, make_taxonomy_dataset
+from repro.data import make_drifting_stream
 from repro.depth.dirout import dirout_scores
 from repro.depth.functional import functional_depth
 from repro.depth.funta import funta_outlyingness
-from repro.detectors import IsolationForest
-from repro.exceptions import NotFittedError, ValidationError
+from repro.exceptions import ValidationError
 from repro.fda.fdata import MFDataGrid
 from repro.serving import ScoringService
 from repro.streaming import (
@@ -61,6 +58,12 @@ def _batch_per_arrival(kind, stream, capacity, min_reference):
     return scores
 
 
+def _frozen(kind, window, **kwargs):
+    """A detector whose ``process`` only scores: no threshold, no drift
+    monitor, and no arrival enters the window."""
+    return StreamingDetector(kind, window, update_policy="none", **kwargs)
+
+
 class TestStreamingEqualsBatch:
     """The acceptance pins: online full window == one-shot batch."""
 
@@ -68,18 +71,18 @@ class TestStreamingEqualsBatch:
     def test_funta_full_window_matches_batch(self, p):
         reference = _curves(20, p=p, seed=3)
         queries = _mfd(_curves(6, p=p, seed=4))
-        detector = StreamingDetector("funta", SlidingWindow(32), min_reference=4)
+        detector = _frozen("funta", SlidingWindow(32), min_reference=4)
         detector.prime(_mfd(reference))
-        online = detector.score(queries)
+        online = detector.process(queries).scores
         batch = funta_outlyingness(queries, reference=_mfd(reference))
         np.testing.assert_array_equal(online, batch)
 
     def test_funta_after_evictions_matches_batch_on_window(self, subtests=None):
         stream = _curves(50, p=2, seed=5)
-        detector = StreamingDetector("funta", SlidingWindow(16), min_reference=4)
+        detector = _frozen("funta", SlidingWindow(16), min_reference=4)
         detector.prime(_mfd(stream))  # 50 curves through a 16-slot ring
         queries = _mfd(_curves(5, p=2, seed=6))
-        online = detector.score(queries)
+        online = detector.process(queries).scores
         physical = funta_outlyingness(
             queries, reference=_mfd(detector.window.values.copy())
         )
@@ -92,27 +95,27 @@ class TestStreamingEqualsBatch:
     def test_dirout_p1_full_window_matches_batch(self):
         reference = _curves(20, seed=7)
         queries = _mfd(_curves(6, seed=8))
-        detector = StreamingDetector("dirout", SlidingWindow(32), min_reference=4)
+        detector = _frozen("dirout", SlidingWindow(32), min_reference=4)
         detector.prime(_mfd(reference))
-        online = detector.score(queries)
+        online = detector.process(queries).scores
         batch = dirout_scores(queries, reference=_mfd(reference), method="total")
         np.testing.assert_array_equal(online, batch)
 
     def test_dirout_p1_after_evictions_matches_batch_on_window(self):
-        detector = StreamingDetector("dirout", SlidingWindow(12), min_reference=4)
+        detector = _frozen("dirout", SlidingWindow(12), min_reference=4)
         detector.prime(_mfd(_curves(40, seed=9)))
         queries = _mfd(_curves(5, seed=10))
-        online = detector.score(queries)
+        online = detector.process(queries).scores
         batch = dirout_scores(
             queries, reference=_mfd(detector.window.values.copy()), method="total"
         )
         np.testing.assert_array_equal(online, batch)
 
     def test_halfspace_p1_matches_batch(self):
-        detector = StreamingDetector("halfspace", SlidingWindow(12), min_reference=4)
+        detector = _frozen("halfspace", SlidingWindow(12), min_reference=4)
         detector.prime(_mfd(_curves(30, seed=11)))
         queries = _mfd(_curves(5, seed=12))
-        online = detector.score(queries)
+        online = detector.process(queries).scores
         depth = functional_depth(
             queries, _mfd(detector.window.values.copy()), notion="halfspace"
         )
@@ -138,79 +141,15 @@ class TestStreamingEqualsBatch:
             assert (a.scores is None) == (oracle[i] is None)
             if a.scores is not None:
                 np.testing.assert_array_equal(a.scores, oracle[i])
-        assert incremental.effective_incremental is True
 
     @pytest.mark.parametrize("kind", ["dirout", "halfspace"])
     def test_p2_falls_back_to_seeded_refit(self, kind):
-        detector = StreamingDetector(kind, SlidingWindow(16), min_reference=4)
+        detector = _frozen(kind, SlidingWindow(16), min_reference=4)
         detector.prime(_mfd(_curves(16, p=2, seed=14)))
-        assert detector.effective_incremental is False
         queries = _mfd(_curves(3, p=2, seed=15))
-        np.testing.assert_array_equal(detector.score(queries), detector.score(queries))
-
-
-class TestPipelineKind:
-    @pytest.fixture(scope="class")
-    def pipeline(self):
-        curves = _curves(30, p=2, seed=16)
-        # Few eval points keep the feature dimension (8) below the
-        # window sizes used here, so the windowed scatter is full rank.
-        pipeline = GeometricOutlierPipeline(
-            IsolationForest(n_estimators=20, random_state=0), n_basis=8,
-            eval_points=8,
+        np.testing.assert_array_equal(
+            detector.process(queries).scores, detector.process(queries).scores
         )
-        pipeline.fit(_mfd(curves))
-        return pipeline
-
-    def test_features_are_windowed_and_scored(self, pipeline):
-        detector = StreamingDetector(
-            "pipeline", SlidingWindow(16), pipeline=pipeline, min_reference=8
-        )
-        detector.prime(_mfd(_curves(16, p=2, seed=17)))
-        scores = detector.score(_mfd(_curves(4, p=2, seed=18)))
-        assert scores.shape == (4,)
-        assert np.all(np.isfinite(scores)) and np.all(scores >= 0.0)
-
-    def test_scores_equal_batch_refit_at_85_features(self):
-        # 85 curvature features against a 128-slot window: the scatter
-        # is near-singular, so any carried-over factor drifts from the
-        # refit; every score must be the batch refit over the window.
-        train, _ = make_taxonomy_dataset(
-            "correlation", n_inliers=120, n_outliers=1, random_state=0
-        )
-        pipeline = GeometricOutlierPipeline(
-            IsolationForest(n_estimators=50, random_state=0), n_basis=15
-        ).fit(train)
-        stream, _ = make_taxonomy_dataset(
-            "correlation", n_inliers=277, n_outliers=1, random_state=1
-        )
-        detector = StreamingDetector(
-            "pipeline", SlidingWindow(128), pipeline=pipeline, min_reference=8
-        )
-        detector.prime(MFDataGrid(stream.values[:128], stream.grid))
-        for i in range(128, 278):
-            chunk = MFDataGrid(stream.values[i : i + 1], stream.grid)
-            features = pipeline.transform(chunk)
-            assert features.shape == (1, 85)
-            reference = detector.window.values.copy()
-            n, d = reference.shape
-            mean = reference.mean(axis=0)
-            centered = reference - mean
-            scatter = centered.T @ centered
-            ridge = 1e-9 * np.trace(scatter) / d
-            chol = np.linalg.cholesky(scatter + ridge * np.eye(d))
-            z = sla.solve_triangular(chol, (features - mean).T, lower=True)
-            expected = np.sqrt(np.maximum((n - 1) * np.sum(z * z, axis=0), 0.0))
-            np.testing.assert_array_equal(detector.process(chunk).scores, expected)
-
-    def test_requires_fitted_pipeline(self):
-        unfitted = GeometricOutlierPipeline(IsolationForest(), n_basis=8)
-        with pytest.raises(ValidationError, match="fitted"):
-            StreamingDetector("pipeline", SlidingWindow(8), pipeline=unfitted)
-
-    def test_pipeline_argument_rejected_for_other_kinds(self, pipeline):
-        with pytest.raises(ValidationError, match="only accepted"):
-            StreamingDetector("funta", SlidingWindow(8), pipeline=pipeline)
 
 
 class TestProcessFlow:
@@ -287,20 +226,15 @@ class TestProcessFlow:
         window = SlidingWindow(24)
         for curve in _curves(20, seed=45):
             window.observe(curve)
-        detector = StreamingDetector(kind, window, min_reference=8)
+        detector = _frozen(kind, window, min_reference=8)
         queries = _mfd(_curves(4, seed=46))
         np.testing.assert_array_equal(
-            detector.score(queries),
+            detector.process(queries).scores,
             _batch_score(kind, queries, _mfd(_curves(20, seed=45))),
         )
-        # process() on the prefilled window works too (scorer exists).
+        # A second process() reuses the synced scorer.
         result = detector.process(queries)
         assert not result.warmup and result.scores.shape == (4,)
-
-    def test_score_before_ready_raises(self):
-        detector = StreamingDetector("funta", SlidingWindow(16), min_reference=8)
-        with pytest.raises(NotFittedError, match="min_reference"):
-            detector.score(_mfd(_curves(3, seed=33)))
 
     def test_grid_and_parameter_mismatches_rejected(self):
         detector = StreamingDetector("funta", SlidingWindow(16), min_reference=8)
@@ -312,8 +246,9 @@ class TestProcessFlow:
             detector.process(_mfd(_curves(2, p=2, seed=36)))
 
     def test_constructor_validation(self):
-        with pytest.raises(ValidationError, match="kind"):
-            StreamingDetector("knn", SlidingWindow(8))
+        for kind in ("knn", "pipeline"):
+            with pytest.raises(ValidationError, match="kind"):
+                StreamingDetector(kind, SlidingWindow(8))
         with pytest.raises(ValidationError, match="ReferenceWindow"):
             StreamingDetector("funta", object())
         with pytest.raises(ValidationError, match="update_policy"):
@@ -322,8 +257,8 @@ class TestProcessFlow:
             StreamingDetector("funta", SlidingWindow(8), on_drift="panic")
         with pytest.raises(ValidationError, match="unknown options"):
             StreamingDetector("funta", SlidingWindow(8), n_directions=5)
-        with pytest.raises(ValidationError, match="allowed: \\['ridge_eps'\\]"):
-            StreamingDetector("pipeline", SlidingWindow(8), resync_every=64)
+        with pytest.raises(ValidationError, match="allowed: \\['trim'\\]"):
+            StreamingDetector("funta", SlidingWindow(8), resync_every=64)
         for trim in (0.7, -1.0):
             with pytest.raises(ValidationError, match="trim"):
                 StreamingDetector("funta", SlidingWindow(8), trim=trim)
@@ -332,9 +267,6 @@ class TestProcessFlow:
         for kind in ("dirout", "halfspace"):
             with pytest.raises(ValidationError, match="n_directions"):
                 StreamingDetector(kind, SlidingWindow(8), n_directions=0)
-        for ridge_eps in (0.0, -1e-9):
-            with pytest.raises(ValidationError, match="ridge_eps"):
-                StreamingDetector("pipeline", SlidingWindow(8), ridge_eps=ridge_eps)
         with pytest.raises(ValidationError, match="exceeds"):
             StreamingDetector("funta", SlidingWindow(8), min_reference=9)
         with pytest.raises(ValidationError, match="update"):
@@ -344,12 +276,17 @@ class TestProcessFlow:
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_only_funta_reports_a_cache(self, p):
+        # FUNTA keeps the one streaming cache, its tangent-angle ring;
+        # every other kind scores from the window contents.
         for kind in ("funta", "dirout", "halfspace"):
             detector = StreamingDetector(kind, SlidingWindow(16), min_reference=4)
             detector.prime(_mfd(_curves(8, p=p, seed=39)))
             detector.process(_mfd(_curves(4, p=p, seed=40)))
-            assert detector.effective_incremental is (kind == "funta")
-            assert detector.stats()["incremental"] is (kind == "funta")
+            (scorer,) = detector._scorers
+            cache = getattr(scorer, "_theta", None)
+            assert (cache is not None) is (kind == "funta")
+            if cache is not None:
+                assert cache.shape == (16, M - 1, p)
 
     def test_stats_surface(self):
         detector = StreamingDetector("funta", SlidingWindow(16), min_reference=8)
@@ -358,7 +295,7 @@ class TestProcessFlow:
         stats = detector.stats()
         assert stats["kind"] == "funta"
         assert stats["n_seen"] == 12 and stats["n_scored"] == 4
-        assert stats["incremental"] is True
+        assert "incremental" not in stats
 
 
 class _ItemByItem:

@@ -124,18 +124,20 @@ class TestShardedReservoir:
         grid = np.linspace(0.0, 1.0, 20)
         window = ReservoirWindow(16, random_state=4)
         with StreamingDetector(
-            "funta", window, shards=2, min_reference=4, trim=0
+            "funta", window, shards=2, min_reference=4, update_policy="none",
+            trim=0,
         ) as detector:
             for _ in range(5):
-                detector.process(MFDataGrid(rng.standard_normal((8, 20, 1)), grid))
+                detector.prime(MFDataGrid(rng.standard_normal((8, 20, 1)), grid))
             queries = MFDataGrid(rng.standard_normal((6, 20, 1)), grid)
-            union = detector.window
-            assert union.size == 16
+            union = np.concatenate([shard.values for shard in detector._windows])
+            assert union.shape[0] == 16
+            np.testing.assert_array_equal(detector.window.values, union)
             expected = funta_outlyingness(
-                queries, reference=MFDataGrid(union.values, grid), trim=0
+                queries, reference=MFDataGrid(union, grid), trim=0
             )
             np.testing.assert_allclose(
-                detector.score(queries), expected, rtol=RTOL, atol=0.0
+                detector.process(queries).scores, expected, rtol=RTOL, atol=0.0
             )
 
 

@@ -196,13 +196,20 @@ class TestChunkExtend:
             window.extend(np.zeros((2, 5)))
 
     def test_split_shards_extend_like_the_merged_window(self):
-        """Round-robin chunks into split shards stay mergeable."""
+        """Round-robin chunks into split shards keep shard ``i`` holding
+        exactly the trailing arrivals ``g`` with ``g mod 2 == i``."""
         window = SlidingWindow(8)
-        window.extend(_items(11, seed=3))
+        history = _items(11, seed=3)
+        window.extend(history)
         shards = window.split(2)
         items = _items(13, seed=4)
         window.extend(items)
         base = 11
         for i, shard in enumerate(shards):
             shard.extend(items[(i - base) % 2 :: 2])
-        _same_state(SlidingWindow.merged(shards), window)
+        arrivals = np.concatenate([history, items])
+        total = arrivals.shape[0]
+        for i, shard in enumerate(shards):
+            assert shard.n_seen == (total - i + 1) // 2
+            expected = [g for g in range(total - 8, total) if g % 2 == i]
+            np.testing.assert_array_equal(shard.ordered_values(), arrivals[expected])
