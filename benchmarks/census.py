@@ -204,9 +204,9 @@ def read_keep(path: Path) -> dict:
     return keep
 
 
-def kept_by(function: Function, keep: dict) -> str | None:
-    """The first keep pattern naming ``function``, else ``None``."""
-    return next((p for p in keep if fnmatch.fnmatchcase(function.label, p)), None)
+def is_kept(function: Function, keep: dict) -> bool:
+    """Whether a keep pattern names ``function``."""
+    return any(fnmatch.fnmatchcase(function.label, p) for p in keep)
 
 
 def package_table(functions, reached, keep=None) -> list:
@@ -222,7 +222,7 @@ def package_table(functions, reached, keep=None) -> list:
             continue
         row[3] += 1
         row[4] += function.n_lines
-        if kept_by(function, keep) is not None:
+        if is_kept(function, keep):
             row[5] += 1
     table = [rows[name] for name in sorted(rows)]
     total = ["total"] + [sum(row[j] for row in table) for j in range(1, 6)]
@@ -232,8 +232,7 @@ def package_table(functions, reached, keep=None) -> list:
 def unreached(functions, reached, keep=None) -> list:
     """Unreached functions the keep list does not name, in source order."""
     keep = keep or {}
-    return [f for f in functions
-            if f.key not in reached and kept_by(f, keep) is None]
+    return [f for f in functions if f.key not in reached and not is_kept(f, keep)]
 
 
 def stale_keep(functions, keep) -> list:
