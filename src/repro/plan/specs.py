@@ -569,10 +569,7 @@ class StreamSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        from repro.streaming.online import STREAM_KINDS
-
         _check_type(self.kind, str, "stream kind")
-        _check_choice(self.kind, STREAM_KINDS, "stream kind")
         for name in ("window", "min_reference", "drift_baseline", "drift_recent",
                      "seed", "shards"):
             _check_type(getattr(self, name), int, f"stream {name}")

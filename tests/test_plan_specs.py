@@ -29,6 +29,7 @@ from repro.plan import (
     spec_hash,
     spec_to_json,
 )
+from repro.streaming import STREAM_KINDS
 
 PERFBENCH_STREAM = Path(__file__).resolve().parent.parent / "perfbench" / "stream.py"
 
@@ -266,9 +267,7 @@ class TestValidationErrors:
         # The hint is the list of stream kinds, which has no "pipeline".
         with pytest.raises(ConfigurationError) as err:
             StreamSpec(kind="pipeline")
-        assert "stream kind must be one of ['dirout', 'funta', 'halfspace']" in str(
-            err.value
-        )
+        assert f"kind must be one of {STREAM_KINDS}" in str(err.value)
 
     def test_stream_unknown_option(self):
         with pytest.raises(ConfigurationError, match="trim"):
