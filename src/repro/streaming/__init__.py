@@ -12,11 +12,11 @@ scores *unbounded* curve streams whose reference population evolves:
   kernels (FUNTA, Dir.out, halfspace profiles), one scoring rule per
   kind: FUNTA refreshes its cached tangent angles as chunks are
   ingested instead of refitting them; Dir.out and halfspace score from
-  the window contents on every call.  For untrimmed FUNTA, ``shards=N`` deals the
-  reference across N shard windows whose ingest and partial scoring
-  run on a thread pool, while the threshold and drift monitor stay the
-  single-stream trackers in the coordinator, so the answers are those
-  of ``shards=1``;
+  the window contents on every call.  For untrimmed FUNTA,
+  ``shards=N`` deals the reference across N shard windows whose ingest
+  and partial scoring run on a thread pool, while the threshold and
+  drift monitor stay the single-stream trackers in the coordinator, so
+  the answers are those of ``shards=1``;
 * :mod:`repro.streaming.calibrate` — streaming quantile thresholds
   (exact ring-buffer window, shared with the batch
   :func:`~repro.detectors.threshold.threshold_from_quantile`, and a
